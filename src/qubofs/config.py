@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -202,6 +203,14 @@ class SolverSpec:
             raise ConfigInvalid(f"unknown solver kind {spec.kind!r}")
         if spec.num_samples < 1:
             raise ConfigInvalid("solver.num_samples must be >= 1")
+        if spec.sweeps is not None and spec.sweeps < 1:
+            raise ConfigInvalid("solver.sweeps must be >= 1")
+        for name in ("beta_start", "beta_end"):
+            value = getattr(spec, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigInvalid(f"solver.{name} must be finite and > 0")
+        if spec.beta_start is not None and spec.beta_end is not None and spec.beta_end < spec.beta_start:
+            raise ConfigInvalid("solver.beta_end must be >= solver.beta_start")
         return spec
 
 

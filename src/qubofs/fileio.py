@@ -1,0 +1,23 @@
+"""Atomic file writes: a reader sees the old file or the whole new one, never
+a truncated one, however the writer dies."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_open(path):
+    """Text handle on a sibling temp file that replaces ``path`` on a clean exit."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def atomic_write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +44,7 @@ from .data import (
     user_holdout_split,
 )
 from .errors import ConfigInvalid
+from .fileio import atomic_write_text
 from .metrics import EVAL_TSV_HEADER, EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
     ModelKind,
@@ -75,7 +75,7 @@ from .solvers import (
     load_selection,
     save_selection,
     solve_exhaustive,
-    solve_sa,
+    solve_sa_many,
 )
 
 
@@ -83,12 +83,6 @@ def derive_seed(master: int, *labels) -> int:
     """Stable per-stage seed from the master seed and a label path."""
     digest = hashlib.sha256(repr((int(master),) + tuple(labels)).encode()).digest()
     return int.from_bytes(digest[:4], "big")
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def write_json(path: Path, obj) -> None:
@@ -620,63 +614,81 @@ class Pipeline:
         return self._selections
 
     def _build_selections(self) -> list[SelectionResult]:
+        """Load the stored selections and solve the missing ones. Annealed
+        points are grouped by (n, sweeps) and each group runs in one lockstep
+        batch; every point owns its RNG streams, so a batch's makeup never
+        changes a result."""
         points = self.ensure_qubos()
         sel_dir = self.out / "selections"
         self.run_info.artifacts["selections"] = sel_dir
-        results = []
+        results: list[SelectionResult | None] = [None] * len(points)
+        batches: dict[tuple[int, int], list[tuple[int, QuboProblem, AnnealSchedule]]] = {}
+
+        def store(index: int, result: SelectionResult) -> None:
+            sel_path = sel_dir / f"grid_{index:03d}" / "selection.json"
+            sel_path.parent.mkdir(parents=True, exist_ok=True)
+            save_selection(result, sel_path)
+            results[index] = result
+
         for index, point in enumerate(points):
             sel_path = sel_dir / f"grid_{index:03d}" / "selection.json"
             if sel_path.exists():
-                results.append(load_selection(sel_path))
+                results[index] = load_selection(sel_path)
                 continue
             problem = load_qubo(
                 self.out / "qubo" / f"grid_{index:03d}" / "qubo.coo",
                 self.out / "qubo" / f"grid_{index:03d}" / "qubo.json",
             )
-            result = self._solve(problem, point, index)
-            sel_path.parent.mkdir(parents=True, exist_ok=True)
-            save_selection(result, sel_path)
-            results.append(result)
+            if point["s"] == 0.0 and np.all(problem.q <= 0.0):
+                # every coefficient pushes toward inclusion; all-ones is optimal
+                x = np.ones(problem.n, dtype=np.int8)
+                result = SelectionResult(
+                    x=x,
+                    energy=energy(problem, x),
+                    solver="closed_form",
+                    seed=0,
+                    samples_drawn=1,
+                    wall_time=0.0,
+                )
+            elif self.cfg.solver.kind == "exhaustive":
+                result = solve_exhaustive(problem)
+            else:
+                schedule = self._schedule(problem, index)
+                batches.setdefault((problem.n, schedule.sweeps), []).append(
+                    (index, problem, schedule)
+                )
+                continue
+            store(index, result)
+        for batch in batches.values():
+            indices, problems, schedules = zip(*batch)
+            solved = solve_sa_many(
+                problems,
+                schedules,
+                self.cfg.solver.num_samples,
+                [derive_seed(self.cfg.seed, "select", index) for index in indices],
+            )
+            for index, samples in zip(indices, solved):
+                store(index, samples[0])
         return results
 
-    def _solve(self, problem: QuboProblem, point: dict, index: int) -> SelectionResult:
-        if point["s"] == 0.0 and np.all(problem.q <= 0.0):
-            # every coefficient pushes toward inclusion; all-ones is optimal
-            x = np.ones(problem.n, dtype=np.int8)
-            return SelectionResult(
-                x=x,
-                energy=energy(problem, x),
-                solver="closed_form",
-                seed=0,
-                samples_drawn=1,
-                wall_time=0.0,
-            )
-        if self.cfg.solver.kind == "exhaustive":
-            return solve_exhaustive(problem)
+    def _schedule(self, problem: QuboProblem, index: int) -> AnnealSchedule:
+        """The default ramp for the problem's coefficient range, with the
+        configured overrides."""
         magnitudes = np.abs(problem.q[problem.q != 0.0])
         scale = float(magnitudes.max()) if magnitudes.size else 1.0
         cold_scale = float(magnitudes.min()) if magnitudes.size else 1.0
-        schedule = default_schedule(problem.n, scale=scale, cold_scale=cold_scale)
-        overrides = {}
-        if self.cfg.solver.sweeps is not None:
-            overrides["sweeps"] = self.cfg.solver.sweeps
-        if self.cfg.solver.beta_start is not None:
-            overrides["beta_start"] = self.cfg.solver.beta_start
-        if self.cfg.solver.beta_end is not None:
-            overrides["beta_end"] = self.cfg.solver.beta_end
-        if overrides:
-            schedule = AnnealSchedule(
-                sweeps=overrides.get("sweeps", schedule.sweeps),
-                beta_start=overrides.get("beta_start", schedule.beta_start),
-                beta_end=overrides.get("beta_end", schedule.beta_end),
-            )
-        samples = solve_sa(
-            problem,
-            schedule,
-            num_samples=self.cfg.solver.num_samples,
-            seed=derive_seed(self.cfg.seed, "select", index),
-        )
-        return samples[0]
+        default = default_schedule(problem.n, scale=scale, cold_scale=cold_scale)
+        solver = self.cfg.solver
+        sweeps = solver.sweeps if solver.sweeps is not None else default.sweeps
+        beta_start = solver.beta_start if solver.beta_start is not None else default.beta_start
+        beta_end = solver.beta_end if solver.beta_end is not None else default.beta_end
+        try:
+            return AnnealSchedule(sweeps=sweeps, beta_start=beta_start, beta_end=beta_end)
+        except ValueError as exc:
+            raise ConfigInvalid(
+                f"solver schedule of grid point {index} (beta_start={beta_start:g}, "
+                f"beta_end={beta_end:g}): {exc}"
+            ) from exc
 
     # -- stage: per-selection content models and the winner ---------------------
 

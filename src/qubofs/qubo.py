@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .fileio import atomic_open
 from .models import SimilarityModel
 from .sparse import SparseMatrix, ZERO_EPSILON
 
@@ -164,7 +165,7 @@ def to_upper_triangular(problem: QuboProblem) -> np.ndarray:
 
 def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
     SparseMatrix.from_dense(problem.q).save_coo(coo_path)
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
+    with atomic_open(sidecar_path) as fh:
         json.dump(
             {"n": problem.n, "offset": problem.offset, "convention": "symmetric"},
             fh,

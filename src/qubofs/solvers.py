@@ -1,28 +1,37 @@
 """Classical QUBO solvers: exact enumeration and simulated annealing.
 
 The exhaustive solver walks assignments in Gray-code order so each step flips
-one variable and updates the energy in O(n). The annealer runs independent
-restarts in lockstep; every restart owns an RNG stream derived from (seed,
-restart index), so the returned multiset of solutions does not depend on how
-restarts are scheduled.
+one variable and updates the energy in O(n). The annealer runs every restart
+of every problem it is given in lockstep, one row per (problem, restart), each
+row with its own problem's coefficients and inverse-temperature ramp. Every row
+owns an RNG stream derived from (problem seed, restart index) and consumes it
+in a fixed order, so a result depends neither on which other problems share
+the run nor on how its draws are buffered. The draw buffer is bounded over
+the whole run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
+from .fileio import atomic_open
 from .qubo import QuboProblem
 
 EXHAUSTIVE_MAX_VARIABLES = 25
 DEFAULT_NUM_SAMPLES = 100
 
-# sweep-block sizing for pre-generated randomness, entries per restart
+# sweep-block sizing for pre-generated randomness, entries per restart; it
+# fixes the order in which every restart consumes its stream
 _SA_BLOCK_ENTRIES = 100_000
+# entries per draw buffer (flip orders, uniforms) over all rows of a run
+_SA_BUFFER_ENTRIES = 250_000
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,10 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.beta_start <= 0:
+        if not self.beta_start > 0:
             raise ValueError("beta_start must be > 0")
-        if self.beta_end < self.beta_start:
-            raise ValueError("beta_end must be >= beta_start")
+        if not self.beta_start <= self.beta_end < math.inf:
+            raise ValueError("beta_end must be finite and >= beta_start")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -87,7 +96,7 @@ class SelectionResult:
 
 
 def save_selection(result: SelectionResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -178,63 +187,125 @@ def solve_sa(
 ) -> list[SelectionResult]:
     """Single-flip Metropolis annealing; returns one result per restart,
     best energy first. Deterministic for fixed (problem, schedule, samples, seed)."""
+    return solve_sa_many([problem], [schedule], num_samples, [seed])[0]
+
+
+def solve_sa_many(
+    problems: Sequence[QuboProblem],
+    schedules: Sequence[AnnealSchedule],
+    num_samples: int,
+    seeds: Sequence[int],
+) -> list[list[SelectionResult]]:
+    """Anneal problems of one size and sweep count in one lockstep run; for
+    each problem p, returns what ``solve_sa(problems[p], schedules[p],
+    num_samples, seeds[p])`` returns, except that every result records the
+    wall time of the whole run.
+
+    Row ``p * num_samples + s`` is restart s of problem p: it reads problem p's
+    coefficients, follows schedule p's ramp and draws from stream s of
+    ``seeds[p]``. Per stream the draws are the initial ``random(n)``, then per
+    block of ``_SA_BLOCK_ENTRIES // n`` sweeps the flip orders of the whole
+    block followed by its uniforms.
+    """
+    if not len(problems) == len(schedules) == len(seeds):
+        raise ValueError("need one schedule and one seed per problem")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if not problems:
+        return []
+    n = problems[0].n
+    sweeps = schedules[0].sweeps
+    if any(p.n != n for p in problems):
+        raise DimensionMismatch("problems annealed together must share n")
+    if any(s.sweeps != sweeps for s in schedules):
+        raise ValueError("schedules annealed together must share the sweep count")
     started = time.monotonic()
-    n = problem.n
-    q = problem.q
-    diag = np.diagonal(q).copy()
-    betas = schedule.betas()
-    streams = _sample_streams(seed, num_samples)
+    n_rows = len(problems) * num_samples
+    streams = [g for seed in seeds for g in _sample_streams(seed, num_samples)]
+    # variable f of problem p is row p * n + f of the stacked coefficients
+    q_stack = np.concatenate([p.q for p in problems])
+    diag = np.concatenate([np.diagonal(p.q) for p in problems])
+    owner = np.repeat(np.arange(len(problems)) * n, num_samples)
+    # stacked row + shift = flat (row, variable) index into x and field
+    shift = np.arange(n_rows) * n - owner
+    neg_betas = -np.stack([s.betas() for s in schedules])
 
-    x = np.empty((num_samples, n), dtype=np.int8)
-    for s, stream in enumerate(streams):
-        x[s] = stream.random(n) < 0.5
-    field = x.astype(np.float64) @ q
-    current = np.einsum("sf,sf->s", x.astype(np.float64), field)
+    x = np.empty((n_rows, n))
+    for r, stream in enumerate(streams):
+        x[r] = stream.random(n) < 0.5
+    field = np.empty((n_rows, n))
+    current = np.empty(n_rows)
+    for p, problem in enumerate(problems):
+        rows = slice(p * num_samples, (p + 1) * num_samples)
+        field[rows] = x[rows] @ problem.q
+        current[rows] = np.einsum("sf,sf->s", x[rows], field[rows])
     best_energy = current.copy()
-    best_x = x.copy()
+    best_x = x.astype(np.int8)
+    x_flat = x.reshape(-1)
+    field_flat = field.reshape(-1)
 
-    rows = np.arange(num_samples)
     block = max(1, _SA_BLOCK_ENTRIES // max(1, n))
+    chunk = min(block, sweeps, max(1, _SA_BUFFER_ENTRIES // (n_rows * max(1, n))))
+    order = np.empty((n_rows, chunk, n), dtype=np.int64)
+    uniforms = np.empty((n_rows, chunk, n))
+    replay = None
     sweep = 0
-    while sweep < schedule.sweeps:
-        n_block = min(block, schedule.sweeps - sweep)
-        perms = np.empty((num_samples, n_block, n), dtype=np.int64)
-        uniforms = np.empty((num_samples, n_block, n))
-        base = np.tile(np.arange(n), (n_block, 1))
-        for s, stream in enumerate(streams):
-            perms[s] = stream.permuted(base, axis=1)
-            uniforms[s] = stream.random((n_block, n))
-        for t in range(n_block):
-            beta = betas[sweep + t]
-            for pos in range(n):
-                f = perms[:, t, pos]
-                xf = x[rows, f].astype(np.float64)
-                delta = 1.0 - 2.0 * xf
-                d_energy = delta * (diag[f] + 2.0 * (field[rows, f] - diag[f] * xf))
-                accept = (d_energy <= 0.0) | (
-                    uniforms[:, t, pos] < np.exp(-beta * np.maximum(d_energy, 0.0))
-                )
-                if not accept.any():
-                    continue
-                idx = np.flatnonzero(accept)
-                fa = f[idx]
-                da = delta[idx]
-                x[idx, fa] += da.astype(np.int8)
-                current[idx] += d_energy[idx]
-                field[idx] += da[:, None] * q[fa]
-                improved = idx[current[idx] < best_energy[idx]]
-                if improved.size:
-                    best_energy[improved] = current[improved]
-                    best_x[improved] = x[improved]
+    while sweep < sweeps:
+        n_block = min(block, sweeps - sweep)
+        starts = range(0, n_block, chunk)
+        order_streams = streams
+        if n_block > chunk:
+            # a block's flip orders precede its uniforms in every stream, and
+            # the buffer holds only a chunk of them: draw the orders from a
+            # copy of the stream once the stream itself has skipped them
+            if replay is None:
+                replay = [np.random.default_rng(0) for _ in streams]
+            for twin, stream in zip(replay, streams):
+                twin.bit_generator.state = stream.bit_generator.state
+            for start in starts:
+                base = np.tile(np.arange(n), (min(chunk, n_block - start), 1))
+                for stream in streams:
+                    stream.permuted(base, axis=1, out=base)
+            order_streams = replay
+        for start in starts:
+            c = min(chunk, n_block - start)
+            base = np.tile(np.arange(n), (c, 1))
+            for r in range(n_rows):
+                order_streams[r].permuted(base, axis=1, out=order[r, :c])
+                streams[r].random((c, n), out=uniforms[r, :c])
+            order[:, :c] += owner[:, None, None]
+            for t in range(c):
+                neg_beta = neg_betas[:, sweep + start + t].repeat(num_samples)
+                for pos in range(n):
+                    f = order[:, t, pos]
+                    flat = f + shift
+                    xf = x_flat[flat]
+                    df = diag[f]
+                    delta = 1.0 - 2.0 * xf
+                    d_energy = delta * (df + 2.0 * (field_flat[flat] - df * xf))
+                    # u < 1 = exp(0): every downhill move is accepted
+                    accept = uniforms[:, t, pos] < np.exp(neg_beta * np.maximum(d_energy, 0.0))
+                    idx = np.flatnonzero(accept)
+                    if not idx.size:
+                        continue
+                    da = delta[idx]
+                    x_flat[flat[idx]] += da
+                    current[idx] += d_energy[idx]
+                    step = q_stack.take(f[idx], axis=0)
+                    step *= da[:, None]
+                    step += field.take(idx, axis=0)
+                    field[idx] = step
+                    # a row that did not move cannot beat its own best
+                    improved = np.flatnonzero(current < best_energy)
+                    if improved.size:
+                        best_energy[improved] = current[improved]
+                        best_x[improved] = x[improved]
         sweep += n_block
 
     elapsed = time.monotonic() - started
     results = []
-    for s in range(num_samples):
-        bx = best_x[s]
-        results.append(
+    for p, (problem, seed) in enumerate(zip(problems, seeds)):
+        own = [
             SelectionResult(
                 x=bx.copy(),
                 energy=energy(problem, bx),
@@ -243,6 +314,8 @@ def solve_sa(
                 samples_drawn=num_samples,
                 wall_time=elapsed,
             )
-        )
-    results.sort(key=lambda r: r.energy)
+            for bx in best_x[p * num_samples:(p + 1) * num_samples]
+        ]
+        own.sort(key=lambda r: r.energy)
+        results.append(own)
     return results

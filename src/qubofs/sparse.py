@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError
+from .fileio import atomic_open
 
 # Stored values with |v| < ZERO_EPSILON are treated as exact zeros and dropped.
 ZERO_EPSILON = 1e-12
@@ -286,7 +287,7 @@ class SparseMatrix:
         lines = [f"{self.n_rows}\t{self.n_cols}\t{self.nnz}\n"]
         for r, c, v in self.triplets():
             lines.append(f"{r}\t{c}\t{v:.17g}\n")
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.writelines(lines)
 
     @classmethod

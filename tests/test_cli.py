@@ -1,4 +1,7 @@
 import json
+
+import pytest
+
 from qubofs.cli import main
 
 
@@ -108,6 +111,28 @@ class TestExitCodes:
                                "noise_rate": 0.0}},
         )
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("solver", [
+        {"sweeps": 0},
+        {"beta_start": 0.0},
+        {"beta_end": -1.0},
+        {"beta_start": 2.0, "beta_end": 1.0},
+    ])
+    def test_invalid_solver_schedule(self, tmp_path, capsys, solver):
+        config = write_config(tmp_path, solver={"kind": "sa", **solver})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert "solver." in capsys.readouterr().err
+        assert not out.exists()  # rejected at load, before any stage ran
+
+    def test_beta_end_below_derived_beta_start(self, tmp_path, capsys):
+        # the derived beta_start is 0.1 / max|Q| and max|Q| >= s = 50
+        config = write_config(tmp_path, solver={"kind": "sa", "num_samples": 2, "beta_end": 1e-9})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert "grid point 0" in capsys.readouterr().err
+        assert (out / "qubo/grid_000/qubo.json").exists()
+        assert not (out / "selections").exists()  # nothing was annealed
 
     def test_synth_stage_needs_synth_config(self, tmp_path):
         inter = tmp_path / "i.tsv"

@@ -17,6 +17,7 @@ from qubofs.pipeline import (
     run_pipeline,
     stats_tsv,
 )
+from qubofs.solvers import SelectionResult
 from qubofs.sparse import SparseMatrix
 
 
@@ -234,6 +235,76 @@ class TestPipeline:
         )
         assert selection["solver"] == "sa"
         assert sum(selection["x"]) == 8
+
+
+class TestSelectionResume:
+    POINTS = 8
+
+    @staticmethod
+    def sa_config() -> ExperimentConfig:
+        return tiny_config(
+            qubo={"alpha": [1.0], "beta": [0.001, 1.0], "s": [1.0, 100.0], "p": [0.25, 0.5]},
+            solver={"kind": "sa", "num_samples": 5, "sweeps": 30},
+        )
+
+    @staticmethod
+    def selections(out: Path) -> dict:
+        return {
+            i: json.loads((out / f"selections/grid_{i:03d}/selection.json").read_text())
+            for i in range(TestSelectionResume.POINTS)
+        }
+
+    @staticmethod
+    def without_wall_time(selection: dict) -> dict:
+        return {k: v for k, v in selection.items() if k != "wall_time_s"}
+
+    def test_partial_resume_matches_full_batch(self, tmp_path):
+        cfg = self.sa_config()
+        out = tmp_path / "run"
+        Pipeline(cfg, out).ensure_selections()
+        originals = self.selections(out)
+        deleted = (1, 4, 6)
+        for i in deleted:
+            (out / f"selections/grid_{i:03d}/selection.json").unlink()
+        Pipeline(cfg, out).ensure_selections()
+        resumed = self.selections(out)
+        for i in range(self.POINTS):
+            if i in deleted:
+                # re-solved in a batch of three instead of eight
+                assert self.without_wall_time(resumed[i]) == self.without_wall_time(originals[i])
+            else:
+                assert resumed[i] == originals[i]  # loaded, not re-solved
+
+    def test_write_killed_midway_resumes(self, tmp_path, monkeypatch):
+        cfg = self.sa_config()
+        Pipeline(cfg, tmp_path / "reference").ensure_selections()
+        reference = self.selections(tmp_path / "reference")
+
+        to_json_dict = SelectionResult.to_json_dict
+        calls = []
+
+        def fails_on_third_write(result):
+            d = to_json_dict(result)
+            calls.append(d)
+            if len(calls) == 3:
+                # sorts last: json.dump writes every other key, then raises
+                d["zz_unserialisable"] = object()
+            return d
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(SelectionResult, "to_json_dict", fails_on_third_write)
+        with pytest.raises(TypeError):
+            Pipeline(cfg, out).ensure_selections()
+        monkeypatch.undo()
+        written = sorted((out / "selections").glob("grid_*/selection.json"))
+        assert len(written) == 2
+        for path in written:
+            json.loads(path.read_text())  # complete, never truncated
+
+        Pipeline(cfg, out).ensure_selections()
+        resumed = self.selections(out)
+        for i in range(self.POINTS):
+            assert self.without_wall_time(resumed[i]) == self.without_wall_time(reference[i])
 
 
 class TestConfigParsing:

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch, TooLarge
+from qubofs import solvers
 from qubofs.qubo import QuboProblem, combination_penalty
 from qubofs.solvers import (
     AnnealSchedule,
@@ -17,6 +19,7 @@ from qubofs.solvers import (
     save_selection,
     solve_exhaustive,
     solve_sa,
+    solve_sa_many,
 )
 
 
@@ -129,6 +132,10 @@ class TestDefaultSchedule:
             AnnealSchedule(sweeps=0, beta_start=0.1, beta_end=1.0)
         with pytest.raises(ValueError):
             AnnealSchedule(sweeps=10, beta_start=1.0, beta_end=0.1)
+        with pytest.raises(ValueError):
+            AnnealSchedule(sweeps=10, beta_start=1.0, beta_end=float("inf"))
+        with pytest.raises(ValueError):
+            AnnealSchedule(sweeps=10, beta_start=float("nan"), beta_end=1.0)
 
 
 class TestSolveSa:
@@ -187,6 +194,165 @@ class TestSolveSa:
         few_set = {(r.energy, tuple(r.x)) for r in few}
         many_set = {(r.energy, tuple(r.x)) for r in many}
         assert few_set <= many_set
+
+
+def as_tuples(results):
+    return [(r.energy, tuple(int(v) for v in r.x)) for r in results]
+
+
+def reference_solve_sa(problem, schedule, num_samples, seed, block_entries=100_000):
+    """The per-problem annealer the batched one replaced, as (energy, x)
+    tuples: the oracle for the draw order and the arithmetic. Each restart
+    draws its initial assignment, then per block all flip orders, then all
+    uniforms."""
+    n, q = problem.n, problem.q
+    diag = np.diagonal(q).copy()
+    betas = schedule.betas()
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(num_samples)]
+    x = np.empty((num_samples, n), dtype=np.int8)
+    for s, stream in enumerate(streams):
+        x[s] = stream.random(n) < 0.5
+    field = x.astype(np.float64) @ q
+    current = np.einsum("sf,sf->s", x.astype(np.float64), field)
+    best_energy = current.copy()
+    best_x = x.copy()
+    rows = np.arange(num_samples)
+    block = max(1, block_entries // max(1, n))
+    sweep = 0
+    while sweep < schedule.sweeps:
+        n_block = min(block, schedule.sweeps - sweep)
+        perms = np.empty((num_samples, n_block, n), dtype=np.int64)
+        uniforms = np.empty((num_samples, n_block, n))
+        base = np.tile(np.arange(n), (n_block, 1))
+        for s, stream in enumerate(streams):
+            perms[s] = stream.permuted(base, axis=1)
+            uniforms[s] = stream.random((n_block, n))
+        for t in range(n_block):
+            beta = betas[sweep + t]
+            for pos in range(n):
+                f = perms[:, t, pos]
+                xf = x[rows, f].astype(np.float64)
+                delta = 1.0 - 2.0 * xf
+                d_energy = delta * (diag[f] + 2.0 * (field[rows, f] - diag[f] * xf))
+                accept = (d_energy <= 0.0) | (
+                    uniforms[:, t, pos] < np.exp(-beta * np.maximum(d_energy, 0.0))
+                )
+                idx = np.flatnonzero(accept)
+                fa, da = f[idx], delta[idx]
+                x[idx, fa] += da.astype(np.int8)
+                current[idx] += d_energy[idx]
+                field[idx] += da[:, None] * q[fa]
+                improved = idx[current[idx] < best_energy[idx]]
+                best_energy[improved] = current[improved]
+                best_x[improved] = x[improved]
+        sweep += n_block
+    results = [(energy(problem, bx), tuple(int(v) for v in bx)) for bx in best_x]
+    return sorted(results, key=lambda r: r[0])
+
+
+class TestSolveSaGolden:
+    def test_pinned_restarts(self):
+        # integer coefficients keep every energy exact; the values pin the
+        # order in which each restart consumes its stream: the initial
+        # assignment, then the block's flip orders, then its uniforms
+        rng = np.random.default_rng(2024)
+        q = rng.integers(-9, 10, size=(16, 16)).astype(float)
+        p = QuboProblem(q=np.triu(q) + np.triu(q, 1).T)
+        sch = AnnealSchedule(sweeps=2, beta_start=0.001, beta_end=0.01)
+        results = solve_sa(p, sch, num_samples=8, seed=3)
+        assert as_tuples(results) == reference_solve_sa(p, sch, 8, 3)
+        assert list(results[0].x) == [1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]
+        assert results[0].energy == -241.0
+        assert [r.energy for r in results] == [
+            -241.0, -229.0, -184.0, -166.0, -162.0, -114.0, -108.0, -54.0,
+        ]
+
+
+class TestSolveSaMany:
+    """A batch must equal per-problem solves. The ramps stay hot, so every
+    result depends on the random draws and a changed draw order shows."""
+
+    @staticmethod
+    def batch(rng, count, n, sweeps):
+        problems = [random_problem(rng, n, scale=float(rng.uniform(0.5, 5.0))) for _ in range(count)]
+        schedules = [
+            AnnealSchedule(sweeps=sweeps, beta_start=float(rng.uniform(0.01, 0.05)),
+                           beta_end=float(rng.uniform(0.1, 0.5)))
+            for _ in range(count)
+        ]
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=count)]
+        return problems, schedules, seeds
+
+    @staticmethod
+    def check_matches_alone(problems, schedules, num_samples, seeds, solve_many=solve_sa_many):
+        alone = [as_tuples(solve_sa(p, s, num_samples, seed))
+                 for p, s, seed in zip(problems, schedules, seeds)]
+        assert any(len({e for e, _ in results}) > 1 for results in alone)
+        together = solve_many(problems, schedules, num_samples, seeds)
+        assert [as_tuples(r) for r in together] == alone
+        for results, seed in zip(together, seeds):
+            assert all(r.seed == seed and r.samples_drawn == num_samples for r in results)
+        return together
+
+    def test_matches_per_problem(self):
+        rng = np.random.default_rng(30)
+        problems, schedules, seeds = self.batch(rng, 4, 9, 60)
+        self.check_matches_alone(problems, schedules, 6, seeds)
+
+    def test_multi_block(self):
+        # 100_000 // 120 = 833 sweeps per block: two blocks, and the first is
+        # longer than the draw buffer holds. Integer coefficients keep the
+        # energies exact; the pinned values come from the per-point annealer
+        # that preceded the batched one.
+        rng = np.random.default_rng(31)
+        problems, schedules = [], []
+        for k in range(2):
+            q = rng.integers(-9, 10, size=(120, 120)).astype(float)
+            problems.append(QuboProblem(q=np.triu(q) + np.triu(q, 1).T))
+            schedules.append(AnnealSchedule(sweeps=900, beta_start=0.001 * (k + 1),
+                                            beta_end=0.01 * (k + 1)))
+        together = self.check_matches_alone(problems, schedules, 2, [40, 41])
+        assert [[r.energy for r in results] for results in together] == [
+            [-2805.0, -2717.0], [-3977.0, -3830.0],
+        ]
+
+    def test_single_sweep_chunks(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        problems, schedules, seeds = self.batch(rng, 3, 10, 40)
+
+        def one_sweep_buffer(*args):
+            monkeypatch.setattr(solvers, "_SA_BUFFER_ENTRIES", 1)
+            return solve_sa_many(*args)
+
+        self.check_matches_alone(problems, schedules, 4, seeds, one_sweep_buffer)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 3),
+           st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, n, sweeps, num_samples, block_entries, buffer_entries, seed):
+        # small blocks and buffers: many blocks, chunks down to one sweep
+        rng = np.random.default_rng(seed)
+        problems, schedules, seeds = self.batch(rng, 3, n, sweeps)
+        expected = [reference_solve_sa(p, s, num_samples, sd, block_entries)
+                    for p, s, sd in zip(problems, schedules, seeds)]
+        with mock.patch.multiple(solvers, _SA_BLOCK_ENTRIES=block_entries,
+                                 _SA_BUFFER_ENTRIES=buffer_entries):
+            together = solve_sa_many(problems, schedules, num_samples, seeds)
+        assert [as_tuples(r) for r in together] == expected
+
+    def test_empty(self):
+        assert solve_sa_many([], [], 5, []) == []
+
+    def test_rejects_mixed_sizes(self):
+        rng = np.random.default_rng(33)
+        sch = AnnealSchedule(sweeps=5, beta_start=0.1, beta_end=1.0)
+        with pytest.raises(DimensionMismatch):
+            solve_sa_many([random_problem(rng, 3), random_problem(rng, 4)], [sch, sch], 2, [0, 1])
+        other = AnnealSchedule(sweeps=6, beta_start=0.1, beta_end=1.0)
+        with pytest.raises(ValueError):
+            solve_sa_many([random_problem(rng, 3)] * 2, [sch, other], 2, [0, 1])
+        with pytest.raises(ValueError):
+            solve_sa_many([random_problem(rng, 3)] * 2, [sch], 2, [0, 1])
 
 
 class TestSelectionPersistence:
