@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import errors
 from .config import ExperimentConfig
-from .pipeline import Pipeline, feature_selection_stats, stats_tsv, atomic_write_text
+from .pipeline import Pipeline
 
 CONFIG_ERRORS = (errors.ConfigInvalid,)
 DATA_ERRORS = (errors.ParseError, errors.NegativeValue, errors.EmptyDataset,
@@ -24,10 +24,19 @@ INFEASIBLE_ERRORS = (errors.QuotaInfeasible, errors.InfeasibleConfig,
                      errors.RankTooLarge, errors.TooLarge, errors.DegenerateCatalog,
                      errors.NegativeBase)
 
-STAGES = (
-    "synth", "prepare", "train-cf", "build-qubo", "select",
-    "train-cbf", "evaluate", "pipeline", "stats",
-)
+# subcommand -> the Pipeline method it runs; every stage reuses the artifacts
+# already in the output directory
+COMMANDS = {
+    "synth": "ensure_dataset",
+    "prepare": "ensure_splits",
+    "train-cf": "ensure_cf_model",
+    "build-qubo": "ensure_qubos",
+    "select": "ensure_selections",
+    "train-cbf": "ensure_final",
+    "evaluate": "ensure_reports",
+    "pipeline": "run",
+    "stats": "write_feature_stats",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="QUBO-based feature selection for cold-start recommenders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGES:
+    for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} stage")
         cmd.add_argument("--config", required=True, help="experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory")
@@ -73,35 +82,11 @@ def load_config(args) -> ExperimentConfig:
 
 
 def run_stage(command: str, pipeline: Pipeline) -> None:
-    if command == "synth":
-        if pipeline.cfg.dataset.synth is None:
-            raise errors.ConfigInvalid("synth stage needs a dataset.synth section")
-        pipeline.ensure_dataset()
-    elif command == "prepare":
-        pipeline.ensure_splits()
-    elif command == "train-cf":
-        pipeline.ensure_cf_model()
-    elif command == "build-qubo":
-        pipeline.ensure_qubos()
-    elif command == "select":
-        pipeline.ensure_selections()
-    elif command == "train-cbf":
-        pipeline.ensure_final()
-    elif command == "evaluate":
-        pipeline.ensure_reports()
-    elif command == "pipeline":
-        pipeline.run()
-    elif command == "stats":
-        selections = pipeline.ensure_selections()
-        ds = pipeline.ensure_dataset()
-        rows = feature_selection_stats([s.selected() for s in selections], ds.n_features)
-        text = stats_tsv(rows, ds.feature_ids)
-        reports_dir = pipeline.out / "reports"
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(reports_dir / "feature_stats.tsv", text)
-        sys.stdout.write(text)
-    else:  # pragma: no cover - argparse restricts choices
-        raise errors.ConfigInvalid(f"unknown command {command}")
+    if command == "synth" and pipeline.cfg.dataset.synth is None:
+        raise errors.ConfigInvalid("synth stage needs a dataset.synth section")
+    result = getattr(pipeline, COMMANDS[command])()
+    if command == "stats":
+        sys.stdout.write(result)
 
 
 def main(argv=None) -> int:

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     QuotaInfeasible,
 )
+from .fileio import atomic_open
 from .sparse import SparseMatrix
 
 # Mean number of decoy (non-planted) features attached to each synthetic item.
@@ -353,16 +354,15 @@ def synth_planted(
 
 
 def save_dataset_tsv(ds: Dataset, interactions_path, features_path) -> None:
-    with open(interactions_path, "w", encoding="utf-8") as fh:
+    with atomic_open(interactions_path) as fh:
         for u, i, v in ds.urm.triplets():
             fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[i]}\t{v:.17g}\n")
-    with open(features_path, "w", encoding="utf-8") as fh:
+    with atomic_open(features_path) as fh:
         for i, f, _ in ds.icm.triplets():
             fh.write(f"{ds.item_ids[i]}\t{ds.feature_ids[f]}\n")
 
 
 def save_cold_split(split: ColdSplit, out_dir, seed: int, test_quota: float, validation_quota: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     split.train.save_coo(out_dir / "train.coo")
     split.validation.save_coo(out_dir / "validation.coo")
     split.test.save_coo(out_dir / "test.coo")
@@ -373,7 +373,7 @@ def save_cold_split(split: ColdSplit, out_dir, seed: int, test_quota: float, val
         "cold_test_items": sorted(split.cold_test_items),
         "cold_validation_items": sorted(split.cold_validation_items),
     }
-    with open(out_dir / "split.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "split.json") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -10,7 +10,6 @@ replacement once the pair count exceeds ``max_pairs``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,11 +69,6 @@ class EvalReport:
                 str(self.n_users_evaluated),
             ]
         )
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def accuracy_metrics(

@@ -8,7 +8,6 @@ are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,24 +41,6 @@ class SimilarityModel:
         top_k = self.hyperparams.get("topK")
         if top_k is not None and np.any(self.s.row_nnz() > top_k):
             raise ValueError("a row exceeds the topK bound")
-
-
-@dataclass(frozen=True)
-class FeatureWeights:
-    w: np.ndarray
-
-    def __post_init__(self):
-        if np.any(~np.isfinite(self.w)) or np.any(self.w < 0):
-            raise ValueError("feature weights must be finite and non-negative")
-
-    def top_quota(self, quota: float) -> list[int]:
-        """Indices of the top ceil(quota * n) features, ties to smaller index."""
-        if not 0 < quota <= 1:
-            raise ValueError("quota must be in (0, 1]")
-        n = self.w.shape[0]
-        count = math.ceil(quota * n - 1e-9)
-        order = np.lexsort((np.arange(n), -self.w))
-        return sorted(int(f) for f in order[:count])
 
 
 def cosine_knn(
@@ -113,13 +94,13 @@ def apply_feature_weighting(icm: SparseMatrix, scheme: str = "none") -> SparseMa
     return SparseMatrix(m)
 
 
-def tfidf_feature_scores(icm: SparseMatrix) -> FeatureWeights:
+def tfidf_feature_scores(icm: SparseMatrix) -> np.ndarray:
     """Per-feature score ln(n_items / document frequency); df 0 scores 0."""
     df = icm.col_nnz().astype(np.float64)
     scores = np.zeros_like(df)
     nz = df > 0
     scores[nz] = np.log(icm.n_rows / df[nz])
-    return FeatureWeights(np.maximum(scores, 0.0))
+    return np.maximum(scores, 0.0)
 
 
 def randomized_svd(

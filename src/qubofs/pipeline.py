@@ -8,10 +8,13 @@ feature subset, picks the grid point with the best cold-validation quality,
 retrains on train-plus-validation and reports cold-test metrics next to the
 all-features baseline.
 
-Every stage persists its artifacts and is skipped when they already exist, so
-deleting a downstream artifact and re-running regenerates only that part.
-Report files are a pure function of (config, seed): no timings or absolute
-paths go into them.
+Each stage is one row of ``STAGES``: the files it writes and its build and
+load functions. A stage is complete when all its files exist; it is then
+loaded, otherwise built, and only a build asks for the stages it depends on.
+Every file is written atomically, so a killed run resumes without cleanup and
+deleting any artifact regenerates only its stage (the grid stages rebuild
+only their missing grid points). Report files are a pure function of (config,
+seed): no timings or absolute paths go into them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, FilesSpec
 from .data import (
     ColdSplit,
     Dataset,
@@ -150,8 +153,15 @@ def random_search(
 
 
 def baseline_tfidf_selection(icm: SparseMatrix, quota: float) -> list[int]:
-    """Top ceil(quota * n_features) features by rarity score."""
-    return tfidf_feature_scores(icm).top_quota(quota)
+    """Top ceil(quota * n_features) features by rarity score, ties to the
+    smaller index."""
+    if not 0 < quota <= 1:
+        raise ValueError("quota must be in (0, 1]")
+    scores = tfidf_feature_scores(icm)
+    n = scores.shape[0]
+    count = math.ceil(quota * n - 1e-9)
+    order = np.lexsort((np.arange(n), -scores))
+    return sorted(int(f) for f in order[:count])
 
 
 def baseline_random_selection(n_features: int, quota: float, seed: int) -> list[int]:
@@ -226,12 +236,22 @@ def fit_cbf(icm: SparseMatrix, params: dict) -> SimilarityModel:
     )
 
 
-def save_model(model: SimilarityModel, coo_path: Path, sidecar_path: Path, extra: dict | None = None) -> None:
-    model.s.save_coo(coo_path)
-    payload = {"kind": model.kind.value, **model.hyperparams}
-    if extra:
-        payload.update(extra)
-    write_json(sidecar_path, payload)
+def save_model(model: SimilarityModel, model_dir: Path, **extra) -> None:
+    """similarity.coo plus a model.json sidecar holding the kind, the model's
+    hyperparameters and ``extra``."""
+    model.s.save_coo(model_dir / "similarity.coo")
+    write_json(model_dir / "model.json", {"kind": model.kind.value, **model.hyperparams, **extra})
+
+
+def load_model(model_dir: Path, params: dict | None = None) -> SimilarityModel:
+    """The model ``save_model`` stored; its hyperparameters are ``params``, or
+    else the sidecar's entries named in ``hyperparam_names``."""
+    meta = read_json(model_dir / "model.json")
+    if params is None:
+        params = {k: meta[k] for k in meta["hyperparam_names"]}
+    return SimilarityModel(
+        SparseMatrix.load_coo(model_dir / "similarity.coo"), ModelKind(meta["kind"]), params
+    )
 
 
 # ----------------------------------------------------------------------
@@ -260,24 +280,18 @@ class Pipeline:
         self.cfg = cfg
         self.out = Path(out_dir)
         self.workers = workers if workers is not None else cfg.workers
-        self.run_info = PipelineRun(config_hash=cfg.config_hash())
-        self._dataset: Dataset | None = None
-        self._cold: ColdSplit | None = None
-        self._holdout: HoldoutSplit | None = None
-        self._cf_model: SimilarityModel | None = None
-        self._cbf_all: tuple[dict, SimilarityModel] | None = None
-        self._points: list[dict] | None = None
-        self._selections: list[SelectionResult] | None = None
-        self._grid_rows: list[dict] | None = None
-        self._final: dict | None = None
+        self.run_info = PipelineRun(
+            config_hash=cfg.config_hash(),
+            artifacts={"config": self.out / "config.resolved.json"},
+        )
+        self._results: dict[str, object] = {}
         self._attributed_time = 0.0
-        self.out.mkdir(parents=True, exist_ok=True)
         self._pin_config()
 
     # -- config pinning -------------------------------------------------
 
     def _pin_config(self) -> None:
-        pin = self.out / "config.resolved.json"
+        pin = self.run_info.artifacts["config"]
         if pin.exists():
             previous = pin.read_text(encoding="utf-8")
             if previous != self.cfg.canonical_json():
@@ -287,7 +301,8 @@ class Pipeline:
                 )
         else:
             atomic_write_text(pin, self.cfg.canonical_json())
-        self.run_info.artifacts["config"] = pin
+
+    # -- the stage runner -------------------------------------------------
 
     def _timed(self, stage: str, fn):
         """Record the stage's own wall time, excluding nested stages."""
@@ -300,52 +315,97 @@ class Pipeline:
         self._attributed_time += own
         return result
 
-    # -- stage: dataset --------------------------------------------------
+    def _stage(self, name: str):
+        """The stage's result, computed once per pipeline."""
+        if name not in self._results:
+            self._results[name] = self._timed(name, lambda: self._load_or_build(name))
+        return self._results[name]
+
+    def _load_or_build(self, name: str):
+        """Load the stage if all its declared files exist, else build it."""
+        patterns, build, load = STAGES[name]
+        grid = range(len(self.cfg.qubo.points()))
+        files = [
+            self.out / pattern.format(i=i)
+            for pattern in patterns
+            for i in (grid if "{i" in pattern else (0,))
+        ]
+        if name == "dataset" and self.cfg.dataset.synth is None:
+            files = []  # read from the configured files, nothing to write
+        for top in dict.fromkeys(f.relative_to(self.out).parts[0] for f in files):
+            self.run_info.artifacts[top] = self.out / top
+        return load(self) if all(f.exists() for f in files) else build(self)
+
+    def _per_point(self, directory: str, name: str) -> list[Path]:
+        """The path of file ``name`` for every grid point, in grid order."""
+        return [
+            self.out / directory / f"grid_{i:03d}" / name
+            for i in range(len(self.ensure_qubos()))
+        ]
+
+    # -- the stages, each named by its row in STAGES -----------------------
 
     def ensure_dataset(self) -> Dataset:
-        if self._dataset is not None:
-            return self._dataset
-        self._dataset = self._timed("dataset", self._build_dataset)
-        return self._dataset
+        return self._stage("dataset")
+
+    def ensure_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
+        return self._stage("splits")
+
+    def ensure_cf_model(self) -> SimilarityModel:
+        return self._stage("cf_model")
+
+    def ensure_cbf_all(self) -> tuple[dict, SimilarityModel]:
+        return self._stage("cbf_all")
+
+    def ensure_qubos(self) -> list[dict]:
+        return self._stage("qubos")
+
+    def ensure_selections(self) -> list[SelectionResult]:
+        return self._stage("selections")
+
+    def ensure_grid_scores(self) -> list[dict]:
+        return self._stage("grid_scores")
+
+    def ensure_final(self) -> SimilarityModel:
+        return self._stage("final")
+
+    def ensure_reports(self) -> dict:
+        return self._stage("reports")
+
+    # -- stage: dataset --------------------------------------------------
 
     def _build_dataset(self) -> Dataset:
-        ds_cfg = self.cfg.dataset
-        if ds_cfg.synth is not None:
-            data_dir = self.out / "dataset"
-            inter_path = data_dir / "interactions.tsv"
-            feat_path = data_dir / "features.tsv"
-            planted_path = data_dir / "planted.json"
-            if not (inter_path.exists() and feat_path.exists()):
-                data_dir.mkdir(parents=True, exist_ok=True)
-                spec = ds_cfg.synth
-                generated, planted = synth_planted(
-                    spec.n_users,
-                    spec.n_items,
-                    spec.n_features,
-                    spec.n_relevant,
-                    spec.interactions_per_user,
-                    spec.noise_rate,
-                    seed=derive_seed(self.cfg.seed, "synth"),
-                )
-                save_dataset_tsv(generated, inter_path, feat_path)
-                write_json(
-                    planted_path,
-                    {"planted_feature_labels": sorted(
-                        generated.feature_ids[f] for f in planted
-                    )},
-                )
-            # always reload from disk so every run sees identical label order
-            raw = build_dataset(
-                load_interactions(inter_path, "explicit"),
-                load_item_features(feat_path),
-            )
-            self.run_info.artifacts["dataset"] = data_dir
-        else:
-            files = ds_cfg.files
-            raw = build_dataset(
-                load_interactions(files.interactions, files.value_mode),
-                load_item_features(files.features),
-            )
+        data_dir = self.out / "dataset"
+        spec = self.cfg.dataset.synth
+        generated, planted = synth_planted(
+            spec.n_users,
+            spec.n_items,
+            spec.n_features,
+            spec.n_relevant,
+            spec.interactions_per_user,
+            spec.noise_rate,
+            seed=derive_seed(self.cfg.seed, "synth"),
+        )
+        save_dataset_tsv(generated, data_dir / "interactions.tsv", data_dir / "features.tsv")
+        write_json(
+            data_dir / "planted.json",
+            {"planted_feature_labels": sorted(
+                generated.feature_ids[f] for f in planted
+            )},
+        )
+        # always reload from disk so every run sees identical label order
+        return self._load_dataset()
+
+    def _load_dataset(self) -> Dataset:
+        data_dir = self.out / "dataset"
+        # a synthetic dataset is read from the files _build_dataset wrote
+        files = self.cfg.dataset.files or FilesSpec(
+            data_dir / "interactions.tsv", data_dir / "features.tsv"
+        )
+        raw = build_dataset(
+            load_interactions(files.interactions, files.value_mode),
+            load_item_features(files.features),
+        )
         pp = self.cfg.preprocess
         return preprocess(
             raw,
@@ -356,37 +416,16 @@ class Pipeline:
 
     # -- stage: splits ----------------------------------------------------
 
-    def ensure_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
-        if self._cold is not None and self._holdout is not None:
-            return self._cold, self._holdout
-        self._cold, self._holdout = self._timed("splits", self._build_splits)
-        return self._cold, self._holdout
-
     def _build_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
-        split_dir = self.out / "splits"
-        holdout_dir = self.out / "holdout"
-        self.run_info.artifacts["splits"] = split_dir
-        self.run_info.artifacts["holdout"] = holdout_dir
-        needed = [
-            split_dir / name
-            for name in ("train.coo", "validation.coo", "test.coo", "split.json")
-        ] + [holdout_dir / name for name in ("train.coo", "validation.coo", "holdout.json")]
-        if all(p.exists() for p in needed):
-            cold = load_cold_split(split_dir)
-            holdout = HoldoutSplit(
-                train=SparseMatrix.load_coo(holdout_dir / "train.coo"),
-                validation=SparseMatrix.load_coo(holdout_dir / "validation.coo"),
-            )
-            return cold, holdout
         ds = self.ensure_dataset()
         sp = self.cfg.split
         cold_seed = derive_seed(self.cfg.seed, "cold-split")
         cold = cold_item_split(ds, sp.test_quota, sp.validation_quota, seed=cold_seed)
-        save_cold_split(cold, split_dir, cold_seed, sp.test_quota, sp.validation_quota)
+        save_cold_split(cold, self.out / "splits", cold_seed, sp.test_quota, sp.validation_quota)
         warm = cold.train + cold.validation
         holdout_seed = derive_seed(self.cfg.seed, "holdout")
         holdout = user_holdout_split(warm, sp.holdout_quota, seed=holdout_seed)
-        holdout_dir.mkdir(parents=True, exist_ok=True)
+        holdout_dir = self.out / "holdout"
         holdout.train.save_coo(holdout_dir / "train.coo")
         holdout.validation.save_coo(holdout_dir / "validation.coo")
         write_json(
@@ -395,11 +434,20 @@ class Pipeline:
         )
         return cold, holdout
 
-    # -- evaluation helper -------------------------------------------------
+    def _load_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
+        holdout_dir = self.out / "holdout"
+        holdout = HoldoutSplit(
+            train=SparseMatrix.load_coo(holdout_dir / "train.coo"),
+            validation=SparseMatrix.load_coo(holdout_dir / "validation.coo"),
+        )
+        return load_cold_split(self.out / "splits"), holdout
 
-    def _objective_value(self, model: SimilarityModel, profiles: SparseMatrix,
-                         holdings: SparseMatrix, candidates: np.ndarray | None,
-                         metric: str) -> float:
+    # -- evaluation helpers -------------------------------------------------
+
+    def _rank(self, model: SimilarityModel, profiles: SparseMatrix,
+              holdings: SparseMatrix, candidates: np.ndarray | None
+              ) -> tuple[list[np.ndarray], list[set[int]]]:
+        """Each user's top-cutoff unseen candidates and held-out items."""
         ranked = score_and_rank(
             model, profiles, self.cfg.cutoff, exclude_seen=True,
             candidate_items=candidates,
@@ -408,6 +456,12 @@ class Pipeline:
             set(int(i) for i in holdings.row_entries(u)[0])
             for u in range(holdings.n_rows)
         ]
+        return ranked, relevant
+
+    def _objective_value(self, model: SimilarityModel, profiles: SparseMatrix,
+                         holdings: SparseMatrix, candidates: np.ndarray | None,
+                         metric: str) -> float:
+        ranked, relevant = self._rank(model, profiles, holdings, candidates)
         precision, recall, ndcg, map_score = accuracy_metrics(
             ranked, relevant, self.cfg.cutoff
         )
@@ -415,14 +469,7 @@ class Pipeline:
 
     def _full_report(self, model: SimilarityModel, profiles: SparseMatrix,
                      holdings: SparseMatrix, candidates: np.ndarray) -> EvalReport:
-        ranked = score_and_rank(
-            model, profiles, self.cfg.cutoff, exclude_seen=True,
-            candidate_items=candidates,
-        )
-        relevant = [
-            set(int(i) for i in holdings.row_entries(u)[0])
-            for u in range(holdings.n_rows)
-        ]
+        ranked, relevant = self._rank(model, profiles, holdings, candidates)
         # reindex to the candidate catalog so coverage and concentration are
         # measured against the cold catalog only
         local = {int(item): j for j, item in enumerate(sorted(candidates.tolist()))}
@@ -441,23 +488,8 @@ class Pipeline:
 
     # -- stage: collaborative model ----------------------------------------
 
-    def ensure_cf_model(self) -> SimilarityModel:
-        if self._cf_model is not None:
-            return self._cf_model
-        self._cf_model = self._timed("cf_model", self._build_cf_model)
-        return self._cf_model
-
     def _build_cf_model(self) -> SimilarityModel:
-        cf_dir = self.out / "cf_model"
-        self.run_info.artifacts["cf_model"] = cf_dir
-        sim_path, meta_path = cf_dir / "similarity.coo", cf_dir / "model.json"
         kind = self.cfg.collaborative.kind
-        if sim_path.exists() and meta_path.exists():
-            meta = read_json(meta_path)
-            params = {k: meta[k] for k in meta.get("hyperparam_names", [])}
-            return SimilarityModel(
-                SparseMatrix.load_coo(sim_path), ModelKind(meta["kind"]), params
-            )
         ds = self.ensure_dataset()
         _, holdout = self.ensure_splits()
         fit_seed = derive_seed(self.cfg.seed, "cf-fit")
@@ -484,16 +516,13 @@ class Pipeline:
             workers=self.workers,
         )
         model = fit_collaborative(kind, holdout.train, best, fit_seed)
-        cf_dir.mkdir(parents=True, exist_ok=True)
+        cf_dir = self.out / "cf_model"
         save_model(
             model,
-            sim_path,
-            meta_path,
-            extra={
-                "hyperparam_names": sorted(best),
-                "validation_precision": best_score,
-                "seed": fit_seed,
-            },
+            cf_dir,
+            hyperparam_names=sorted(best),
+            validation_precision=best_score,
+            seed=fit_seed,
         )
         atomic_write_text(cf_dir / "search.tsv", self._search_tsv(cases))
         return model
@@ -507,32 +536,20 @@ class Pipeline:
 
     # -- stage: all-features content model ----------------------------------
 
-    def ensure_cbf_all(self) -> tuple[dict, SimilarityModel]:
-        if self._cbf_all is not None:
-            return self._cbf_all
-        self._cbf_all = self._timed("cbf_all", self._build_cbf_all)
-        return self._cbf_all
-
     def _build_cbf_all(self) -> tuple[dict, SimilarityModel]:
-        cbf_dir = self.out / "cbf_all"
-        self.run_info.artifacts["cbf_all"] = cbf_dir
-        sim_path, meta_path = cbf_dir / "similarity.coo", cbf_dir / "model.json"
-        if sim_path.exists() and meta_path.exists():
-            meta = read_json(meta_path)
-            params = {k: meta[k] for k in meta["hyperparam_names"]}
-            return params, SimilarityModel(
-                SparseMatrix.load_coo(sim_path), ModelKind.ITEM_KNN_CBF, params
-            )
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
         params, _, _ = self._search_cbf(ds.icm, cold)
         model = fit_cbf(ds.icm, params)
-        cbf_dir.mkdir(parents=True, exist_ok=True)
         save_model(
-            model, sim_path, meta_path,
-            extra={"hyperparam_names": sorted(params), "weighting": params.get("weighting", "none")},
+            model, self.out / "cbf_all",
+            hyperparam_names=sorted(params), weighting=params.get("weighting", "none"),
         )
         return params, model
+
+    def _load_cbf_all(self) -> tuple[dict, SimilarityModel]:
+        model = load_model(self.out / "cbf_all")
+        return model.hyperparams, model
 
     def _search_cbf(
         self, icm: SparseMatrix, cold: ColdSplit, workers: int | None = None
@@ -557,22 +574,8 @@ class Pipeline:
 
     # -- stage: QUBO grid ----------------------------------------------------
 
-    def ensure_qubos(self) -> list[dict]:
-        if self._points is None:
-            self._points = self._timed("qubos", self._build_qubos)
-        return self._points
-
     def _build_qubos(self) -> list[dict]:
-        qubo_dir = self.out / "qubo"
-        self.run_info.artifacts["qubo"] = qubo_dir
-        points = self.cfg.qubo.points()
-        done = (qubo_dir / "keep.coo").exists() and (qubo_dir / "eliminate.coo").exists() and all(
-            (qubo_dir / f"grid_{i:03d}" / name).exists()
-            for i in range(len(points))
-            for name in ("qubo.coo", "qubo.json", "params.json")
-        )
-        if done:
-            return points
+        """The pair matrices and the QUBO of every grid point that lacks one."""
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
         cf_model = self.ensure_cf_model()
@@ -582,9 +585,10 @@ class Pipeline:
         cf_warm = cf_model.s.submatrix(rows=warm, cols=warm)
         cbf_warm = fit_cbf(icm_warm, cbf_params)
         pm = build_penalization(cf_warm, cbf_warm.s)
-        qubo_dir.mkdir(parents=True, exist_ok=True)
+        qubo_dir = self.out / "qubo"
         pm.keep.save_coo(qubo_dir / "keep.coo")
         pm.eliminate.save_coo(qubo_dir / "eliminate.coo")
+        points = self.cfg.qubo.points()
         fpm_cache: dict[tuple[float, float], SparseMatrix] = {}
         for index, point in enumerate(points):
             grid_dir = qubo_dir / f"grid_{index:03d}"
@@ -601,17 +605,11 @@ class Pipeline:
                     p=point["p"], s=point["s"],
                 ),
             )
-            grid_dir.mkdir(parents=True, exist_ok=True)
             save_qubo(problem, grid_dir / "qubo.coo", grid_dir / "qubo.json")
             write_json(grid_dir / "params.json", point)
         return points
 
     # -- stage: selection ------------------------------------------------------
-
-    def ensure_selections(self) -> list[SelectionResult]:
-        if self._selections is None:
-            self._selections = self._timed("selections", self._build_selections)
-        return self._selections
 
     def _build_selections(self) -> list[SelectionResult]:
         """Load the stored selections and solve the missing ones. Annealed
@@ -619,21 +617,16 @@ class Pipeline:
         batch; every point owns its RNG streams, so a batch's makeup never
         changes a result."""
         points = self.ensure_qubos()
-        sel_dir = self.out / "selections"
-        self.run_info.artifacts["selections"] = sel_dir
-        results: list[SelectionResult | None] = [None] * len(points)
+        paths = self._per_point("selections", "selection.json")
+        results = [load_selection(path) if path.exists() else None for path in paths]
         batches: dict[tuple[int, int], list[tuple[int, QuboProblem, AnnealSchedule]]] = {}
 
         def store(index: int, result: SelectionResult) -> None:
-            sel_path = sel_dir / f"grid_{index:03d}" / "selection.json"
-            sel_path.parent.mkdir(parents=True, exist_ok=True)
-            save_selection(result, sel_path)
+            save_selection(result, paths[index])
             results[index] = result
 
         for index, point in enumerate(points):
-            sel_path = sel_dir / f"grid_{index:03d}" / "selection.json"
-            if sel_path.exists():
-                results[index] = load_selection(sel_path)
+            if results[index] is not None:
                 continue
             problem = load_qubo(
                 self.out / "qubo" / f"grid_{index:03d}" / "qubo.coo",
@@ -671,6 +664,9 @@ class Pipeline:
                 store(index, samples[0])
         return results
 
+    def _load_selections(self) -> list[SelectionResult]:
+        return [load_selection(path) for path in self._per_point("selections", "selection.json")]
+
     def _schedule(self, problem: QuboProblem, index: int) -> AnnealSchedule:
         """The default ramp for the problem's coefficient range, with the
         configured overrides."""
@@ -692,24 +688,17 @@ class Pipeline:
 
     # -- stage: per-selection content models and the winner ---------------------
 
-    def ensure_grid_scores(self) -> list[dict]:
-        if self._grid_rows is None:
-            self._grid_rows = self._timed("grid_scores", self._build_grid_scores)
-        return self._grid_rows
-
     def _build_grid_scores(self) -> list[dict]:
         points = self.ensure_qubos()
         selections = self.ensure_selections()
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
-        score_dir = self.out / "cbf_sel"
-        self.run_info.artifacts["cbf_sel"] = score_dir
+        paths = self._per_point("cbf_sel", "result.json")
         parallel = self.workers > 1
 
         def build_row(index: int) -> dict:
-            row_path = score_dir / f"grid_{index:03d}" / "result.json"
-            if row_path.exists():
-                return read_json(row_path)
+            if paths[index].exists():
+                return read_json(paths[index])
             selection = selections[index]
             mask = selection.x.astype(bool)
             icm_selected = ds.icm.mask_cols(mask)
@@ -726,8 +715,7 @@ class Pipeline:
                 "energy": selection.energy,
                 "solver": selection.solver,
             }
-            row_path.parent.mkdir(parents=True, exist_ok=True)
-            write_json(row_path, row)
+            write_json(paths[index], row)
             return row
 
         if parallel:
@@ -738,75 +726,55 @@ class Pipeline:
         winner_idx = max(
             range(len(rows)), key=lambda i: (rows[i]["validation_score"], -i)
         )
-        write_json(score_dir / "winner.json", {"grid_index": winner_idx})
+        write_json(self.out / "cbf_sel" / "winner.json", {"grid_index": winner_idx})
         return rows
+
+    def _load_grid_scores(self) -> list[dict]:
+        return [read_json(path) for path in self._per_point("cbf_sel", "result.json")]
 
     # -- stage: final model and reports -------------------------------------------
 
-    def ensure_final(self) -> dict:
-        if self._final is None:
-            self._final = self._timed("final", self._build_final)
-        return self._final
-
-    def _build_final(self) -> dict:
+    def _winner(self) -> dict:
         rows = self.ensure_grid_scores()
-        winner_idx = read_json(self.out / "cbf_sel" / "winner.json")["grid_index"]
-        winner = rows[winner_idx]
-        final_dir = self.out / "final"
-        self.run_info.artifacts["final"] = final_dir
-        sim_path, meta_path = final_dir / "similarity.coo", final_dir / "model.json"
-        if sim_path.exists() and meta_path.exists():
-            model = SimilarityModel(
-                SparseMatrix.load_coo(sim_path),
-                ModelKind.ITEM_KNN_CBF,
-                dict(winner["cbf_params"]),
-            )
-            return {"winner": winner, "model": model}
+        return rows[read_json(self.out / "cbf_sel" / "winner.json")["grid_index"]]
+
+    def _build_final(self) -> SimilarityModel:
+        winner = self._winner()
         ds = self.ensure_dataset()
         selections = self.ensure_selections()
-        final_dir.mkdir(parents=True, exist_ok=True)
-        mask = selections[winner_idx].x.astype(bool)
+        mask = selections[winner["grid_index"]].x.astype(bool)
         final_model = fit_cbf(ds.icm.mask_cols(mask), winner["cbf_params"])
         save_model(
             final_model,
-            sim_path,
-            meta_path,
-            extra={
-                "grid_index": winner_idx,
-                "n_selected": winner["n_selected"],
-                "hyperparam_names": sorted(winner["cbf_params"]),
-            },
+            self.out / "final",
+            grid_index=winner["grid_index"],
+            n_selected=winner["n_selected"],
+            hyperparam_names=sorted(winner["cbf_params"]),
         )
-        return {"winner": winner, "model": final_model}
+        return final_model
 
-    def ensure_reports(self) -> dict:
-        return self._timed("reports", self._build_reports)
+    def _load_final(self) -> SimilarityModel:
+        # the sidecar names the winner's search parameters but stores only
+        # those of the fitted model (no weighting), so take them from the winner
+        return load_model(self.out / "final", self._winner()["cbf_params"])
 
     def _build_reports(self) -> dict:
-        reports_dir = self.out / "reports"
-        self.run_info.artifacts["reports"] = reports_dir
-        report_path = reports_dir / "report.json"
-        if report_path.exists():
-            return read_json(report_path)
-        final = self.ensure_final()
+        final_model = self.ensure_final()
+        winner = self._winner()
         rows = self.ensure_grid_scores()
-        selections = self.ensure_selections()
-        ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
-        cbf_params, _ = self.ensure_cbf_all()
+        _, baseline_model = self.ensure_cbf_all()
 
         # retrain on train + validation, report on the cold test items
         union_profiles = cold.train + cold.validation
         test_candidates = np.array(sorted(cold.cold_test_items), dtype=np.int64)
         final_report = self._full_report(
-            final["model"], union_profiles, cold.test, test_candidates
+            final_model, union_profiles, cold.test, test_candidates
         )
-        baseline_model = fit_cbf(ds.icm, cbf_params)
         baseline_report = self._full_report(
             baseline_model, union_profiles, cold.test, test_candidates
         )
 
-        winner = final["winner"]
         report = {
             "config_hash": self.cfg.config_hash(),
             "cutoff": self.cfg.cutoff,
@@ -821,8 +789,8 @@ class Pipeline:
             "final": final_report.to_json_dict(),
             "baseline_all_features": baseline_report.to_json_dict(),
         }
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        write_json(report_path, report)
+        reports_dir = self.out / "reports"
+        write_json(reports_dir / "report.json", report)
 
         tsv_lines = [f"model\t{EVAL_TSV_HEADER}"]
         tsv_lines.append("selected_features\t" + final_report.to_tsv_row())
@@ -838,14 +806,19 @@ class Pipeline:
                 f"{row['energy']:.17g}\t{row['validation_score']:.17g}"
             )
         atomic_write_text(reports_dir / "grid_validation.tsv", "\n".join(grid_lines) + "\n")
-
-        stats_rows = feature_selection_stats(
-            [s.selected() for s in selections], ds.n_features
-        )
-        atomic_write_text(
-            reports_dir / "feature_stats.tsv", stats_tsv(stats_rows, ds.feature_ids)
-        )
+        self.write_feature_stats()
         return report
+
+    def write_feature_stats(self) -> str:
+        """Write reports/feature_stats.tsv, how often each feature is selected
+        across the grid, and return its text."""
+        ds = self.ensure_dataset()
+        rows = feature_selection_stats(
+            [s.selected() for s in self.ensure_selections()], ds.n_features
+        )
+        text = stats_tsv(rows, ds.feature_ids)
+        atomic_write_text(self.out / "reports" / "feature_stats.tsv", text)
+        return text
 
     # -- full run -----------------------------------------------------------------
 
@@ -853,6 +826,34 @@ class Pipeline:
         self.ensure_reports()
         write_json(self.out / "manifest.json", self.run_info.manifest_dict())
         return self.run_info
+
+
+# The experiment's stages in dependency order: name -> (the files the stage
+# writes, relative to the output directory, with "{i:03d}" standing for every
+# grid index; its build function; its load function).
+STAGES = {
+    "dataset": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
+                Pipeline._build_dataset, Pipeline._load_dataset),
+    "splits": (("splits/train.coo", "splits/validation.coo", "splits/test.coo", "splits/split.json",
+                "holdout/train.coo", "holdout/validation.coo", "holdout/holdout.json"),
+               Pipeline._build_splits, Pipeline._load_splits),
+    "cf_model": (("cf_model/similarity.coo", "cf_model/model.json", "cf_model/search.tsv"),
+                 Pipeline._build_cf_model, lambda p: load_model(p.out / "cf_model")),
+    "cbf_all": (("cbf_all/similarity.coo", "cbf_all/model.json"),
+                Pipeline._build_cbf_all, Pipeline._load_cbf_all),
+    "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
+               "qubo/grid_{i:03d}/qubo.json", "qubo/grid_{i:03d}/params.json"),
+              Pipeline._build_qubos, lambda p: p.cfg.qubo.points()),
+    "selections": (("selections/grid_{i:03d}/selection.json",),
+                   Pipeline._build_selections, Pipeline._load_selections),
+    "grid_scores": (("cbf_sel/grid_{i:03d}/result.json", "cbf_sel/winner.json"),
+                    Pipeline._build_grid_scores, Pipeline._load_grid_scores),
+    "final": (("final/similarity.coo", "final/model.json"),
+              Pipeline._build_final, Pipeline._load_final),
+    "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",
+                 "reports/feature_stats.tsv"),
+                Pipeline._build_reports, lambda p: read_json(p.out / "reports" / "report.json")),
+}
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir, workers: int | None = None) -> PipelineRun:

@@ -156,13 +156,6 @@ def assemble_qubo(fpm: SparseMatrix, cfg: FeatureSelectionConfig) -> QuboProblem
     return QuboProblem(q=sym + penalty.q, offset=penalty.offset)
 
 
-def to_upper_triangular(problem: QuboProblem) -> np.ndarray:
-    """Equivalent coefficients in the upper-triangular convention, where the
-    energy is the sum over i <= j of U_ij * x_i * x_j."""
-    upper = np.triu(problem.q * 2.0, k=1)
-    return upper + np.diag(np.diagonal(problem.q))
-
-
 def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
     SparseMatrix.from_dense(problem.q).save_coo(coo_path)
     with atomic_open(sidecar_path) as fh:

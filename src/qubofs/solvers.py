@@ -41,7 +41,6 @@ class AnnealSchedule:
     sweeps: int
     beta_start: float
     beta_end: float
-    restarts: int = 1
 
     def __post_init__(self):
         if self.sweeps < 1:
@@ -50,8 +49,6 @@ class AnnealSchedule:
             raise ValueError("beta_start must be > 0")
         if not self.beta_start <= self.beta_end < math.inf:
             raise ValueError("beta_end must be finite and >= beta_start")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
     def betas(self) -> np.ndarray:
         if self.sweeps == 1:
@@ -112,14 +109,6 @@ def energy(problem: QuboProblem, x: np.ndarray) -> float:
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x has length {x.shape}, problem has n={problem.n}")
     return float(x @ problem.q @ x) + problem.offset
-
-
-def flip_delta(problem: QuboProblem, x: np.ndarray, f: int) -> float:
-    """Energy change of flipping variable f in assignment x."""
-    q = problem.q
-    xf = x[f]
-    coupling = float(q[f] @ x) - q[f, f] * xf
-    return (1.0 - 2.0 * xf) * (q[f, f] + 2.0 * coupling)
 
 
 def solve_exhaustive(problem: QuboProblem) -> SelectionResult:

@@ -15,6 +15,7 @@ from qubofs.models import (
     score_and_rank,
     tfidf_feature_scores,
 )
+from qubofs.pipeline import baseline_tfidf_selection
 from qubofs.sparse import SparseMatrix
 
 
@@ -116,12 +117,11 @@ class TestFeatureWeighting:
 class TestTfidfScores:
     def test_everywhere_scores_zero(self):
         icm = SparseMatrix.from_dense(np.ones((5, 1)))
-        assert tfidf_feature_scores(icm).w[0] == 0.0
+        assert tfidf_feature_scores(icm)[0] == 0.0
 
     def test_rare_beats_ubiquitous(self):
         icm = SparseMatrix.from_dense([[1, 1], [0, 1], [0, 1], [0, 1]])
-        scores = tfidf_feature_scores(icm)
-        assert scores.top_quota(0.5) == [0]
+        assert baseline_tfidf_selection(icm, 0.5) == [0]
 
     def test_monotone_in_df(self):
         rng = np.random.default_rng(3)
@@ -129,7 +129,7 @@ class TestTfidfScores:
         scores = tfidf_feature_scores(icm)
         df = icm.col_nnz()
         order = np.argsort(df)
-        assert np.all(np.diff(scores.w[order]) <= 1e-12)
+        assert np.all(np.diff(scores[order]) <= 1e-12)
 
 
 class TestPureSvd:

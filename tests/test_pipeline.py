@@ -1,10 +1,12 @@
 import json
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qubofs import data, fileio
 from qubofs.config import ExperimentConfig
 from qubofs.errors import ConfigInvalid
 from qubofs.pipeline import (
@@ -305,6 +307,99 @@ class TestSelectionResume:
         resumed = self.selections(out)
         for i in range(self.POINTS):
             assert self.without_wall_time(resumed[i]) == self.without_wall_time(reference[i])
+
+
+class Killed(Exception):
+    pass
+
+
+class DiesMidway:
+    """File handle that writes its first 40 characters, then raises Killed, as
+    a process killed in the middle of the write would leave the file."""
+
+    def __init__(self, fh):
+        self.fh, self.left = fh, 40
+
+    def write(self, text):
+        if len(text) > self.left:
+            self.fh.write(text[: self.left])
+            self.fh.close()
+            raise Killed
+        self.left -= len(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestKilledWriteResumes:
+    """A run killed inside a dataset or split write resumes, with no cleanup,
+    to the artifacts of an uninterrupted run: on a fresh run, and on a rerun
+    that rebuilds the stage because the file was deleted."""
+
+    VICTIMS = {
+        "interactions.tsv": "dataset", "features.tsv": "dataset",
+        "planted.json": "dataset", "split.json": "splits",
+    }
+
+    @staticmethod
+    def run_to_splits(cfg, out):
+        pipeline = Pipeline(cfg, out)
+        pipeline.ensure_dataset()  # loading the splits alone skips the dataset
+        pipeline.ensure_splits()
+
+    @pytest.mark.parametrize("rebuild", [False, True], ids=["fresh", "rebuild"])
+    @pytest.mark.parametrize("victim", sorted(VICTIMS))
+    def test_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch, victim, rebuild):
+        cfg = tiny_config()
+        self.run_to_splits(cfg, tmp_path / "reference")
+        out = tmp_path / "run"
+        if rebuild:
+            self.run_to_splits(cfg, out)
+            (out / self.VICTIMS[victim] / victim).unlink()
+
+        def dies_writing_victim(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if "w" in mode and Path(path).name in (victim, victim + ".tmp"):
+                return DiesMidway(fh)
+            return fh
+
+        with monkeypatch.context() as patch:
+            # both modules open their files through the name `open`
+            for module in (fileio, data):
+                patch.setattr(module, "open", dies_writing_victim, raising=False)
+            with pytest.raises(Killed):
+                self.run_to_splits(cfg, out)
+        self.run_to_splits(cfg, out)
+        assert tree_hashes(out) == tree_hashes(tmp_path / "reference")
+
+
+class TestLazyResume:
+    def test_reports_resume_loads_only_what_reports_need(self, tmp_path, monkeypatch):
+        """Rebuilding the reports loads complete upstream stages without
+        resolving what those stages were built from."""
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        fresh = run_pipeline(cfg, out)
+        reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+        shutil.rmtree(out / "reports")
+        (out / "manifest.json").unlink()
+
+        loaded = []
+        load_coo = SparseMatrix.load_coo.__func__
+
+        def recording_load_coo(cls, path):
+            loaded.append(Path(path).relative_to(out).parts[0])
+            return load_coo(cls, path)
+
+        monkeypatch.setattr(SparseMatrix, "load_coo", classmethod(recording_load_coo))
+        resumed = run_pipeline(cfg, out)
+        assert loaded and not {"cf_model", "qubo"} & set(loaded)
+        assert set(resumed.timings) == set(fresh.timings) - {"cf_model"}
+        assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
 
 
 class TestConfigParsing:

@@ -17,7 +17,6 @@ from qubofs.qubo import (
     combination_penalty,
     load_qubo,
     save_qubo,
-    to_upper_triangular,
 )
 from qubofs.solvers import energy, solve_exhaustive
 from qubofs.sparse import SparseMatrix
@@ -267,20 +266,6 @@ class TestConfigValidation:
 
 
 class TestConversionAndPersistence:
-    def test_upper_triangular_equivalence(self):
-        rng = np.random.default_rng(4)
-        q = rng.uniform(-1, 1, size=(5, 5))
-        q = (q + q.T) / 2
-        problem = QuboProblem(q=q, offset=0.3)
-        upper = to_upper_triangular(problem)
-        assert np.array_equal(np.tril(upper, -1), np.zeros((5, 5)))
-        for _ in range(20):
-            x = (rng.random(5) < 0.5).astype(float)
-            via_upper = sum(
-                upper[i, j] * x[i] * x[j] for i in range(5) for j in range(i, 5)
-            ) + problem.offset
-            assert abs(energy(problem, x) - via_upper) <= 1e-9
-
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         q = rng.uniform(-1, 1, size=(4, 4))

@@ -14,7 +14,6 @@ from qubofs.solvers import (
     SelectionResult,
     default_schedule,
     energy,
-    flip_delta,
     load_selection,
     save_selection,
     solve_exhaustive,
@@ -65,21 +64,6 @@ class TestEnergy:
         p = QuboProblem(q=np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
             energy(p, np.zeros(4))
-
-
-class TestFlipDelta:
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
-    def test_incremental_walk_matches_scratch(self, n, seed):
-        rng = np.random.default_rng(seed)
-        p = random_problem(rng, n, with_offset=True)
-        x = (rng.random(n) < 0.5).astype(np.int8)
-        e = energy(p, x)
-        for _ in range(50):
-            f = int(rng.integers(0, n))
-            e += flip_delta(p, x, f)
-            x[f] = 1 - x[f]
-            assert abs(e - energy(p, x)) <= 1e-9
 
 
 class TestExhaustive:
