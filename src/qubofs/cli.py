@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 infeasible stage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -62,23 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json_file(args.config)
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if args.workers is not None:
-        cfg = cfg.replace(workers=args.workers)
-    if args.solver is not None or args.samples is not None:
-        solver = cfg.solver
-        import dataclasses
+def _given(**overrides) -> dict:
+    return {k: v for k, v in overrides.items() if v is not None}
 
-        solver = dataclasses.replace(
-            solver,
-            kind=args.solver if args.solver is not None else solver.kind,
-            num_samples=args.samples if args.samples is not None else solver.num_samples,
-        )
-        cfg = cfg.replace(solver=solver)
-    return cfg
+
+def load_config(args) -> ExperimentConfig:
+    """The config file with the command-line overrides applied; ``replace``
+    runs the specs' checks again, so overrides meet the file's rules."""
+    cfg = ExperimentConfig.from_json_file(args.config)
+    solver = dataclasses.replace(cfg.solver, **_given(kind=args.solver, num_samples=args.samples))
+    return dataclasses.replace(cfg, solver=solver, **_given(seed=args.seed, workers=args.workers))
 
 
 def run_stage(command: str, pipeline: Pipeline) -> None:

@@ -1,4 +1,8 @@
-"""Experiment configuration: JSON with a strict schema (unknown keys rejected).
+"""Experiment configuration: JSON with a strict schema.
+
+Each section is a frozen spec dataclass that checks its values in
+``__post_init__``, so a config read from a file and one changed with
+``dataclasses.replace`` (the CLI overrides) pass the same checks.
 
 Defaults follow the hyperparameter grids used throughout: the QUBO grid spans
 alpha = 1, beta in {1e0..1e-4}, strength in {1e0..1e4} and selection fractions
@@ -8,18 +12,14 @@ ranges.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field
-from typing import Any
 
 from .errors import ConfigInvalid
-
-DEFAULT_QUBO_ALPHA = [1.0]
-DEFAULT_QUBO_BETA = [1.0, 1e-1, 1e-2, 1e-3, 1e-4]
-DEFAULT_QUBO_S = [1.0, 1e1, 1e2, 1e3, 1e4]
-DEFAULT_QUBO_P = [0.4, 0.6, 0.8, 0.95]
 
 ITEM_KNN_CF_SPACE = {
     "topK": {"type": "int", "low": 5, "high": 1000, "dist": "uniform"},
@@ -52,10 +52,41 @@ DEFAULT_SPACES = {
 }
 
 
-def _check_keys(d: dict, allowed: set[str], section: str) -> None:
-    unknown = set(d) - allowed
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigInvalid(message)
+
+
+def _from_dict(cls, d, section: str = ""):
+    """Spec ``cls`` built from the JSON object ``d`` at ``section``: nested
+    objects become their specs, lists become tuples, and an unknown key, a
+    value of the wrong type or a failed check raises ``ConfigInvalid``."""
+    where = section or "config"
+    if not isinstance(d, dict):
+        raise ConfigInvalid(f"{where} must be a JSON object, not {d!r}")
+    unknown = set(d) - set(cls.__annotations__)
     if unknown:
-        raise ConfigInvalid(f"unknown keys in {section}: {sorted(unknown)}")
+        raise ConfigInvalid(f"unknown keys in {where}: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in d.items():
+        path = f"{section}.{name}" if section else name
+        types = typing.get_args(hints[name]) or (hints[name],)
+        if {int, float} & set(types):
+            types += (int, float)  # any JSON number
+        if isinstance(value, list):
+            value = tuple(value)
+        if isinstance(value, dict) and dataclasses.is_dataclass(types[0]):
+            value = _from_dict(types[0], value, path)
+        elif isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigInvalid(f"{path} must be {cls.__annotations__[name]}, not {value!r}")
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except ConfigInvalid:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -67,16 +98,6 @@ class SynthSpec:
     interactions_per_user: int = 30
     noise_rate: float = 0.1
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        _check_keys(
-            d,
-            {"n_users", "n_items", "n_features", "n_relevant",
-             "interactions_per_user", "noise_rate"},
-            "dataset.synth",
-        )
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class FilesSpec:
@@ -84,15 +105,9 @@ class FilesSpec:
     features: str
     value_mode: str = "explicit"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilesSpec":
-        _check_keys(d, {"interactions", "features", "value_mode"}, "dataset.files")
-        if "interactions" not in d or "features" not in d:
-            raise ConfigInvalid("dataset.files needs interactions and features paths")
-        spec = cls(**d)
-        if spec.value_mode not in ("explicit", "implicit"):
-            raise ConfigInvalid(f"bad value_mode {spec.value_mode!r}")
-        return spec
+    def __post_init__(self):
+        _check(self.value_mode in ("explicit", "implicit"),
+               f"dataset.files.value_mode must be explicit or implicit, not {self.value_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +115,9 @@ class DatasetSpec:
     synth: SynthSpec | None = None
     files: FilesSpec | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSpec":
-        _check_keys(d, {"synth", "files"}, "dataset")
-        synth = SynthSpec.from_dict(d["synth"]) if "synth" in d else None
-        files = FilesSpec.from_dict(d["files"]) if "files" in d else None
-        if (synth is None) == (files is None):
-            raise ConfigInvalid("dataset needs exactly one of synth or files")
-        return cls(synth=synth, files=files)
+    def __post_init__(self):
+        _check((self.synth is None) != (self.files is None),
+               "dataset needs exactly one of synth or files")
 
 
 @dataclass(frozen=True)
@@ -116,14 +126,9 @@ class PreprocessSpec:
     min_item_interactions: int = 0
     min_feature_items: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PreprocessSpec":
-        _check_keys(
-            d,
-            {"min_user_interactions", "min_item_interactions", "min_feature_items"},
-            "preprocess",
-        )
-        return cls(**d)
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _check(getattr(self, f.name) >= 0, f"preprocess.{f.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,10 +137,12 @@ class SplitSpec:
     validation_quota: float = 0.10
     holdout_quota: float = 0.10
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        _check_keys(d, {"test_quota", "validation_quota", "holdout_quota"}, "split")
-        return cls(**d)
+    def __post_init__(self):
+        # the rules of data.cold_item_split and data.user_holdout_split
+        _check(0 <= self.test_quota and 0 <= self.validation_quota
+               and self.test_quota + self.validation_quota < 1,
+               "split.test_quota and split.validation_quota must be >= 0 and sum below 1")
+        _check(0 <= self.holdout_quota < 1, "split.holdout_quota must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -144,15 +151,9 @@ class CollaborativeSpec:
     n_cases: int = 50
     space: dict | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CollaborativeSpec":
-        _check_keys(d, {"kind", "n_cases", "space"}, "collaborative")
-        spec = cls(**d)
-        if spec.kind not in DEFAULT_SPACES:
-            raise ConfigInvalid(f"unknown collaborative kind {spec.kind!r}")
-        if spec.n_cases < 1:
-            raise ConfigInvalid("collaborative.n_cases must be >= 1")
-        return spec
+    def __post_init__(self):
+        _check(self.kind in DEFAULT_SPACES, f"unknown collaborative.kind {self.kind!r}")
+        _check(self.n_cases >= 1, "collaborative.n_cases must be >= 1")
 
     def resolved_space(self) -> dict:
         return self.space if self.space is not None else DEFAULT_SPACES[self.kind]
@@ -160,22 +161,19 @@ class CollaborativeSpec:
 
 @dataclass(frozen=True)
 class QuboGridSpec:
-    alpha: tuple = tuple(DEFAULT_QUBO_ALPHA)
-    beta: tuple = tuple(DEFAULT_QUBO_BETA)
-    s: tuple = tuple(DEFAULT_QUBO_S)
-    p: tuple = tuple(DEFAULT_QUBO_P)
+    alpha: tuple = (1.0,)
+    beta: tuple = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
+    s: tuple = (1.0, 1e1, 1e2, 1e3, 1e4)
+    p: tuple = (0.4, 0.6, 0.8, 0.95)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuboGridSpec":
-        _check_keys(d, {"alpha", "beta", "s", "p"}, "qubo")
-        kwargs = {k: tuple(v) for k, v in d.items()}
-        spec = cls(**kwargs)
+    def __post_init__(self):
+        # the bounds of qubo.FeatureSelectionConfig
         for name in ("alpha", "beta", "s", "p"):
-            if not getattr(spec, name):
-                raise ConfigInvalid(f"qubo.{name} grid is empty")
-        if any(not 0 < p <= 1 for p in spec.p):
-            raise ConfigInvalid("qubo.p values must be in (0, 1]")
-        return spec
+            _check(len(getattr(self, name)) > 0, f"qubo.{name} grid is empty")
+        _check(all(v > 0 for v in self.alpha), "qubo.alpha values must be > 0")
+        _check(all(v >= 0 for v in self.beta), "qubo.beta values must be >= 0")
+        _check(all(v >= 0 for v in self.s), "qubo.s values must be >= 0")
+        _check(all(0 < v <= 1 for v in self.p), "qubo.p values must be in (0, 1]")
 
     def points(self) -> list[dict]:
         return [
@@ -195,23 +193,15 @@ class SolverSpec:
     beta_start: float | None = None
     beta_end: float | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverSpec":
-        _check_keys(d, {"kind", "num_samples", "sweeps", "beta_start", "beta_end"}, "solver")
-        spec = cls(**d)
-        if spec.kind not in ("sa", "exhaustive"):
-            raise ConfigInvalid(f"unknown solver kind {spec.kind!r}")
-        if spec.num_samples < 1:
-            raise ConfigInvalid("solver.num_samples must be >= 1")
-        if spec.sweeps is not None and spec.sweeps < 1:
-            raise ConfigInvalid("solver.sweeps must be >= 1")
+    def __post_init__(self):
+        _check(self.kind in ("sa", "exhaustive"), f"unknown solver.kind {self.kind!r}")
+        _check(self.num_samples >= 1, "solver.num_samples must be >= 1")
+        _check(self.sweeps is None or self.sweeps >= 1, "solver.sweeps must be >= 1")
         for name in ("beta_start", "beta_end"):
-            value = getattr(spec, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigInvalid(f"solver.{name} must be finite and > 0")
-        if spec.beta_start is not None and spec.beta_end is not None and spec.beta_end < spec.beta_start:
-            raise ConfigInvalid("solver.beta_end must be >= solver.beta_start")
-        return spec
+            value = getattr(self, name)
+            _check(value is None or 0 < value < math.inf, f"solver.{name} must be finite and > 0")
+        _check(self.beta_start is None or self.beta_end is None or self.beta_end >= self.beta_start,
+               "solver.beta_end must be >= solver.beta_start")
 
 
 @dataclass(frozen=True)
@@ -219,13 +209,8 @@ class FinalCbfSpec:
     n_cases: int = 50
     space: dict | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FinalCbfSpec":
-        _check_keys(d, {"n_cases", "space"}, "final_cbf")
-        spec = cls(**d)
-        if spec.n_cases < 1:
-            raise ConfigInvalid("final_cbf.n_cases must be >= 1")
-        return spec
+    def __post_init__(self):
+        _check(self.n_cases >= 1, "final_cbf.n_cases must be >= 1")
 
     def resolved_space(self) -> dict:
         return self.space if self.space is not None else ITEM_KNN_CBF_SPACE
@@ -246,39 +231,19 @@ class ExperimentConfig:
     solver: SolverSpec = field(default_factory=SolverSpec)
     final_cbf: FinalCbfSpec = field(default_factory=FinalCbfSpec)
 
+    def __post_init__(self):
+        # JSON numbers may be floats: "seed": 7.0 is seed 7 and hashes as 7
+        for name in ("seed", "cutoff", "workers", "max_pairs"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        _check(self.objective in ("precision", "recall", "ndcg", "map"),
+               f"unknown objective {self.objective!r}")
+        _check(self.cutoff >= 1, "cutoff must be >= 1")
+        _check(self.workers >= 1, "workers must be >= 1")
+        _check(self.max_pairs >= 1, "max_pairs must be >= 1")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(
-            d,
-            {
-                "dataset", "seed", "cutoff", "workers", "objective", "max_pairs",
-                "preprocess", "split", "collaborative", "qubo", "solver", "final_cbf",
-            },
-            "config",
-        )
-        if "dataset" not in d:
-            raise ConfigInvalid("config needs a dataset section")
-        cfg = cls(
-            dataset=DatasetSpec.from_dict(d["dataset"]),
-            seed=int(d.get("seed", 0)),
-            cutoff=int(d.get("cutoff", 10)),
-            workers=int(d.get("workers", 1)),
-            objective=d.get("objective", "ndcg"),
-            max_pairs=int(d.get("max_pairs", 10_000)),
-            preprocess=PreprocessSpec.from_dict(d.get("preprocess", {})),
-            split=SplitSpec.from_dict(d.get("split", {})),
-            collaborative=CollaborativeSpec.from_dict(d.get("collaborative", {})),
-            qubo=QuboGridSpec.from_dict(d.get("qubo", {})),
-            solver=SolverSpec.from_dict(d.get("solver", {})),
-            final_cbf=FinalCbfSpec.from_dict(d.get("final_cbf", {})),
-        )
-        if cfg.objective not in ("precision", "recall", "ndcg", "map"):
-            raise ConfigInvalid(f"unknown objective {cfg.objective!r}")
-        if cfg.cutoff < 1:
-            raise ConfigInvalid("cutoff must be >= 1")
-        if cfg.workers < 1:
-            raise ConfigInvalid("workers must be >= 1")
-        return cfg
+        return _from_dict(cls, d)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -287,30 +252,12 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigInvalid("config root must be a JSON object")
         return cls.from_dict(raw)
 
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        import dataclasses
-
-        return dataclasses.replace(self, **kwargs)
-
     def to_canonical_dict(self) -> dict:
-        def unwrap(obj: Any):
-            if hasattr(obj, "__dataclass_fields__"):
-                return {
-                    k: unwrap(getattr(obj, k)) for k in obj.__dataclass_fields__
-                }
-            if isinstance(obj, tuple):
-                return [unwrap(v) for v in obj]
-            if isinstance(obj, dict):
-                return {k: unwrap(v) for k, v in obj.items()}
-            return obj
-
-        out = unwrap(self)
+        out = dataclasses.asdict(self)
         # execution detail, not an experiment input: results must not depend on it
-        out.pop("workers", None)
+        del out["workers"]
         return out
 
     def canonical_json(self) -> str:

@@ -11,7 +11,6 @@ functions of (input, seed).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .errors import (
     ParseError,
     QuotaInfeasible,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json, write_json
 from .sparse import SparseMatrix
 
 # Mean number of decoy (non-planted) features attached to each synthetic item.
@@ -373,14 +372,11 @@ def save_cold_split(split: ColdSplit, out_dir, seed: int, test_quota: float, val
         "cold_test_items": sorted(split.cold_test_items),
         "cold_validation_items": sorted(split.cold_validation_items),
     }
-    with atomic_open(out_dir / "split.json") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "split.json", sidecar)
 
 
 def load_cold_split(out_dir) -> ColdSplit:
-    with open(out_dir / "split.json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    sidecar = read_json(out_dir / "split.json")
     return ColdSplit(
         train=SparseMatrix.load_coo(out_dir / "train.coo"),
         validation=SparseMatrix.load_coo(out_dir / "validation.coo"),

@@ -1,8 +1,10 @@
 """Atomic file writes: a reader sees the old file or the whole new one, never
-a truncated one, however the writer dies."""
+a truncated one, however the writer dies. JSON artifacts are written in one
+format: two-space indent, sorted keys, a final newline."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,3 +25,12 @@ def atomic_open(path):
 def atomic_write_text(path, text: str) -> None:
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def write_json(path, obj) -> None:
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)

@@ -47,7 +47,7 @@ from .data import (
     user_holdout_split,
 )
 from .errors import ConfigInvalid
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_json, write_json
 from .metrics import EVAL_TSV_HEADER, EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
     ModelKind,
@@ -86,15 +86,6 @@ def derive_seed(master: int, *labels) -> int:
     """Stable per-stage seed from the master seed and a label path."""
     digest = hashlib.sha256(repr((int(master),) + tuple(labels)).encode()).digest()
     return int.from_bytes(digest[:4], "big")
-
-
-def write_json(path: Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # ----------------------------------------------------------------------
@@ -276,10 +267,9 @@ class PipelineRun:
 class Pipeline:
     """Stage runner over a persistent output directory."""
 
-    def __init__(self, cfg: ExperimentConfig, out_dir, workers: int | None = None):
+    def __init__(self, cfg: ExperimentConfig, out_dir):
         self.cfg = cfg
         self.out = Path(out_dir)
-        self.workers = workers if workers is not None else cfg.workers
         self.run_info = PipelineRun(
             config_hash=cfg.config_hash(),
             artifacts={"config": self.out / "config.resolved.json"},
@@ -513,7 +503,7 @@ class Pipeline:
             self.cfg.collaborative.n_cases,
             objective,
             seed=derive_seed(self.cfg.seed, "cf-search"),
-            workers=self.workers,
+            workers=self.cfg.workers,
         )
         model = fit_collaborative(kind, holdout.train, best, fit_seed)
         cf_dir = self.out / "cf_model"
@@ -569,7 +559,7 @@ class Pipeline:
             self.cfg.final_cbf.n_cases,
             objective,
             seed=derive_seed(self.cfg.seed, "cbf-search"),
-            workers=self.workers if workers is None else workers,
+            workers=self.cfg.workers if workers is None else workers,
         )
 
     # -- stage: QUBO grid ----------------------------------------------------
@@ -694,7 +684,7 @@ class Pipeline:
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
         paths = self._per_point("cbf_sel", "result.json")
-        parallel = self.workers > 1
+        parallel = self.cfg.workers > 1
 
         def build_row(index: int) -> dict:
             if paths[index].exists():
@@ -719,7 +709,7 @@ class Pipeline:
             return row
 
         if parallel:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
                 rows = list(pool.map(build_row, range(len(points))))
         else:
             rows = [build_row(i) for i in range(len(points))]
@@ -856,5 +846,5 @@ STAGES = {
 }
 
 
-def run_pipeline(cfg: ExperimentConfig, out_dir, workers: int | None = None) -> PipelineRun:
-    return Pipeline(cfg, out_dir, workers=workers).run()
+def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineRun:
+    return Pipeline(cfg, out_dir).run()

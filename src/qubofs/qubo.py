@@ -14,13 +14,12 @@ is literally x^T Q x + offset, so each off-diagonal pair is counted twice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fileio import atomic_open
+from .fileio import read_json, write_json
 from .models import SimilarityModel
 from .sparse import SparseMatrix, ZERO_EPSILON
 
@@ -158,19 +157,11 @@ def assemble_qubo(fpm: SparseMatrix, cfg: FeatureSelectionConfig) -> QuboProblem
 
 def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
     SparseMatrix.from_dense(problem.q).save_coo(coo_path)
-    with atomic_open(sidecar_path) as fh:
-        json.dump(
-            {"n": problem.n, "offset": problem.offset, "convention": "symmetric"},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(sidecar_path, {"n": problem.n, "offset": problem.offset, "convention": "symmetric"})
 
 
 def load_qubo(coo_path, sidecar_path) -> QuboProblem:
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    sidecar = read_json(sidecar_path)
     q = SparseMatrix.load_coo(coo_path).to_dense()
     if q.shape[0] != sidecar["n"]:
         raise DimensionMismatch("sidecar n disagrees with matrix size")

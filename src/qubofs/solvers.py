@@ -12,7 +12,6 @@ the whole run.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
-from .fileio import atomic_open
+from .fileio import read_json, write_json
 from .qubo import QuboProblem
 
 EXHAUSTIVE_MAX_VARIABLES = 25
@@ -93,14 +92,11 @@ class SelectionResult:
 
 
 def save_selection(result: SelectionResult, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, result.to_json_dict())
 
 
 def load_selection(path) -> SelectionResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SelectionResult.from_json_dict(json.load(fh))
+    return SelectionResult.from_json_dict(read_json(path))
 
 
 def energy(problem: QuboProblem, x: np.ndarray) -> float:

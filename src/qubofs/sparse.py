@@ -73,14 +73,6 @@ class SparseMatrix:
     def from_dense(cls, array: np.ndarray | Sequence[Sequence[float]]) -> "SparseMatrix":
         return cls(sp.csr_array(np.asarray(array, dtype=np.float64)))
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(sp.identity(n, format="csr"))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "SparseMatrix":
-        return cls.from_triplets(n_rows, n_cols, [])
-
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
@@ -133,32 +125,22 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self._m.T)
 
-    @property
-    def T(self) -> "SparseMatrix":
-        return self.transpose()
-
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.n_cols != other.n_rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         return SparseMatrix(self._m @ other._m)
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.matmul(other)
-
     def scale(self, factor: float) -> "SparseMatrix":
         m = self._m.copy()
         m.data = m.data * float(factor)
         return SparseMatrix(m)
 
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
         return SparseMatrix(self._m + other._m)
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.add(other)
 
     def row_normalize(self, norm: str = "l1") -> "SparseMatrix":
         """Divide each nonzero row by its L1 or L2 norm; zero rows unchanged."""
@@ -268,11 +250,6 @@ class SparseMatrix:
 
     def __hash__(self):  # pragma: no cover - identity hashing only
         return id(self)
-
-    def allclose(self, other: "SparseMatrix", atol: float = 1e-12) -> bool:
-        if self.shape != other.shape:
-            return False
-        return bool(np.allclose(self.to_dense(), other.to_dense(), atol=atol, rtol=0.0))
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"

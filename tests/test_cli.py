@@ -30,6 +30,20 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# (the field named in the error, config sections to replace, CLI flags)
+INVALID_VALUES = [
+    ("qubo.alpha", {"qubo": {"alpha": [0], "beta": [0.001], "s": [50.0], "p": [0.5]}}, ()),
+    ("qubo.s", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [-1], "p": [0.5]}}, ()),
+    ("split.test_quota", {"split": {"test_quota": 0.95}}, ()),
+    ("split.holdout_quota", {"split": {"holdout_quota": 1.5}}, ()),
+    ("preprocess.min_user_interactions", {"preprocess": {"min_user_interactions": -1}}, ()),
+    ("max_pairs", {"max_pairs": 0}, ()),
+    ("final_cbf.n_cases", {"final_cbf": {"n_cases": "5"}}, ()),
+    ("solver.num_samples", {}, ("--solver", "sa", "--samples", "0")),
+    ("workers", {}, ("--workers", "0")),
+]
+
+
 class TestStages:
     def test_full_pipeline_command(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -112,6 +126,15 @@ class TestExitCodes:
         )
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
 
+    @staticmethod
+    def assert_rejected_at_load(tmp_path, capsys, field, flags=(), **config):
+        path = write_config(tmp_path, **config)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(path), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not out.exists()  # rejected at load, before any stage ran
+
     @pytest.mark.parametrize("solver", [
         {"sweeps": 0},
         {"beta_start": 0.0},
@@ -119,11 +142,13 @@ class TestExitCodes:
         {"beta_start": 2.0, "beta_end": 1.0},
     ])
     def test_invalid_solver_schedule(self, tmp_path, capsys, solver):
-        config = write_config(tmp_path, solver={"kind": "sa", **solver})
-        out = tmp_path / "o"
-        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
-        assert "solver." in capsys.readouterr().err
-        assert not out.exists()  # rejected at load, before any stage ran
+        self.assert_rejected_at_load(tmp_path, capsys, "solver.", solver={"kind": "sa", **solver})
+
+    @pytest.mark.parametrize("field, config, flags", INVALID_VALUES, ids=[c[0] for c in INVALID_VALUES])
+    def test_invalid_value(self, tmp_path, capsys, field, config, flags):
+        """A bad value in the file or in an override fails before anything is
+        written, naming the field."""
+        self.assert_rejected_at_load(tmp_path, capsys, field, flags, **config)
 
     def test_beta_end_below_derived_beta_start(self, tmp_path, capsys):
         # the derived beta_start is 0.1 / max|Q| and max|Q| >= s = 50

@@ -206,7 +206,7 @@ class TestRp3Beta:
         assert np.allclose(model.s.to_dense(), oracle, atol=1e-9)
 
     def test_all_zero_urm(self):
-        urm = SparseMatrix.zeros(4, 3)
+        urm = SparseMatrix.from_triplets(4, 3, [])
         model = rp3beta(urm, alpha=1.0, beta=0.5, top_k=2)
         assert model.s.nnz == 0
 
@@ -280,7 +280,7 @@ class TestScoreAndRank:
     def test_candidate_restriction_and_zero_fallback(self):
         from qubofs.models import SimilarityModel
 
-        s = SparseMatrix.zeros(4, 4)
+        s = SparseMatrix.from_triplets(4, 4, [])
         model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
         profiles = SparseMatrix.from_dense([[0, 0, 0, 0]])
         ranked = score_and_rank(
@@ -292,6 +292,6 @@ class TestScoreAndRank:
         from qubofs.errors import DimensionMismatch
         from qubofs.models import SimilarityModel
 
-        model = SimilarityModel(SparseMatrix.zeros(3, 3), ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(SparseMatrix.from_triplets(3, 3, []), ModelKind.ITEM_KNN_CF, {})
         with pytest.raises(DimensionMismatch):
-            score_and_rank(model, SparseMatrix.zeros(2, 4), cutoff=1)
+            score_and_rank(model, SparseMatrix.from_triplets(2, 4, []), cutoff=1)

@@ -422,3 +422,20 @@ class TestConfigParsing:
         b = tiny_config()
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != tiny_config(seed=8).config_hash()
+
+    def test_hash_golden(self):
+        """config_hash goes into report.json and names the default run
+        directory, so its value is pinned, not only its stability."""
+        readme_minimal = {
+            "seed": 7,
+            "dataset": {"synth": {"n_users": 200, "n_items": 150, "n_features": 40,
+                                  "n_relevant": 8, "interactions_per_user": 30,
+                                  "noise_rate": 0.1}},
+            "qubo": {"alpha": [1.0], "beta": [1.0, 0.01], "s": [100.0, 1000.0],
+                     "p": [0.2, 0.4, 0.6]},
+            "solver": {"kind": "sa", "num_samples": 100},
+        }
+        assert ExperimentConfig.from_dict(readme_minimal).config_hash() == "567732c8383e22d9"
+        assert tiny_config().config_hash() == "461053b308e8e44a"
+        assert tiny_config(seed=7.0).config_hash() == "461053b308e8e44a"
+        assert ExperimentConfig.from_dict({"dataset": {"synth": {}}}).config_hash() == "e771e03d654fa2a2"

@@ -54,7 +54,7 @@ class TestBuildPenalization:
         assert pm.eliminate.nnz == 0
 
     def test_content_only_goes_to_eliminate(self):
-        s_cf = SparseMatrix.zeros(2, 2)
+        s_cf = SparseMatrix.from_triplets(2, 2, [])
         s_cbf = sym_pair(2, {(0, 1): 0.7})
         pm = build_penalization(s_cf, s_cbf)
         assert pm.keep.nnz == 0
@@ -62,12 +62,12 @@ class TestBuildPenalization:
 
     def test_collaborative_only_is_silent(self):
         s_cf = sym_pair(2, {(0, 1): 0.5})
-        s_cbf = SparseMatrix.zeros(2, 2)
+        s_cbf = SparseMatrix.from_triplets(2, 2, [])
         pm = build_penalization(s_cf, s_cbf)
         assert pm.keep.nnz == 0 and pm.eliminate.nnz == 0
 
     def test_both_empty(self):
-        pm = build_penalization(SparseMatrix.zeros(3, 3), SparseMatrix.zeros(3, 3))
+        pm = build_penalization(SparseMatrix.from_triplets(3, 3, []), SparseMatrix.from_triplets(3, 3, []))
         assert pm.keep.nnz == 0 and pm.eliminate.nnz == 0
 
     def test_asymmetric_input_symmetrized(self):
@@ -95,17 +95,17 @@ class TestBuildPenalization:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            build_penalization(SparseMatrix.zeros(2, 2), SparseMatrix.zeros(3, 3))
+            build_penalization(SparseMatrix.from_triplets(2, 2, []), SparseMatrix.from_triplets(3, 3, []))
 
 
 class TestBuildIpm:
     def test_keep_only(self):
-        pm = PenalizationMatrices(sym_pair(2, {(0, 1): -1.0}), SparseMatrix.zeros(2, 2))
+        pm = PenalizationMatrices(sym_pair(2, {(0, 1): -1.0}), SparseMatrix.from_triplets(2, 2, []))
         ipm = build_ipm(pm, alpha=1.0, beta=0.1)
         assert np.array_equal(ipm.to_dense(), [[0, -1], [-1, 0]])
 
     def test_eliminate_only(self):
-        pm = PenalizationMatrices(SparseMatrix.zeros(2, 2), sym_pair(2, {(0, 1): 1.0}))
+        pm = PenalizationMatrices(SparseMatrix.from_triplets(2, 2, []), sym_pair(2, {(0, 1): 1.0}))
         ipm = build_ipm(pm, alpha=1.0, beta=0.1)
         assert np.allclose(ipm.to_dense(), [[0, 0.1], [0.1, 0]])
 
@@ -127,7 +127,7 @@ class TestBuildIpm:
 class TestBuildFpm:
     def test_identity_conjugation(self):
         ipm = SparseMatrix.from_dense([[0, -1], [-1, 0]])
-        fpm = build_fpm(SparseMatrix.identity(2), ipm)
+        fpm = build_fpm(SparseMatrix.from_dense(np.eye(2)), ipm)
         assert fpm == ipm
 
     def test_hand_example(self):
@@ -150,7 +150,7 @@ class TestBuildFpm:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            build_fpm(SparseMatrix.zeros(3, 2), SparseMatrix.zeros(2, 2))
+            build_fpm(SparseMatrix.from_triplets(3, 2, []), SparseMatrix.from_triplets(2, 2, []))
 
 
 class TestCombinationPenalty:
@@ -190,7 +190,7 @@ class TestAssemble:
         assert problem.offset == 0.0
 
     def test_zero_fpm_is_pure_penalty(self):
-        fpm = SparseMatrix.zeros(3, 3)
+        fpm = SparseMatrix.from_triplets(3, 3, [])
         cfg = FeatureSelectionConfig(p=2 / 3, s=5.0)
         problem = assemble_qubo(fpm, cfg)
         penalty = combination_penalty(3, 2.0, 5.0)
