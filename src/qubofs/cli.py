@@ -76,8 +76,6 @@ def load_config(args) -> ExperimentConfig:
 
 
 def run_stage(command: str, pipeline: Pipeline) -> None:
-    if command == "synth" and pipeline.cfg.dataset.synth is None:
-        raise errors.ConfigInvalid("synth stage needs a dataset.synth section")
     result = getattr(pipeline, COMMANDS[command])()
     if command == "stats":
         sys.stdout.write(result)
@@ -88,6 +86,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
+        if args.command == "synth" and cfg.dataset.synth is None:
+            raise errors.ConfigInvalid("synth stage needs a dataset.synth section")
         out_dir = Path(args.out) if args.out else Path("runs") / cfg.config_hash()
         pipeline = Pipeline(cfg, out_dir)
         run_stage(args.command, pipeline)

@@ -169,7 +169,11 @@ class QuboGridSpec:
     def __post_init__(self):
         # the bounds of qubo.FeatureSelectionConfig
         for name in ("alpha", "beta", "s", "p"):
-            _check(len(getattr(self, name)) > 0, f"qubo.{name} grid is empty")
+            values = getattr(self, name)
+            _check(len(values) > 0, f"qubo.{name} grid is empty")
+            for v in values:
+                _check(isinstance(v, (int, float)) and not isinstance(v, bool),
+                       f"qubo.{name} values must be numbers, not {v!r}")
         _check(all(v > 0 for v in self.alpha), "qubo.alpha values must be > 0")
         _check(all(v >= 0 for v in self.beta), "qubo.beta values must be >= 0")
         _check(all(v >= 0 for v in self.s), "qubo.s values must be >= 0")
@@ -234,7 +238,9 @@ class ExperimentConfig:
     def __post_init__(self):
         # JSON numbers may be floats: "seed": 7.0 is seed 7 and hashes as 7
         for name in ("seed", "cutoff", "workers", "max_pairs"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            value = getattr(self, name)
+            _check(value == int(value), f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
         _check(self.objective in ("precision", "recall", "ndcg", "map"),
                f"unknown objective {self.objective!r}")
         _check(self.cutoff >= 1, "cutoff must be >= 1")

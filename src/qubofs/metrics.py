@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -77,36 +78,62 @@ def accuracy_metrics(
     cutoff: int,
 ) -> tuple[float, float, float, float]:
     """(precision, recall, ndcg, map): macro averages over users with a
-    non-empty relevant set. Lists are assumed already truncated to cutoff."""
+    non-empty relevant set. Lists are assumed already truncated to cutoff
+    (longer ones are cut).
+
+    Computed from a users x cutoff hit matrix; DCG and the AP sum are
+    sequential cumulative sums, so every value equals the one a per-user loop
+    adding hit by hit gives."""
     if len(recommended) != len(relevant):
         raise ValueError("recommended and relevant must align per user")
     discounts = 1.0 / np.log2(np.arange(2, cutoff + 2))
-    precisions, recalls, ndcgs, aps = [], [], [], []
-    for rec, rel in zip(recommended, relevant):
-        if not rel:
-            continue
-        hits = 0
-        dcg = 0.0
-        ap_sum = 0.0
-        for rank0, item in enumerate(rec[:cutoff]):
-            if int(item) in rel:
-                hits += 1
-                dcg += discounts[rank0]
-                ap_sum += hits / (rank0 + 1)
-        ideal = min(cutoff, len(rel))
-        idcg = discounts[:ideal].sum()
-        precisions.append(hits / cutoff)
-        recalls.append(hits / len(rel))
-        ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
-        aps.append(ap_sum / ideal)
-    if not precisions:
+    n_rel = np.fromiter(map(len, relevant), dtype=np.int64, count=len(relevant))
+    hit = _hit_matrix(recommended, relevant, n_rel, cutoff)
+    kept = n_rel > 0
+    if not kept.any():
         return 0.0, 0.0, 0.0, 0.0
+    hit, n_rel = hit[kept], n_rel[kept]
+    hits_so_far = np.cumsum(hit, axis=1)
+    hits = hits_so_far[:, -1]
+    dcg = np.cumsum(np.where(hit, discounts, 0.0), axis=1)[:, -1]
+    precision_at = hits_so_far / np.arange(1, cutoff + 1)
+    ap_sum = np.cumsum(np.where(hit, precision_at, 0.0), axis=1)[:, -1]
+    ideal = np.minimum(cutoff, n_rel)
+    idcg = np.array([discounts[:k].sum() for k in range(cutoff + 1)])[ideal]
     return (
-        float(np.mean(precisions)),
-        float(np.mean(recalls)),
-        float(np.mean(ndcgs)),
-        float(np.mean(aps)),
+        float(np.mean(hits / cutoff)),
+        float(np.mean(hits / n_rel)),
+        float(np.mean(dcg / idcg)),
+        float(np.mean(ap_sum / ideal)),
     )
+
+
+def _hit_matrix(
+    recommended: Sequence[Sequence[int]], relevant: Sequence[set[int]],
+    rel_len: np.ndarray, cutoff: int,
+) -> np.ndarray:
+    """Bool users x cutoff: whether the item at each rank is relevant;
+    ``rel_len`` holds the sizes of the relevant sets."""
+    n_users = len(recommended)
+    rec_len = np.fromiter(map(len, recommended), dtype=np.int64, count=n_users)
+    # as int(item) would: lists of any integer type, and empty lists, join
+    rec = (np.concatenate(recommended, dtype=np.int64, casting="unsafe")
+           if n_users else np.empty(0, dtype=np.int64))
+    rel = np.fromiter(chain.from_iterable(relevant), dtype=np.int64, count=rel_len.sum())
+    rec_user = np.repeat(np.arange(n_users), rec_len)
+    rank = np.arange(rec.size) - np.repeat(np.cumsum(rec_len) - rec_len, rec_len)
+    hit = np.zeros((n_users, cutoff), dtype=bool)
+    if rec.size and rel.size:
+        # one integer key per (user, item) pair; a hit is a recommended key
+        # found among the sorted relevant keys
+        lo = min(rec.min(), rel.min())
+        span = max(rec.max(), rel.max()) - lo + 1
+        rec_keys = rec_user * span + (rec - lo)
+        rel_keys = np.sort(np.repeat(np.arange(n_users), rel_len) * span + (rel - lo))
+        at = np.minimum(np.searchsorted(rel_keys, rec_keys), rel_keys.size - 1)
+        is_hit = (rel_keys[at] == rec_keys) & (rank < cutoff)
+        hit[rec_user[is_hit], rank[is_hit]] = True
+    return hit
 
 
 def item_coverage(recommended: Sequence[Sequence[int]], n_items: int) -> float:

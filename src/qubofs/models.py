@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import DimensionMismatch, RankTooLarge
-from .sparse import SparseMatrix
+from .errors import DimensionMismatch, IndexOutOfRange, RankTooLarge
+from .sparse import ZERO_EPSILON, SparseMatrix
 
 BM25_K1 = 1.2
 BM25_B = 0.75
+# dense score entries one ranking chunk holds: 2**18 float64s are 2 MB
+RANK_CHUNK_ENTRIES = 1 << 18
 
 
 class ModelKind(str, Enum):
@@ -129,7 +132,12 @@ def randomized_svd(
 
 
 def pure_svd(urm: SparseMatrix, num_factors: int, seed: int = 0) -> SimilarityModel:
-    """Folding-in similarity: item latent factors times their transpose."""
+    """Folding-in similarity: item latent factors times their transpose.
+
+    Memory: the similarity is dense, n_items**2 stored entries (about 12
+    bytes each in CSR, plus an 8-byte dense product while it is built), so
+    10k items take about 2 GB; it is neither sparsified nor chunked, and the
+    catalogs it suits are bounded by that."""
     _, _, vt = randomized_svd(urm, num_factors, seed)
     s_dense = vt.T @ vt
     np.fill_diagonal(s_dense, 0.0)
@@ -194,7 +202,11 @@ def score_and_rank(
     """Ranked item lists per user from profile-times-similarity scores.
 
     Ties break toward the smaller item index, which also serves as the
-    deterministic fallback for users whose scores are all zero.
+    deterministic fallback for users whose scores are all zero. Repeated
+    candidates count once. Users are scored in chunks of at most
+    ``RANK_CHUNK_ENTRIES`` dense scores (one user per chunk if a single row
+    exceeds it), so the dense scores held at once do not grow with the
+    number of users.
     """
     if user_profiles.n_cols != model.s.n_rows:
         raise DimensionMismatch(
@@ -202,18 +214,64 @@ def score_and_rank(
         )
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    scores = (user_profiles @ model.s).to_dense()
-    seen = user_profiles.to_dense() > 0
+    n_items = model.s.n_cols
+    sim = model.s.to_scipy()
     if candidate_items is None:
-        candidates = np.arange(model.s.n_cols)
+        candidates = np.arange(n_items, dtype=np.int64)
     else:
-        candidates = np.asarray(sorted(int(i) for i in candidate_items), dtype=np.int64)
-    ranked = []
-    for u in range(user_profiles.n_rows):
-        cand = candidates
+        candidates = np.unique(np.asarray(candidate_items, dtype=np.int64))
+        if candidates.size and (candidates[0] < 0 or candidates[-1] >= n_items):
+            raise IndexOutOfRange(f"candidate item outside [0, {n_items})")
+        sim = sim[:, candidates]
+    n_users, n_cand = user_profiles.n_rows, candidates.size
+    if n_cand == 0:
+        return [candidates[:0] for _ in range(n_users)]
+    # column of each item among the candidates, -1 for the others
+    position = np.full(n_items, -1, dtype=np.int64)
+    position[candidates] = np.arange(n_cand)
+    profiles = user_profiles.to_scipy()
+    k = min(cutoff, n_cand)
+    step = max(1, RANK_CHUNK_ENTRIES // n_cand)
+    ranked: list[np.ndarray] = []
+    for lo in range(0, n_users, step):
+        chunk = profiles[lo:lo + step]
+        scores = _chunk_scores(chunk, sim)
+        lengths = np.full(chunk.shape[0], k)
         if exclude_seen:
-            cand = cand[~seen[u, cand]]
-        s_u = scores[u, cand]
-        order = np.lexsort((cand, -s_u))
-        ranked.append(cand[order[:cutoff]])
+            rows = np.repeat(np.arange(chunk.shape[0]), np.diff(chunk.indptr))
+            cols = position[chunk.indices]
+            seen = (chunk.data > 0) & (cols >= 0)
+            scores[rows[seen], cols[seen]] = -np.inf
+            unseen = n_cand - np.bincount(rows[seen], minlength=chunk.shape[0])
+            lengths = np.minimum(lengths, unseen)
+        items = candidates[_top_k(scores, k)]
+        ranked.extend(row[:length] for row, length in zip(items, lengths.tolist()))
     return ranked
+
+
+def _chunk_scores(profiles: sp.csr_array, sim: sp.csr_array) -> np.ndarray:
+    """Dense ``profiles @ sim`` with the zero rule of ``SparseMatrix``: the
+    sparse product sums in the same order as the canonical one, and scores
+    below ``ZERO_EPSILON`` in magnitude become exact zeros."""
+    product = profiles @ sim
+    data = product.data
+    if data.size and not np.all(np.isfinite(data)):
+        raise ValueError("non-finite value in sparse matrix")
+    data[np.abs(data) < ZERO_EPSILON] = 0.0
+    return product.toarray()
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k highest scores, highest first and ties
+    by the smaller column: the k-th value comes from a partition, the values
+    above it are all kept, and the tied boundary values lowest column first;
+    only that k-wide slice is stably sorted. ``scores`` is overwritten."""
+    neg = np.negative(scores, out=scores)
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    take = neg < kth
+    tied = neg == kth
+    missing = k - take.sum(axis=1, keepdims=True)
+    take |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= missing)
+    cols = np.nonzero(take)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)

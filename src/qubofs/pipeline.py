@@ -434,24 +434,15 @@ class Pipeline:
 
     # -- evaluation helpers -------------------------------------------------
 
-    def _rank(self, model: SimilarityModel, profiles: SparseMatrix,
-              holdings: SparseMatrix, candidates: np.ndarray | None
-              ) -> tuple[list[np.ndarray], list[set[int]]]:
-        """Each user's top-cutoff unseen candidates and held-out items."""
-        ranked = score_and_rank(
-            model, profiles, self.cfg.cutoff, exclude_seen=True,
-            candidate_items=candidates,
-        )
-        relevant = [
-            set(int(i) for i in holdings.row_entries(u)[0])
-            for u in range(holdings.n_rows)
-        ]
-        return ranked, relevant
+    @staticmethod
+    def _relevant(holdings: SparseMatrix) -> list[set[int]]:
+        """Each user's held-out items."""
+        return [set(holdings.row_entries(u)[0].tolist()) for u in range(holdings.n_rows)]
 
     def _objective_value(self, model: SimilarityModel, profiles: SparseMatrix,
-                         holdings: SparseMatrix, candidates: np.ndarray | None,
+                         relevant: list[set[int]], candidates: np.ndarray | None,
                          metric: str) -> float:
-        ranked, relevant = self._rank(model, profiles, holdings, candidates)
+        ranked = score_and_rank(model, profiles, self.cfg.cutoff, candidate_items=candidates)
         precision, recall, ndcg, map_score = accuracy_metrics(
             ranked, relevant, self.cfg.cutoff
         )
@@ -459,7 +450,8 @@ class Pipeline:
 
     def _full_report(self, model: SimilarityModel, profiles: SparseMatrix,
                      holdings: SparseMatrix, candidates: np.ndarray) -> EvalReport:
-        ranked, relevant = self._rank(model, profiles, holdings, candidates)
+        ranked = score_and_rank(model, profiles, self.cfg.cutoff, candidate_items=candidates)
+        relevant = self._relevant(holdings)
         # reindex to the candidate catalog so coverage and concentration are
         # measured against the cold catalog only
         local = {int(item): j for j, item in enumerate(sorted(candidates.tolist()))}
@@ -490,12 +482,12 @@ class Pipeline:
             spec["high"] = min(spec["high"], cap)
             spec["low"] = min(spec["low"], spec["high"])
             space["num_factors"] = spec
-        relevant_holdings = holdout.validation
+        relevant = self._relevant(holdout.validation)
 
         def objective(params: dict) -> float:
             model = fit_collaborative(kind, holdout.train, params, fit_seed)
             return self._objective_value(
-                model, holdout.train, relevant_holdings, None, "precision"
+                model, holdout.train, relevant, None, "precision"
             )
 
         best, best_score, cases = random_search(
@@ -547,11 +539,12 @@ class Pipeline:
         """Shared content-model search; the seed is the same for every feature
         subset so all selections see an identical case sequence."""
         candidates = np.array(sorted(cold.cold_validation_items), dtype=np.int64)
+        relevant = self._relevant(cold.validation)
 
         def objective(params: dict) -> float:
             model = fit_cbf(icm, params)
             return self._objective_value(
-                model, cold.train, cold.validation, candidates, self.cfg.objective
+                model, cold.train, relevant, candidates, self.cfg.objective
             )
 
         return random_search(

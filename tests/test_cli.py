@@ -30,18 +30,23 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-# (the field named in the error, config sections to replace, CLI flags)
-INVALID_VALUES = [
-    ("qubo.alpha", {"qubo": {"alpha": [0], "beta": [0.001], "s": [50.0], "p": [0.5]}}, ()),
-    ("qubo.s", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [-1], "p": [0.5]}}, ()),
-    ("split.test_quota", {"split": {"test_quota": 0.95}}, ()),
-    ("split.holdout_quota", {"split": {"holdout_quota": 1.5}}, ()),
-    ("preprocess.min_user_interactions", {"preprocess": {"min_user_interactions": -1}}, ()),
-    ("max_pairs", {"max_pairs": 0}, ()),
-    ("final_cbf.n_cases", {"final_cbf": {"n_cases": "5"}}, ()),
-    ("solver.num_samples", {}, ("--solver", "sa", "--samples", "0")),
-    ("workers", {}, ("--workers", "0")),
-]
+# test id -> (the field named in the error, config sections to replace, CLI flags)
+INVALID_VALUES = {
+    "qubo.alpha": ("qubo.alpha", {"qubo": {"alpha": [0], "beta": [0.001], "s": [50.0], "p": [0.5]}}, ()),
+    "qubo.alpha string": ("qubo.alpha", {"qubo": {"alpha": ["1"], "beta": [0.001], "s": [50.0], "p": [0.5]}}, ()),
+    "qubo.p bool": ("qubo.p", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [50.0], "p": [True]}}, ()),
+    "qubo.s": ("qubo.s", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [-1], "p": [0.5]}}, ()),
+    "split.test_quota": ("split.test_quota", {"split": {"test_quota": 0.95}}, ()),
+    "split.holdout_quota": ("split.holdout_quota", {"split": {"holdout_quota": 1.5}}, ()),
+    "preprocess.min_user_interactions": (
+        "preprocess.min_user_interactions", {"preprocess": {"min_user_interactions": -1}}, ()),
+    "max_pairs": ("max_pairs", {"max_pairs": 0}, ()),
+    "final_cbf.n_cases": ("final_cbf.n_cases", {"final_cbf": {"n_cases": "5"}}, ()),
+    "solver.num_samples": ("solver.num_samples", {}, ("--solver", "sa", "--samples", "0")),
+    "workers": ("workers", {}, ("--workers", "0")),
+    "seed fractional": ("seed", {"seed": 7.5}, ()),
+    "cutoff fractional": ("cutoff", {"cutoff": 10.5}, ()),
+}
 
 
 class TestStages:
@@ -144,7 +149,7 @@ class TestExitCodes:
     def test_invalid_solver_schedule(self, tmp_path, capsys, solver):
         self.assert_rejected_at_load(tmp_path, capsys, "solver.", solver={"kind": "sa", **solver})
 
-    @pytest.mark.parametrize("field, config, flags", INVALID_VALUES, ids=[c[0] for c in INVALID_VALUES])
+    @pytest.mark.parametrize("field, config, flags", INVALID_VALUES.values(), ids=list(INVALID_VALUES))
     def test_invalid_value(self, tmp_path, capsys, field, config, flags):
         """A bad value in the file or in an override fails before anything is
         written, naming the field."""
@@ -168,3 +173,13 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_synth_on_files_dataset_writes_nothing(self, tmp_path, capsys):
+        cfg = {"dataset": {"files": {"interactions": str(tmp_path / "i.tsv"),
+                                     "features": str(tmp_path / "f.tsv")}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 2
+        assert "dataset.synth" in capsys.readouterr().err
+        assert not out.exists()

@@ -16,6 +16,40 @@ from qubofs.metrics import (
 )
 
 
+def reference_accuracy_metrics(recommended, relevant, cutoff):
+    """The per-user loop the hit-matrix version replaced: the oracle for its
+    floats, which add hit by hit in rank order."""
+    if len(recommended) != len(relevant):
+        raise ValueError("recommended and relevant must align per user")
+    discounts = 1.0 / np.log2(np.arange(2, cutoff + 2))
+    precisions, recalls, ndcgs, aps = [], [], [], []
+    for rec, rel in zip(recommended, relevant):
+        if not rel:
+            continue
+        hits = 0
+        dcg = 0.0
+        ap_sum = 0.0
+        for rank0, item in enumerate(rec[:cutoff]):
+            if int(item) in rel:
+                hits += 1
+                dcg += discounts[rank0]
+                ap_sum += hits / (rank0 + 1)
+        ideal = min(cutoff, len(rel))
+        idcg = discounts[:ideal].sum()
+        precisions.append(hits / cutoff)
+        recalls.append(hits / len(rel))
+        ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
+        aps.append(ap_sum / ideal)
+    if not precisions:
+        return 0.0, 0.0, 0.0, 0.0
+    return (
+        float(np.mean(precisions)),
+        float(np.mean(recalls)),
+        float(np.mean(ndcgs)),
+        float(np.mean(aps)),
+    )
+
+
 class TestAccuracy:
     def test_single_hit_at_rank_two(self):
         precision, recall, ndcg, map_score = accuracy_metrics([[0, 1, 2]], [{1}], cutoff=3)
@@ -46,6 +80,23 @@ class TestAccuracy:
         precision, recall, _, _ = accuracy_metrics(rec, rel, cutoff)
         assert abs(precision * cutoff - round(precision * cutoff)) <= 1e-9
         assert abs(recall * n_rel - round(recall * n_rel)) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 30),
+           st.booleans())
+    def test_matches_reference(self, seed, cutoff, n_users, as_arrays):
+        """Bit-identical to the per-user loop: short, empty and over-long
+        lists, repeated items, empty relevant sets, many hits."""
+        rng = np.random.default_rng(seed)
+        n_items = int(rng.integers(1, 3 * cutoff + 2))
+        rec = [rng.integers(0, n_items, size=int(rng.integers(0, cutoff + 3))).tolist()
+               for _ in range(n_users)]
+        if as_arrays:
+            rec = [np.asarray(r, dtype=np.int64) for r in rec]
+        rel = [set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)),
+                              replace=False).tolist())
+               for _ in range(n_users)]
+        assert accuracy_metrics(rec, rel, cutoff) == reference_accuracy_metrics(rec, rel, cutoff)
 
 
 class TestItemCoverage:

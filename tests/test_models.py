@@ -1,11 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qubofs.errors import RankTooLarge
+from qubofs import models
+from qubofs.errors import DimensionMismatch, RankTooLarge
 from qubofs.models import (
     ModelKind,
+    SimilarityModel,
     apply_feature_weighting,
     bipartite_walk_similarity,
     cosine_knn,
@@ -17,6 +22,58 @@ from qubofs.models import (
 )
 from qubofs.pipeline import baseline_tfidf_selection
 from qubofs.sparse import SparseMatrix
+
+
+def reference_score_and_rank(model, user_profiles, cutoff, exclude_seen=True,
+                             candidate_items=None):
+    """The per-user ranking loop the chunked one replaced: the oracle for its
+    lists, ties and zero rule. It scores through the canonical sparse product,
+    densifies all users at once and lexsorts each user's candidates."""
+    if user_profiles.n_cols != model.s.n_rows:
+        raise DimensionMismatch("profiles and similarity differ in items")
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    scores = (user_profiles @ model.s).to_dense()
+    seen = user_profiles.to_dense() > 0
+    if candidate_items is None:
+        candidates = np.arange(model.s.n_cols)
+    else:
+        candidates = np.asarray(sorted(int(i) for i in candidate_items), dtype=np.int64)
+    ranked = []
+    for u in range(user_profiles.n_rows):
+        cand = candidates
+        if exclude_seen:
+            cand = cand[~seen[u, cand]]
+        s_u = scores[u, cand]
+        order = np.lexsort((cand, -s_u))
+        ranked.append(cand[order[:cutoff]])
+    return ranked
+
+
+def tie_heavy_case(seed: int, kind: str):
+    """A small model and profiles whose scores tie often: integer similarities
+    (negative ones too) and profiles with empty rows; the same scaled so that
+    some scores fall below ``ZERO_EPSILON`` and count as zero; or a PureSVD
+    model, whose dense similarity has negative and near-zero entries."""
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(0, 13)), int(rng.integers(2, 16))
+    profiles = rng.integers(0, 3, size=(n_users, n_items)) * (rng.random((n_users, n_items)) < 0.3)
+    profiles[rng.random(n_users) < 0.2] = 0
+    if kind == "tiny":
+        profiles = profiles * 0.25
+    if kind == "pure_svd":
+        urm = SparseMatrix.from_dense(rng.integers(0, 2, size=(max(n_users, 2), n_items)))
+        if urm.nnz == 0:
+            urm = SparseMatrix.from_dense(np.eye(max(n_users, 2), n_items))
+        factors = int(rng.integers(1, min(urm.shape) + 1))
+        model = pure_svd(urm, factors, seed=seed)
+    else:
+        s = rng.integers(-1, 3, size=(n_items, n_items)) * (rng.random((n_items, n_items)) < 0.5)
+        np.fill_diagonal(s, 0)
+        if kind == "tiny":
+            s = s * 1e-12
+        model = SimilarityModel(SparseMatrix.from_dense(s), ModelKind.ITEM_KNN_CF, {})
+    return model, SparseMatrix.from_dense(profiles.astype(float)), rng
 
 
 def dense_cosine(vectors: np.ndarray, shrink: float, normalize: bool) -> np.ndarray:
@@ -295,3 +352,64 @@ class TestScoreAndRank:
         model = SimilarityModel(SparseMatrix.from_triplets(3, 3, []), ModelKind.ITEM_KNN_CF, {})
         with pytest.raises(DimensionMismatch):
             score_and_rank(model, SparseMatrix.from_triplets(2, 4, []), cutoff=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["integer", "tiny", "pure_svd"]),
+        exclude_seen=st.booleans(),
+        subset=st.booleans(),
+        extra_cutoff=st.integers(0, 4),
+        budget=st.integers(1, 30),
+    )
+    def test_matches_reference(self, seed, kind, exclude_seen, subset, extra_cutoff, budget):
+        """Same lists as the per-user loop, element for element, whatever the
+        chunking; the cutoff may exceed the unseen candidates."""
+        model, profiles, rng = tie_heavy_case(seed, kind)
+        n_items = model.s.n_cols
+        candidates = None
+        if subset:
+            candidates = rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False)
+        cutoff = int(rng.integers(1, n_items + 1)) + extra_cutoff
+        expected = reference_score_and_rank(model, profiles, cutoff, exclude_seen, candidates)
+        with mock.patch.object(models, "RANK_CHUNK_ENTRIES", budget):
+            ranked = score_and_rank(model, profiles, cutoff, exclude_seen, candidates)
+        assert len(ranked) == len(expected) == profiles.n_rows
+        for got, want in zip(ranked, expected):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    def test_chunks_stay_within_budget(self):
+        """No chunk holds more dense scores than the budget, and many small
+        chunks give the lists of one large chunk."""
+        model, profiles, _ = tie_heavy_case(5, "integer")
+        rng = np.random.default_rng(3)
+        profiles = SparseMatrix.from_dense((rng.random((40, model.s.n_cols)) < 0.3).astype(float))
+        budget = 2 * model.s.n_cols + 1
+        sizes = []
+        top_k = models._top_k
+
+        def spy(scores, k):
+            sizes.append(scores.size)
+            return top_k(scores, k)
+
+        whole = score_and_rank(model, profiles, cutoff=4)
+        with mock.patch.multiple(models, RANK_CHUNK_ENTRIES=budget, _top_k=spy):
+            chunked = score_and_rank(model, profiles, cutoff=4)
+        assert len(sizes) == 20 and max(sizes) <= budget
+        assert [r.tolist() for r in chunked] == [r.tolist() for r in whole]
+
+    def test_duplicate_candidates_count_once(self):
+        s = SparseMatrix.from_dense([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
+        profiles = SparseMatrix.from_dense([[1, 0, 0], [0, 0, 0]])
+        ranked = score_and_rank(model, profiles, cutoff=3, candidate_items=np.array([2, 1, 2, 1, 1]))
+        assert [r.tolist() for r in ranked] == [[2, 1], [1, 2]]
+
+    def test_candidate_out_of_range(self):
+        from qubofs.errors import IndexOutOfRange
+
+        model = SimilarityModel(SparseMatrix.from_triplets(3, 3, []), ModelKind.ITEM_KNN_CF, {})
+        with pytest.raises(IndexOutOfRange):
+            score_and_rank(model, SparseMatrix.from_triplets(1, 3, []), cutoff=1,
+                           candidate_items=np.array([0, 3]))
