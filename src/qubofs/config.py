@@ -59,8 +59,10 @@ def _check(ok: bool, message: str) -> None:
 
 def _from_dict(cls, d, section: str = ""):
     """Spec ``cls`` built from the JSON object ``d`` at ``section``: nested
-    objects become their specs, lists become tuples, and an unknown key, a
-    value of the wrong type or a failed check raises ``ConfigInvalid``."""
+    objects become their specs, lists become tuples, a whole number in an
+    int field becomes an int, and an unknown key, a value of the wrong type
+    (a fractional number in an int field too) or a failed check raises
+    ``ConfigInvalid``."""
     where = section or "config"
     if not isinstance(d, dict):
         raise ConfigInvalid(f"{where} must be a JSON object, not {d!r}")
@@ -72,6 +74,7 @@ def _from_dict(cls, d, section: str = ""):
     for name, value in d.items():
         path = f"{section}.{name}" if section else name
         types = typing.get_args(hints[name]) or (hints[name],)
+        integral = int in types
         if {int, float} & set(types):
             types += (int, float)  # any JSON number
         if isinstance(value, list):
@@ -80,6 +83,11 @@ def _from_dict(cls, d, section: str = ""):
             value = _from_dict(types[0], value, path)
         elif isinstance(value, bool) or not isinstance(value, types):
             raise ConfigInvalid(f"{path} must be {cls.__annotations__[name]}, not {value!r}")
+        elif integral and isinstance(value, float):
+            # "seed": 7.0 is seed 7 and hashes as 7
+            if not value.is_integer():
+                raise ConfigInvalid(f"{path} must be an integer, not {value!r}")
+            value = int(value)
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -236,11 +244,6 @@ class ExperimentConfig:
     final_cbf: FinalCbfSpec = field(default_factory=FinalCbfSpec)
 
     def __post_init__(self):
-        # JSON numbers may be floats: "seed": 7.0 is seed 7 and hashes as 7
-        for name in ("seed", "cutoff", "workers", "max_pairs"):
-            value = getattr(self, name)
-            _check(value == int(value), f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))
         _check(self.objective in ("precision", "recall", "ndcg", "map"),
                f"unknown objective {self.objective!r}")
         _check(self.cutoff >= 1, "cutoff must be >= 1")

@@ -11,13 +11,14 @@ from pathlib import Path
 
 
 @contextmanager
-def atomic_open(path):
-    """Text handle on a sibling temp file that replaces ``path`` on a clean
-    exit. Missing parent directories are created."""
+def atomic_open(path, mode="w"):
+    """Handle opened with ``mode`` ("w" for text, "wb" for bytes) on a sibling
+    temp file that replaces ``path`` on a clean exit. Missing parent
+    directories are created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
         yield fh
     os.replace(tmp, path)
 

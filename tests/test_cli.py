@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -46,6 +47,10 @@ INVALID_VALUES = {
     "workers": ("workers", {}, ("--workers", "0")),
     "seed fractional": ("seed", {"seed": 7.5}, ()),
     "cutoff fractional": ("cutoff", {"cutoff": 10.5}, ()),
+    "final_cbf.n_cases fractional": ("final_cbf.n_cases", {"final_cbf": {"n_cases": 5.5}}, ()),
+    "dataset.synth.n_users fractional": (
+        "dataset.synth.n_users", {"dataset": {"synth": {"n_users": 40.5}}}, ()),
+    "solver.num_samples fractional": ("solver.num_samples", {"solver": {"kind": "sa", "num_samples": 2.5}}, ()),
 }
 
 
@@ -121,6 +126,19 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["prepare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    def test_corrupt_artifact_is_data_error(self, tmp_path, capsys):
+        """A stage file that is not a sparse archive, such as a text COO file
+        of an older run, exits 3 naming the file instead of a traceback."""
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        (out / "holdout/train.coo").write_text("40\t30\t1\n0\t0\t1\n")
+        shutil.rmtree(out / "reports")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out / "holdout/train.coo") in err
 
     def test_infeasible_error(self, tmp_path):
         config = write_config(

@@ -1,11 +1,17 @@
 import json
 import hashlib
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qubofs
 from qubofs import data, fileio
 from qubofs.config import ExperimentConfig
 from qubofs.errors import ConfigInvalid
@@ -377,6 +383,44 @@ class TestKilledWriteResumes:
         assert tree_hashes(out) == tree_hashes(tmp_path / "reference")
 
 
+class TestSigkilledRunResumes:
+    """A real `qubofs pipeline` process killed with SIGKILL as soon as a
+    stage's file appears resumes, with no cleanup, to the reports of an
+    uninterrupted run."""
+
+    @pytest.fixture(scope="class")
+    def reference_reports(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reference")
+        run_pipeline(tiny_config(), out)
+        return {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+
+    @pytest.mark.parametrize("trigger", ["qubo/keep.coo", "selections/grid_000/selection.json"])
+    def test_resume_matches_uninterrupted_run(self, tmp_path, trigger, reference_reports):
+        cfg = tiny_config()
+        config = tmp_path / "config.json"
+        config.write_text(cfg.canonical_json())
+        out = tmp_path / "run"
+        src = str(Path(qubofs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qubofs.cli", "pipeline", "--config", str(config), "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not (out / trigger).exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.002)
+        finally:
+            proc.kill()  # SIGKILL
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL  # killed, not finished
+        assert (out / trigger).exists()
+
+        run_pipeline(cfg, out)
+        assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reference_reports
+        assert not list(out.rglob("*.tmp"))
+
+
 class TestLazyResume:
     def test_reports_resume_loads_only_what_reports_need(self, tmp_path, monkeypatch):
         """Rebuilding the reports loads complete upstream stages without
@@ -423,6 +467,9 @@ class TestConfigParsing:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != tiny_config(seed=8).config_hash()
 
+    def test_checked_in_config_loads(self):
+        assert ExperimentConfig.from_json_file(Path(__file__).parents[1] / "configs" / "synthetic.json")
+
     def test_hash_golden(self):
         """config_hash goes into report.json and names the default run
         directory, so its value is pinned, not only its stability."""
@@ -438,4 +485,5 @@ class TestConfigParsing:
         assert ExperimentConfig.from_dict(readme_minimal).config_hash() == "567732c8383e22d9"
         assert tiny_config().config_hash() == "461053b308e8e44a"
         assert tiny_config(seed=7.0).config_hash() == "461053b308e8e44a"
+        assert tiny_config(final_cbf={"n_cases": 4.0}).config_hash() == "461053b308e8e44a"
         assert ExperimentConfig.from_dict({"dataset": {"synth": {}}}).config_hash() == "e771e03d654fa2a2"

@@ -1,5 +1,9 @@
+import io
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,24 +209,51 @@ class TestHelpers:
         assert np.array_equal(dense(m.binarize()), [[1, 0, 0]])
 
 
+def _archive(**changes) -> bytes:
+    """An uncompressed .npz of a saved 3x2 matrix, with the given arrays
+    replaced."""
+    buf = io.BytesIO()
+    sp.save_npz(buf, sp.coo_array(np.array([[1.0, 0], [0, 2.0], [3.0, 0]])), compressed=False)
+    with np.load(io.BytesIO(buf.getvalue())) as z:
+        arrays = {k: z[k] for k in z.files}
+    buf = io.BytesIO()
+    np.savez(buf, **{**arrays, **changes})
+    return buf.getvalue()
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+MALFORMED_FILES = {
+    "old text coo": lambda: b"2\t3\t1\n1\t2\t0.25\n",
+    "truncated archive": lambda: _archive()[:300],
+    "empty file": lambda: b"",
+    "pickled object array": lambda: _archive(data=np.array([1.0, {}, 3.0], dtype=object)),
+    "index out of range": lambda: _archive(shape=np.array([2, 2])),
+    "nan value": lambda: _archive(data=np.array([1.0, np.nan, 3.0])),
+    "bare npy": lambda: _npy(np.zeros(3)),
+}
+
+
 class TestCooPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        m = random_sparse(rng, 9, 4, density=0.4, lo=-1, hi=1, integer=False)
-        path = tmp_path / "m.coo"
-        m.save_coo(path)
-        assert SparseMatrix.load_coo(path) == m
+        for m in (random_sparse(rng, 9, 4, density=0.4, lo=-1, hi=1, integer=False),
+                  SparseMatrix.from_triplets(5, 5, []),
+                  SparseMatrix.from_triplets(3, 0, [])):
+            m.save_coo(tmp_path / "a.coo")
+            m.save_coo(tmp_path / "b.coo")
+            loaded = SparseMatrix.load_coo(tmp_path / "a.coo")
+            assert loaded == m and loaded.shape == m.shape
+            # resumes compare run trees byte for byte
+            assert (tmp_path / "a.coo").read_bytes() == (tmp_path / "b.coo").read_bytes()
 
-    def test_header_format(self, tmp_path):
-        m = SparseMatrix.from_triplets(2, 3, [(1, 2, 0.25)])
-        path = tmp_path / "m.coo"
-        m.save_coo(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "2\t3\t1"
-        assert lines[1] == "1\t2\t0.25"
-
-    def test_parse_error_has_line_number(self, tmp_path):
+    @pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=list(MALFORMED_FILES))
+    def test_malformed_file_raises_parse_error(self, tmp_path, content):
         path = tmp_path / "bad.coo"
-        path.write_text("2\t2\t1\n0\tx\t1.0\n")
-        with pytest.raises(ParseError, match="line 2"):
+        path.write_bytes(content())
+        with pytest.raises(ParseError, match=re.escape(str(path))):
             SparseMatrix.load_coo(path)
