@@ -32,6 +32,12 @@ from qubofs.solvers import default_schedule, solve_sa
 
 
 def qubo_selection(ds, cold, p, seed):
+    """Warm-restricted QUBO selection with an ItemKNN CF teacher.
+
+    Neighborhoods stay tight so the positive-similarity patterns mean
+    something; the count penalty sits just above the typical per-feature
+    energy swing so the single-flip annealer can still rearrange subsets.
+    """
     holdout = user_holdout_split(cold.train + cold.validation, 0.1, seed=seed)
     cf = cosine_knn(holdout.train.transpose(), top_k=10, shrink=2.0, normalize=True)
     warm = cold.warm_items()
@@ -51,6 +57,7 @@ def qubo_selection(ds, cold, p, seed):
 
 
 def cold_ndcg(ds, cold, selected, cutoff=10):
+    """NDCG on the cold test items of a content model on the selected features."""
     mask = np.zeros(ds.n_features, dtype=bool)
     mask[sorted(selected)] = True
     model = cosine_knn(

@@ -57,6 +57,34 @@ def _check(ok: bool, message: str) -> None:
         raise ConfigInvalid(message)
 
 
+def _check_space(space: dict | None, defaults: dict, where: str) -> None:
+    """The rules by which ``pipeline.sample_point`` reads a search space; it
+    must name every parameter of ``defaults`` but the optional weighting."""
+    if space is None:
+        return
+    for name in defaults:
+        _check(name in space or name == "weighting", f"{where}.{name} is missing")
+    for name, spec in space.items():
+        path = f"{where}.{name}"
+        _check(isinstance(spec, dict), f"{path} must be a JSON object, not {spec!r}")
+        kind = spec.get("type")
+        _check(kind in ("int", "float", "categorical"),
+               f"{path}.type must be int, float or categorical, not {kind!r}")
+        if kind == "categorical":
+            choices = spec.get("choices")
+            _check(isinstance(choices, (list, tuple)) and len(choices) > 0,
+                   f"{path}.choices must be a non-empty list")
+            continue
+        low, high = spec.get("low"), spec.get("high")
+        _check(all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                   for v in (low, high)), f"{path}.low and .high must be finite numbers")
+        _check(low <= high, f"{path}.low must be <= its high")
+        dist = spec.get("dist", "uniform")
+        _check(dist in ("uniform", "log-uniform"),
+               f"{path}.dist must be uniform or log-uniform, not {dist!r}")
+        _check(dist == "uniform" or low > 0, f"{path}.low must be > 0 for a log-uniform dist")
+
+
 def _from_dict(cls, d, section: str = ""):
     """Spec ``cls`` built from the JSON object ``d`` at ``section``: nested
     objects become their specs, lists become tuples, a whole number in an
@@ -105,6 +133,18 @@ class SynthSpec:
     n_relevant: int = 8
     interactions_per_user: int = 30
     noise_rate: float = 0.1
+
+    def __post_init__(self):
+        # the checks data.synth_planted makes before it draws anything
+        for f in dataclasses.fields(self):
+            _check(f.name == "noise_rate" or getattr(self, f.name) >= 1,
+                   f"dataset.synth.{f.name} must be >= 1")
+        _check(self.n_relevant <= self.n_features,
+               "dataset.synth.n_relevant must be <= dataset.synth.n_features")
+        _check(0 <= self.noise_rate < 1, "dataset.synth.noise_rate must be in [0, 1)")
+        _check(math.floor(self.noise_rate * self.interactions_per_user + 1e-9) <= self.n_items,
+               "dataset.synth.noise_rate draws floor(noise_rate * interactions_per_user) "
+               "random items per user, more than n_items")
 
 
 @dataclass(frozen=True)
@@ -162,6 +202,7 @@ class CollaborativeSpec:
     def __post_init__(self):
         _check(self.kind in DEFAULT_SPACES, f"unknown collaborative.kind {self.kind!r}")
         _check(self.n_cases >= 1, "collaborative.n_cases must be >= 1")
+        _check_space(self.space, DEFAULT_SPACES[self.kind], "collaborative.space")
 
     def resolved_space(self) -> dict:
         return self.space if self.space is not None else DEFAULT_SPACES[self.kind]
@@ -223,6 +264,7 @@ class FinalCbfSpec:
 
     def __post_init__(self):
         _check(self.n_cases >= 1, "final_cbf.n_cases must be >= 1")
+        _check_space(self.space, ITEM_KNN_CBF_SPACE, "final_cbf.space")
 
     def resolved_space(self) -> dict:
         return self.space if self.space is not None else ITEM_KNN_CBF_SPACE

@@ -8,13 +8,14 @@ feature subset, picks the grid point with the best cold-validation quality,
 retrains on train-plus-validation and reports cold-test metrics next to the
 all-features baseline.
 
-Each stage is one row of ``STAGES``: the files it writes and its build and
-load functions. A stage is complete when all its files exist; it is then
-loaded, otherwise built, and only a build asks for the stages it depends on.
-Every file is written atomically, so a killed run resumes without cleanup and
-deleting any artifact regenerates only its stage (the grid stages rebuild
-only their missing grid points). Report files are a pure function of (config,
-seed): no timings or absolute paths go into them.
+Each stage is one row of ``STAGES``: the files it writes (per grid point, for
+the three grid stages) and its build and load functions. A stage is complete
+when all its files exist; it is then loaded, otherwise built, and only a build
+asks for the stages it depends on. A grid stage loads its complete points and
+builds only the others. Every file is written atomically, so a killed run
+resumes without cleanup and deleting any artifact regenerates only its stage or
+grid point. Report files are a pure function of (config, seed): no timings or
+absolute paths go into them.
 """
 
 from __future__ import annotations
@@ -312,26 +313,29 @@ class Pipeline:
         return self._results[name]
 
     def _load_or_build(self, name: str):
-        """Load the stage if all its declared files exist, else build it."""
+        """Load the stage if all its declared files exist, else build it; a
+        grid stage loads its complete points and builds the others at once."""
         patterns, build, load = STAGES[name]
-        grid = range(len(self.cfg.qubo.points()))
-        files = [
-            self.out / pattern.format(i=i)
-            for pattern in patterns
-            for i in (grid if "{i" in pattern else (0,))
-        ]
         if name == "dataset" and self.cfg.dataset.synth is None:
-            files = []  # read from the configured files, nothing to write
-        for top in dict.fromkeys(f.relative_to(self.out).parts[0] for f in files):
+            patterns = ()  # read from the configured files, nothing to write
+        for top in dict.fromkeys(pattern.split("/")[0] for pattern in patterns):
             self.run_info.artifacts[top] = self.out / top
-        return load(self) if all(f.exists() for f in files) else build(self)
-
-    def _per_point(self, directory: str, name: str) -> list[Path]:
-        """The path of file ``name`` for every grid point, in grid order."""
-        return [
-            self.out / directory / f"grid_{i:03d}" / name
-            for i in range(len(self.ensure_qubos()))
+        complete = all((self.out / p).exists() for p in patterns if "{i" not in p)
+        if not any("{i" in p for p in patterns):
+            return load(self) if complete else build(self)
+        # the later grid stages take the grid from the QUBOs they are built on
+        grid = range(len(self.cfg.qubo.points() if name == "qubos" else self.ensure_qubos()))
+        results = [
+            load(self, i) if all(f.exists() for f in self._point_files(name, i)) else None
+            for i in grid
         ]
+        if not complete or None in results:
+            build(self, results)
+        return results
+
+    def _point_files(self, name: str, index: int) -> list[Path]:
+        """Stage ``name``'s files of grid point ``index``, in ``STAGES`` order."""
+        return [self.out / p.format(i=index) for p in STAGES[name][0] if "{i" in p]
 
     # -- the stages, each named by its row in STAGES -----------------------
 
@@ -557,8 +561,8 @@ class Pipeline:
 
     # -- stage: QUBO grid ----------------------------------------------------
 
-    def _build_qubos(self) -> list[dict]:
-        """The pair matrices and the QUBO of every grid point that lacks one."""
+    def _build_qubos(self, points: list[dict | None]) -> None:
+        """The pair matrices, and the QUBO of every grid point that is None."""
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
         cf_model = self.ensure_cf_model()
@@ -571,11 +575,9 @@ class Pipeline:
         qubo_dir = self.out / "qubo"
         pm.keep.save_coo(qubo_dir / "keep.coo")
         pm.eliminate.save_coo(qubo_dir / "eliminate.coo")
-        points = self.cfg.qubo.points()
         fpm_cache: dict[tuple[float, float], SparseMatrix] = {}
-        for index, point in enumerate(points):
-            grid_dir = qubo_dir / f"grid_{index:03d}"
-            if all((grid_dir / n).exists() for n in ("qubo.coo", "qubo.json", "params.json")):
+        for index, point in enumerate(self.cfg.qubo.points()):
+            if points[index] is not None:
                 continue
             key = (point["alpha"], point["beta"])
             if key not in fpm_cache:
@@ -588,33 +590,29 @@ class Pipeline:
                     p=point["p"], s=point["s"],
                 ),
             )
-            save_qubo(problem, grid_dir / "qubo.coo", grid_dir / "qubo.json")
-            write_json(grid_dir / "params.json", point)
-        return points
+            qubo_path, meta_path, params_path = self._point_files("qubos", index)
+            save_qubo(problem, qubo_path, meta_path)
+            write_json(params_path, point)
+            points[index] = point
 
     # -- stage: selection ------------------------------------------------------
 
-    def _build_selections(self) -> list[SelectionResult]:
-        """Load the stored selections and solve the missing ones. Annealed
-        points are grouped by (n, sweeps) and each group runs in one lockstep
-        batch; every point owns its RNG streams, so a batch's makeup never
-        changes a result."""
+    def _build_selections(self, results: list[SelectionResult | None]) -> None:
+        """Solve every grid point that is None. Every QUBO is n_features
+        square and every schedule has the configured or the default sweep
+        count, so all annealed points run in one lockstep batch; every point
+        owns its RNG streams, so a batch's makeup never changes a result."""
         points = self.ensure_qubos()
-        paths = self._per_point("selections", "selection.json")
-        results = [load_selection(path) if path.exists() else None for path in paths]
-        batches: dict[tuple[int, int], list[tuple[int, QuboProblem, AnnealSchedule]]] = {}
+        annealed: list[tuple[int, QuboProblem, AnnealSchedule]] = []
 
         def store(index: int, result: SelectionResult) -> None:
-            save_selection(result, paths[index])
+            save_selection(result, self._point_files("selections", index)[0])
             results[index] = result
 
         for index, point in enumerate(points):
             if results[index] is not None:
                 continue
-            problem = load_qubo(
-                self.out / "qubo" / f"grid_{index:03d}" / "qubo.coo",
-                self.out / "qubo" / f"grid_{index:03d}" / "qubo.json",
-            )
+            problem = load_qubo(*self._point_files("qubos", index)[:2])
             if point["s"] == 0.0 and np.all(problem.q <= 0.0):
                 # every coefficient pushes toward inclusion; all-ones is optimal
                 x = np.ones(problem.n, dtype=np.int8)
@@ -629,14 +627,11 @@ class Pipeline:
             elif self.cfg.solver.kind == "exhaustive":
                 result = solve_exhaustive(problem)
             else:
-                schedule = self._schedule(problem, index)
-                batches.setdefault((problem.n, schedule.sweeps), []).append(
-                    (index, problem, schedule)
-                )
+                annealed.append((index, problem, self._schedule(problem, index)))
                 continue
             store(index, result)
-        for batch in batches.values():
-            indices, problems, schedules = zip(*batch)
+        if annealed:
+            indices, problems, schedules = zip(*annealed)
             solved = solve_sa_many(
                 problems,
                 schedules,
@@ -645,10 +640,6 @@ class Pipeline:
             )
             for index, samples in zip(indices, solved):
                 store(index, samples[0])
-        return results
-
-    def _load_selections(self) -> list[SelectionResult]:
-        return [load_selection(path) for path in self._per_point("selections", "selection.json")]
 
     def _schedule(self, problem: QuboProblem, index: int) -> AnnealSchedule:
         """The default ramp for the problem's coefficient range, with the
@@ -671,17 +662,15 @@ class Pipeline:
 
     # -- stage: per-selection content models and the winner ---------------------
 
-    def _build_grid_scores(self) -> list[dict]:
+    def _build_grid_scores(self, rows: list[dict | None]) -> None:
+        """Score every grid point that is None, then pick the winner of all."""
         points = self.ensure_qubos()
         selections = self.ensure_selections()
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
-        paths = self._per_point("cbf_sel", "result.json")
         parallel = self.cfg.workers > 1
 
         def build_row(index: int) -> dict:
-            if paths[index].exists():
-                return read_json(paths[index])
             selection = selections[index]
             mask = selection.x.astype(bool)
             icm_selected = ds.icm.mask_cols(mask)
@@ -698,22 +687,21 @@ class Pipeline:
                 "energy": selection.energy,
                 "solver": selection.solver,
             }
-            write_json(paths[index], row)
+            write_json(self._point_files("grid_scores", index)[0], row)
             return row
 
+        missing = [i for i, row in enumerate(rows) if row is None]
         if parallel:
             with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
-                rows = list(pool.map(build_row, range(len(points))))
+                built = list(pool.map(build_row, missing))
         else:
-            rows = [build_row(i) for i in range(len(points))]
+            built = [build_row(i) for i in missing]
+        for index, row in zip(missing, built):
+            rows[index] = row
         winner_idx = max(
             range(len(rows)), key=lambda i: (rows[i]["validation_score"], -i)
         )
         write_json(self.out / "cbf_sel" / "winner.json", {"grid_index": winner_idx})
-        return rows
-
-    def _load_grid_scores(self) -> list[dict]:
-        return [read_json(path) for path in self._per_point("cbf_sel", "result.json")]
 
     # -- stage: final model and reports -------------------------------------------
 
@@ -812,8 +800,10 @@ class Pipeline:
 
 
 # The experiment's stages in dependency order: name -> (the files the stage
-# writes, relative to the output directory, with "{i:03d}" standing for every
-# grid index; its build function; its load function).
+# writes, relative to the output directory, where "{i:03d}" names one file per
+# grid point; its build function; its load function). For a grid stage, the
+# load function loads point i, and the build function fills the None entries
+# of the list of points and writes the stage's shared files.
 STAGES = {
     "dataset": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
                 Pipeline._build_dataset, Pipeline._load_dataset),
@@ -826,11 +816,13 @@ STAGES = {
                 Pipeline._build_cbf_all, Pipeline._load_cbf_all),
     "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
                "qubo/grid_{i:03d}/qubo.json", "qubo/grid_{i:03d}/params.json"),
-              Pipeline._build_qubos, lambda p: p.cfg.qubo.points()),
+              Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
     "selections": (("selections/grid_{i:03d}/selection.json",),
-                   Pipeline._build_selections, Pipeline._load_selections),
+                   Pipeline._build_selections,
+                   lambda p, i: load_selection(p._point_files("selections", i)[0])),
     "grid_scores": (("cbf_sel/grid_{i:03d}/result.json", "cbf_sel/winner.json"),
-                    Pipeline._build_grid_scores, Pipeline._load_grid_scores),
+                    Pipeline._build_grid_scores,
+                    lambda p, i: read_json(p._point_files("grid_scores", i)[0])),
     "final": (("final/similarity.coo", "final/model.json"),
               Pipeline._build_final, Pipeline._load_final),
     "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",

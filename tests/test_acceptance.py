@@ -4,25 +4,21 @@ Each test prints a PASS line with its headline numbers so a plain
 `pytest tests/test_acceptance.py -v -s` doubles as the acceptance report.
 """
 
+import importlib.util
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qubofs.cli import main as cli_main
-from qubofs.data import cold_item_split, synth_planted, user_holdout_split
+from qubofs.data import cold_item_split, synth_planted
 from qubofs.metrics import accuracy_metrics, mean_inter_list
 from qubofs.models import ModelKind, SimilarityModel, cosine_knn, randomized_svd, rp3beta, score_and_rank
 from qubofs.pipeline import baseline_random_selection
-from qubofs.qubo import (
-    FeatureSelectionConfig,
-    assemble_qubo,
-    build_fpm,
-    build_ipm,
-    build_penalization,
-)
+from qubofs.qubo import FeatureSelectionConfig, assemble_qubo, build_fpm
 from qubofs.solvers import default_schedule, energy, solve_exhaustive, solve_sa
 from qubofs.sparse import SparseMatrix
 
@@ -149,73 +145,33 @@ def test_metric_fixtures():
     )
 
 
-def _select_features(ds, planted, seed):
-    """Warm-restricted QUBO selection with an ItemKNN CF teacher.
-
-    Neighborhoods stay tight so the positive-similarity patterns mean
-    something; the count penalty sits just above the typical per-feature
-    energy swing so the single-flip annealer can still rearrange subsets.
-    """
-    cold = cold_item_split(ds, 0.2, 0.1, seed=seed)
-    holdout = user_holdout_split(cold.train + cold.validation, 0.1, seed=seed)
-    cf = cosine_knn(
-        holdout.train.transpose(), top_k=10, shrink=2.0, normalize=True,
-        kind=ModelKind.ITEM_KNN_CF,
-    )
-    warm = cold.warm_items()
-    icm_warm = ds.icm.submatrix(rows=warm)
-    cbf_warm = cosine_knn(
-        icm_warm, top_k=25, shrink=0.0, normalize=True, kind=ModelKind.ITEM_KNN_CBF
-    )
-    pm = build_penalization(cf.s.submatrix(rows=warm, cols=warm), cbf_warm.s)
-    fpm = build_fpm(icm_warm, build_ipm(pm, alpha=1.0, beta=1.0))
-    fpm_dense = fpm.to_dense()
-    strength = 1.5 * float(np.abs(fpm_dense).sum(axis=1).mean())
-    cfg = FeatureSelectionConfig(alpha=1.0, beta=1.0, p=0.2, s=strength)
-    problem = assemble_qubo(fpm, cfg)
-    magnitudes = np.abs(problem.q[problem.q != 0.0])
-    schedule = default_schedule(
-        problem.n, scale=float(magnitudes.max()), cold_scale=float(magnitudes.min())
-    )
-    result = solve_sa(problem, schedule, num_samples=100, seed=seed)[0]
-    return cold, set(result.selected())
-
-
-def _cold_test_ndcg(ds, cold, selected, cutoff=10):
-    mask = np.zeros(ds.n_features, dtype=bool)
-    mask[sorted(selected)] = True
-    model = cosine_knn(
-        ds.icm.mask_cols(mask), top_k=100, shrink=0.0, normalize=True,
-        kind=ModelKind.ITEM_KNN_CBF,
-    )
-    candidates = np.array(sorted(cold.cold_test_items), dtype=np.int64)
-    ranked = score_and_rank(
-        model, cold.train + cold.validation, cutoff, exclude_seen=True,
-        candidate_items=candidates,
-    )
-    relevant = [
-        set(int(i) for i in cold.test.row_entries(u)[0]) for u in range(ds.n_users)
-    ]
-    _, _, ndcg, _ = accuracy_metrics(ranked, relevant, cutoff)
-    return ndcg
+def load_recovery_study():
+    """scripts/planted_recovery_study.py, the study this test gates."""
+    path = Path(__file__).parents[1] / "scripts" / "planted_recovery_study.py"
+    spec = importlib.util.spec_from_file_location("planted_recovery_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    return study
 
 
 def test_planted_feature_recovery():
     """Selection driven by the collaborative teacher recovers planted features
     and beats random subsets of the same size on cold items."""
     started = time.monotonic()
+    study = load_recovery_study()
     recoveries, random_recoveries = [], []
     ndcg_wins = 0
     seeds = range(10)
     for seed in seeds:
         ds, planted = synth_planted(200, 150, 40, 8, 30, 0.1, seed=seed)
-        cold, selected = _select_features(ds, planted, seed)
+        cold = cold_item_split(ds, 0.2, 0.1, seed=seed)
+        selected = study.qubo_selection(ds, cold, 0.2, seed)
         assert len(selected) == 8
         recoveries.append(len(selected & planted) / len(planted))
         # independent stream: the generator's first draw is the planted set
         random_sel = set(baseline_random_selection(40, 0.2, seed=10_000 + seed))
         random_recoveries.append(len(random_sel & planted) / len(planted))
-        if _cold_test_ndcg(ds, cold, selected) > _cold_test_ndcg(ds, cold, random_sel):
+        if study.cold_ndcg(ds, cold, selected) > study.cold_ndcg(ds, cold, random_sel):
             ndcg_wins += 1
     mean_recovery = float(np.mean(recoveries))
     mean_random = float(np.mean(random_recoveries))

@@ -51,6 +51,19 @@ INVALID_VALUES = {
     "dataset.synth.n_users fractional": (
         "dataset.synth.n_users", {"dataset": {"synth": {"n_users": 40.5}}}, ()),
     "solver.num_samples fractional": ("solver.num_samples", {"solver": {"kind": "sa", "num_samples": 2.5}}, ()),
+    "dataset.synth.n_users": ("dataset.synth.n_users", {"dataset": {"synth": {"n_users": -3}}}, ()),
+    "dataset.synth.noise_rate": ("dataset.synth.noise_rate", {"dataset": {"synth": {"noise_rate": 1.0}}}, ()),
+    "dataset.synth.n_relevant": (
+        "dataset.synth.n_relevant", {"dataset": {"synth": {"n_features": 4, "n_relevant": 9}}}, ()),
+    "collaborative.space high missing": ("collaborative.space.topK", {"collaborative": {"space": {
+        "topK": {"type": "int", "low": 5}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "final_cbf.space type": ("final_cbf.space.shrink", {"final_cbf": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "double", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "collaborative.space topK missing": ("collaborative.space.topK", {"collaborative": {"space": {
+        "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
 }
 
 
@@ -140,14 +153,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out / "holdout/train.coo") in err
 
-    def test_infeasible_error(self, tmp_path):
+    def test_infeasible_error(self, tmp_path, capsys):
+        # item a holds 10 of 11 interactions, more than the 70% train share
+        inter = tmp_path / "i.tsv"
+        inter.write_text("".join(f"u{u}\ta\t1\n" for u in range(10)) + "u0\tb\t1\n")
+        feats = tmp_path / "f.tsv"
+        feats.write_text("a\tf0\nb\tf1\n")
         config = write_config(
-            tmp_path,
-            dataset={"synth": {"n_users": 10, "n_items": 10, "n_features": 4,
-                               "n_relevant": 9, "interactions_per_user": 5,
-                               "noise_rate": 0.0}},
+            tmp_path, dataset={"files": {"interactions": str(inter), "features": str(feats)}},
         )
-        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
+        assert main(["prepare", "--config", str(config), "--out", str(tmp_path / "o")]) == 4
+        assert "train share" in capsys.readouterr().err
 
     @staticmethod
     def assert_rejected_at_load(tmp_path, capsys, field, flags=(), **config):

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.util
 import json
 import hashlib
 import os
@@ -12,9 +14,9 @@ import numpy as np
 import pytest
 
 import qubofs
-from qubofs import data, fileio
-from qubofs.config import ExperimentConfig
-from qubofs.errors import ConfigInvalid
+from qubofs import data, fileio, pipeline
+from qubofs.config import ITEM_KNN_CBF_SPACE, ExperimentConfig, SynthSpec
+from qubofs.errors import ConfigInvalid, InfeasibleConfig
 from qubofs.pipeline import (
     Pipeline,
     baseline_random_selection,
@@ -315,6 +317,58 @@ class TestSelectionResume:
             assert self.without_wall_time(resumed[i]) == self.without_wall_time(reference[i])
 
 
+class TestGridResume:
+    """Deleting grid points' files rebuilds those points alone, and deleting a
+    grid stage's shared file rewrites it without redoing any point."""
+
+    @pytest.mark.parametrize("deleted, rebuilt, searches", [
+        (("qubo/grid_000/qubo.coo", "qubo/grid_002/qubo.coo", "cbf_sel/grid_001/result.json"),
+         ("qubo/grid_000/", "qubo/grid_002/", "qubo/keep.coo", "qubo/eliminate.coo",
+          "cbf_sel/grid_001/result.json", "cbf_sel/winner.json"), 1),
+        (("cbf_sel/winner.json",), ("cbf_sel/winner.json",), 0),
+        (("qubo/keep.coo",), ("qubo/keep.coo", "qubo/eliminate.coo"), 0),
+    ], ids=["points", "winner", "keep"])
+    def test_rebuilds_only_what_is_missing(self, tmp_path, monkeypatch, deleted, rebuilt, searches):
+        cfg = tiny_config(qubo={"alpha": [1.0], "beta": [0.001], "s": [100.0], "p": [0.25, 0.5, 0.75]})
+        out = tmp_path / "run"
+        run_pipeline(cfg, out)
+        before = tree_hashes(out)
+        inodes = {name: os.stat(out / name).st_ino for name in before}
+        for name in deleted:
+            (out / name).unlink()
+
+        calls = []
+        search = pipeline.random_search
+
+        def counted_search(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "random_search", counted_search)
+        Pipeline(cfg, out).ensure_grid_scores()
+        assert tree_hashes(out) == before
+        # an atomic rewrite gives a file that was never deleted a new inode
+        rewritten = set(deleted) | {
+            name for name in before if os.stat(out / name).st_ino != inodes[name]
+        }
+        assert rewritten == {name for name in before if name.startswith(rebuilt)}
+        assert len(calls) == searches
+
+
+def test_benchmark_tracer_names_are_bound():
+    """Every name the benchmark tracer wraps exists where it looks for it, so
+    a refactor cannot silently blank a per-layer metric."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = [name for names in tracer.PIPELINE_NAMES.values() for name in names]
+    # solve_sa_many replaced solve_sa; the tracer still wraps the old name
+    assert {name for name in wrapped if name not in vars(pipeline)} <= {"solve_sa"}
+    assert all(f"ensure_{stage}" in vars(Pipeline) for stage in tracer.STAGES)
+    assert {"save_coo", "load_coo"} <= set(vars(SparseMatrix))
+
+
 class Killed(Exception):
     pass
 
@@ -466,6 +520,35 @@ class TestConfigParsing:
         b = tiny_config()
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != tiny_config(seed=8).config_hash()
+
+    @pytest.mark.parametrize("synth", [
+        {"n_items": 0}, {"n_relevant": 41}, {"noise_rate": -0.1}, {"noise_rate": 1.0},
+        {"n_items": 2, "interactions_per_user": 30, "noise_rate": 0.1},
+    ])
+    def test_synth_rejected_at_load_as_at_generation(self, synth):
+        spec = {**dataclasses.asdict(SynthSpec()), **synth}
+        with pytest.raises(InfeasibleConfig):
+            data.synth_planted(**spec, seed=0)
+        with pytest.raises(ConfigInvalid, match="dataset.synth."):
+            ExperimentConfig.from_dict({"dataset": {"synth": synth}})
+
+    @pytest.mark.parametrize("entry, message", [
+        (5, "must be a JSON object"),
+        ({"type": "int", "low": 20, "high": 5}, "low must be <= its high"),
+        ({"type": "float", "low": 0, "high": "9"}, "must be finite numbers"),
+        ({"type": "float", "low": 0, "high": 9, "dist": "log-uniform"}, "must be > 0"),
+        ({"type": "float", "low": 1, "high": 9, "dist": "normal"}, "dist must be"),
+        ({"type": "categorical", "choices": []}, "non-empty list"),
+    ])
+    def test_search_space_entry_rejected(self, entry, message):
+        space = {**ITEM_KNN_CBF_SPACE, "shrink": entry}
+        with pytest.raises(ConfigInvalid) as exc:
+            tiny_config(final_cbf={"n_cases": 4, "space": space})
+        assert "final_cbf.space.shrink" in str(exc.value) and message in str(exc.value)
+
+    def test_search_space_may_leave_out_weighting(self):
+        space = {k: v for k, v in ITEM_KNN_CBF_SPACE.items() if k != "weighting"}
+        assert tiny_config(final_cbf={"n_cases": 4, "space": space}).final_cbf.space == space
 
     def test_checked_in_config_loads(self):
         assert ExperimentConfig.from_json_file(Path(__file__).parents[1] / "configs" / "synthetic.json")
