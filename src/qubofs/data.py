@@ -51,7 +51,7 @@ class Dataset:
             raise ValueError("item label count mismatch")
         if len(self.feature_ids) != self.icm.n_cols:
             raise ValueError("feature label count mismatch")
-        if self.icm.nnz and not np.all(self.icm.to_scipy().data == 1.0):
+        if self.icm.nnz and not np.all(self.icm.csr.data == 1.0):
             raise ValueError("feature matrix must be binary")
 
     @property
@@ -257,24 +257,14 @@ def user_holdout_split(m: SparseMatrix, quota: float, seed: int = 0) -> HoldoutS
     if not 0 <= quota < 1:
         raise ValueError("quota must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    train_triplets = []
-    val_triplets = []
-    for u in range(m.n_rows):
-        cols, vals = m.row_entries(u)
-        n_u = cols.size
+    held = np.zeros(m.nnz, dtype=bool)
+    starts = m.csr.indptr[:-1].tolist()
+    for start, n_u in zip(starts, m.row_nnz().tolist()):
         # tiny epsilon guards against fp noise flooring an exact product down
         n_holdout = int(math.floor(quota * n_u + 1e-9))
-        if n_holdout == 0:
-            train_triplets.extend((u, int(c), float(v)) for c, v in zip(cols, vals))
-            continue
-        held = set(rng.choice(n_u, size=n_holdout, replace=False).tolist())
-        for k, (c, v) in enumerate(zip(cols, vals)):
-            bucket = val_triplets if k in held else train_triplets
-            bucket.append((u, int(c), float(v)))
-    return HoldoutSplit(
-        train=SparseMatrix.from_triplets(m.n_rows, m.n_cols, train_triplets),
-        validation=SparseMatrix.from_triplets(m.n_rows, m.n_cols, val_triplets),
-    )
+        if n_holdout:
+            held[start + rng.choice(n_u, size=n_holdout, replace=False)] = True
+    return HoldoutSplit(train=m.with_entries(keep=~held), validation=m.with_entries(keep=held))
 
 
 def synth_planted(

@@ -39,7 +39,7 @@ class SimilarityModel:
     hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.s.n_rows == self.s.n_cols and np.any(self.s.to_scipy().diagonal() != 0):
+        if self.s.n_rows == self.s.n_cols and np.any(self.s.csr.diagonal() != 0):
             raise ValueError("similarity matrix must have zero diagonal")
         top_k = self.hyperparams.get("topK")
         if top_k is not None and np.any(self.s.row_nnz() > top_k):
@@ -62,12 +62,10 @@ def cosine_knn(
     gram = vectors @ vectors.transpose()
     if normalize:
         sq = vectors.power(2.0)
-        norms = np.sqrt(sq.to_scipy().sum(axis=1))
-        m = gram.to_scipy().tocoo()
-        denom = norms[m.row] * norms[m.col] + shrink
+        norms = np.sqrt(sq.csr.sum(axis=1))
+        rows, cols, values = gram.entries()
         # a stored dot product implies both rows are nonzero, so denom > 0
-        m.data = m.data / denom
-        gram = SparseMatrix(m)
+        gram = gram.with_entries(values=values / (norms[rows] * norms[cols] + shrink))
     s = gram.zero_diagonal().top_k_per_row(top_k)
     return SimilarityModel(
         s, kind, {"topK": top_k, "shrink": shrink, "normalize": normalize}
@@ -82,19 +80,17 @@ def apply_feature_weighting(icm: SparseMatrix, scheme: str = "none") -> SparseMa
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     n_items = icm.n_rows
     df = icm.col_nnz().astype(np.float64)
-    m = icm.to_scipy().tocoo()
+    rows, cols, _ = icm.entries()
     if scheme == "tfidf":
         idf = np.zeros_like(df)
         nz = df > 0
         idf[nz] = np.log(n_items / df[nz])
-        m.data = idf[m.col]
-    else:
-        idf = np.log((n_items - df + 0.5) / (df + 0.5) + 1.0)
-        lengths = icm.row_nnz().astype(np.float64)
-        avg_len = icm.nnz / n_items if n_items else 0.0
-        denom = 1.0 + BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avg_len)
-        m.data = idf[m.col] * (BM25_K1 + 1.0) / denom[m.row]
-    return SparseMatrix(m)
+        return icm.with_entries(values=idf[cols])
+    idf = np.log((n_items - df + 0.5) / (df + 0.5) + 1.0)
+    lengths = icm.row_nnz().astype(np.float64)
+    avg_len = icm.nnz / n_items if n_items else 0.0
+    denom = 1.0 + BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avg_len)
+    return icm.with_entries(values=idf[cols] * (BM25_K1 + 1.0) / denom[rows])
 
 
 def tfidf_feature_scores(icm: SparseMatrix) -> np.ndarray:
@@ -118,7 +114,7 @@ def randomized_svd(
     if not 1 <= rank <= min(n_rows, n_cols):
         raise RankTooLarge(f"rank {rank} outside [1, {min(n_rows, n_cols)}]")
     rng = np.random.default_rng(seed)
-    a = matrix.to_scipy()
+    a = matrix.csr
     l = min(rank + oversample, min(n_rows, n_cols))
     omega = rng.standard_normal((n_cols, l))
     q, _ = np.linalg.qr(a @ omega)
@@ -179,9 +175,8 @@ def rp3beta(
         damp = np.ones_like(pop)
         nz = pop > 0
         damp[nz] = pop[nz] ** (-beta)
-        m = s.to_scipy().tocoo()
-        m.data = m.data * damp[m.col]
-        s = SparseMatrix(m)
+        _, cols, values = s.entries()
+        s = s.with_entries(values=values * damp[cols])
     s = s.zero_diagonal().top_k_per_row(top_k)
     if normalize:
         s = s.row_normalize("l1")
@@ -215,7 +210,7 @@ def score_and_rank(
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     n_items = model.s.n_cols
-    sim = model.s.to_scipy()
+    sim = model.s.csr
     if candidate_items is None:
         candidates = np.arange(n_items, dtype=np.int64)
     else:
@@ -229,7 +224,7 @@ def score_and_rank(
     # column of each item among the candidates, -1 for the others
     position = np.full(n_items, -1, dtype=np.int64)
     position[candidates] = np.arange(n_cand)
-    profiles = user_profiles.to_scipy()
+    profiles = user_profiles.csr
     k = min(cutoff, n_cand)
     step = max(1, RANK_CHUNK_ENTRIES // n_cand)
     ranked: list[np.ndarray] = []

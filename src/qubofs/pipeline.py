@@ -25,7 +25,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -218,31 +218,34 @@ def fit_collaborative(kind: str, urm: SparseMatrix, params: dict, seed: int) -> 
 
 
 def fit_cbf(icm: SparseMatrix, params: dict) -> SimilarityModel:
-    weighted = apply_feature_weighting(icm, params.get("weighting", "none"))
-    return cosine_knn(
-        weighted,
+    weighting = params.get("weighting", "none")
+    model = cosine_knn(
+        apply_feature_weighting(icm, weighting),
         top_k=int(params["topK"]),
         shrink=float(params["shrink"]),
         normalize=bool(params["normalize"]),
         kind=ModelKind.ITEM_KNN_CBF,
     )
+    return replace(model, hyperparams={**model.hyperparams, "weighting": weighting})
 
 
 def save_model(model: SimilarityModel, model_dir: Path, **extra) -> None:
     """similarity.coo plus a model.json sidecar holding the kind, the model's
-    hyperparameters and ``extra``."""
+    hyperparameters, their names as ``hyperparam_names``, and ``extra``."""
     model.s.save_coo(model_dir / "similarity.coo")
-    write_json(model_dir / "model.json", {"kind": model.kind.value, **model.hyperparams, **extra})
+    write_json(model_dir / "model.json", {
+        "kind": model.kind.value, **model.hyperparams,
+        "hyperparam_names": sorted(model.hyperparams), **extra,
+    })
 
 
-def load_model(model_dir: Path, params: dict | None = None) -> SimilarityModel:
-    """The model ``save_model`` stored; its hyperparameters are ``params``, or
-    else the sidecar's entries named in ``hyperparam_names``."""
+def load_model(model_dir: Path) -> SimilarityModel:
+    """The model ``save_model`` stored."""
     meta = read_json(model_dir / "model.json")
-    if params is None:
-        params = {k: meta[k] for k in meta["hyperparam_names"]}
     return SimilarityModel(
-        SparseMatrix.load_coo(model_dir / "similarity.coo"), ModelKind(meta["kind"]), params
+        SparseMatrix.load_coo(model_dir / "similarity.coo"),
+        ModelKind(meta["kind"]),
+        {k: meta[k] for k in meta["hyperparam_names"]},
     )
 
 
@@ -348,7 +351,7 @@ class Pipeline:
     def ensure_cf_model(self) -> SimilarityModel:
         return self._stage("cf_model")
 
-    def ensure_cbf_all(self) -> tuple[dict, SimilarityModel]:
+    def ensure_cbf_all(self) -> SimilarityModel:
         return self._stage("cbf_all")
 
     def ensure_qubos(self) -> list[dict]:
@@ -503,13 +506,7 @@ class Pipeline:
         )
         model = fit_collaborative(kind, holdout.train, best, fit_seed)
         cf_dir = self.out / "cf_model"
-        save_model(
-            model,
-            cf_dir,
-            hyperparam_names=sorted(best),
-            validation_precision=best_score,
-            seed=fit_seed,
-        )
+        save_model(model, cf_dir, validation_precision=best_score, seed=fit_seed)
         atomic_write_text(cf_dir / "search.tsv", self._search_tsv(cases))
         return model
 
@@ -522,20 +519,13 @@ class Pipeline:
 
     # -- stage: all-features content model ----------------------------------
 
-    def _build_cbf_all(self) -> tuple[dict, SimilarityModel]:
+    def _build_cbf_all(self) -> SimilarityModel:
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
         params, _, _ = self._search_cbf(ds.icm, cold)
         model = fit_cbf(ds.icm, params)
-        save_model(
-            model, self.out / "cbf_all",
-            hyperparam_names=sorted(params), weighting=params.get("weighting", "none"),
-        )
-        return params, model
-
-    def _load_cbf_all(self) -> tuple[dict, SimilarityModel]:
-        model = load_model(self.out / "cbf_all")
-        return model.hyperparams, model
+        save_model(model, self.out / "cbf_all")
+        return model
 
     def _search_cbf(
         self, icm: SparseMatrix, cold: ColdSplit, workers: int | None = None
@@ -566,7 +556,7 @@ class Pipeline:
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
         cf_model = self.ensure_cf_model()
-        cbf_params, _ = self.ensure_cbf_all()
+        cbf_params = self.ensure_cbf_all().hyperparams
         warm = cold.warm_items()
         icm_warm = ds.icm.submatrix(rows=warm)
         cf_warm = cf_model.s.submatrix(rows=warm, cols=warm)
@@ -720,21 +710,15 @@ class Pipeline:
             self.out / "final",
             grid_index=winner["grid_index"],
             n_selected=winner["n_selected"],
-            hyperparam_names=sorted(winner["cbf_params"]),
         )
         return final_model
-
-    def _load_final(self) -> SimilarityModel:
-        # the sidecar names the winner's search parameters but stores only
-        # those of the fitted model (no weighting), so take them from the winner
-        return load_model(self.out / "final", self._winner()["cbf_params"])
 
     def _build_reports(self) -> dict:
         final_model = self.ensure_final()
         winner = self._winner()
         rows = self.ensure_grid_scores()
         cold, _ = self.ensure_splits()
-        _, baseline_model = self.ensure_cbf_all()
+        baseline_model = self.ensure_cbf_all()
 
         # retrain on train + validation, report on the cold test items
         union_profiles = cold.train + cold.validation
@@ -813,7 +797,7 @@ STAGES = {
     "cf_model": (("cf_model/similarity.coo", "cf_model/model.json", "cf_model/search.tsv"),
                  Pipeline._build_cf_model, lambda p: load_model(p.out / "cf_model")),
     "cbf_all": (("cbf_all/similarity.coo", "cbf_all/model.json"),
-                Pipeline._build_cbf_all, Pipeline._load_cbf_all),
+                Pipeline._build_cbf_all, lambda p: load_model(p.out / "cbf_all")),
     "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
                "qubo/grid_{i:03d}/qubo.json", "qubo/grid_{i:03d}/params.json"),
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
@@ -824,7 +808,7 @@ STAGES = {
                     Pipeline._build_grid_scores,
                     lambda p, i: read_json(p._point_files("grid_scores", i)[0])),
     "final": (("final/similarity.coo", "final/model.json"),
-              Pipeline._build_final, Pipeline._load_final),
+              Pipeline._build_final, lambda p: load_model(p.out / "final")),
     "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",
                  "reports/feature_stats.tsv"),
                 Pipeline._build_reports, lambda p: read_json(p.out / "reports" / "report.json")),

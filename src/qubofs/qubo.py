@@ -34,9 +34,9 @@ class PenalizationMatrices:
     def __post_init__(self):
         if self.keep.shape != self.eliminate.shape:
             raise DimensionMismatch("keep/eliminate shape mismatch")
-        if self.keep.nnz and not np.all(self.keep.to_scipy().data == -1.0):
+        if self.keep.nnz and not np.all(self.keep.csr.data == -1.0):
             raise ValueError("keep matrix values must all be -1")
-        if self.eliminate.nnz and not np.all(self.eliminate.to_scipy().data == 1.0):
+        if self.eliminate.nnz and not np.all(self.eliminate.csr.data == 1.0):
             raise ValueError("eliminate matrix values must all be +1")
 
 
@@ -108,8 +108,8 @@ def build_penalization(
         raise DimensionMismatch(
             f"similarity shapes differ: {cf.shape} vs {cbf.shape}"
         )
-    both = SparseMatrix(cf.to_scipy().multiply(cbf.to_scipy()))
-    cbf_only = SparseMatrix(cbf.to_scipy() - both.to_scipy())
+    both = SparseMatrix(cf.csr.multiply(cbf.csr))
+    cbf_only = SparseMatrix(cbf.csr - both.csr)
     return PenalizationMatrices(keep=both.scale(-1.0), eliminate=cbf_only)
 
 

@@ -246,6 +246,20 @@ class TestPipeline:
         assert selection["solver"] == "sa"
         assert sum(selection["x"]) == 8
 
+    @pytest.mark.parametrize("kind", ["item_knn_cf", "pure_svd"])
+    def test_loaded_models_equal_built_ones(self, tmp_path, kind):
+        """A resumed run sees the models a fresh run built: the same
+        similarity, kind and hyperparameters."""
+        out = tmp_path / "run"
+        run = Pipeline(tiny_config(collaborative={"kind": kind, "n_cases": 2}), out)
+        built = {
+            "cf_model": run.ensure_cf_model(),
+            "cbf_all": run.ensure_cbf_all(),
+            "final": run.ensure_final(),
+        }
+        for name, model in built.items():
+            assert pipeline.load_model(out / name) == model, name
+
 
 class TestSelectionResume:
     POINTS = 8

@@ -185,7 +185,65 @@ class TestNoStoredZeros:
         b = random_sparse(rng, 8, 8)
         for result in (a @ b, a.transpose(), a.row_normalize("l2"), a + b):
             if result.nnz:
-                assert np.all(np.abs(result.to_scipy().data) >= ZERO_EPSILON)
+                assert np.all(np.abs(result.csr.data) >= ZERO_EPSILON)
+
+
+class TestImmutability:
+    def test_input_mutation_does_not_reach_the_matrix(self):
+        x = sp.csr_array(np.array([[1.0, 0.0], [2.0, 3.0]]))
+        m = SparseMatrix(x)
+        x.data[:] = 9.0
+        assert np.array_equal(m.to_dense(), [[1, 0], [2, 3]])
+
+    def test_sub_epsilon_input_left_untouched(self):
+        x = sp.csr_array(np.array([[1.0, 1e-15], [0.0, 2.0]]))
+        before = [a.copy() for a in (x.data, x.indices, x.indptr)]
+        m = SparseMatrix(x)
+        assert m.nnz == 2 and x.nnz == 3
+        for a, b in zip((x.data, x.indices, x.indptr), before):
+            assert np.array_equal(a, b)
+
+    def test_shared_arrays_are_read_only(self):
+        m = SparseMatrix.from_dense([[1.0, 2.0]])
+        for array in (m.csr.data, m.csr.indices, m.csr.indptr, m.entries()[2]):
+            with pytest.raises(ValueError):
+                array[0] = 5
+
+    def test_unhashable(self):
+        # __eq__ compares values, so identity hashing would break set semantics
+        with pytest.raises(TypeError):
+            hash(SparseMatrix.from_dense([[1.0]]))
+
+
+class TestEntries:
+    def test_canonical_order(self):
+        m = SparseMatrix.from_triplets(3, 3, [(2, 0, 4.0), (0, 2, 2.0), (0, 1, 1.0)])
+        rows, cols, values = m.entries()
+        assert rows.tolist() == [0, 0, 2] and cols.tolist() == [1, 2, 0]
+        assert values.tolist() == [1.0, 2.0, 4.0]
+        assert list(m.triplets()) == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 4.0)]
+
+    def test_with_entries_keeps_and_revalues(self):
+        m = SparseMatrix.from_dense([[1, 2, 0], [0, 3, 4]])
+        kept = m.with_entries(keep=np.array([True, False, False, True]))
+        assert np.array_equal(dense(kept), [[1, 0, 0], [0, 0, 4]])
+        values = np.array([5.0, 6.0, 7.0, 8.0])
+        revalued = m.with_entries(values=values)
+        values[:] = 0.0
+        assert np.array_equal(dense(revalued), [[5, 6, 0], [0, 7, 8]])
+        both = m.with_entries(keep=np.array([False, True, True, False]), values=-np.arange(4.0))
+        assert np.array_equal(dense(both), [[0, -1, 0], [0, -2, 0]])
+        assert m.with_entries() == m
+
+    def test_with_entries_is_canonical_again(self):
+        m = SparseMatrix.from_dense([[1, 2], [3, 0]])
+        assert m.with_entries(values=np.array([1e-15, 2.0, -1e-13])).entries()[2].tolist() == [2.0]
+        with pytest.raises(ValueError, match="non-finite"):
+            m.with_entries(values=np.array([np.inf, 1.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            m.with_entries(keep=np.array([True, False]))
+        with pytest.raises(DimensionMismatch):
+            m.with_entries(values=np.ones(4))
 
 
 class TestHelpers:
