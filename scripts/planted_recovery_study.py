@@ -21,14 +21,8 @@ from qubofs.data import cold_item_split, synth_planted, user_holdout_split
 from qubofs.metrics import accuracy_metrics
 from qubofs.models import ModelKind, cosine_knn, score_and_rank
 from qubofs.pipeline import baseline_random_selection, baseline_tfidf_selection
-from qubofs.qubo import (
-    FeatureSelectionConfig,
-    assemble_qubo,
-    build_fpm,
-    build_ipm,
-    build_penalization,
-)
-from qubofs.solvers import default_schedule, solve_sa
+from qubofs.qubo import assemble_qubo, build_fpm, build_ipm, build_penalization
+from qubofs.solvers import default_schedule, solve_sa_many
 
 
 def qubo_selection(ds, cold, p, seed):
@@ -48,12 +42,12 @@ def qubo_selection(ds, cold, p, seed):
     pm = build_penalization(cf.s.submatrix(rows=warm, cols=warm), cbf_warm.s)
     fpm = build_fpm(icm_warm, build_ipm(pm, alpha=1.0, beta=1.0))
     strength = 1.5 * float(np.abs(fpm.to_dense()).sum(axis=1).mean())
-    problem = assemble_qubo(fpm, FeatureSelectionConfig(1.0, 1.0, p, strength))
+    problem = assemble_qubo(fpm, p, strength)
     mags = np.abs(problem.q[problem.q != 0.0])
     schedule = default_schedule(
         problem.n, scale=float(mags.max()), cold_scale=float(mags.min())
     )
-    return set(solve_sa(problem, schedule, num_samples=100, seed=seed)[0].selected())
+    return set(solve_sa_many([problem], [schedule], 100, [seed])[0][0].selected())
 
 
 def cold_ndcg(ds, cold, selected, cutoff=10):

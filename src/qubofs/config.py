@@ -216,7 +216,7 @@ class QuboGridSpec:
     p: tuple = (0.4, 0.6, 0.8, 0.95)
 
     def __post_init__(self):
-        # the bounds of qubo.FeatureSelectionConfig
+        # every grid value, at load; assemble_qubo checks only one point's p and s
         for name in ("alpha", "beta", "s", "p"):
             values = getattr(self, name)
             _check(len(values) > 0, f"qubo.{name} grid is empty")

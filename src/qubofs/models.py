@@ -21,6 +21,9 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 # dense score entries one ranking chunk holds: 2**18 float64s are 2 MB
 RANK_CHUNK_ENTRIES = 1 << 18
+# randomized SVD: extra sampled directions beyond the rank, and power iterations
+SVD_OVERSAMPLE = 10
+SVD_POWER_ITERATIONS = 7
 
 
 class ModelKind(str, Enum):
@@ -78,14 +81,11 @@ def apply_feature_weighting(icm: SparseMatrix, scheme: str = "none") -> SparseMa
         return icm
     if scheme not in ("tfidf", "bm25"):
         raise ValueError(f"unknown weighting scheme {scheme!r}")
-    n_items = icm.n_rows
-    df = icm.col_nnz().astype(np.float64)
     rows, cols, _ = icm.entries()
     if scheme == "tfidf":
-        idf = np.zeros_like(df)
-        nz = df > 0
-        idf[nz] = np.log(n_items / df[nz])
-        return icm.with_entries(values=idf[cols])
+        return icm.with_entries(values=tfidf_feature_scores(icm)[cols])
+    n_items = icm.n_rows
+    df = icm.col_nnz().astype(np.float64)
     idf = np.log((n_items - df + 0.5) / (df + 0.5) + 1.0)
     lengths = icm.row_nnz().astype(np.float64)
     avg_len = icm.nnz / n_items if n_items else 0.0
@@ -103,11 +103,7 @@ def tfidf_feature_scores(icm: SparseMatrix) -> np.ndarray:
 
 
 def randomized_svd(
-    matrix: SparseMatrix,
-    rank: int,
-    seed: int,
-    oversample: int = 10,
-    power_iterations: int = 7,
+    matrix: SparseMatrix, rank: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded randomized subspace iteration for a truncated SVD."""
     n_rows, n_cols = matrix.shape
@@ -115,10 +111,10 @@ def randomized_svd(
         raise RankTooLarge(f"rank {rank} outside [1, {min(n_rows, n_cols)}]")
     rng = np.random.default_rng(seed)
     a = matrix.csr
-    l = min(rank + oversample, min(n_rows, n_cols))
+    l = min(rank + SVD_OVERSAMPLE, min(n_rows, n_cols))
     omega = rng.standard_normal((n_cols, l))
     q, _ = np.linalg.qr(a @ omega)
-    for _ in range(power_iterations):
+    for _ in range(SVD_POWER_ITERATIONS):
         z, _ = np.linalg.qr(a.T @ q)
         q, _ = np.linalg.qr(a @ z)
     b = q.T @ a
@@ -147,8 +143,8 @@ def pure_svd(urm: SparseMatrix, num_factors: int, seed: int = 0) -> SimilarityMo
 def bipartite_walk_similarity(urm: SparseMatrix, alpha: float) -> SparseMatrix:
     """Item-to-item transition probabilities through users, each leg L1-row-
     normalized and raised elementwise to alpha before the product."""
-    p_ui = urm.row_normalize("l1").power(alpha)
-    p_iu = urm.transpose().row_normalize("l1").power(alpha)
+    p_ui = urm.row_normalize().power(alpha)
+    p_iu = urm.transpose().row_normalize().power(alpha)
     return p_iu @ p_ui
 
 
@@ -179,7 +175,7 @@ def rp3beta(
         s = s.with_entries(values=values * damp[cols])
     s = s.zero_diagonal().top_k_per_row(top_k)
     if normalize:
-        s = s.row_normalize("l1")
+        s = s.row_normalize()
     return SimilarityModel(
         s,
         ModelKind.RP3_BETA,
@@ -191,10 +187,10 @@ def score_and_rank(
     model: SimilarityModel,
     user_profiles: SparseMatrix,
     cutoff: int,
-    exclude_seen: bool = True,
     candidate_items: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Ranked item lists per user from profile-times-similarity scores.
+    """Ranked item lists per user from profile-times-similarity scores,
+    without the items each user has already seen.
 
     Ties break toward the smaller item index, which also serves as the
     deterministic fallback for users whose scores are all zero. Repeated
@@ -231,14 +227,12 @@ def score_and_rank(
     for lo in range(0, n_users, step):
         chunk = profiles[lo:lo + step]
         scores = _chunk_scores(chunk, sim)
-        lengths = np.full(chunk.shape[0], k)
-        if exclude_seen:
-            rows = np.repeat(np.arange(chunk.shape[0]), np.diff(chunk.indptr))
-            cols = position[chunk.indices]
-            seen = (chunk.data > 0) & (cols >= 0)
-            scores[rows[seen], cols[seen]] = -np.inf
-            unseen = n_cand - np.bincount(rows[seen], minlength=chunk.shape[0])
-            lengths = np.minimum(lengths, unseen)
+        rows = np.repeat(np.arange(chunk.shape[0]), np.diff(chunk.indptr))
+        cols = position[chunk.indices]
+        seen = (chunk.data > 0) & (cols >= 0)
+        scores[rows[seen], cols[seen]] = -np.inf
+        unseen = n_cand - np.bincount(rows[seen], minlength=chunk.shape[0])
+        lengths = np.minimum(k, unseen)
         items = candidates[_top_k(scores, k)]
         ranked.extend(row[:length] for row, length in zip(items, lengths.tolist()))
     return ranked

@@ -61,7 +61,6 @@ from .models import (
     tfidf_feature_scores,
 )
 from .qubo import (
-    FeatureSelectionConfig,
     QuboProblem,
     assemble_qubo,
     build_fpm,
@@ -182,11 +181,10 @@ def feature_selection_stats(
     return rows
 
 
-def stats_tsv(rows: list[tuple[int, int, float]], labels: Sequence[str] | None = None) -> str:
+def stats_tsv(rows: list[tuple[int, int, float]], labels: Sequence[str]) -> str:
     lines = ["feature\tlabel\ttimes_selected\tshare"]
     for f, count, share in rows:
-        label = labels[f] if labels is not None else ""
-        lines.append(f"{f}\t{label}\t{count}\t{share:.17g}")
+        lines.append(f"{f}\t{labels[f]}\t{count}\t{share:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -527,9 +525,7 @@ class Pipeline:
         save_model(model, self.out / "cbf_all")
         return model
 
-    def _search_cbf(
-        self, icm: SparseMatrix, cold: ColdSplit, workers: int | None = None
-    ) -> tuple[dict, float, list]:
+    def _search_cbf(self, icm: SparseMatrix, cold: ColdSplit) -> tuple[dict, float, list]:
         """Shared content-model search; the seed is the same for every feature
         subset so all selections see an identical case sequence."""
         candidates = np.array(sorted(cold.cold_validation_items), dtype=np.int64)
@@ -546,7 +542,7 @@ class Pipeline:
             self.cfg.final_cbf.n_cases,
             objective,
             seed=derive_seed(self.cfg.seed, "cbf-search"),
-            workers=self.cfg.workers if workers is None else workers,
+            workers=self.cfg.workers,
         )
 
     # -- stage: QUBO grid ----------------------------------------------------
@@ -573,16 +569,8 @@ class Pipeline:
             if key not in fpm_cache:
                 ipm = build_ipm(pm, point["alpha"], point["beta"])
                 fpm_cache[key] = build_fpm(icm_warm, ipm)
-            problem = assemble_qubo(
-                fpm_cache[key],
-                FeatureSelectionConfig(
-                    alpha=point["alpha"], beta=point["beta"],
-                    p=point["p"], s=point["s"],
-                ),
-            )
-            qubo_path, meta_path, params_path = self._point_files("qubos", index)
-            save_qubo(problem, qubo_path, meta_path)
-            write_json(params_path, point)
+            problem = assemble_qubo(fpm_cache[key], point["p"], point["s"])
+            save_qubo(problem, *self._point_files("qubos", index))
             points[index] = point
 
     # -- stage: selection ------------------------------------------------------
@@ -602,7 +590,7 @@ class Pipeline:
         for index, point in enumerate(points):
             if results[index] is not None:
                 continue
-            problem = load_qubo(*self._point_files("qubos", index)[:2])
+            problem = load_qubo(*self._point_files("qubos", index))
             if point["s"] == 0.0 and np.all(problem.q <= 0.0):
                 # every coefficient pushes toward inclusion; all-ones is optimal
                 x = np.ones(problem.n, dtype=np.int8)
@@ -650,24 +638,21 @@ class Pipeline:
                 f"beta_end={beta_end:g}): {exc}"
             ) from exc
 
-    # -- stage: per-selection content models and the winner ---------------------
+    # -- stage: per-selection content models -------------------------------------
 
     def _build_grid_scores(self, rows: list[dict | None]) -> None:
-        """Score every grid point that is None, then pick the winner of all."""
+        """Score every grid point that is None by the content-model search on
+        its selected features."""
         points = self.ensure_qubos()
         selections = self.ensure_selections()
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
-        parallel = self.cfg.workers > 1
-
-        def build_row(index: int) -> dict:
+        for index, row in enumerate(rows):
+            if row is not None:
+                continue
             selection = selections[index]
             mask = selection.x.astype(bool)
-            icm_selected = ds.icm.mask_cols(mask)
-            # grid points already run in parallel; keep the inner search flat
-            params, score, _ = self._search_cbf(
-                icm_selected, cold, workers=1 if parallel else None
-            )
+            params, score, _ = self._search_cbf(ds.icm.mask_cols(mask), cold)
             row = {
                 "grid_index": index,
                 "params": points[index],
@@ -678,26 +663,16 @@ class Pipeline:
                 "solver": selection.solver,
             }
             write_json(self._point_files("grid_scores", index)[0], row)
-            return row
-
-        missing = [i for i, row in enumerate(rows) if row is None]
-        if parallel:
-            with ThreadPoolExecutor(max_workers=self.cfg.workers) as pool:
-                built = list(pool.map(build_row, missing))
-        else:
-            built = [build_row(i) for i in missing]
-        for index, row in zip(missing, built):
             rows[index] = row
-        winner_idx = max(
-            range(len(rows)), key=lambda i: (rows[i]["validation_score"], -i)
-        )
-        write_json(self.out / "cbf_sel" / "winner.json", {"grid_index": winner_idx})
 
     # -- stage: final model and reports -------------------------------------------
 
     def _winner(self) -> dict:
+        """The grid point with the best validation score; ties go to the
+        smaller grid index."""
         rows = self.ensure_grid_scores()
-        return rows[read_json(self.out / "cbf_sel" / "winner.json")["grid_index"]]
+        best = max(range(len(rows)), key=lambda i: (rows[i]["validation_score"], -i))
+        return rows[best]
 
     def _build_final(self) -> SimilarityModel:
         winner = self._winner()
@@ -799,12 +774,12 @@ STAGES = {
     "cbf_all": (("cbf_all/similarity.coo", "cbf_all/model.json"),
                 Pipeline._build_cbf_all, lambda p: load_model(p.out / "cbf_all")),
     "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
-               "qubo/grid_{i:03d}/qubo.json", "qubo/grid_{i:03d}/params.json"),
+               "qubo/grid_{i:03d}/qubo.json"),
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
     "selections": (("selections/grid_{i:03d}/selection.json",),
                    Pipeline._build_selections,
                    lambda p, i: load_selection(p._point_files("selections", i)[0])),
-    "grid_scores": (("cbf_sel/grid_{i:03d}/result.json", "cbf_sel/winner.json"),
+    "grid_scores": (("cbf_sel/grid_{i:03d}/result.json",),
                     Pipeline._build_grid_scores,
                     lambda p, i: read_json(p._point_files("grid_scores", i)[0])),
     "final": (("final/similarity.coo", "final/model.json"),
@@ -813,7 +788,3 @@ STAGES = {
                  "reports/feature_stats.tsv"),
                 Pipeline._build_reports, lambda p: read_json(p.out / "reports" / "report.json")),
 }
-
-
-def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineRun:
-    return Pipeline(cfg, out_dir).run()

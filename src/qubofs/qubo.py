@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fileio import read_json, write_json
-from .models import SimilarityModel
-from .sparse import SparseMatrix, ZERO_EPSILON
+from .sparse import SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -62,39 +61,14 @@ class QuboProblem:
         return self.q.shape[0]
 
 
-@dataclass(frozen=True)
-class FeatureSelectionConfig:
-    """Weights of the keep/eliminate components, the target selection fraction
-    p and the strength s of the count penalty."""
-
-    alpha: float = 1.0
-    beta: float = 0.0
-    p: float = 1.0
-    s: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if not 0 < self.p <= 1:
-            raise ValueError("p must be in (0, 1]")
-        if self.s < 0:
-            raise ValueError("s must be >= 0")
-
-
-def _positive_support(s: SimilarityModel | SparseMatrix) -> SparseMatrix:
+def _positive_support(m: SparseMatrix) -> SparseMatrix:
     """Symmetrized pattern of strictly positive similarities."""
-    m = s.s if isinstance(s, SimilarityModel) else s
-    pattern = m.binarize(ZERO_EPSILON)
+    pattern = m.binarize()
     both = pattern + pattern.transpose()
-    return both.binarize(ZERO_EPSILON).zero_diagonal()
+    return both.binarize().zero_diagonal()
 
 
-def build_penalization(
-    s_cf: SimilarityModel | SparseMatrix,
-    s_cbf: SimilarityModel | SparseMatrix,
-) -> PenalizationMatrices:
+def build_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> PenalizationMatrices:
     """Classify item pairs by similarity agreement.
 
     Pairs positive in both similarities get -1 (keep); pairs positive only in
@@ -144,14 +118,17 @@ def combination_penalty(n: int, k_target: float, s: float) -> QuboProblem:
     return QuboProblem(q=q, offset=s * k_target**2)
 
 
-def assemble_qubo(fpm: SparseMatrix, cfg: FeatureSelectionConfig) -> QuboProblem:
-    """Symmetrized feature penalization plus the selection-count penalty."""
+def assemble_qubo(fpm: SparseMatrix, p: float, s: float) -> QuboProblem:
+    """Symmetrized feature penalization plus the count penalty of strength s
+    toward selecting the fraction p of the features."""
     if fpm.n_rows != fpm.n_cols:
         raise DimensionMismatch("feature penalization matrix must be square")
+    if not 0 < p <= 1:
+        raise ValueError("p must be in (0, 1]")
     n = fpm.n_rows
     dense = fpm.to_dense()
     sym = (dense + dense.T) / 2.0
-    penalty = combination_penalty(n, cfg.p * n, cfg.s)
+    penalty = combination_penalty(n, p * n, s)
     return QuboProblem(q=sym + penalty.q, offset=penalty.offset)
 
 

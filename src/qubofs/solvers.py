@@ -24,7 +24,6 @@ from .fileio import read_json, write_json
 from .qubo import QuboProblem
 
 EXHAUSTIVE_MAX_VARIABLES = 25
-DEFAULT_NUM_SAMPLES = 100
 
 # sweep-block sizing for pre-generated randomness, entries per restart; it
 # fixes the order in which every restart consumes its stream
@@ -160,31 +159,18 @@ def default_schedule(n: int, scale: float = 1.0, cold_scale: float | None = None
     )
 
 
-def _sample_streams(seed: int, num_samples: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(num_samples)]
-
-
-def solve_sa(
-    problem: QuboProblem,
-    schedule: AnnealSchedule,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    seed: int = 0,
-) -> list[SelectionResult]:
-    """Single-flip Metropolis annealing; returns one result per restart,
-    best energy first. Deterministic for fixed (problem, schedule, samples, seed)."""
-    return solve_sa_many([problem], [schedule], num_samples, [seed])[0]
-
-
 def solve_sa_many(
     problems: Sequence[QuboProblem],
     schedules: Sequence[AnnealSchedule],
     num_samples: int,
     seeds: Sequence[int],
 ) -> list[list[SelectionResult]]:
-    """Anneal problems of one size and sweep count in one lockstep run; for
-    each problem p, returns what ``solve_sa(problems[p], schedules[p],
-    num_samples, seeds[p])`` returns, except that every result records the
-    wall time of the whole run.
+    """Single-flip Metropolis annealing of problems of one size and sweep
+    count in one lockstep run, ``num_samples`` restarts each. For each problem
+    p, returns one result per restart, best energy first; every result
+    records the wall time of the whole run. A problem's results depend only
+    on (problems[p], schedules[p], num_samples, seeds[p]), not on the other
+    problems of the run.
 
     Row ``p * num_samples + s`` is restart s of problem p: it reads problem p's
     coefficients, follows schedule p's ramp and draws from stream s of
@@ -206,7 +192,8 @@ def solve_sa_many(
         raise ValueError("schedules annealed together must share the sweep count")
     started = time.monotonic()
     n_rows = len(problems) * num_samples
-    streams = [g for seed in seeds for g in _sample_streams(seed, num_samples)]
+    streams = [np.random.default_rng(s) for seed in seeds
+               for s in np.random.SeedSequence(seed).spawn(num_samples)]
     # variable f of problem p is row p * n + f of the stacked coefficients
     q_stack = np.concatenate([p.q for p in problems])
     diag = np.concatenate([np.diagonal(p.q) for p in problems])

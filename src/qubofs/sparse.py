@@ -180,17 +180,11 @@ class SparseMatrix:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
         return SparseMatrix._own(self._m + other._m)
 
-    def row_normalize(self, norm: str = "l1") -> "SparseMatrix":
-        """Divide each nonzero row by its L1 or L2 norm; zero rows unchanged."""
-        if norm not in ("l1", "l2"):
-            raise ValueError(f"unknown norm {norm!r}")
+    def row_normalize(self) -> "SparseMatrix":
+        """Divide each nonzero row by its L1 norm; zero rows unchanged."""
         rows, _, values = self.entries()
         norms = np.zeros(self.n_rows)
-        if norm == "l1":
-            np.add.at(norms, rows, np.abs(values))
-        else:
-            np.add.at(norms, rows, values**2)
-            norms = np.sqrt(norms)
+        np.add.at(norms, rows, np.abs(values))
         scale = np.ones(self.n_rows)
         nz = norms > 0.0
         scale[nz] = 1.0 / norms[nz]
@@ -237,9 +231,9 @@ class SparseMatrix:
             raise DimensionMismatch("column mask length mismatch")
         return self.with_entries(keep=keep[self._m.indices])
 
-    def binarize(self, threshold: float = ZERO_EPSILON) -> "SparseMatrix":
-        """Pattern matrix: 1.0 where value > threshold, else dropped."""
-        return self.with_entries(keep=self._m.data > threshold, values=np.ones(self.nnz))
+    def binarize(self) -> "SparseMatrix":
+        """Pattern matrix: 1.0 where value > ``ZERO_EPSILON``, else dropped."""
+        return self.with_entries(keep=self._m.data > ZERO_EPSILON, values=np.ones(self.nnz))
 
     # ------------------------------------------------------------------
     # comparison

@@ -18,8 +18,8 @@ from qubofs.data import cold_item_split, synth_planted
 from qubofs.metrics import accuracy_metrics, mean_inter_list
 from qubofs.models import ModelKind, SimilarityModel, cosine_knn, randomized_svd, rp3beta, score_and_rank
 from qubofs.pipeline import baseline_random_selection
-from qubofs.qubo import FeatureSelectionConfig, assemble_qubo, build_fpm
-from qubofs.solvers import default_schedule, energy, solve_exhaustive, solve_sa
+from qubofs.qubo import assemble_qubo, build_fpm
+from qubofs.solvers import default_schedule, energy, solve_exhaustive, solve_sa_many
 from qubofs.sparse import SparseMatrix
 
 
@@ -36,18 +36,15 @@ def test_qubo_algebra_energy_identity():
         n = int(rng.integers(2, 13))
         fpm_dense = rng.integers(-3, 4, size=(n, n)).astype(np.float64)
         fpm = SparseMatrix.from_dense(fpm_dense)
-        cfg = FeatureSelectionConfig(
-            alpha=1.0,
-            beta=float(rng.uniform(0.0001, 1.0)),
-            p=float(rng.uniform(0.05, 1.0)),
-            s=float(rng.uniform(0.0, 1e4)),
-        )
-        problem = assemble_qubo(fpm, cfg)
+        rng.uniform(0.0001, 1.0)  # beta: assemble_qubo takes none, drawn to keep the instances
+        p = float(rng.uniform(0.05, 1.0))
+        s = float(rng.uniform(0.0, 1e4))
+        problem = assemble_qubo(fpm, p, s)
         x = all_assignments(n)
         energies = np.einsum("bi,bi->b", x @ problem.q, x) + problem.offset
         direct = (
             np.einsum("bi,bi->b", x @ fpm_dense, x)
-            + cfg.s * (x.sum(axis=1) - cfg.p * n) ** 2
+            + s * (x.sum(axis=1) - p * n) ** 2
         )
         worst = max(worst, float(np.abs(energies - direct).max()))
         assert worst <= 1e-9
@@ -92,9 +89,7 @@ def test_sa_reaches_exhaustive_optimum():
 
         problem = QuboProblem(q=q)
         exact = solve_exhaustive(problem)
-        results = solve_sa(
-            problem, default_schedule(n), num_samples=100, seed=trial
-        )
+        results = solve_sa_many([problem], [default_schedule(n)], 100, [trial])[0]
         best = results[0].energy
         assert best >= exact.energy - 1e-9  # the oracle lower-bounds the annealer
         if best <= exact.energy + 1e-9:
@@ -115,12 +110,10 @@ def test_cardinality_control():
         fpm_dense = (fpm_dense + fpm_dense.T) / 2.0
         fpm = SparseMatrix.from_dense(fpm_dense)
         target = int(rng.integers(1, n + 1))
-        cfg = FeatureSelectionConfig(
-            p=target / n,
-            s=2.0 * float(np.abs(fpm.to_dense()).sum()) + 1.0,
-        )
-        result = solve_exhaustive(assemble_qubo(fpm, cfg))
-        assert int(result.x.sum()) == round(cfg.p * n)
+        p = target / n
+        s = 2.0 * float(np.abs(fpm.to_dense()).sum()) + 1.0
+        result = solve_exhaustive(assemble_qubo(fpm, p, s))
+        assert int(result.x.sum()) == round(p * n)
     elapsed = time.monotonic() - started
     print(f"\nPASS cardinality-control: 100/100 exact counts, {elapsed:.1f}s")
 
@@ -228,7 +221,7 @@ def test_model_oracles():
     sim = SimilarityModel(SparseMatrix.from_dense(s_dense), ModelKind.ITEM_KNN_CF, {})
     profiles_dense = (rng.random((10, 15)) < 0.3).astype(float)
     ranked = score_and_rank(
-        sim, SparseMatrix.from_dense(profiles_dense), cutoff=5, exclude_seen=True
+        sim, SparseMatrix.from_dense(profiles_dense), cutoff=5
     )
     scores = profiles_dense @ s_dense
     for u in range(10):

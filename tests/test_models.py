@@ -24,8 +24,7 @@ from qubofs.pipeline import baseline_tfidf_selection
 from qubofs.sparse import SparseMatrix
 
 
-def reference_score_and_rank(model, user_profiles, cutoff, exclude_seen=True,
-                             candidate_items=None):
+def reference_score_and_rank(model, user_profiles, cutoff, candidate_items=None):
     """The per-user ranking loop the chunked one replaced: the oracle for its
     lists, ties and zero rule. It scores through the canonical sparse product,
     densifies all users at once and lexsorts each user's candidates."""
@@ -41,9 +40,7 @@ def reference_score_and_rank(model, user_profiles, cutoff, exclude_seen=True,
         candidates = np.asarray(sorted(int(i) for i in candidate_items), dtype=np.int64)
     ranked = []
     for u in range(user_profiles.n_rows):
-        cand = candidates
-        if exclude_seen:
-            cand = cand[~seen[u, cand]]
+        cand = candidates[~seen[u, candidates]]
         s_u = scores[u, cand]
         order = np.lexsort((cand, -s_u))
         ranked.append(cand[order[:cutoff]])
@@ -295,13 +292,13 @@ class TestScoreAndRank:
         ranked = score_and_rank(model, profiles, cutoff=1)
         assert list(ranked[0]) == [1]
 
-    def test_exclude_seen_exhausts_catalog(self):
+    def test_seen_items_exhaust_catalog(self):
         from qubofs.models import SimilarityModel
 
         s = SparseMatrix.from_dense([[0, 1], [1, 0]])
         model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
         profiles = SparseMatrix.from_dense([[1, 1]])
-        ranked = score_and_rank(model, profiles, cutoff=1, exclude_seen=True)
+        ranked = score_and_rank(model, profiles, cutoff=1)
         assert len(ranked[0]) == 0
 
     def test_matches_dense_oracle(self):
@@ -313,7 +310,7 @@ class TestScoreAndRank:
         model = SimilarityModel(SparseMatrix.from_dense(s_dense), ModelKind.ITEM_KNN_CF, {})
         profiles_dense = (rng.random((6, 10)) < 0.3).astype(float)
         profiles = SparseMatrix.from_dense(profiles_dense)
-        ranked = score_and_rank(model, profiles, cutoff=4, exclude_seen=True)
+        ranked = score_and_rank(model, profiles, cutoff=4)
         scores = profiles_dense @ s_dense
         for u in range(6):
             cand = np.flatnonzero(profiles_dense[u] == 0)
@@ -357,12 +354,11 @@ class TestScoreAndRank:
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["integer", "tiny", "pure_svd"]),
-        exclude_seen=st.booleans(),
         subset=st.booleans(),
         extra_cutoff=st.integers(0, 4),
         budget=st.integers(1, 30),
     )
-    def test_matches_reference(self, seed, kind, exclude_seen, subset, extra_cutoff, budget):
+    def test_matches_reference(self, seed, kind, subset, extra_cutoff, budget):
         """Same lists as the per-user loop, element for element, whatever the
         chunking; the cutoff may exceed the unseen candidates."""
         model, profiles, rng = tie_heavy_case(seed, kind)
@@ -371,9 +367,9 @@ class TestScoreAndRank:
         if subset:
             candidates = rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False)
         cutoff = int(rng.integers(1, n_items + 1)) + extra_cutoff
-        expected = reference_score_and_rank(model, profiles, cutoff, exclude_seen, candidates)
+        expected = reference_score_and_rank(model, profiles, cutoff, candidates)
         with mock.patch.object(models, "RANK_CHUNK_ENTRIES", budget):
-            ranked = score_and_rank(model, profiles, cutoff, exclude_seen, candidates)
+            ranked = score_and_rank(model, profiles, cutoff, candidates)
         assert len(ranked) == len(expected) == profiles.n_rows
         for got, want in zip(ranked, expected):
             assert got.dtype == want.dtype

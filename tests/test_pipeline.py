@@ -24,7 +24,6 @@ from qubofs.pipeline import (
     derive_seed,
     feature_selection_stats,
     random_search,
-    run_pipeline,
     stats_tsv,
 )
 from qubofs.solvers import SelectionResult
@@ -161,7 +160,7 @@ class TestDeriveSeed:
 
 class TestPipeline:
     def test_smoke_report_complete(self, tmp_path):
-        run_pipeline(tiny_config(), tmp_path / "run")
+        Pipeline(tiny_config(), tmp_path / "run").run()
         report = json.loads((tmp_path / "run/reports/report.json").read_text())
         for key in ("precision", "recall", "ndcg", "map", "item_coverage",
                     "gini_diversity", "mil"):
@@ -174,7 +173,7 @@ class TestPipeline:
         cfg = tiny_config(
             qubo={"alpha": [1.0], "beta": [0.0], "s": [0.0], "p": [1.0]},
         )
-        run_pipeline(cfg, tmp_path / "run")
+        Pipeline(cfg, tmp_path / "run").run()
         report = json.loads((tmp_path / "run/reports/report.json").read_text())
         selection = json.loads(
             (tmp_path / "run/selections/grid_000/selection.json").read_text()
@@ -189,8 +188,8 @@ class TestPipeline:
 
     def test_rerun_byte_identical_reports(self, tmp_path):
         cfg = tiny_config()
-        run_pipeline(cfg, tmp_path / "a")
-        run_pipeline(cfg, tmp_path / "b")
+        Pipeline(cfg, tmp_path / "a").run()
+        Pipeline(cfg, tmp_path / "b").run()
         for name in ("report.json", "report.tsv", "grid_validation.tsv",
                      "feature_stats.tsv"):
             assert (tmp_path / "a/reports" / name).read_bytes() == (
@@ -198,22 +197,28 @@ class TestPipeline:
             ).read_bytes(), name
 
     def test_worker_count_does_not_change_reports(self, tmp_path):
-        run_pipeline(tiny_config(workers=1), tmp_path / "a")
-        run_pipeline(tiny_config(workers=3), tmp_path / "b")
-        assert (tmp_path / "a/reports/report.json").read_bytes() == (
-            tmp_path / "b/reports/report.json"
-        ).read_bytes()
+        """Every artifact is the same but the solver's wall time."""
+        hashes = []
+        for workers, name in ((1, "a"), (3, "b")):
+            out = tmp_path / name
+            Pipeline(tiny_config(workers=workers), out).run()
+            for path in out.glob("selections/grid_*/selection.json"):
+                selection = json.loads(path.read_text())
+                del selection["wall_time_s"]
+                path.write_text(json.dumps(selection))
+            hashes.append(tree_hashes(out))
+        assert hashes[0] == hashes[1]
 
     def test_downstream_regeneration_leaves_upstream_alone(self, tmp_path):
         cfg = tiny_config()
         out = tmp_path / "run"
-        run_pipeline(cfg, out)
+        Pipeline(cfg, out).run()
         before = tree_hashes(out)
         # wipe the last two stages and re-run
         for name in ("reports/report.json", "reports/report.tsv",
                       "final/similarity.coo", "final/model.json"):
             (out / name).unlink()
-        run_pipeline(cfg, out)
+        Pipeline(cfg, out).run()
         after = tree_hashes(out)
         assert before == after
 
@@ -222,7 +227,7 @@ class TestPipeline:
         cfg = tiny_config(
             qubo={"alpha": [1.0], "beta": [0.001], "s": [1e7], "p": [0.5]},
         )
-        run_pipeline(cfg, tmp_path / "run")
+        Pipeline(cfg, tmp_path / "run").run()
         report = json.loads((tmp_path / "run/reports/report.json").read_text())
         n_features = 16
         expected = round(0.5 * n_features)
@@ -230,7 +235,7 @@ class TestPipeline:
 
     def test_config_mismatch_on_same_out_dir(self, tmp_path):
         out = tmp_path / "run"
-        run_pipeline(tiny_config(), out)
+        Pipeline(tiny_config(), out).run()
         with pytest.raises(ConfigInvalid):
             Pipeline(tiny_config(seed=8), out)
 
@@ -239,7 +244,7 @@ class TestPipeline:
             qubo={"alpha": [1.0], "beta": [0.001], "s": [1e6], "p": [0.5]},
             solver={"kind": "sa", "num_samples": 20},
         )
-        run_pipeline(cfg, tmp_path / "run")
+        Pipeline(cfg, tmp_path / "run").run()
         selection = json.loads(
             (tmp_path / "run/selections/grid_000/selection.json").read_text()
         )
@@ -338,14 +343,13 @@ class TestGridResume:
     @pytest.mark.parametrize("deleted, rebuilt, searches", [
         (("qubo/grid_000/qubo.coo", "qubo/grid_002/qubo.coo", "cbf_sel/grid_001/result.json"),
          ("qubo/grid_000/", "qubo/grid_002/", "qubo/keep.coo", "qubo/eliminate.coo",
-          "cbf_sel/grid_001/result.json", "cbf_sel/winner.json"), 1),
-        (("cbf_sel/winner.json",), ("cbf_sel/winner.json",), 0),
+          "cbf_sel/grid_001/result.json"), 1),
         (("qubo/keep.coo",), ("qubo/keep.coo", "qubo/eliminate.coo"), 0),
-    ], ids=["points", "winner", "keep"])
+    ], ids=["points", "keep"])
     def test_rebuilds_only_what_is_missing(self, tmp_path, monkeypatch, deleted, rebuilt, searches):
         cfg = tiny_config(qubo={"alpha": [1.0], "beta": [0.001], "s": [100.0], "p": [0.25, 0.5, 0.75]})
         out = tmp_path / "run"
-        run_pipeline(cfg, out)
+        Pipeline(cfg, out).run()
         before = tree_hashes(out)
         inodes = {name: os.stat(out / name).st_ino for name in before}
         for name in deleted:
@@ -459,7 +463,7 @@ class TestSigkilledRunResumes:
     @pytest.fixture(scope="class")
     def reference_reports(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("reference")
-        run_pipeline(tiny_config(), out)
+        Pipeline(tiny_config(), out).run()
         return {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
 
     @pytest.mark.parametrize("trigger", ["qubo/keep.coo", "selections/grid_000/selection.json"])
@@ -484,7 +488,7 @@ class TestSigkilledRunResumes:
         assert proc.returncode == -signal.SIGKILL  # killed, not finished
         assert (out / trigger).exists()
 
-        run_pipeline(cfg, out)
+        Pipeline(cfg, out).run()
         assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reference_reports
         assert not list(out.rglob("*.tmp"))
 
@@ -495,7 +499,7 @@ class TestLazyResume:
         resolving what those stages were built from."""
         cfg = tiny_config()
         out = tmp_path / "run"
-        fresh = run_pipeline(cfg, out)
+        fresh = Pipeline(cfg, out).run()
         reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
         shutil.rmtree(out / "reports")
         (out / "manifest.json").unlink()
@@ -508,7 +512,7 @@ class TestLazyResume:
             return load_coo(cls, path)
 
         monkeypatch.setattr(SparseMatrix, "load_coo", classmethod(recording_load_coo))
-        resumed = run_pipeline(cfg, out)
+        resumed = Pipeline(cfg, out).run()
         assert loaded and not {"cf_model", "qubo"} & set(loaded)
         assert set(resumed.timings) == set(fresh.timings) - {"cf_model"}
         assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch
 from qubofs.qubo import (
-    FeatureSelectionConfig,
     PenalizationMatrices,
     QuboProblem,
     assemble_qubo,
@@ -185,22 +184,20 @@ class TestCombinationPenalty:
 class TestAssemble:
     def test_zero_strength_is_pure_fpm(self):
         fpm = SparseMatrix.from_dense([[0, -1], [-1, -2]])
-        problem = assemble_qubo(fpm, FeatureSelectionConfig(p=0.5, s=0.0))
+        problem = assemble_qubo(fpm, 0.5, 0.0)
         assert np.array_equal(problem.q, fpm.to_dense())
         assert problem.offset == 0.0
 
     def test_zero_fpm_is_pure_penalty(self):
         fpm = SparseMatrix.from_triplets(3, 3, [])
-        cfg = FeatureSelectionConfig(p=2 / 3, s=5.0)
-        problem = assemble_qubo(fpm, cfg)
+        problem = assemble_qubo(fpm, 2 / 3, 5.0)
         penalty = combination_penalty(3, 2.0, 5.0)
         assert np.allclose(problem.q, penalty.q)
         assert problem.offset == penalty.offset
 
     def test_exhaustive_four_assignments(self):
         fpm = SparseMatrix.from_dense([[0, -1], [-1, -2]])
-        cfg = FeatureSelectionConfig(p=0.5, s=10.0)
-        problem = assemble_qubo(fpm, cfg)
+        problem = assemble_qubo(fpm, 0.5, 10.0)
         dense_fpm = fpm.to_dense()
         for bits in itertools.product([0, 1], repeat=2):
             x = np.array(bits, dtype=float)
@@ -213,17 +210,14 @@ class TestAssemble:
         rng = np.random.default_rng(seed)
         fpm_dense = rng.integers(-3, 4, size=(n_features, n_features)).astype(float)
         fpm = SparseMatrix.from_dense(fpm_dense)
-        cfg = FeatureSelectionConfig(
-            alpha=1.0,
-            beta=float(rng.uniform(0, 1)),
-            p=float(rng.uniform(0.1, 1.0)),
-            s=float(rng.uniform(0, 20)),
-        )
-        problem = assemble_qubo(fpm, cfg)
-        k_target = cfg.p * n_features
+        rng.uniform(0, 1)  # beta: assemble_qubo takes none, drawn to keep the instances
+        p = float(rng.uniform(0.1, 1.0))
+        s = float(rng.uniform(0, 20))
+        problem = assemble_qubo(fpm, p, s)
+        k_target = p * n_features
         for bits in itertools.product([0, 1], repeat=n_features):
             x = np.array(bits, dtype=float)
-            expected = x @ fpm_dense @ x + cfg.s * (x.sum() - k_target) ** 2
+            expected = x @ fpm_dense @ x + s * (x.sum() - k_target) ** 2
             assert abs(energy(problem, x) - expected) <= 1e-9
 
     def test_fpm_diag_nonpositive_when_beta_zero(self):
@@ -243,26 +237,21 @@ class TestAssemble:
             fpm_dense = (fpm_dense + fpm_dense.T) / 2
             fpm = SparseMatrix.from_dense(fpm_dense)
             m = int(rng.integers(1, n + 1))
-            cfg = FeatureSelectionConfig(
-                p=m / n, s=2.0 * np.abs(fpm.to_dense()).sum() + 1.0
-            )
-            problem = assemble_qubo(fpm, cfg)
+            p = m / n
+            problem = assemble_qubo(fpm, p, 2.0 * np.abs(fpm.to_dense()).sum() + 1.0)
             result = solve_exhaustive(problem)
-            assert int(result.x.sum()) == round(cfg.p * n)
+            assert int(result.x.sum()) == round(p * n)
 
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
+        fpm = SparseMatrix.from_dense([[0, -1], [-1, -2]])
         with pytest.raises(ValueError):
-            FeatureSelectionConfig(alpha=0.0)
+            assemble_qubo(fpm, 0.0, 1.0)
         with pytest.raises(ValueError):
-            FeatureSelectionConfig(beta=-1.0)
+            assemble_qubo(fpm, 1.5, 1.0)
         with pytest.raises(ValueError):
-            FeatureSelectionConfig(p=0.0)
-        with pytest.raises(ValueError):
-            FeatureSelectionConfig(p=1.5)
-        with pytest.raises(ValueError):
-            FeatureSelectionConfig(s=-0.1)
+            assemble_qubo(fpm, 0.5, -0.1)
 
 
 class TestConversionAndPersistence:

@@ -17,7 +17,6 @@ from qubofs.solvers import (
     load_selection,
     save_selection,
     solve_exhaustive,
-    solve_sa,
     solve_sa_many,
 )
 
@@ -125,14 +124,15 @@ class TestDefaultSchedule:
 class TestSolveSa:
     def test_single_variable_downhill(self):
         p = QuboProblem(q=np.array([[-5.0]]))
-        results = solve_sa(p, AnnealSchedule(sweeps=1, beta_start=0.1, beta_end=0.1), 10, seed=0)
+        sch = AnnealSchedule(sweeps=1, beta_start=0.1, beta_end=0.1)
+        results = solve_sa_many([p], [sch], 10, [0])[0]
         for r in results:
             assert list(r.x) == [1]
             assert r.energy == -5.0
 
     def test_penalty_only_certified_by_exhaustive(self):
         p = combination_penalty(8, 4.0, 1.0)
-        results = solve_sa(p, default_schedule(8), num_samples=100, seed=0)
+        results = solve_sa_many([p], [default_schedule(8)], 100, [0])[0]
         exact = solve_exhaustive(p)
         assert abs(results[0].energy - exact.energy) <= 1e-9
         assert int(results[0].x.sum()) == 4
@@ -142,22 +142,22 @@ class TestSolveSa:
         for _ in range(5):
             p = random_problem(rng, 10)
             exact = solve_exhaustive(p)
-            results = solve_sa(p, default_schedule(10), num_samples=20, seed=3)
+            results = solve_sa_many([p], [default_schedule(10)], 20, [3])[0]
             assert results[0].energy >= exact.energy - 1e-9
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
         p = random_problem(rng, 12)
         sch = default_schedule(12)
-        a = solve_sa(p, sch, num_samples=8, seed=5)
-        b = solve_sa(p, sch, num_samples=8, seed=5)
+        a = solve_sa_many([p], [sch], 8, [5])[0]
+        b = solve_sa_many([p], [sch], 8, [5])[0]
         assert [r.energy for r in a] == [r.energy for r in b]
         assert all(list(x.x) == list(y.x) for x, y in zip(a, b))
 
     def test_results_sorted_ascending(self):
         rng = np.random.default_rng(5)
         p = random_problem(rng, 10)
-        results = solve_sa(p, default_schedule(10), num_samples=16, seed=6)
+        results = solve_sa_many([p], [default_schedule(10)], 16, [6])[0]
         energies = [r.energy for r in results]
         assert energies == sorted(energies)
 
@@ -165,7 +165,7 @@ class TestSolveSa:
         # all-negative diagonal, zero off-diagonals: optimum is all ones
         p = QuboProblem(q=np.diag([-1.0, -2.0, -0.5, -3.0]))
         sch = AnnealSchedule(sweeps=500, beta_start=1.0, beta_end=1e6)
-        for r in solve_sa(p, sch, num_samples=10, seed=7):
+        for r in solve_sa_many([p], [sch], 10, [7])[0]:
             assert list(r.x) == [1, 1, 1, 1]
 
     def test_sample_trajectories_independent_of_count(self):
@@ -173,8 +173,8 @@ class TestSolveSa:
         rng = np.random.default_rng(8)
         p = random_problem(rng, 9)
         sch = AnnealSchedule(sweeps=50, beta_start=0.1, beta_end=10.0)
-        few = solve_sa(p, sch, num_samples=3, seed=9)
-        many = solve_sa(p, sch, num_samples=6, seed=9)
+        few = solve_sa_many([p], [sch], 3, [9])[0]
+        many = solve_sa_many([p], [sch], 6, [9])[0]
         few_set = {(r.energy, tuple(r.x)) for r in few}
         many_set = {(r.energy, tuple(r.x)) for r in many}
         assert few_set <= many_set
@@ -184,7 +184,7 @@ def as_tuples(results):
     return [(r.energy, tuple(int(v) for v in r.x)) for r in results]
 
 
-def reference_solve_sa(problem, schedule, num_samples, seed, block_entries=100_000):
+def reference_sa(problem, schedule, num_samples, seed, block_entries=100_000):
     """The per-problem annealer the batched one replaced, as (energy, x)
     tuples: the oracle for the draw order and the arithmetic. Each restart
     draws its initial assignment, then per block all flip orders, then all
@@ -243,8 +243,8 @@ class TestSolveSaGolden:
         q = rng.integers(-9, 10, size=(16, 16)).astype(float)
         p = QuboProblem(q=np.triu(q) + np.triu(q, 1).T)
         sch = AnnealSchedule(sweeps=2, beta_start=0.001, beta_end=0.01)
-        results = solve_sa(p, sch, num_samples=8, seed=3)
-        assert as_tuples(results) == reference_solve_sa(p, sch, 8, 3)
+        results = solve_sa_many([p], [sch], 8, [3])[0]
+        assert as_tuples(results) == reference_sa(p, sch, 8, 3)
         assert list(results[0].x) == [1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]
         assert results[0].energy == -241.0
         assert [r.energy for r in results] == [
@@ -269,7 +269,7 @@ class TestSolveSaMany:
 
     @staticmethod
     def check_matches_alone(problems, schedules, num_samples, seeds, solve_many=solve_sa_many):
-        alone = [as_tuples(solve_sa(p, s, num_samples, seed))
+        alone = [as_tuples(solve_sa_many([p], [s], num_samples, [seed])[0])
                  for p, s, seed in zip(problems, schedules, seeds)]
         assert any(len({e for e, _ in results}) > 1 for results in alone)
         together = solve_many(problems, schedules, num_samples, seeds)
@@ -317,7 +317,7 @@ class TestSolveSaMany:
         # small blocks and buffers: many blocks, chunks down to one sweep
         rng = np.random.default_rng(seed)
         problems, schedules, seeds = self.batch(rng, 3, n, sweeps)
-        expected = [reference_solve_sa(p, s, num_samples, sd, block_entries)
+        expected = [reference_sa(p, s, num_samples, sd, block_entries)
                     for p, s, sd in zip(problems, schedules, seeds)]
         with mock.patch.multiple(solvers, _SA_BLOCK_ENTRIES=block_entries,
                                  _SA_BUFFER_ENTRIES=buffer_entries):

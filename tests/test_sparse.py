@@ -101,28 +101,20 @@ class TestMatmul:
 class TestRowNormalize:
     def test_l1(self):
         m = SparseMatrix.from_dense([[2, 2]])
-        assert np.allclose(dense(m.row_normalize("l1")), [[0.5, 0.5]])
+        assert np.allclose(dense(m.row_normalize()), [[0.5, 0.5]])
 
     def test_zero_row_unchanged(self):
         m = SparseMatrix.from_dense([[0, 0]])
-        assert m.row_normalize("l1") == m
-
-    def test_l2(self):
-        m = SparseMatrix.from_dense([[3, 4]])
-        assert np.allclose(dense(m.row_normalize("l2")), [[0.6, 0.8]], atol=1e-12)
+        assert m.row_normalize() == m
 
     def test_l1_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         m = random_sparse(rng, 12, 9, density=0.3, lo=0.1, hi=4, integer=False)
-        normalized = m.row_normalize("l1")
+        normalized = m.row_normalize()
         sums = dense(normalized).sum(axis=1)
         for r in range(m.n_rows):
             if m.row_nnz()[r] > 0:
                 assert abs(sums[r] - 1.0) <= 1e-12
-
-    def test_unknown_norm(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_dense(np.eye(2)).row_normalize("linf")
 
 
 class TestPower:
@@ -183,7 +175,7 @@ class TestNoStoredZeros:
         rng = np.random.default_rng(seed)
         a = random_sparse(rng, 8, 8)
         b = random_sparse(rng, 8, 8)
-        for result in (a @ b, a.transpose(), a.row_normalize("l2"), a + b):
+        for result in (a @ b, a.transpose(), a.row_normalize(), a + b):
             if result.nnz:
                 assert np.all(np.abs(result.csr.data) >= ZERO_EPSILON)
 
