@@ -61,6 +61,7 @@ from .models import (
     tfidf_feature_scores,
 )
 from .qubo import (
+    PenalizationMatrices,
     QuboProblem,
     assemble_qubo,
     build_fpm,
@@ -548,19 +549,23 @@ class Pipeline:
     # -- stage: QUBO grid ----------------------------------------------------
 
     def _build_qubos(self, points: list[dict | None]) -> None:
-        """The pair matrices, and the QUBO of every grid point that is None."""
+        """The QUBO of every grid point that is None, and the pair matrices
+        unless both are on disk already (each is written atomically)."""
         ds = self.ensure_dataset()
         cold, _ = self.ensure_splits()
-        cf_model = self.ensure_cf_model()
-        cbf_params = self.ensure_cbf_all().hyperparams
         warm = cold.warm_items()
         icm_warm = ds.icm.submatrix(rows=warm)
-        cf_warm = cf_model.s.submatrix(rows=warm, cols=warm)
-        cbf_warm = fit_cbf(icm_warm, cbf_params)
-        pm = build_penalization(cf_warm, cbf_warm.s)
-        qubo_dir = self.out / "qubo"
-        pm.keep.save_coo(qubo_dir / "keep.coo")
-        pm.eliminate.save_coo(qubo_dir / "eliminate.coo")
+        pair_files = (self.out / "qubo" / "keep.coo", self.out / "qubo" / "eliminate.coo")
+        if all(path.exists() for path in pair_files):
+            pm = PenalizationMatrices(*(SparseMatrix.load_coo(path) for path in pair_files))
+        else:
+            cf_model = self.ensure_cf_model()
+            cbf_params = self.ensure_cbf_all().hyperparams
+            cf_warm = cf_model.s.submatrix(rows=warm, cols=warm)
+            cbf_warm = fit_cbf(icm_warm, cbf_params)
+            pm = build_penalization(cf_warm, cbf_warm.s)
+            pm.keep.save_coo(pair_files[0])
+            pm.eliminate.save_coo(pair_files[1])
         fpm_cache: dict[tuple[float, float], SparseMatrix] = {}
         for index, point in enumerate(self.cfg.qubo.points()):
             if points[index] is not None:

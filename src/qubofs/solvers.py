@@ -1,13 +1,15 @@
 """Classical QUBO solvers: exact enumeration and simulated annealing.
 
-The exhaustive solver walks assignments in Gray-code order so each step flips
-one variable and updates the energy in O(n). The annealer runs every restart
-of every problem it is given in lockstep, one row per (problem, restart), each
-row with its own problem's coefficients and inverse-temperature ramp. Every row
-owns an RNG stream derived from (problem seed, restart index) and consumes it
-in a fixed order, so a result depends neither on which other problems share
-the run nor on how its draws are buffered. The draw buffer is bounded over
-the whole run.
+The exhaustive solver splits x into low and high bits. It tabulates every
+low-bit assignment once, with its energy and its coupling to the high bits,
+then scores bounded chunks of high-bit assignments against the whole table,
+one matrix product per chunk; ties go to the smaller integer encoding. The
+annealer runs every restart of every problem it is given in lockstep, one row
+per (problem, restart), each row with its own problem's coefficients and
+inverse-temperature ramp. Every row owns an RNG stream derived from (problem
+seed, restart index) and consumes it in a fixed order, so a result depends
+neither on which other problems share the run nor on how its draws are
+buffered. The draw buffer is bounded over the whole run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from .errors import DimensionMismatch, TooLarge
 from .fileio import read_json, write_json
 from .qubo import QuboProblem
 
-EXHAUSTIVE_MAX_VARIABLES = 25
+# n = 31 takes about 8 s on one core of a 2-core Xeon with OpenBLAS, n = 32 16 s
+EXHAUSTIVE_MAX_VARIABLES = 31
+# variables enumerated in the exhaustive solver's low-bit table
+_EXHAUSTIVE_LOW_BITS = 12
+# energies per chunk of the exhaustive scan (2 MB of float64), whatever n is
+_EXHAUSTIVE_CHUNK_ENTRIES = 1 << 18
 
 # sweep-block sizing for pre-generated randomness, entries per restart; it
 # fixes the order in which every restart consumes its stream
@@ -106,32 +113,50 @@ def energy(problem: QuboProblem, x: np.ndarray) -> float:
     return float(x @ problem.q @ x) + problem.offset
 
 
+def _bit_table(first: int, stop: int, width: int) -> np.ndarray:
+    """Rows are the assignments encoded first..stop-1, bit f weighted 2**f."""
+    codes = np.arange(first, stop)
+    return ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
+
+
 def solve_exhaustive(problem: QuboProblem) -> SelectionResult:
-    """Global minimum by Gray-code enumeration; ties go to the assignment with
-    the smaller integer encoding (bit f weighted 2**f)."""
+    """Global minimum by block enumeration; ties go to the assignment with
+    the smaller integer encoding (bit f weighted 2**f).
+
+    The first ``L = min(n, _EXHAUSTIVE_LOW_BITS)`` variables are the low bits
+    and the rest the high bits. With the low assignments as the rows of a
+    table A, the energies of a chunk H of high assignments against every low
+    one are ``H @ (A @ 2 Q_lh)^T + e_lo[None, :] + e_hi[:, None]``. The
+    chunks follow the high assignments in increasing order and the first
+    minimum of each chunk is taken hi-major, so a later chunk replaces the
+    best only when strictly lower and the smallest encoding wins a tie.
+    """
     n = problem.n
     if n > EXHAUSTIVE_MAX_VARIABLES:
         raise TooLarge(f"{n} variables exceed the exhaustive cap of {EXHAUSTIVE_MAX_VARIABLES}")
     started = time.monotonic()
     q = problem.q
-    diag = np.diagonal(q).copy()
-    x = np.zeros(n, dtype=np.int8)
-    field = np.zeros(n)
-    current = 0.0
-    encoding = 0
-    best_energy = current
+    n_lo = min(n, _EXHAUSTIVE_LOW_BITS)
+    n_hi = n - n_lo
+    n_table = 1 << n_lo
+    lo = _bit_table(0, n_table, n_lo)
+    e_lo = np.einsum("af,af->a", lo @ q[:n_lo, :n_lo], lo)
+    coupling = (lo @ (2.0 * q[:n_lo, n_lo:])).T
+    q_hh = q[n_lo:, n_lo:]
+    rows = max(1, _EXHAUSTIVE_CHUNK_ENTRIES // n_table)
+    buffer = np.empty((min(rows, 1 << n_hi), n_table))
+    best_energy = math.inf
     best_encoding = 0
-    for i in range(1, 1 << n):
-        b = (i & -i).bit_length() - 1
-        delta = 1 - 2 * int(x[b])
-        current += delta * (diag[b] + 2.0 * (field[b] - diag[b] * x[b]))
-        x[b] += delta
-        encoding ^= 1 << b
-        field += delta * q[b]
-        if current < best_energy or (current == best_energy and encoding < best_encoding):
-            best_energy = current
-            best_encoding = encoding
-    best_x = np.array([(best_encoding >> f) & 1 for f in range(n)], dtype=np.int8)
+    for first in range(0, 1 << n_hi, rows):
+        hi = _bit_table(first, min(first + rows, 1 << n_hi), n_hi)
+        e = np.matmul(hi, coupling, out=buffer[:len(hi)])
+        e += e_lo
+        e += np.einsum("hf,hf->h", hi @ q_hh, hi)[:, None]
+        k = int(np.argmin(e))
+        if e.flat[k] < best_energy:
+            best_energy = e.flat[k]
+            best_encoding = ((first + k // n_table) << n_lo) | (k % n_table)
+    best_x = ((best_encoding >> np.arange(n)) & 1).astype(np.int8)
     return SelectionResult(
         x=best_x,
         energy=energy(problem, best_x),

@@ -8,8 +8,8 @@ values, which downstream code relies on when testing similarities for
 positivity.
 
 Construction copies a CSR input and never modifies its input. The canonical
-matrix is then shared read-only: ``csr`` hands out the matrix itself, whose
-arrays are not writeable, and ``entries`` its (row, col, value) arrays.
+matrix is then shared read-only: ``csr`` hands out a fresh CSR array over its
+arrays, which are not writeable, and ``entries`` its (row, col, value) arrays.
 Element-wise operations are ``with_entries`` calls, which keep a subset of the
 entries or give them new values.
 """
@@ -113,8 +113,11 @@ class SparseMatrix:
 
     @property
     def csr(self) -> sp.csr_array:
-        """The canonical matrix itself, not a copy; its arrays are read-only."""
-        return self._m
+        """A new CSR array over the canonical matrix's read-only arrays, not a
+        copy of them: rebinding its attributes leaves this matrix unchanged."""
+        m = sp.csr_array(self._m)
+        m.has_canonical_format = True
+        return m
 
     def to_dense(self) -> np.ndarray:
         return self._m.toarray()

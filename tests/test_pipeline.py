@@ -337,13 +337,13 @@ class TestSelectionResume:
 
 
 class TestGridResume:
-    """Deleting grid points' files rebuilds those points alone, and deleting a
-    grid stage's shared file rewrites it without redoing any point."""
+    """Deleting grid points' files rebuilds those points alone, from the pair
+    matrices on disk, and deleting a grid stage's shared file rewrites it
+    without redoing any point."""
 
     @pytest.mark.parametrize("deleted, rebuilt, searches", [
         (("qubo/grid_000/qubo.coo", "qubo/grid_002/qubo.coo", "cbf_sel/grid_001/result.json"),
-         ("qubo/grid_000/", "qubo/grid_002/", "qubo/keep.coo", "qubo/eliminate.coo",
-          "cbf_sel/grid_001/result.json"), 1),
+         ("qubo/grid_000/", "qubo/grid_002/", "cbf_sel/grid_001/result.json"), 1),
         (("qubo/keep.coo",), ("qubo/keep.coo", "qubo/eliminate.coo"), 0),
     ], ids=["points", "keep"])
     def test_rebuilds_only_what_is_missing(self, tmp_path, monkeypatch, deleted, rebuilt, searches):
@@ -371,6 +371,25 @@ class TestGridResume:
         }
         assert rewritten == {name for name in before if name.startswith(rebuilt)}
         assert len(calls) == searches
+
+    def test_point_rebuilt_from_pair_matrices_on_disk(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        Pipeline(tiny_config(), out).ensure_qubos()
+        before = tree_hashes(out)
+        pair_files = ("qubo/keep.coo", "qubo/eliminate.coo")
+        inodes = [os.stat(out / name).st_ino for name in pair_files]
+        (out / "qubo/grid_001/qubo.coo").unlink()
+
+        def refuse(*args):
+            raise AssertionError("the pair matrices were recomputed")
+
+        monkeypatch.setattr(pipeline, "build_penalization", refuse)
+        monkeypatch.setattr(pipeline, "fit_cbf", refuse)
+        resumed = Pipeline(tiny_config(), out)
+        resumed.ensure_qubos()
+        assert tree_hashes(out) == before
+        assert [os.stat(out / name).st_ino for name in pair_files] == inodes
+        assert "cf_model" not in resumed.run_info.timings
 
 
 def test_benchmark_tracer_names_are_bound():

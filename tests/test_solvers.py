@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,33 @@ def brute_force(problem):
         if best is None or e < best[0] or (e == best[0] and enc < best[1]):
             best = (e, enc, x)
     return best
+
+
+def reference_solve_exhaustive(problem):
+    """The Gray-code loop the block enumeration replaced, as (x, energy): each
+    step flips one variable and updates the energy in O(n); ties go to the
+    smaller integer encoding (bit f weighted 2**f)."""
+    n = problem.n
+    q = problem.q
+    diag = np.diagonal(q).copy()
+    x = np.zeros(n, dtype=np.int8)
+    field = np.zeros(n)
+    current = 0.0
+    encoding = 0
+    best_energy = current
+    best_encoding = 0
+    for i in range(1, 1 << n):
+        b = (i & -i).bit_length() - 1
+        delta = 1 - 2 * int(x[b])
+        current += delta * (diag[b] + 2.0 * (field[b] - diag[b] * x[b]))
+        x[b] += delta
+        encoding ^= 1 << b
+        field += delta * q[b]
+        if current < best_energy or (current == best_energy and encoding < best_encoding):
+            best_energy = current
+            best_encoding = encoding
+    best_x = np.array([(best_encoding >> f) & 1 for f in range(n)], dtype=np.int8)
+    return best_x, energy(problem, best_x)
 
 
 class TestEnergy:
@@ -85,8 +113,9 @@ class TestExhaustive:
         assert int(result.x.sum()) == 3
 
     def test_too_large(self):
+        n = solvers.EXHAUSTIVE_MAX_VARIABLES + 1
         with pytest.raises(TooLarge):
-            solve_exhaustive(QuboProblem(q=np.zeros((26, 26))))
+            solve_exhaustive(QuboProblem(q=np.zeros((n, n))))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -97,6 +126,45 @@ class TestExhaustive:
         e, enc, x = brute_force(p)
         assert abs(result.energy - e) <= 1e-9
         assert list(result.x) == list(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 6))
+    def test_matches_reference(self, n, seed, low_bits, chunk_log):
+        # integer coefficients make every energy exact, so ties are exact and
+        # common; small tables and chunks run the no-high-bits case, a single
+        # chunk and many chunks, down to one high assignment per chunk
+        rng = np.random.default_rng(seed)
+        q = rng.integers(-3, 4, size=(n, n)).astype(float)
+        p = QuboProblem(q=np.triu(q) + np.triu(q, 1).T, offset=float(rng.integers(-3, 4)))
+        with mock.patch.multiple(solvers, _EXHAUSTIVE_LOW_BITS=low_bits,
+                                 _EXHAUSTIVE_CHUNK_ENTRIES=1 << chunk_log):
+            result = solve_exhaustive(p)
+        x, e = reference_solve_exhaustive(p)
+        assert list(result.x) == list(x)
+        assert result.energy == e
+
+    def test_matches_reference_at_default_sizes(self):
+        # the default constants: one chunk of 2^4 high assignments against
+        # the 2^12-row low table
+        rng = np.random.default_rng(12)
+        q = rng.integers(-3, 4, size=(16, 16)).astype(float)
+        p = QuboProblem(q=np.triu(q) + np.triu(q, 1).T)
+        result = solve_exhaustive(p)
+        x, e = reference_solve_exhaustive(p)
+        assert list(result.x) == list(x)
+        assert result.energy == e
+
+    def test_memory_bounded(self):
+        # 2^22 assignments, 32 MB as float64, scanned in 2 MB chunks
+        rng = np.random.default_rng(22)
+        p = random_problem(rng, 22)
+        tracemalloc.start()
+        try:
+            solve_exhaustive(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestDefaultSchedule:

@@ -201,6 +201,14 @@ class TestImmutability:
             with pytest.raises(ValueError):
                 array[0] = 5
 
+    def test_rebinding_csr_attributes_does_not_reach_the_matrix(self):
+        m = SparseMatrix.from_dense([[1.0, 2.0]])
+        handed_out = m.csr
+        handed_out.data = np.array([5.0, 6.0])
+        handed_out.indices = np.array([1, 0], dtype=handed_out.indices.dtype)
+        assert np.array_equal(m.to_dense(), [[1, 2]])
+        assert np.shares_memory(m.csr.data, m.entries()[2])
+
     def test_unhashable(self):
         # __eq__ compares values, so identity hashing would break set semantics
         with pytest.raises(TypeError):
