@@ -10,6 +10,7 @@ Usage: python scripts/planted_recovery_study.py [--seeds N] [--p 0.2]
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -19,10 +20,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qubofs.data import cold_item_split, synth_planted, user_holdout_split
 from qubofs.metrics import accuracy_metrics
-from qubofs.models import ModelKind, cosine_knn, score_and_rank
-from qubofs.pipeline import baseline_random_selection, baseline_tfidf_selection
+from qubofs.models import ModelKind, cosine_knn, score_and_rank, tfidf_feature_scores
 from qubofs.qubo import assemble_qubo, build_fpm, build_ipm, build_penalization
 from qubofs.solvers import default_schedule, solve_sa_many
+
+
+def baseline_tfidf_selection(icm, quota: float) -> list[int]:
+    """Top ceil(quota * n_features) features by rarity score, ties to the
+    smaller index."""
+    if not 0 < quota <= 1:
+        raise ValueError("quota must be in (0, 1]")
+    scores = tfidf_feature_scores(icm)
+    n = scores.shape[0]
+    count = math.ceil(quota * n - 1e-9)
+    order = np.lexsort((np.arange(n), -scores))
+    return sorted(int(f) for f in order[:count])
+
+
+def baseline_random_selection(n_features: int, quota: float, seed: int) -> list[int]:
+    """ceil(quota * n_features) features drawn uniformly without replacement."""
+    if not 0 < quota <= 1:
+        raise ValueError("quota must be in (0, 1]")
+    count = math.ceil(quota * n_features - 1e-9)
+    rng = np.random.default_rng(seed)
+    return sorted(int(f) for f in rng.choice(n_features, size=count, replace=False))
 
 
 def qubo_selection(ds, cold, p, seed):

@@ -93,7 +93,8 @@ class HoldoutSplit:
 def load_interactions(path, value_mode: str = "explicit") -> list[tuple[str, str, float]]:
     """Read `user<TAB>item[<TAB>value]` lines; `#` comments skipped.
 
-    Missing values default to 1.0; ``implicit`` mode forces all values to 1.
+    Missing values default to 1.0; ``implicit`` mode forces all values to 1. A
+    value that is not a finite number is a ``ParseError`` naming its line.
     """
     if value_mode not in ("explicit", "implicit"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
@@ -112,6 +113,8 @@ def load_interactions(path, value_mode: str = "explicit") -> list[tuple[str, str
                     value = float(fields[2])
                 except ValueError as exc:
                     raise ParseError(f"bad value {fields[2]!r}", line_no) from exc
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite value {fields[2]!r}", line_no)
             else:
                 raise ParseError(
                     f"expected 2 or 3 tab-separated fields, got {len(fields)}", line_no
@@ -151,6 +154,8 @@ def build_dataset(
     features = sorted({f for _, f in item_features})
     if not users or not items:
         raise EmptyDataset("no users or items")
+    if not features:
+        raise EmptyDataset("no item features")
     u_index = {u: k for k, u in enumerate(users)}
     i_index = {i: k for k, i in enumerate(items)}
     f_index = {f: k for k, f in enumerate(features)}

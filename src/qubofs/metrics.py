@@ -19,13 +19,12 @@ import numpy as np
 
 from .errors import DegenerateCatalog
 
-EVAL_TSV_HEADER = (
-    "cutoff\tprecision\trecall\tndcg\tmap\titem_coverage\tgini_diversity\tmil\tn_users_evaluated"
-)
-
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One model's metrics; its fields, in order, are the columns of a
+    report.tsv row and the keys of its report.json entry."""
+
     cutoff: int
     precision: float
     recall: float
@@ -42,34 +41,6 @@ class EvalReport:
             v = getattr(self, name)
             if not (math.isfinite(v) and -1e-12 <= v <= 1.0 + 1e-12):
                 raise ValueError(f"{name}={v} outside [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "precision": self.precision,
-            "recall": self.recall,
-            "ndcg": self.ndcg,
-            "map": self.map,
-            "item_coverage": self.item_coverage,
-            "gini_diversity": self.gini_diversity,
-            "mil": self.mil,
-            "n_users_evaluated": self.n_users_evaluated,
-        }
-
-    def to_tsv_row(self) -> str:
-        return "\t".join(
-            [
-                str(self.cutoff),
-                f"{self.precision:.17g}",
-                f"{self.recall:.17g}",
-                f"{self.ndcg:.17g}",
-                f"{self.map:.17g}",
-                f"{self.item_coverage:.17g}",
-                f"{self.gini_diversity:.17g}",
-                f"{self.mil:.17g}",
-                str(self.n_users_evaluated),
-            ]
-        )
 
 
 def accuracy_metrics(

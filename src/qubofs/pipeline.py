@@ -14,8 +14,8 @@ when all its files exist; it is then loaded, otherwise built, and only a build
 asks for the stages it depends on. A grid stage loads its complete points and
 builds only the others. Every file is written atomically, so a killed run
 resumes without cleanup and deleting any artifact regenerates only its stage or
-grid point. Report files are a pure function of (config, seed): no timings or
-absolute paths go into them.
+grid point. Every file but manifest.json, which holds the stage timings, is a
+pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,8 +48,8 @@ from .data import (
     user_holdout_split,
 )
 from .errors import ConfigInvalid
-from .fileio import atomic_write_text, read_json, write_json
-from .metrics import EVAL_TSV_HEADER, EvalReport, accuracy_metrics, evaluate_recommendations
+from .fileio import atomic_write_text, read_json, write_json, write_tsv
+from .metrics import EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
     ModelKind,
     SimilarityModel,
@@ -58,7 +58,6 @@ from .models import (
     pure_svd,
     rp3beta,
     score_and_rank,
-    tfidf_feature_scores,
 )
 from .qubo import (
     PenalizationMatrices,
@@ -140,28 +139,8 @@ def random_search(
 
 
 # ----------------------------------------------------------------------
-# baselines and stats
+# selection stats
 # ----------------------------------------------------------------------
-
-
-def baseline_tfidf_selection(icm: SparseMatrix, quota: float) -> list[int]:
-    """Top ceil(quota * n_features) features by rarity score, ties to the
-    smaller index."""
-    if not 0 < quota <= 1:
-        raise ValueError("quota must be in (0, 1]")
-    scores = tfidf_feature_scores(icm)
-    n = scores.shape[0]
-    count = math.ceil(quota * n - 1e-9)
-    order = np.lexsort((np.arange(n), -scores))
-    return sorted(int(f) for f in order[:count])
-
-
-def baseline_random_selection(n_features: int, quota: float, seed: int) -> list[int]:
-    if not 0 < quota <= 1:
-        raise ValueError("quota must be in (0, 1]")
-    count = math.ceil(quota * n_features - 1e-9)
-    rng = np.random.default_rng(seed)
-    return sorted(int(f) for f in rng.choice(n_features, size=count, replace=False))
 
 
 def feature_selection_stats(
@@ -180,13 +159,6 @@ def feature_selection_stats(
     ]
     rows.sort(key=lambda r: (-r[2], r[0]))
     return rows
-
-
-def stats_tsv(rows: list[tuple[int, int, float]], labels: Sequence[str]) -> str:
-    lines = ["feature\tlabel\ttimes_selected\tshare"]
-    for f, count, share in rows:
-        lines.append(f"{f}\t{labels[f]}\t{count}\t{share:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -506,15 +478,11 @@ class Pipeline:
         model = fit_collaborative(kind, holdout.train, best, fit_seed)
         cf_dir = self.out / "cf_model"
         save_model(model, cf_dir, validation_precision=best_score, seed=fit_seed)
-        atomic_write_text(cf_dir / "search.tsv", self._search_tsv(cases))
+        write_tsv(cf_dir / "search.tsv", ("case", "params", "score"), (
+            (index, json.dumps(params, sort_keys=True), score)
+            for index, (params, score) in enumerate(cases)
+        ))
         return model
-
-    @staticmethod
-    def _search_tsv(cases: list[tuple[dict, float]]) -> str:
-        lines = ["case\tparams\tscore"]
-        for idx, (params, score) in enumerate(cases):
-            lines.append(f"{idx}\t{json.dumps(params, sort_keys=True)}\t{score:.17g}")
-        return "\n".join(lines) + "\n"
 
     # -- stage: all-features content model ----------------------------------
 
@@ -599,14 +567,8 @@ class Pipeline:
             if point["s"] == 0.0 and np.all(problem.q <= 0.0):
                 # every coefficient pushes toward inclusion; all-ones is optimal
                 x = np.ones(problem.n, dtype=np.int8)
-                result = SelectionResult(
-                    x=x,
-                    energy=energy(problem, x),
-                    solver="closed_form",
-                    seed=0,
-                    samples_drawn=1,
-                    wall_time=0.0,
-                )
+                result = SelectionResult(x=x, energy=energy(problem, x), solver="closed_form",
+                                         seed=0, samples_drawn=1)
             elif self.cfg.solver.kind == "exhaustive":
                 result = solve_exhaustive(problem)
             else:
@@ -714,33 +676,24 @@ class Pipeline:
             "config_hash": self.cfg.config_hash(),
             "cutoff": self.cfg.cutoff,
             "objective": self.cfg.objective,
-            "winner": {
-                "grid_index": winner["grid_index"],
-                "params": winner["params"],
-                "cbf_params": winner["cbf_params"],
-                "n_selected": winner["n_selected"],
-                "validation_score": winner["validation_score"],
-            },
-            "final": final_report.to_json_dict(),
-            "baseline_all_features": baseline_report.to_json_dict(),
+            "winner": {key: winner[key] for key in (
+                "grid_index", "params", "cbf_params", "n_selected", "validation_score")},
+            "final": asdict(final_report),
+            "baseline_all_features": asdict(baseline_report),
         }
         reports_dir = self.out / "reports"
         write_json(reports_dir / "report.json", report)
-
-        tsv_lines = [f"model\t{EVAL_TSV_HEADER}"]
-        tsv_lines.append("selected_features\t" + final_report.to_tsv_row())
-        tsv_lines.append("all_features\t" + baseline_report.to_tsv_row())
-        atomic_write_text(reports_dir / "report.tsv", "\n".join(tsv_lines) + "\n")
-
-        grid_lines = ["grid_index\talpha\tbeta\ts\tp\tn_selected\tenergy\tvalidation_score"]
-        for row in rows:
-            p = row["params"]
-            grid_lines.append(
-                f"{row['grid_index']}\t{p['alpha']:.17g}\t{p['beta']:.17g}\t"
-                f"{p['s']:.17g}\t{p['p']:.17g}\t{row['n_selected']}\t"
-                f"{row['energy']:.17g}\t{row['validation_score']:.17g}"
-            )
-        atomic_write_text(reports_dir / "grid_validation.tsv", "\n".join(grid_lines) + "\n")
+        write_tsv(reports_dir / "report.tsv", ("model", *(f.name for f in fields(EvalReport))), (
+            ("selected_features", *astuple(final_report)),
+            ("all_features", *astuple(baseline_report)),
+        ))
+        qubo_params = ("alpha", "beta", "s", "p")
+        write_tsv(
+            reports_dir / "grid_validation.tsv",
+            ("grid_index", *qubo_params, "n_selected", "energy", "validation_score"),
+            ((row["grid_index"], *(row["params"][k] for k in qubo_params), row["n_selected"],
+              row["energy"], row["validation_score"]) for row in rows),
+        )
         self.write_feature_stats()
         return report
 
@@ -751,9 +704,10 @@ class Pipeline:
         rows = feature_selection_stats(
             [s.selected() for s in self.ensure_selections()], ds.n_features
         )
-        text = stats_tsv(rows, ds.feature_ids)
-        atomic_write_text(self.out / "reports" / "feature_stats.tsv", text)
-        return text
+        path = self.out / "reports" / "feature_stats.tsv"
+        write_tsv(path, ("feature", "label", "times_selected", "share"),
+                  ((f, ds.feature_ids[f], count, share) for f, count, share in rows))
+        return path.read_text(encoding="utf-8")
 
     # -- full run -----------------------------------------------------------------
 

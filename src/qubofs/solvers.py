@@ -15,8 +15,7 @@ buffered. The draw buffer is bounded over the whole run.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -63,38 +62,27 @@ class AnnealSchedule:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """A binary assignment with its energy and solver provenance."""
+    """A binary assignment with its energy and solver provenance; its fields
+    are the keys of selection.json."""
 
     x: np.ndarray
     energy: float
     solver: str
     seed: int
     samples_drawn: int
-    wall_time: float
 
     def selected(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.x)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "x": [int(v) for v in self.x],
-            "energy": self.energy,
-            "solver": self.solver,
-            "seed": self.seed,
-            "samples_drawn": self.samples_drawn,
-            "wall_time_s": self.wall_time,
-        }
+        return {**asdict(self), "x": self.x.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SelectionResult":
-        return cls(
-            x=np.asarray(d["x"], dtype=np.int8),
-            energy=float(d["energy"]),
-            solver=d["solver"],
-            seed=int(d["seed"]),
-            samples_drawn=int(d["samples_drawn"]),
-            wall_time=float(d["wall_time_s"]),
-        )
+        """The result ``to_json_dict`` gave. Other keys are ignored, such as
+        the ``wall_time_s`` that older runs wrote."""
+        values = {f.name: d[f.name] for f in fields(cls)}
+        return cls(**{**values, "x": np.asarray(d["x"], dtype=np.int8)})
 
 
 def save_selection(result: SelectionResult, path) -> None:
@@ -134,7 +122,6 @@ def solve_exhaustive(problem: QuboProblem) -> SelectionResult:
     n = problem.n
     if n > EXHAUSTIVE_MAX_VARIABLES:
         raise TooLarge(f"{n} variables exceed the exhaustive cap of {EXHAUSTIVE_MAX_VARIABLES}")
-    started = time.monotonic()
     q = problem.q
     n_lo = min(n, _EXHAUSTIVE_LOW_BITS)
     n_hi = n - n_lo
@@ -163,7 +150,6 @@ def solve_exhaustive(problem: QuboProblem) -> SelectionResult:
         solver="exhaustive",
         seed=0,
         samples_drawn=1 << n,
-        wall_time=time.monotonic() - started,
     )
 
 
@@ -192,10 +178,9 @@ def solve_sa_many(
 ) -> list[list[SelectionResult]]:
     """Single-flip Metropolis annealing of problems of one size and sweep
     count in one lockstep run, ``num_samples`` restarts each. For each problem
-    p, returns one result per restart, best energy first; every result
-    records the wall time of the whole run. A problem's results depend only
-    on (problems[p], schedules[p], num_samples, seeds[p]), not on the other
-    problems of the run.
+    p, returns one result per restart, best energy first. A problem's results
+    depend only on (problems[p], schedules[p], num_samples, seeds[p]), not on
+    the other problems of the run.
 
     Row ``p * num_samples + s`` is restart s of problem p: it reads problem p's
     coefficients, follows schedule p's ramp and draws from stream s of
@@ -215,7 +200,6 @@ def solve_sa_many(
         raise DimensionMismatch("problems annealed together must share n")
     if any(s.sweeps != sweeps for s in schedules):
         raise ValueError("schedules annealed together must share the sweep count")
-    started = time.monotonic()
     n_rows = len(problems) * num_samples
     streams = [np.random.default_rng(s) for seed in seeds
                for s in np.random.SeedSequence(seed).spawn(num_samples)]
@@ -245,30 +229,23 @@ def solve_sa_many(
     chunk = min(block, sweeps, max(1, _SA_BUFFER_ENTRIES // (n_rows * max(1, n))))
     order = np.empty((n_rows, chunk, n), dtype=np.int64)
     uniforms = np.empty((n_rows, chunk, n))
-    replay = None
+    # a block's flip orders precede its uniforms in every stream, and the
+    # buffers hold only a chunk of them: each block, a twin takes the stream's
+    # state and draws the orders chunk by chunk, while the stream skips them
+    # and draws the uniforms
+    twins = [np.random.default_rng(0) for _ in streams]
     sweep = 0
     while sweep < sweeps:
         n_block = min(block, sweeps - sweep)
-        starts = range(0, n_block, chunk)
-        order_streams = streams
-        if n_block > chunk:
-            # a block's flip orders precede its uniforms in every stream, and
-            # the buffer holds only a chunk of them: draw the orders from a
-            # copy of the stream once the stream itself has skipped them
-            if replay is None:
-                replay = [np.random.default_rng(0) for _ in streams]
-            for twin, stream in zip(replay, streams):
-                twin.bit_generator.state = stream.bit_generator.state
-            for start in starts:
-                base = np.tile(np.arange(n), (min(chunk, n_block - start), 1))
-                for stream in streams:
-                    stream.permuted(base, axis=1, out=base)
-            order_streams = replay
-        for start in starts:
+        skipped = np.tile(np.arange(n), (n_block, 1))
+        for twin, stream in zip(twins, streams):
+            twin.bit_generator.state = stream.bit_generator.state
+            stream.permuted(skipped, axis=1, out=skipped)
+        for start in range(0, n_block, chunk):
             c = min(chunk, n_block - start)
             base = np.tile(np.arange(n), (c, 1))
             for r in range(n_rows):
-                order_streams[r].permuted(base, axis=1, out=order[r, :c])
+                twins[r].permuted(base, axis=1, out=order[r, :c])
                 streams[r].random((c, n), out=uniforms[r, :c])
             order[:, :c] += owner[:, None, None]
             for t in range(c):
@@ -299,7 +276,6 @@ def solve_sa_many(
                         best_x[improved] = x[improved]
         sweep += n_block
 
-    elapsed = time.monotonic() - started
     results = []
     for p, (problem, seed) in enumerate(zip(problems, seeds)):
         own = [
@@ -309,7 +285,6 @@ def solve_sa_many(
                 solver="sa",
                 seed=seed,
                 samples_drawn=num_samples,
-                wall_time=elapsed,
             )
             for bx in best_x[p * num_samples:(p + 1) * num_samples]
         ]

@@ -140,6 +140,22 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["prepare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("interactions, features, message", [
+        ("u0\ta\t1\nu1\tb\tnan\n", "a\tf0\nb\tf1\n", "line 2: non-finite value"),
+        ("u0\ta\t1\nu1\tb\t1\n", "# item\tfeature\n", "no item features"),
+    ], ids=["non-finite value", "no features"])
+    def test_bad_dataset_is_data_error(self, tmp_path, capsys, interactions, features, message):
+        """The dataset stage rejects the files with exit 3 before any later
+        stage runs."""
+        (tmp_path / "i.tsv").write_text(interactions)
+        (tmp_path / "f.tsv").write_text(features)
+        config = write_config(tmp_path, dataset={"files": {
+            "interactions": str(tmp_path / "i.tsv"), "features": str(tmp_path / "f.tsv")}})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.resolved.json"]
+
     def test_corrupt_artifact_is_data_error(self, tmp_path, capsys):
         """A stage file that is not a sparse archive, such as a text COO file
         of an older run, exits 3 naming the file instead of a traceback."""

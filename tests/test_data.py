@@ -70,6 +70,12 @@ class TestLoadInteractions:
         with pytest.raises(NegativeValue):
             load_interactions(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        p = write(tmp_path, "r.tsv", f"u1\ti1\t2\nu2\ti2\t{value}\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_interactions(p)
+
 
 class TestBuildDataset:
     def test_union_item_space(self, tmp_path):
@@ -80,6 +86,10 @@ class TestBuildDataset:
         assert ds.n_users == 1
         assert ds.n_features == 1
         assert ds.icm.nnz == 2
+
+    def test_no_features(self):
+        with pytest.raises(EmptyDataset, match="no item features"):
+            build_dataset([("u1", "i1", 1.0)], [])
 
     def test_feature_pairs_deduplicated(self):
         ds = build_dataset([("u", "i", 1.0)], [("i", "f"), ("i", "f")])

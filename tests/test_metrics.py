@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofs.errors import DegenerateCatalog
+from qubofs.fileio import read_json, write_json, write_tsv
 from qubofs.metrics import (
     EvalReport,
     accuracy_metrics,
@@ -180,17 +182,23 @@ class TestEvaluateRecommendations:
         assert 0 <= report.precision <= 1
         assert report.cutoff == 2
 
-    def test_json_round_trip_keys(self):
+    def test_json_round_trip_keys(self, tmp_path):
         report = evaluate_recommendations([[0], [1]], [{0}, {1}], 1, 4)
-        d = report.to_json_dict()
+        write_json(tmp_path / "report.json", asdict(report))
+        d = read_json(tmp_path / "report.json")
         assert set(d) == {
             "cutoff", "precision", "recall", "ndcg", "map",
             "item_coverage", "gini_diversity", "mil", "n_users_evaluated",
         }
+        assert EvalReport(**d) == report
 
-    def test_tsv_row_field_count(self):
+    def test_tsv_row_field_count(self, tmp_path):
         report = evaluate_recommendations([[0], [1]], [{0}, {1}], 1, 4)
-        assert len(report.to_tsv_row().split("\t")) == 9
+        write_tsv(tmp_path / "report.tsv", [f.name for f in fields(EvalReport)], [astuple(report)])
+        header, row = [line.split("\t") for line in (tmp_path / "report.tsv").read_text().splitlines()]
+        assert header == ["cutoff", "precision", "recall", "ndcg", "map",
+                          "item_coverage", "gini_diversity", "mil", "n_users_evaluated"]
+        assert [float(cell) for cell in row] == list(astuple(report))
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

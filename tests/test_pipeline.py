@@ -19,12 +19,9 @@ from qubofs.config import ITEM_KNN_CBF_SPACE, ExperimentConfig, SynthSpec
 from qubofs.errors import ConfigInvalid, InfeasibleConfig
 from qubofs.pipeline import (
     Pipeline,
-    baseline_random_selection,
-    baseline_tfidf_selection,
     derive_seed,
     feature_selection_stats,
     random_search,
-    stats_tsv,
 )
 from qubofs.solvers import SelectionResult
 from qubofs.sparse import SparseMatrix
@@ -107,25 +104,36 @@ class TestRandomSearch:
         assert seq[2] == par[2]
 
 
+def load_recovery_study():
+    """scripts/planted_recovery_study.py, which holds the baselines."""
+    path = Path(__file__).parents[1] / "scripts" / "planted_recovery_study.py"
+    spec = importlib.util.spec_from_file_location("planted_recovery_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    return study
+
+
 class TestBaselines:
+    study = load_recovery_study()
+
     def test_tfidf_quota_one_selects_all(self):
         icm = SparseMatrix.from_dense(np.eye(4))
-        assert baseline_tfidf_selection(icm, 1.0) == [0, 1, 2, 3]
+        assert self.study.baseline_tfidf_selection(icm, 1.0) == [0, 1, 2, 3]
 
     def test_tfidf_picks_rare(self):
         icm = SparseMatrix.from_dense(
             [[1, 1, 0, 1], [0, 1, 1, 1], [0, 1, 1, 1], [0, 1, 1, 1]]
         )
         # df: f0=1, f1=4, f2=3, f3=4 -> rarest two are f0, f2
-        assert baseline_tfidf_selection(icm, 0.5) == [0, 2]
+        assert self.study.baseline_tfidf_selection(icm, 0.5) == [0, 2]
 
     def test_random_selection_size_and_determinism(self):
-        sel = baseline_random_selection(10, 0.6, seed=5)
+        sel = self.study.baseline_random_selection(10, 0.6, seed=5)
         assert len(sel) == 6
-        assert sel == baseline_random_selection(10, 0.6, seed=5)
+        assert sel == self.study.baseline_random_selection(10, 0.6, seed=5)
 
     def test_random_selection_quota_one(self):
-        assert baseline_random_selection(5, 1.0, seed=6) == [0, 1, 2, 3, 4]
+        assert self.study.baseline_random_selection(5, 1.0, seed=6) == [0, 1, 2, 3, 4]
 
 
 class TestFeatureStats:
@@ -144,11 +152,16 @@ class TestFeatureStats:
         assert rows[1] == (1, 1, 0.5)
         assert rows[2] == (2, 0, 0.0)
 
-    def test_tsv_shape(self):
-        text = stats_tsv(feature_selection_stats([{0}], 2), ("a", "b"))
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("feature\t")
-        assert len(lines) == 3
+    def test_tsv_shape(self, tmp_path):
+        run = Pipeline(tiny_config(), tmp_path / "run")
+        text = run.write_feature_stats()
+        assert (tmp_path / "run/reports/feature_stats.tsv").read_text() == text
+        header, *rows = [line.split("\t") for line in text.strip().split("\n")]
+        assert header == ["feature", "label", "times_selected", "share"]
+        n_features = run.ensure_dataset().n_features
+        assert sorted(int(row[0]) for row in rows) == list(range(n_features))
+        n_points = len(run.ensure_selections())
+        assert all(float(share) == int(times) / n_points for _, _, times, share in rows)
 
 
 class TestDeriveSeed:
@@ -187,25 +200,18 @@ class TestPipeline:
         assert report["final"] == report["baseline_all_features"]
 
     def test_rerun_byte_identical_reports(self, tmp_path):
+        """Every file but manifest.json is a pure function of (config, seed)."""
         cfg = tiny_config()
         Pipeline(cfg, tmp_path / "a").run()
         Pipeline(cfg, tmp_path / "b").run()
-        for name in ("report.json", "report.tsv", "grid_validation.tsv",
-                     "feature_stats.tsv"):
-            assert (tmp_path / "a/reports" / name).read_bytes() == (
-                tmp_path / "b/reports" / name
-            ).read_bytes(), name
+        assert tree_hashes(tmp_path / "a") == tree_hashes(tmp_path / "b")
 
     def test_worker_count_does_not_change_reports(self, tmp_path):
-        """Every artifact is the same but the solver's wall time."""
+        """Every artifact but manifest.json is the same."""
         hashes = []
         for workers, name in ((1, "a"), (3, "b")):
             out = tmp_path / name
             Pipeline(tiny_config(workers=workers), out).run()
-            for path in out.glob("selections/grid_*/selection.json"):
-                selection = json.loads(path.read_text())
-                del selection["wall_time_s"]
-                path.write_text(json.dumps(selection))
             hashes.append(tree_hashes(out))
         assert hashes[0] == hashes[1]
 
@@ -279,30 +285,25 @@ class TestSelectionResume:
     @staticmethod
     def selections(out: Path) -> dict:
         return {
-            i: json.loads((out / f"selections/grid_{i:03d}/selection.json").read_text())
+            i: (out / f"selections/grid_{i:03d}/selection.json").read_bytes()
             for i in range(TestSelectionResume.POINTS)
         }
-
-    @staticmethod
-    def without_wall_time(selection: dict) -> dict:
-        return {k: v for k, v in selection.items() if k != "wall_time_s"}
 
     def test_partial_resume_matches_full_batch(self, tmp_path):
         cfg = self.sa_config()
         out = tmp_path / "run"
         Pipeline(cfg, out).ensure_selections()
         originals = self.selections(out)
+        paths = [out / f"selections/grid_{i:03d}/selection.json" for i in range(self.POINTS)]
+        inodes = [os.stat(path).st_ino for path in paths]
         deleted = (1, 4, 6)
         for i in deleted:
-            (out / f"selections/grid_{i:03d}/selection.json").unlink()
+            paths[i].unlink()
         Pipeline(cfg, out).ensure_selections()
-        resumed = self.selections(out)
-        for i in range(self.POINTS):
-            if i in deleted:
-                # re-solved in a batch of three instead of eight
-                assert self.without_wall_time(resumed[i]) == self.without_wall_time(originals[i])
-            else:
-                assert resumed[i] == originals[i]  # loaded, not re-solved
+        # the deleted points were re-solved in a batch of three instead of eight
+        assert self.selections(out) == originals
+        # the others were loaded, not re-solved: an atomic rewrite gives a new inode
+        assert all(os.stat(paths[i]).st_ino == inodes[i] for i in range(self.POINTS) if i not in deleted)
 
     def test_write_killed_midway_resumes(self, tmp_path, monkeypatch):
         cfg = self.sa_config()
@@ -331,9 +332,7 @@ class TestSelectionResume:
             json.loads(path.read_text())  # complete, never truncated
 
         Pipeline(cfg, out).ensure_selections()
-        resumed = self.selections(out)
-        for i in range(self.POINTS):
-            assert self.without_wall_time(resumed[i]) == self.without_wall_time(reference[i])
+        assert self.selections(out) == reference
 
 
 class TestGridResume:
@@ -390,6 +389,23 @@ class TestGridResume:
         assert tree_hashes(out) == before
         assert [os.stat(out / name).st_ino for name in pair_files] == inodes
         assert "cf_model" not in resumed.run_info.timings
+
+
+def test_stages_name_exactly_the_files_a_run_writes(tmp_path):
+    """A run writes the files STAGES declares, expanded over the grid, and
+    the two run-level files; nothing else. A file name that a build or load
+    function spells differently from its STAGES row fails here."""
+    cfg = tiny_config()
+    out = tmp_path / "run"
+    Pipeline(cfg, out).run()
+    declared = {"config.resolved.json", "manifest.json"} | {
+        pattern.format(i=i)
+        for patterns, _, _ in pipeline.STAGES.values()
+        for pattern in patterns
+        for i in range(len(cfg.qubo.points()))
+    }
+    written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert written == declared
 
 
 def test_benchmark_tracer_names_are_bound():

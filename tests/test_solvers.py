@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from unittest import mock
 
@@ -415,7 +416,6 @@ class TestSelectionPersistence:
             solver="sa",
             seed=11,
             samples_drawn=100,
-            wall_time=0.25,
         )
         save_selection(result, tmp_path / "sel.json")
         loaded = load_selection(tmp_path / "sel.json")
@@ -423,3 +423,15 @@ class TestSelectionPersistence:
         assert loaded.energy == -2.5
         assert loaded.solver == "sa"
         assert loaded.selected() == [1, 2]
+        assert set(json.loads((tmp_path / "sel.json").read_text())) == {
+            "x", "energy", "solver", "seed", "samples_drawn",
+        }
+
+    def test_older_run_with_wall_time_loads(self, tmp_path):
+        """Runs written before selection.json lost its timing still resume."""
+        path = tmp_path / "selection.json"
+        path.write_text(json.dumps({"x": [1, 0], "energy": -1.0, "solver": "sa", "seed": 4,
+                                    "samples_drawn": 10, "wall_time_s": 0.5}))
+        loaded = load_selection(path)
+        assert list(loaded.x) == [1, 0] and loaded.x.dtype == np.int8
+        assert (loaded.energy, loaded.solver, loaded.seed, loaded.samples_drawn) == (-1.0, "sa", 4, 10)
