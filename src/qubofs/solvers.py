@@ -6,10 +6,12 @@ then scores bounded chunks of high-bit assignments against the whole table,
 one matrix product per chunk; ties go to the smaller integer encoding. The
 annealer runs every restart of every problem it is given in lockstep, one row
 per (problem, restart), each row with its own problem's coefficients and
-inverse-temperature ramp. Every row owns an RNG stream derived from (problem
-seed, restart index) and consumes it in a fixed order, so a result depends
-neither on which other problems share the run nor on how its draws are
-buffered. The draw buffer is bounded over the whole run.
+inverse-temperature ramp. Every row owns two RNG streams derived from
+(problem seed, restart index): one gives the flip orders, the other (the
+coins) the initial assignment and then one uniform per flip. Each stream is
+read strictly in sequence, so a result depends neither on which other
+problems share the run nor on the size of the draw buffer, which is bounded
+over the whole run.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ _EXHAUSTIVE_LOW_BITS = 12
 # energies per chunk of the exhaustive scan (2 MB of float64), whatever n is
 _EXHAUSTIVE_CHUNK_ENTRIES = 1 << 18
 
-# sweep-block sizing for pre-generated randomness, entries per restart; it
-# fixes the order in which every restart consumes its stream
-_SA_BLOCK_ENTRIES = 100_000
 # entries per draw buffer (flip orders, uniforms) over all rows of a run
 _SA_BUFFER_ENTRIES = 250_000
 
@@ -55,8 +54,6 @@ class AnnealSchedule:
             raise ValueError("beta_end must be finite and >= beta_start")
 
     def betas(self) -> np.ndarray:
-        if self.sweeps == 1:
-            return np.array([self.beta_start])
         return np.geomspace(self.beta_start, self.beta_end, self.sweeps)
 
 
@@ -183,10 +180,11 @@ def solve_sa_many(
     the other problems of the run.
 
     Row ``p * num_samples + s`` is restart s of problem p: it reads problem p's
-    coefficients, follows schedule p's ramp and draws from stream s of
-    ``seeds[p]``. Per stream the draws are the initial ``random(n)``, then per
-    block of ``_SA_BLOCK_ENTRIES // n`` sweeps the flip orders of the whole
-    block followed by its uniforms.
+    coefficients, follows schedule p's ramp and draws from the two generators
+    spawned from child s of ``SeedSequence(seeds[p])``. The first gives one
+    flip order per sweep; the second, the coins, gives the initial
+    ``random(n)`` and then one uniform per flip. Both are read in sequence,
+    so the buffer size changes no draw.
     """
     if not len(problems) == len(schedules) == len(seeds):
         raise ValueError("need one schedule and one seed per problem")
@@ -201,7 +199,7 @@ def solve_sa_many(
     if any(s.sweeps != sweeps for s in schedules):
         raise ValueError("schedules annealed together must share the sweep count")
     n_rows = len(problems) * num_samples
-    streams = [np.random.default_rng(s) for seed in seeds
+    streams = [np.random.default_rng(s).spawn(2) for seed in seeds
                for s in np.random.SeedSequence(seed).spawn(num_samples)]
     # variable f of problem p is row p * n + f of the stacked coefficients
     q_stack = np.concatenate([p.q for p in problems])
@@ -212,8 +210,8 @@ def solve_sa_many(
     neg_betas = -np.stack([s.betas() for s in schedules])
 
     x = np.empty((n_rows, n))
-    for r, stream in enumerate(streams):
-        x[r] = stream.random(n) < 0.5
+    for r, (_, coins) in enumerate(streams):
+        x[r] = coins.random(n) < 0.5
     field = np.empty((n_rows, n))
     current = np.empty(n_rows)
     for p, problem in enumerate(problems):
@@ -225,56 +223,42 @@ def solve_sa_many(
     x_flat = x.reshape(-1)
     field_flat = field.reshape(-1)
 
-    block = max(1, _SA_BLOCK_ENTRIES // max(1, n))
-    chunk = min(block, sweeps, max(1, _SA_BUFFER_ENTRIES // (n_rows * max(1, n))))
+    chunk = min(sweeps, max(1, _SA_BUFFER_ENTRIES // (n_rows * max(1, n))))
     order = np.empty((n_rows, chunk, n), dtype=np.int64)
     uniforms = np.empty((n_rows, chunk, n))
-    # a block's flip orders precede its uniforms in every stream, and the
-    # buffers hold only a chunk of them: each block, a twin takes the stream's
-    # state and draws the orders chunk by chunk, while the stream skips them
-    # and draws the uniforms
-    twins = [np.random.default_rng(0) for _ in streams]
-    sweep = 0
-    while sweep < sweeps:
-        n_block = min(block, sweeps - sweep)
-        skipped = np.tile(np.arange(n), (n_block, 1))
-        for twin, stream in zip(twins, streams):
-            twin.bit_generator.state = stream.bit_generator.state
-            stream.permuted(skipped, axis=1, out=skipped)
-        for start in range(0, n_block, chunk):
-            c = min(chunk, n_block - start)
-            base = np.tile(np.arange(n), (c, 1))
-            for r in range(n_rows):
-                twins[r].permuted(base, axis=1, out=order[r, :c])
-                streams[r].random((c, n), out=uniforms[r, :c])
-            order[:, :c] += owner[:, None, None]
-            for t in range(c):
-                neg_beta = neg_betas[:, sweep + start + t].repeat(num_samples)
-                for pos in range(n):
-                    f = order[:, t, pos]
-                    flat = f + shift
-                    xf = x_flat[flat]
-                    df = diag[f]
-                    delta = 1.0 - 2.0 * xf
-                    d_energy = delta * (df + 2.0 * (field_flat[flat] - df * xf))
-                    # u < 1 = exp(0): every downhill move is accepted
-                    accept = uniforms[:, t, pos] < np.exp(neg_beta * np.maximum(d_energy, 0.0))
-                    idx = np.flatnonzero(accept)
-                    if not idx.size:
-                        continue
-                    da = delta[idx]
-                    x_flat[flat[idx]] += da
-                    current[idx] += d_energy[idx]
-                    step = q_stack.take(f[idx], axis=0)
-                    step *= da[:, None]
-                    step += field.take(idx, axis=0)
-                    field[idx] = step
-                    # a row that did not move cannot beat its own best
-                    improved = np.flatnonzero(current < best_energy)
-                    if improved.size:
-                        best_energy[improved] = current[improved]
-                        best_x[improved] = x[improved]
-        sweep += n_block
+    for start in range(0, sweeps, chunk):
+        c = min(chunk, sweeps - start)
+        base = np.tile(np.arange(n), (c, 1))
+        for r, (orders, coins) in enumerate(streams):
+            orders.permuted(base, axis=1, out=order[r, :c])
+            coins.random((c, n), out=uniforms[r, :c])
+        order[:, :c] += owner[:, None, None]
+        for t in range(c):
+            neg_beta = neg_betas[:, start + t].repeat(num_samples)
+            for pos in range(n):
+                f = order[:, t, pos]
+                flat = f + shift
+                xf = x_flat[flat]
+                df = diag[f]
+                delta = 1.0 - 2.0 * xf
+                d_energy = delta * (df + 2.0 * (field_flat[flat] - df * xf))
+                # u < 1 = exp(0): every downhill move is accepted
+                accept = uniforms[:, t, pos] < np.exp(neg_beta * np.maximum(d_energy, 0.0))
+                idx = np.flatnonzero(accept)
+                if not idx.size:
+                    continue
+                da = delta[idx]
+                x_flat[flat[idx]] += da
+                current[idx] += d_energy[idx]
+                step = q_stack.take(f[idx], axis=0)
+                step *= da[:, None]
+                step += field.take(idx, axis=0)
+                field[idx] = step
+                # a row that did not move cannot beat its own best
+                improved = np.flatnonzero(current < best_energy)
+                if improved.size:
+                    best_energy[improved] = current[improved]
+                    best_x[improved] = x[improved]
 
     results = []
     for p, (problem, seed) in enumerate(zip(problems, seeds)):

@@ -179,6 +179,9 @@ class TestDefaultSchedule:
         sch = default_schedule(10, scale=3.0)
         assert sch.beta_end >= sch.beta_start
 
+    def test_one_sweep_ramp_is_beta_start(self):
+        assert list(AnnealSchedule(sweeps=1, beta_start=0.3, beta_end=7.0).betas()) == [0.3]
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             AnnealSchedule(sweeps=0, beta_start=0.1, beta_end=1.0)
@@ -253,52 +256,47 @@ def as_tuples(results):
     return [(r.energy, tuple(int(v) for v in r.x)) for r in results]
 
 
-def reference_sa(problem, schedule, num_samples, seed, block_entries=100_000):
+def reference_sa(problem, schedule, num_samples, seed):
     """The per-problem annealer the batched one replaced, as (energy, x)
     tuples: the oracle for the draw order and the arithmetic. Each restart
-    draws its initial assignment, then per block all flip orders, then all
-    uniforms."""
+    spawns two generators and draws its whole run up front: the flip orders
+    from the first, the initial assignment and then the uniforms from the
+    second."""
     n, q = problem.n, problem.q
     diag = np.diagonal(q).copy()
     betas = schedule.betas()
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(num_samples)]
+    sweeps = schedule.sweeps
     x = np.empty((num_samples, n), dtype=np.int8)
-    for s, stream in enumerate(streams):
-        x[s] = stream.random(n) < 0.5
+    perms = np.empty((num_samples, sweeps, n), dtype=np.int64)
+    uniforms = np.empty((num_samples, sweeps, n))
+    for s, child in enumerate(np.random.SeedSequence(seed).spawn(num_samples)):
+        orders, coins = np.random.default_rng(child).spawn(2)
+        perms[s] = orders.permuted(np.tile(np.arange(n), (sweeps, 1)), axis=1)
+        x[s] = coins.random(n) < 0.5
+        uniforms[s] = coins.random((sweeps, n))
     field = x.astype(np.float64) @ q
     current = np.einsum("sf,sf->s", x.astype(np.float64), field)
     best_energy = current.copy()
     best_x = x.copy()
     rows = np.arange(num_samples)
-    block = max(1, block_entries // max(1, n))
-    sweep = 0
-    while sweep < schedule.sweeps:
-        n_block = min(block, schedule.sweeps - sweep)
-        perms = np.empty((num_samples, n_block, n), dtype=np.int64)
-        uniforms = np.empty((num_samples, n_block, n))
-        base = np.tile(np.arange(n), (n_block, 1))
-        for s, stream in enumerate(streams):
-            perms[s] = stream.permuted(base, axis=1)
-            uniforms[s] = stream.random((n_block, n))
-        for t in range(n_block):
-            beta = betas[sweep + t]
-            for pos in range(n):
-                f = perms[:, t, pos]
-                xf = x[rows, f].astype(np.float64)
-                delta = 1.0 - 2.0 * xf
-                d_energy = delta * (diag[f] + 2.0 * (field[rows, f] - diag[f] * xf))
-                accept = (d_energy <= 0.0) | (
-                    uniforms[:, t, pos] < np.exp(-beta * np.maximum(d_energy, 0.0))
-                )
-                idx = np.flatnonzero(accept)
-                fa, da = f[idx], delta[idx]
-                x[idx, fa] += da.astype(np.int8)
-                current[idx] += d_energy[idx]
-                field[idx] += da[:, None] * q[fa]
-                improved = idx[current[idx] < best_energy[idx]]
-                best_energy[improved] = current[improved]
-                best_x[improved] = x[improved]
-        sweep += n_block
+    for t in range(sweeps):
+        beta = betas[t]
+        for pos in range(n):
+            f = perms[:, t, pos]
+            xf = x[rows, f].astype(np.float64)
+            delta = 1.0 - 2.0 * xf
+            d_energy = delta * (diag[f] + 2.0 * (field[rows, f] - diag[f] * xf))
+            accept = (d_energy <= 0.0) | (
+                uniforms[:, t, pos] < np.exp(-beta * np.maximum(d_energy, 0.0))
+            )
+            idx = np.flatnonzero(accept)
+            fa, da = f[idx], delta[idx]
+            x[idx, fa] += da.astype(np.int8)
+            current[idx] += d_energy[idx]
+            field[idx] += da[:, None] * q[fa]
+            improved = idx[current[idx] < best_energy[idx]]
+            best_energy[improved] = current[improved]
+            best_x[improved] = x[improved]
     results = [(energy(problem, bx), tuple(int(v) for v in bx)) for bx in best_x]
     return sorted(results, key=lambda r: r[0])
 
@@ -306,18 +304,18 @@ def reference_sa(problem, schedule, num_samples, seed, block_entries=100_000):
 class TestSolveSaGolden:
     def test_pinned_restarts(self):
         # integer coefficients keep every energy exact; the values pin the
-        # order in which each restart consumes its stream: the initial
-        # assignment, then the block's flip orders, then its uniforms
+        # draws of each restart's two streams: the flip orders, and the
+        # initial assignment followed by the uniforms
         rng = np.random.default_rng(2024)
         q = rng.integers(-9, 10, size=(16, 16)).astype(float)
         p = QuboProblem(q=np.triu(q) + np.triu(q, 1).T)
         sch = AnnealSchedule(sweeps=2, beta_start=0.001, beta_end=0.01)
         results = solve_sa_many([p], [sch], 8, [3])[0]
         assert as_tuples(results) == reference_sa(p, sch, 8, 3)
-        assert list(results[0].x) == [1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1]
-        assert results[0].energy == -241.0
+        assert list(results[0].x) == [1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1]
+        assert results[0].energy == -289.0
         assert [r.energy for r in results] == [
-            -241.0, -229.0, -184.0, -166.0, -162.0, -114.0, -108.0, -54.0,
+            -289.0, -161.0, -143.0, -133.0, -131.0, -130.0, -114.0, -95.0,
         ]
 
 
@@ -352,21 +350,26 @@ class TestSolveSaMany:
         problems, schedules, seeds = self.batch(rng, 4, 9, 60)
         self.check_matches_alone(problems, schedules, 6, seeds)
 
-    def test_multi_block(self):
-        # 100_000 // 120 = 833 sweeps per block: two blocks, and the first is
-        # longer than the draw buffer holds. Integer coefficients keep the
-        # energies exact; the pinned values come from the per-point annealer
-        # that preceded the batched one.
+    def test_many_chunks_at_n120(self):
+        # a 1500-entry buffer holds 3 sweeps of the batch's 2 problems x 2
+        # restarts at n=120, so 10 sweeps take four chunks, the last short;
+        # integer coefficients keep the energies exact
         rng = np.random.default_rng(31)
         problems, schedules = [], []
         for k in range(2):
             q = rng.integers(-9, 10, size=(120, 120)).astype(float)
             problems.append(QuboProblem(q=np.triu(q) + np.triu(q, 1).T))
-            schedules.append(AnnealSchedule(sweeps=900, beta_start=0.001 * (k + 1),
+            schedules.append(AnnealSchedule(sweeps=10, beta_start=0.001 * (k + 1),
                                             beta_end=0.01 * (k + 1)))
-        together = self.check_matches_alone(problems, schedules, 2, [40, 41])
-        assert [[r.energy for r in results] for results in together] == [
-            [-2805.0, -2717.0], [-3977.0, -3830.0],
+        seeds = [40, 41]
+
+        def small_buffer(*args):
+            with mock.patch.object(solvers, "_SA_BUFFER_ENTRIES", 1500):
+                return solve_sa_many(*args)
+
+        together = self.check_matches_alone(problems, schedules, 2, seeds, small_buffer)
+        assert [as_tuples(r) for r in together] == [
+            reference_sa(p, s, 2, seed) for p, s, seed in zip(problems, schedules, seeds)
         ]
 
     def test_single_sweep_chunks(self, monkeypatch):
@@ -381,20 +384,37 @@ class TestSolveSaMany:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 3),
-           st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1))
-    def test_matches_reference(self, n, sweeps, num_samples, block_entries, buffer_entries, seed):
-        # small blocks and buffers: many blocks, chunks down to one sweep
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, n, sweeps, num_samples, buffer_entries, seed):
+        # small buffers: many chunks, down to one sweep each
         rng = np.random.default_rng(seed)
         problems, schedules, seeds = self.batch(rng, 3, n, sweeps)
-        expected = [reference_sa(p, s, num_samples, sd, block_entries)
+        expected = [reference_sa(p, s, num_samples, sd)
                     for p, s, sd in zip(problems, schedules, seeds)]
-        with mock.patch.multiple(solvers, _SA_BLOCK_ENTRIES=block_entries,
-                                 _SA_BUFFER_ENTRIES=buffer_entries):
+        with mock.patch.object(solvers, "_SA_BUFFER_ENTRIES", buffer_entries):
             together = solve_sa_many(problems, schedules, num_samples, seeds)
         assert [as_tuples(r) for r in together] == expected
 
+    def test_draw_buffer_bounded(self):
+        # 10 problems x 50 restarts x 60 sweeps x 40 variables: drawing the
+        # whole run up front would take 18 MiB of orders and uniforms
+        rng = np.random.default_rng(34)
+        problems, schedules, seeds = self.batch(rng, 10, 40, 60)
+        tracemalloc.start()
+        try:
+            solve_sa_many(problems, schedules, 50, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_empty(self):
         assert solve_sa_many([], [], 5, []) == []
+
+    def test_no_variables(self):
+        sch = AnnealSchedule(sweeps=3, beta_start=0.1, beta_end=1.0)
+        results = solve_sa_many([QuboProblem(q=np.zeros((0, 0)), offset=2.0)], [sch], 2, [0])[0]
+        assert [(r.energy, r.x.shape) for r in results] == [(2.0, (0,))] * 2
 
     def test_rejects_mixed_sizes(self):
         rng = np.random.default_rng(33)
