@@ -4,18 +4,22 @@ The exhaustive solver splits x into low and high bits. It tabulates every
 low-bit assignment once, with its energy and its coupling to the high bits,
 then scores bounded chunks of high-bit assignments against the whole table,
 one matrix product per chunk; ties go to the smaller integer encoding. The
-annealer runs every restart of every problem it is given in lockstep, one row
-per (problem, restart), each row with its own problem's coefficients and
+annealer runs every restart of every problem it is given, one row per
+(problem, restart), each row with its own problem's coefficients and
 inverse-temperature ramp. Every row owns two RNG streams derived from
 (problem seed, restart index): one gives the flip orders, the other (the
 coins) the initial assignment and then one uniform per flip. Each stream is
 read strictly in sequence, so a result depends neither on which other
-problems share the run nor on the size of the draw buffer, which is bounded
-over the whole run.
+problems share the run nor on how the sweeps are run. They run one row at a
+time in a small C kernel (``_anneal.c``, built on first use by ``_native``)
+that draws from the rows' generators itself; where it cannot be built or
+disagrees with numpy, they run in numpy, all rows in lockstep over draw
+buffers bounded over the whole run. Both give identical results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -33,7 +37,7 @@ _EXHAUSTIVE_LOW_BITS = 12
 # energies per chunk of the exhaustive scan (2 MB of float64), whatever n is
 _EXHAUSTIVE_CHUNK_ENTRIES = 1 << 18
 
-# entries per draw buffer (flip orders, uniforms) over all rows of a run
+# entries per draw buffer (flip orders, uniforms) over all rows of a numpy run
 _SA_BUFFER_ENTRIES = 250_000
 
 
@@ -174,8 +178,8 @@ def solve_sa_many(
     seeds: Sequence[int],
 ) -> list[list[SelectionResult]]:
     """Single-flip Metropolis annealing of problems of one size and sweep
-    count in one lockstep run, ``num_samples`` restarts each. For each problem
-    p, returns one result per restart, best energy first. A problem's results
+    count in one run, ``num_samples`` restarts each. For each problem p,
+    returns one result per restart, best energy first. A problem's results
     depend only on (problems[p], schedules[p], num_samples, seeds[p]), not on
     the other problems of the run.
 
@@ -183,8 +187,12 @@ def solve_sa_many(
     coefficients, follows schedule p's ramp and draws from the two generators
     spawned from child s of ``SeedSequence(seeds[p])``. The first gives one
     flip order per sweep; the second, the coins, gives the initial
-    ``random(n)`` and then one uniform per flip. Both are read in sequence,
-    so the buffer size changes no draw.
+    ``random(n)`` and then one uniform per flip. Both are read in sequence.
+
+    The sweeps run in the compiled kernel (``_anneal.c``) when this machine
+    can build it and it passes its self-check, and otherwise in numpy, all
+    rows in lockstep over bounded draw buffers. Both paths read the same
+    draws and do the same arithmetic, so they return identical results.
     """
     if not len(problems) == len(schedules) == len(seeds):
         raise ValueError("need one schedule and one seed per problem")
@@ -193,20 +201,38 @@ def solve_sa_many(
     if not problems:
         return []
     n = problems[0].n
-    sweeps = schedules[0].sweeps
     if any(p.n != n for p in problems):
         raise DimensionMismatch("problems annealed together must share n")
-    if any(s.sweeps != sweeps for s in schedules):
+    if any(s.sweeps != schedules[0].sweeps for s in schedules):
         raise ValueError("schedules annealed together must share the sweep count")
+    best_x = _anneal(problems, schedules, num_samples, seeds, _load_kernel() or _sweep_numpy)
+
+    results = []
+    for p, (problem, seed) in enumerate(zip(problems, seeds)):
+        own = [
+            SelectionResult(
+                x=bx.copy(),
+                energy=energy(problem, bx),
+                solver="sa",
+                seed=seed,
+                samples_drawn=num_samples,
+            )
+            for bx in best_x[p * num_samples:(p + 1) * num_samples]
+        ]
+        own.sort(key=lambda r: r.energy)
+        results.append(own)
+    return results
+
+
+def _anneal(problems, schedules, num_samples, seeds, sweep) -> np.ndarray:
+    """The best assignment each row visited, one row per (problem, restart).
+    The state before the first sweep is set up here, in numpy, whichever
+    ``sweep`` runs the sweeps."""
+    n = problems[0].n
     n_rows = len(problems) * num_samples
-    streams = [np.random.default_rng(s).spawn(2) for seed in seeds
-               for s in np.random.SeedSequence(seed).spawn(num_samples)]
-    # variable f of problem p is row p * n + f of the stacked coefficients
+    streams = [[np.random.Generator(np.random.PCG64(c)) for c in child.spawn(2)]
+               for seed in seeds for child in np.random.SeedSequence(seed).spawn(num_samples)]
     q_stack = np.concatenate([p.q for p in problems])
-    diag = np.concatenate([np.diagonal(p.q) for p in problems])
-    owner = np.repeat(np.arange(len(problems)) * n, num_samples)
-    # stacked row + shift = flat (row, variable) index into x and field
-    shift = np.arange(n_rows) * n - owner
     neg_betas = -np.stack([s.betas() for s in schedules])
 
     x = np.empty((n_rows, n))
@@ -220,6 +246,64 @@ def solve_sa_many(
         current[rows] = np.einsum("sf,sf->s", x[rows], field[rows])
     best_energy = current.copy()
     best_x = x.astype(np.int8)
+    sweep(streams, q_stack, neg_betas, num_samples, x, field, current, best_energy, best_x)
+    return best_x
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled sweeps as a drop-in for ``_sweep_numpy``, or None when
+    ``_anneal.c`` cannot be built or loaded here, or when it disagrees with
+    numpy on a small problem: the kernel relies on how numpy shuffles and on
+    libm's ``exp``, neither of which numpy promises."""
+    import ctypes
+
+    from . import _native
+
+    lib = _native.load_library("_anneal")
+    if lib is None:
+        return None
+    kernel = lib.anneal_rows
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    kernel.argtypes = [ctypes.c_int64] * 4 + [doubles] * 2 + [
+        np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")] + [doubles] * 4 + [
+        np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")]
+    kernel.restype = None
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+    def sweep(streams, q_stack, neg_betas, num_samples, x, field, current, best_energy, best_x):
+        # each row's (orders, coins) bitgen_t pointers, in row order
+        bitgens = np.array([capsule_pointer(g.bit_generator.capsule, b"BitGenerator")
+                            for row in streams for g in row], dtype=np.uintp)
+        n_rows, n = x.shape
+        kernel(n_rows, n, neg_betas.shape[1], num_samples, q_stack, neg_betas, bitgens,
+               x, field, current, best_energy, best_x, np.empty(n, dtype=np.int64))
+
+    # 2^12 states, few sweeps and a ramp on which the coins decide many
+    # moves: each row's best state depends on its draws
+    rng = np.random.default_rng(0)
+    problems = [QuboProblem(q=q + q.T) for q in rng.normal(size=(2, 12, 12))]
+    schedules = [AnnealSchedule(sweeps=4, beta_start=0.3, beta_end=1.0)] * 2
+    check = (problems, schedules, 3, [1, 2])
+    if not np.array_equal(_anneal(*check, sweep), _anneal(*check, _sweep_numpy)):
+        return None
+    return sweep
+
+
+def _sweep_numpy(streams, q_stack, neg_betas, num_samples, x, field, current,
+                 best_energy, best_x) -> None:
+    """Every row's sweeps in lockstep, drawing the flip orders and uniforms
+    into buffers of at most ``_SA_BUFFER_ENTRIES`` entries over all rows;
+    the streams are read in sequence, so the buffer size changes no draw."""
+    n_rows, n = x.shape
+    n_problems, sweeps = neg_betas.shape
+    diag = np.diagonal(q_stack.reshape(n_problems, n, n), axis1=1, axis2=2).reshape(-1)
+    # variable f of problem p is row p * n + f of the stacked coefficients
+    owner = np.repeat(np.arange(n_problems) * n, num_samples)
+    # stacked row + shift = flat (row, variable) index into x and field
+    shift = np.arange(n_rows) * n - owner
     x_flat = x.reshape(-1)
     field_flat = field.reshape(-1)
 
@@ -259,19 +343,3 @@ def solve_sa_many(
                 if improved.size:
                     best_energy[improved] = current[improved]
                     best_x[improved] = x[improved]
-
-    results = []
-    for p, (problem, seed) in enumerate(zip(problems, seeds)):
-        own = [
-            SelectionResult(
-                x=bx.copy(),
-                energy=energy(problem, bx),
-                solver="sa",
-                seed=seed,
-                samples_drawn=num_samples,
-            )
-            for bx in best_x[p * num_samples:(p + 1) * num_samples]
-        ]
-        own.sort(key=lambda r: r.energy)
-        results.append(own)
-    return results

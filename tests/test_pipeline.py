@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qubofs
-from qubofs import data, fileio, pipeline
+from qubofs import data, fileio, pipeline, solvers
 from qubofs.config import ITEM_KNN_CBF_SPACE, ExperimentConfig, SynthSpec
 from qubofs.errors import ConfigInvalid, InfeasibleConfig
 from qubofs.pipeline import (
@@ -256,6 +256,23 @@ class TestPipeline:
         )
         assert selection["solver"] == "sa"
         assert sum(selection["x"]) == 8
+
+    @pytest.mark.parametrize("qubo, solver", [
+        # test_sa_solver_path's config
+        ({"alpha": [1.0], "beta": [0.001], "s": [1e6], "p": [0.5]},
+         {"kind": "sa", "num_samples": 20}),
+        # short ramps, whose selections depend on every draw
+        ({"alpha": [1.0], "beta": [1.0, 0.001], "s": [10.0], "p": [0.25, 0.5]},
+         {"kind": "sa", "num_samples": 3, "sweeps": 4}),
+    ])
+    def test_sa_selections_without_kernel(self, tmp_path, monkeypatch, qubo, solver):
+        """The numpy fallback writes the kernel's selections byte for byte."""
+        cfg = tiny_config(qubo=qubo, solver=solver)
+        Pipeline(cfg, tmp_path / "kernel").ensure_selections()
+        monkeypatch.setattr(solvers, "_load_kernel", lambda: None)
+        Pipeline(cfg, tmp_path / "numpy").ensure_selections()
+        kernel, fallback = (tree_hashes(tmp_path / run / "selections") for run in ("kernel", "numpy"))
+        assert kernel and kernel == fallback
 
     @pytest.mark.parametrize("kind", ["item_knn_cf", "pure_svd"])
     def test_loaded_models_equal_built_ones(self, tmp_path, kind):

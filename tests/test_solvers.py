@@ -1,6 +1,9 @@
 import itertools
 import json
+import shutil
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch, TooLarge
-from qubofs import solvers
+from qubofs import _native, solvers
 from qubofs.qubo import QuboProblem, combination_penalty
 from qubofs.solvers import (
     AnnealSchedule,
@@ -319,6 +322,26 @@ class TestSolveSaGolden:
         ]
 
 
+def matches_reference_test():
+    """A fresh test function each time: Hypothesis runs a test function for
+    one class only, and TestSolveSaMany has a subclass."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 3),
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, n, sweeps, num_samples, buffer_entries, seed):
+        # small buffers: many chunks, down to one sweep each
+        rng = np.random.default_rng(seed)
+        problems, schedules, seeds = self.batch(rng, 3, n, sweeps)
+        expected = [reference_sa(p, s, num_samples, sd)
+                    for p, s, sd in zip(problems, schedules, seeds)]
+        with mock.patch.object(solvers, "_SA_BUFFER_ENTRIES", buffer_entries):
+            together = solve_sa_many(problems, schedules, num_samples, seeds)
+        assert [as_tuples(r) for r in together] == expected
+
+    return test_matches_reference
+
+
 class TestSolveSaMany:
     """A batch must equal per-problem solves. The ramps stay hot, so every
     result depends on the random draws and a changed draw order shows."""
@@ -382,18 +405,7 @@ class TestSolveSaMany:
 
         self.check_matches_alone(problems, schedules, 4, seeds, one_sweep_buffer)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 3),
-           st.integers(1, 300), st.integers(0, 2**32 - 1))
-    def test_matches_reference(self, n, sweeps, num_samples, buffer_entries, seed):
-        # small buffers: many chunks, down to one sweep each
-        rng = np.random.default_rng(seed)
-        problems, schedules, seeds = self.batch(rng, 3, n, sweeps)
-        expected = [reference_sa(p, s, num_samples, sd)
-                    for p, s, sd in zip(problems, schedules, seeds)]
-        with mock.patch.object(solvers, "_SA_BUFFER_ENTRIES", buffer_entries):
-            together = solve_sa_many(problems, schedules, num_samples, seeds)
-        assert [as_tuples(r) for r in together] == expected
+    test_matches_reference = matches_reference_test()
 
     def test_draw_buffer_bounded(self):
         # 10 problems x 50 restarts x 60 sweeps x 40 variables: drawing the
@@ -426,6 +438,127 @@ class TestSolveSaMany:
             solve_sa_many([random_problem(rng, 3)] * 2, [sch, other], 2, [0, 1])
         with pytest.raises(ValueError):
             solve_sa_many([random_problem(rng, 3)] * 2, [sch], 2, [0, 1])
+
+
+@pytest.fixture(scope="class")
+def numpy_sweeps():
+    """The numpy sweeps, as on a machine that cannot build the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_load_kernel", lambda: None)
+        yield
+
+
+@pytest.mark.usefixtures("numpy_sweeps")
+class TestSolveSaNumpy(TestSolveSa):
+    """TestSolveSa on the numpy fallback."""
+
+
+@pytest.mark.usefixtures("numpy_sweeps")
+class TestSolveSaGoldenNumpy(TestSolveSaGolden):
+    """TestSolveSaGolden on the numpy fallback."""
+
+
+@pytest.mark.usefixtures("numpy_sweeps")
+class TestSolveSaManyNumpy(TestSolveSaMany):
+    """TestSolveSaMany on the numpy fallback, its buffers included."""
+
+    test_matches_reference = matches_reference_test()
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """An empty kernel cache, loaded afresh; the counted compiler runs are
+    ``cache.compiles``."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
+    compiles = []
+    compile_ = _native._compile
+
+    def counted(*args):
+        compiles.append(args)
+        compile_(*args)
+
+    monkeypatch.setattr(_native, "_compile", counted)
+    solvers._load_kernel.cache_clear()
+    yield SimpleNamespace(dir=tmp_path / "home" / "qubofs", compiles=compiles)
+    solvers._load_kernel.cache_clear()
+
+
+class TestKernelBuild:
+    """Whatever happens to the compiler or the cache, a run returns the
+    reference results, on the kernel or on the numpy fallback."""
+
+    @staticmethod
+    def check_reference():
+        rng = np.random.default_rng(50)
+        p = random_problem(rng, 7)
+        sch = AnnealSchedule(sweeps=5, beta_start=0.1, beta_end=1.0)
+        assert as_tuples(solve_sa_many([p], [sch], 4, [11])[0]) == reference_sa(p, sch, 4, 11)
+
+    @staticmethod
+    def require_compiler():
+        if shutil.which(_native.COMPILE[0]) is None:
+            pytest.skip("no C compiler")
+
+    def test_source_ships_with_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+        assert "_anneal.c" in package_data["qubofs"]
+        assert b"void anneal_rows(" in _native.source("_anneal")
+
+    def test_builds_once_then_loads_from_the_cache(self, cache):
+        self.require_compiler()
+        assert solvers._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        assert cache.dir.stat().st_mode & 0o777 == 0o700
+        assert sorted(p.suffix for p in cache.dir.iterdir()) == [".sha256", ".so"]
+        self.check_reference()
+        solvers._load_kernel.cache_clear()
+        assert solvers._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+    def test_no_compiler(self, cache, monkeypatch):
+        monkeypatch.setattr(_native, "COMPILE", ("/nonexistent/cc",) + _native.COMPILE[1:])
+        assert solvers._load_kernel() is None
+        self.check_reference()
+
+    def test_unwritable_cache(self, cache, tmp_path, monkeypatch):
+        # a file where the cache directory should be: no permission bits
+        # stop the superuser, this does
+        self.require_compiler()
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        assert solvers._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+    def test_truncated_library_is_rebuilt(self, cache, tmp_path, monkeypatch):
+        # damage a copy in a second cache: the process has never mapped it
+        self.require_compiler()
+        assert solvers._load_kernel() is not None
+        damaged = tmp_path / "damaged" / "qubofs"
+        shutil.copytree(cache.dir, damaged)
+        library = next(damaged.glob("*.so"))
+        size = library.stat().st_size
+        library.write_bytes(library.read_bytes()[:size // 2])
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "damaged"))
+        solvers._load_kernel.cache_clear()
+        assert solvers._load_kernel() is not None
+        assert len(cache.compiles) == 2
+        assert library.stat().st_size == size
+        self.check_reference()
+
+    def test_self_check_mismatch_falls_back(self, cache, monkeypatch):
+        # a kernel whose shuffle skips its last swap draws other flip orders
+        self.require_compiler()
+        code = _native.source("_anneal")
+        wrong = code.replace(b"i > 0; i--", b"i > 1; i--")
+        assert wrong != code
+        monkeypatch.setattr(_native, "source", lambda name: wrong)
+        assert solvers._load_kernel() is None
+        assert len(cache.compiles) == 1
+        self.check_reference()
 
 
 class TestSelectionPersistence:
