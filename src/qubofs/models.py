@@ -8,6 +8,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -19,7 +20,8 @@ from .sparse import ZERO_EPSILON, SparseMatrix
 
 BM25_K1 = 1.2
 BM25_B = 0.75
-# dense score entries one ranking chunk holds: 2**18 float64s are 2 MB
+# dense score entries one chunk of the numpy ranking holds: 2**18 float64s
+# are 2 MB (the compiled ranking holds one row of scores)
 RANK_CHUNK_ENTRIES = 1 << 18
 # randomized SVD: extra sampled directions beyond the rank, and power iterations
 SVD_OVERSAMPLE = 10
@@ -194,10 +196,17 @@ def score_and_rank(
 
     Ties break toward the smaller item index, which also serves as the
     deterministic fallback for users whose scores are all zero. Repeated
-    candidates count once. Users are scored in chunks of at most
+    candidates count once. Scores are summed in the order of the canonical
+    sparse product, and those below ``ZERO_EPSILON`` in magnitude count as
+    zero.
+
+    The ranking runs in the compiled kernel (``_rank.c``) when this machine
+    can build it and it passes its self-check: one user at a time, over one
+    dense row of candidate scores, reading scipy's 32- or 64-bit CSR indices
+    in place. Otherwise numpy scores users in chunks of at most
     ``RANK_CHUNK_ENTRIES`` dense scores (one user per chunk if a single row
-    exceeds it), so the dense scores held at once do not grow with the
-    number of users.
+    exceeds it). Either way the scores held do not grow with the number of
+    users, and both paths return identical lists.
     """
     if user_profiles.n_cols != model.s.n_rows:
         raise DimensionMismatch(
@@ -214,14 +223,26 @@ def score_and_rank(
         if candidates.size and (candidates[0] < 0 or candidates[-1] >= n_items):
             raise IndexOutOfRange(f"candidate item outside [0, {n_items})")
         sim = sim[:, candidates]
-    n_users, n_cand = user_profiles.n_rows, candidates.size
+    n_cand = candidates.size
     if n_cand == 0:
-        return [candidates[:0] for _ in range(n_users)]
-    # column of each item among the candidates, -1 for the others
-    position = np.full(n_items, -1, dtype=np.int64)
+        return [candidates[:0] for _ in range(user_profiles.n_rows)]
+    # column of each item among the candidates, -1 for the others; it covers
+    # the profiles' columns too, which index the similarity's rows
+    position = np.full(max(model.s.shape), -1, dtype=np.int64)
     position[candidates] = np.arange(n_cand)
     profiles = user_profiles.csr
-    k = min(cutoff, n_cand)
+    rank = _load_kernel()
+    if rank is None or not all(m.indptr.dtype == m.indices.dtype in (np.int32, np.int64)
+                               for m in (profiles, sim)):
+        rank = _rank_numpy
+    return rank(profiles, sim, position, candidates, min(cutoff, n_cand))
+
+
+def _rank_numpy(profiles: sp.csr_array, sim: sp.csr_array, position: np.ndarray,
+                candidates: np.ndarray, k: int) -> list[np.ndarray]:
+    """``score_and_rank`` over chunks of users: a sparse product, dense
+    scores, and ``_top_k``. ``sim`` holds the candidate columns only."""
+    n_users, n_cand = profiles.shape[0], candidates.size
     step = max(1, RANK_CHUNK_ENTRIES // n_cand)
     ranked: list[np.ndarray] = []
     for lo in range(0, n_users, step):
@@ -236,6 +257,63 @@ def score_and_rank(
         items = candidates[_top_k(scores, k)]
         ranked.extend(row[:length] for row, length in zip(items, lengths.tolist()))
     return ranked
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled ranking as a drop-in for ``_rank_numpy``, or None when
+    ``_rank.c`` cannot be built or loaded here, or when it disagrees with
+    numpy on a small case: the kernel relies on scipy summing the sparse
+    product in CSR order, which scipy does not promise."""
+    import ctypes
+
+    from . import _native
+
+    lib = _native.load_library("_rank")
+    if lib is None:
+        return None
+    kernel = lib.rank_users
+    # index arrays of either width: their dtype is checked by the caller
+    indices, int64s, doubles = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                                for t in (None, np.int64, np.float64))
+    kernel.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [
+        ctypes.c_int64, indices, indices, doubles] * 2 + [
+        int64s, int64s, doubles, int64s, doubles, int64s, int64s, int64s]
+    kernel.restype = ctypes.c_int64
+
+    def rank(profiles, sim, position, candidates, k):
+        n_users, n_cand = profiles.shape[0], candidates.size
+        out = np.empty((n_users, k), dtype=np.int64)
+        lengths = np.empty(n_users, dtype=np.int64)
+        status = kernel(n_users, n_cand, k, ZERO_EPSILON,
+                        profiles.indices.dtype == np.int64,
+                        profiles.indptr, profiles.indices, profiles.data,
+                        sim.indices.dtype == np.int64, sim.indptr, sim.indices, sim.data,
+                        position, candidates,
+                        np.zeros(n_cand), np.full(n_cand, -1, dtype=np.int64),
+                        np.empty(k), np.empty(k, dtype=np.int64), out, lengths)
+        if status:
+            raise ValueError("non-finite value in sparse matrix")
+        ranked = list(out)
+        for u in np.flatnonzero(lengths < k).tolist():
+            ranked[u] = ranked[u][:lengths[u]]
+        return ranked
+
+    # integer scores that tie often, some columns' scores pushed below
+    # ZERO_EPSILON, negative and empty profiles, a candidate subset, and a
+    # cutoff above some users' unseen candidates
+    rng = np.random.default_rng(0)
+    s = rng.integers(-1, 3, size=(12, 12)) * (rng.random((12, 12)) < 0.5) * 1.0
+    s[:, :4] *= 1e-13
+    profiles = rng.integers(-1, 3, size=(8, 12)) * (rng.random((8, 12)) < 0.4) * 1.0
+    profiles[:2] = 0.0
+    candidates = np.arange(1, 12, dtype=np.int64)
+    check = (sp.csr_array(profiles), sp.csr_array(s[:, candidates]),
+             np.arange(-1, 11, dtype=np.int64), candidates, 9)
+    got, want = rank(*check), _rank_numpy(*check)
+    if [r.tolist() for r in got] != [r.tolist() for r in want]:
+        return None
+    return rank
 
 
 def _chunk_scores(profiles: sp.csr_array, sim: sp.csr_array) -> np.ndarray:

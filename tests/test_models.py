@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +25,10 @@ from qubofs.sparse import SparseMatrix
 
 
 def reference_score_and_rank(model, user_profiles, cutoff, candidate_items=None):
-    """The per-user ranking loop the chunked one replaced: the oracle for its
-    lists, ties and zero rule. It scores through the canonical sparse product,
-    densifies all users at once and lexsorts each user's candidates."""
+    """The per-user ranking loop that the compiled kernel and the chunked
+    numpy path replaced: the oracle for both paths' lists, ties and zero
+    rule. It scores through the canonical sparse product, densifies all users
+    at once and lexsorts each user's candidates."""
     if user_profiles.n_cols != model.s.n_rows:
         raise DimensionMismatch("profiles and similarity differ in items")
     if cutoff < 1:
@@ -282,6 +284,38 @@ class TestRp3Beta:
                 assert abs(sums[r] - 1.0) <= 1e-9
 
 
+def matches_reference_test():
+    """A fresh test function each time: Hypothesis runs a test function for
+    one class only, and TestScoreAndRank has a subclass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["integer", "tiny", "pure_svd"]),
+        subset=st.booleans(),
+        extra_cutoff=st.integers(0, 4),
+        budget=st.integers(1, 30),
+    )
+    def test_matches_reference(self, seed, kind, subset, extra_cutoff, budget):
+        """Same lists as the per-user loop, element for element, whatever the
+        chunking; the cutoff may exceed the unseen candidates."""
+        model, profiles, rng = tie_heavy_case(seed, kind)
+        n_items = model.s.n_cols
+        candidates = None
+        if subset:
+            candidates = rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False)
+        cutoff = int(rng.integers(1, n_items + 1)) + extra_cutoff
+        expected = reference_score_and_rank(model, profiles, cutoff, candidates)
+        with mock.patch.object(models, "RANK_CHUNK_ENTRIES", budget):
+            ranked = score_and_rank(model, profiles, cutoff, candidates)
+        assert len(ranked) == len(expected) == profiles.n_rows
+        for got, want in zip(ranked, expected):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    return test_matches_reference
+
+
 class TestScoreAndRank:
     def test_neighbor_ranked_first(self):
         from qubofs.models import SimilarityModel
@@ -350,34 +384,12 @@ class TestScoreAndRank:
         with pytest.raises(DimensionMismatch):
             score_and_rank(model, SparseMatrix.from_triplets(2, 4, []), cutoff=1)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["integer", "tiny", "pure_svd"]),
-        subset=st.booleans(),
-        extra_cutoff=st.integers(0, 4),
-        budget=st.integers(1, 30),
-    )
-    def test_matches_reference(self, seed, kind, subset, extra_cutoff, budget):
-        """Same lists as the per-user loop, element for element, whatever the
-        chunking; the cutoff may exceed the unseen candidates."""
-        model, profiles, rng = tie_heavy_case(seed, kind)
-        n_items = model.s.n_cols
-        candidates = None
-        if subset:
-            candidates = rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False)
-        cutoff = int(rng.integers(1, n_items + 1)) + extra_cutoff
-        expected = reference_score_and_rank(model, profiles, cutoff, candidates)
-        with mock.patch.object(models, "RANK_CHUNK_ENTRIES", budget):
-            ranked = score_and_rank(model, profiles, cutoff, candidates)
-        assert len(ranked) == len(expected) == profiles.n_rows
-        for got, want in zip(ranked, expected):
-            assert got.dtype == want.dtype
-            assert got.tolist() == want.tolist()
+    test_matches_reference = matches_reference_test()
 
-    def test_chunks_stay_within_budget(self):
-        """No chunk holds more dense scores than the budget, and many small
-        chunks give the lists of one large chunk."""
+    def test_chunks_stay_within_budget(self, monkeypatch):
+        """On the numpy path, no chunk holds more dense scores than the
+        budget, and many small chunks give the lists of one large chunk."""
+        monkeypatch.setattr(models, "_load_kernel", lambda: None)
         model, profiles, _ = tie_heavy_case(5, "integer")
         rng = np.random.default_rng(3)
         profiles = SparseMatrix.from_dense((rng.random((40, model.s.n_cols)) < 0.3).astype(float))
@@ -427,3 +439,43 @@ class TestScoreAndRank:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_index_widths_rank_alike(self):
+        """32- and 64-bit CSR indices, as scipy builds them from dense input
+        and from triplets, give the same lists in every combination."""
+        model, profiles, rng = tie_heavy_case(9, "integer")
+        candidates = rng.choice(model.s.n_cols, size=5, replace=False)
+
+        def widths(m):
+            csr = m.csr
+            wide = sp.csr_array((csr.data, csr.indices.astype(np.int64),
+                                 csr.indptr.astype(np.int64)), shape=csr.shape)
+            return [m, SparseMatrix(wide)]
+
+        lists = [[r.tolist() for r in score_and_rank(
+                      SimilarityModel(s, ModelKind.ITEM_KNN_CF, {}), p, 3, candidates)]
+                 for s in widths(model.s) for p in widths(profiles)]
+        assert lists[0] and all(other == lists[0] for other in lists[1:])
+
+    def test_non_finite_score_raises(self):
+        # finite entries whose product overflows
+        s = SparseMatrix.from_dense([[0, 1e300, 0], [1e300, 0, 1], [0, 1, 0]])
+        model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
+        profiles = SparseMatrix.from_dense([[0, 0, 0], [1e10, 0, 0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            score_and_rank(model, profiles, cutoff=2)
+
+
+@pytest.fixture(scope="class")
+def numpy_ranking():
+    """The numpy ranking, as on a machine that cannot build the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_load_kernel", lambda: None)
+        yield
+
+
+@pytest.mark.usefixtures("numpy_ranking")
+class TestScoreAndRankNumpy(TestScoreAndRank):
+    """TestScoreAndRank on the numpy fallback, its chunks included."""
+
+    test_matches_reference = matches_reference_test()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qubofs
-from qubofs import data, fileio, pipeline, solvers
+from qubofs import data, fileio, models, pipeline, solvers
 from qubofs.config import ITEM_KNN_CBF_SPACE, ExperimentConfig, SynthSpec
 from qubofs.errors import ConfigInvalid, InfeasibleConfig
 from qubofs.pipeline import (
@@ -273,6 +273,19 @@ class TestPipeline:
         Pipeline(cfg, tmp_path / "numpy").ensure_selections()
         kernel, fallback = (tree_hashes(tmp_path / run / "selections") for run in ("kernel", "numpy"))
         assert kernel and kernel == fallback
+
+    @pytest.mark.parametrize("kind", ["item_knn_cf", "pure_svd"])
+    def test_reports_without_ranking_kernel(self, tmp_path, monkeypatch, kind):
+        """The numpy ranking writes the ranking kernel's files byte for byte:
+        the model searches, the content-model scores and the reports."""
+        cfg = tiny_config(collaborative={"kind": kind, "n_cases": 4})
+        Pipeline(cfg, tmp_path / "kernel").run()
+        monkeypatch.setattr(models, "_load_kernel", lambda: None)
+        Pipeline(cfg, tmp_path / "numpy").run()
+        kernel, fallback = (tree_hashes(tmp_path / run) for run in ("kernel", "numpy"))
+        assert {"cf_model/search.tsv", "reports/report.json"} <= set(kernel)
+        assert any(name.startswith("cbf_sel/") for name in kernel)
+        assert kernel == fallback
 
     @pytest.mark.parametrize("kind", ["item_knn_cf", "pure_svd"])
     def test_loaded_models_equal_built_ones(self, tmp_path, kind):

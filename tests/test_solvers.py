@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch, TooLarge
-from qubofs import _native, solvers
+from qubofs import _native, models, solvers
 from qubofs.qubo import QuboProblem, combination_penalty
+from qubofs.sparse import SparseMatrix
 from qubofs.solvers import (
     AnnealSchedule,
     SelectionResult,
@@ -478,9 +479,12 @@ def cache(tmp_path, monkeypatch):
         compile_(*args)
 
     monkeypatch.setattr(_native, "_compile", counted)
-    solvers._load_kernel.cache_clear()
+    loaders = (solvers._load_kernel, models._load_kernel)
+    for loader in loaders:
+        loader.cache_clear()
     yield SimpleNamespace(dir=tmp_path / "home" / "qubofs", compiles=compiles)
-    solvers._load_kernel.cache_clear()
+    for loader in loaders:
+        loader.cache_clear()
 
 
 class TestKernelBuild:
@@ -559,6 +563,65 @@ class TestKernelBuild:
         assert solvers._load_kernel() is None
         assert len(cache.compiles) == 1
         self.check_reference()
+
+
+class TestRankKernelBuild:
+    """The ranking kernel loads like the annealer's, and whatever happens to
+    the compiler or the source, ranking returns the reference lists."""
+
+    @staticmethod
+    def check_reference():
+        # integer scores are exact in any summation order: ties everywhere
+        rng = np.random.default_rng(51)
+        s = rng.integers(-1, 3, size=(10, 10)) * (rng.random((10, 10)) < 0.5)
+        np.fill_diagonal(s, 0)
+        profiles = rng.integers(0, 3, size=(6, 10)) * (rng.random((6, 10)) < 0.3)
+        model = models.SimilarityModel(SparseMatrix.from_dense(s), models.ModelKind.ITEM_KNN_CF, {})
+        ranked = models.score_and_rank(model, SparseMatrix.from_dense(profiles), cutoff=4)
+        scores = profiles @ s
+        for user, got in enumerate(ranked):
+            unseen = np.flatnonzero(profiles[user] == 0)
+            order = np.lexsort((unseen, -scores[user, unseen]))
+            assert got.tolist() == unseen[order[:4]].tolist()
+
+    def test_source_ships_with_the_package(self):
+        assert b"int64_t rank_users(" in _native.source("_rank")
+
+    def test_builds_once_then_loads_from_the_cache(self, cache):
+        TestKernelBuild.require_compiler()
+        assert models._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+        models._load_kernel.cache_clear()
+        assert models._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+    def test_no_compiler(self, cache, monkeypatch):
+        monkeypatch.setattr(_native, "COMPILE", ("/nonexistent/cc",) + _native.COMPILE[1:])
+        assert models._load_kernel() is None
+        self.check_reference()
+
+    def test_self_check_mismatch_falls_back(self, cache, monkeypatch):
+        # a kernel that ranks a tied later column above an earlier one
+        TestKernelBuild.require_compiler()
+        code = _native.source("_rank")
+        wrong = code.replace(b"s > best_score[i - 1]", b"s >= best_score[i - 1]")
+        assert wrong != code
+        monkeypatch.setattr(_native, "source", lambda name: wrong)
+        assert models._load_kernel() is None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+
+def test_package_data_names_every_kernel_source():
+    """A kernel never ships without its C source, nor names one that is gone."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    shipped = sorted(p.name for p in (root / "src" / "qubofs").glob("*.c"))
+    assert shipped and sorted(package_data["qubofs"]) == shipped
 
 
 class TestSelectionPersistence:
