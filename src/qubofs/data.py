@@ -223,25 +223,15 @@ def cold_item_split(
         raise QuotaInfeasible(
             "an item holds more interactions than the train share allows"
         )
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(ds.n_items)
+    order = iter(np.random.default_rng(seed).permutation(ds.n_items).tolist())
     test_items: set[int] = set()
     validation_items: set[int] = set()
-    cursor = 0
-    accumulated = 0
-    target = test_quota * total
-    while accumulated < target:
-        item = int(order[cursor])
-        cursor += 1
-        test_items.add(item)
-        accumulated += int(col_counts[item])
-    accumulated = 0
-    target = validation_quota * total
-    while accumulated < target:
-        item = int(order[cursor])
-        cursor += 1
-        validation_items.add(item)
-        accumulated += int(col_counts[item])
+    for quota, pool in ((test_quota, test_items), (validation_quota, validation_items)):
+        accumulated = 0
+        while accumulated < quota * total:
+            item = next(order)
+            pool.add(item)
+            accumulated += int(col_counts[item])
 
     test_mask = np.zeros(ds.n_items, dtype=bool)
     test_mask[list(test_items)] = True

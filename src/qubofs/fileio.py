@@ -16,13 +16,18 @@ from pathlib import Path
 @contextmanager
 def atomic_open(path, mode="w"):
     """Handle opened with ``mode`` ("w" for text, "wb" for bytes) on a sibling
-    temp file that replaces ``path`` on a clean exit. Missing parent
+    temp file that replaces ``path`` on a clean exit; a body that raises
+    leaves ``path`` as it was and removes the temp file. Missing parent
     directories are created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-        yield fh
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

@@ -202,11 +202,11 @@ def score_and_rank(
 
     The ranking runs in the compiled kernel (``_rank.c``) when this machine
     can build it and it passes its self-check: one user at a time, over one
-    dense row of candidate scores, reading scipy's 32- or 64-bit CSR indices
-    in place. Otherwise numpy scores users in chunks of at most
-    ``RANK_CHUNK_ENTRIES`` dense scores (one user per chunk if a single row
-    exceeds it). Either way the scores held do not grow with the number of
-    users, and both paths return identical lists.
+    dense row of candidate scores, reading the CSR arrays in place. Otherwise
+    numpy scores users in chunks of at most ``RANK_CHUNK_ENTRIES`` dense
+    scores (one user per chunk if a single row exceeds it). Either way the
+    scores held do not grow with the number of users, and both paths return
+    identical lists.
     """
     if user_profiles.n_cols != model.s.n_rows:
         raise DimensionMismatch(
@@ -230,12 +230,8 @@ def score_and_rank(
     # the profiles' columns too, which index the similarity's rows
     position = np.full(max(model.s.shape), -1, dtype=np.int64)
     position[candidates] = np.arange(n_cand)
-    profiles = user_profiles.csr
-    rank = _load_kernel()
-    if rank is None or not all(m.indptr.dtype == m.indices.dtype in (np.int32, np.int64)
-                               for m in (profiles, sim)):
-        rank = _rank_numpy
-    return rank(profiles, sim, position, candidates, min(cutoff, n_cand))
+    rank = _load_kernel() or _rank_numpy
+    return rank(user_profiles.csr, sim, position, candidates, min(cutoff, n_cand))
 
 
 def _rank_numpy(profiles: sp.csr_array, sim: sp.csr_array, position: np.ndarray,
@@ -273,11 +269,10 @@ def _load_kernel():
     if lib is None:
         return None
     kernel = lib.rank_users
-    # index arrays of either width: their dtype is checked by the caller
-    indices, int64s, doubles = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                                for t in (None, np.int64, np.float64))
+    int32s, int64s, doubles = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                               for t in (np.int32, np.int64, np.float64))
     kernel.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [
-        ctypes.c_int64, indices, indices, doubles] * 2 + [
+        int32s, int32s, doubles] * 2 + [
         int64s, int64s, doubles, int64s, doubles, int64s, int64s, int64s]
     kernel.restype = ctypes.c_int64
 
@@ -286,9 +281,8 @@ def _load_kernel():
         out = np.empty((n_users, k), dtype=np.int64)
         lengths = np.empty(n_users, dtype=np.int64)
         status = kernel(n_users, n_cand, k, ZERO_EPSILON,
-                        profiles.indices.dtype == np.int64,
                         profiles.indptr, profiles.indices, profiles.data,
-                        sim.indices.dtype == np.int64, sim.indptr, sim.indices, sim.data,
+                        sim.indptr, sim.indices, sim.data,
                         position, candidates,
                         np.zeros(n_cand), np.full(n_cand, -1, dtype=np.int64),
                         np.empty(k), np.empty(k, dtype=np.int64), out, lengths)

@@ -1,8 +1,10 @@
 """Deterministic sparse-matrix kernel.
 
 A thin immutable wrapper around a canonical scipy CSR array. Canonical means:
-duplicate coordinates summed, column indices sorted within each row, and no
-stored values with magnitude below ``ZERO_EPSILON``. Every operation returns a
+32-bit ``indptr`` and ``indices``, duplicate coordinates summed, column indices
+sorted within each row, and no stored values with magnitude below
+``ZERO_EPSILON``. A matrix whose entry count or a dimension exceeds
+``np.iinfo(np.int32).max`` raises ``TooLarge``. Every operation returns a
 new canonical matrix, so the nonzero pattern always reflects "really nonzero"
 values, which downstream code relies on when testing similarities for
 positivity.
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError
+from .errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError, TooLarge
 from .fileio import atomic_open
 
 # Stored values with |v| < ZERO_EPSILON are treated as exact zeros and dropped.
@@ -31,7 +33,13 @@ ZERO_EPSILON = 1e-12
 
 def _canonical(m: sp.csr_array) -> sp.csr_array:
     """Make ``m``, a float64 CSR array whose arrays nothing else holds,
-    canonical in place, then make its arrays read-only."""
+    canonical in place, then make its arrays read-only. scipy keeps 32-bit
+    indices through products, sums, transposes and slices, so only input
+    from elsewhere (triplets, older 64-bit archives) pays for the cast."""
+    if max(m.nnz, *m.shape) > np.iinfo(np.int32).max:
+        raise TooLarge(f"{m.shape} matrix with {m.nnz} entries needs indices beyond 32 bits")
+    m.indptr = m.indptr.astype(np.int32, copy=False)
+    m.indices = m.indices.astype(np.int32, copy=False)
     m.sum_duplicates()
     m.sort_indices()
     if m.nnz and not np.all(np.isfinite(m.data)):
@@ -269,9 +277,12 @@ class SparseMatrix:
     @classmethod
     def load_coo(cls, path) -> "SparseMatrix":
         """Read a file written by ``save_coo``; anything else raises
-        ``ParseError`` naming the path (``load_npz`` never unpickles)."""
+        ``ParseError`` naming the path (``load_npz`` never unpickles), and a
+        matrix beyond 32-bit indices ``TooLarge``."""
         try:
             with open(path, "rb") as fh:
                 return cls(sp.load_npz(fh))
+        except TooLarge:
+            raise
         except (ValueError, TypeError, EOFError, KeyError, zipfile.BadZipFile) as exc:
             raise ParseError(f"{path}: not a sparse matrix archive ({exc})") from exc

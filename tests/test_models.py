@@ -441,8 +441,9 @@ class TestScoreAndRank:
         assert peak < 8 * 2**20
 
     def test_index_widths_rank_alike(self):
-        """32- and 64-bit CSR indices, as scipy builds them from dense input
-        and from triplets, give the same lists in every combination."""
+        """Matrices built from 64-bit CSR input are stored with 32-bit
+        indices, like all others, and give the same lists in every
+        combination."""
         model, profiles, rng = tie_heavy_case(9, "integer")
         candidates = rng.choice(model.s.n_cols, size=5, replace=False)
 
@@ -452,6 +453,8 @@ class TestScoreAndRank:
                                  csr.indptr.astype(np.int64)), shape=csr.shape)
             return [m, SparseMatrix(wide)]
 
+        for m in widths(model.s) + widths(profiles):
+            assert m.csr.indptr.dtype == m.csr.indices.dtype == np.int32
         lists = [[r.tolist() for r in score_and_rank(
                       SimilarityModel(s, ModelKind.ITEM_KNN_CF, {}), p, 3, candidates)]
                  for s in widths(model.s) for p in widths(profiles)]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qubofs
 from qubofs import data, fileio, models, pipeline, solvers
@@ -478,6 +479,17 @@ class DiesMidway:
         self.fh.close()
 
 
+def test_atomic_open_body_that_raises_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text("old")
+    with pytest.raises(Killed):
+        with fileio.atomic_open(path) as fh:
+            fh.write("new")
+            raise Killed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+    assert path.read_text() == "old"
+
+
 class TestKilledWriteResumes:
     """A run killed inside a dataset or split write resumes, with no cleanup,
     to the artifacts of an uninterrupted run: on a fresh run, and on a rerun
@@ -581,6 +593,40 @@ class TestLazyResume:
         assert loaded and not {"cf_model", "qubo"} & set(loaded)
         assert set(resumed.timings) == set(fresh.timings) - {"cf_model"}
         assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
+
+
+def test_resume_from_64_bit_archives(tmp_path, monkeypatch):
+    """A run whose .coo files hold int64 index arrays, as earlier versions
+    wrote them, resumes to the same reports and final model, and every matrix
+    it loads has 32-bit indices."""
+    cfg = tiny_config()
+    out = tmp_path / "run"
+    Pipeline(cfg, out).run()
+    reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+    final = (out / "final/similarity.coo").read_bytes()
+    for path in out.rglob("*.coo"):
+        coo = sp.load_npz(path)
+        coo.coords = tuple(c.astype(np.int64) for c in coo.coords)
+        with open(path, "wb") as fh:
+            sp.save_npz(fh, coo, compressed=False)
+        with np.load(path) as z:
+            assert z["row"].dtype == z["col"].dtype == np.int64
+    shutil.rmtree(out / "reports")
+    shutil.rmtree(out / "final")
+
+    widths = set()
+    load_coo = SparseMatrix.load_coo.__func__
+
+    def recording_load_coo(cls, path):
+        m = load_coo(cls, path)
+        widths.add((m.csr.indptr.dtype, m.csr.indices.dtype))
+        return m
+
+    monkeypatch.setattr(SparseMatrix, "load_coo", classmethod(recording_load_coo))
+    Pipeline(cfg, out).run()
+    assert widths == {(np.dtype(np.int32), np.dtype(np.int32))}
+    assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
+    assert (out / "final/similarity.coo").read_bytes() == final
 
 
 class TestConfigParsing:

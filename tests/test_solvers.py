@@ -1,6 +1,7 @@
 import itertools
 import json
 import shutil
+import subprocess
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -622,6 +623,17 @@ def test_package_data_names_every_kernel_source():
         package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
     shipped = sorted(p.name for p in (root / "src" / "qubofs").glob("*.c"))
     assert shipped and sorted(package_data["qubofs"]) == shipped
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in (Path(__file__).parents[1] / "src" / "qubofs").glob("*.c")))
+def test_kernel_source_compiles_without_warnings(name, tmp_path):
+    TestKernelBuild.require_compiler()
+    build = subprocess.run(
+        [*_native.COMPILE, "-Wall", "-Wextra", "-Werror", "-x", "c", "-",
+         "-o", str(tmp_path / f"{name}.so"), "-lm"],
+        input=_native.source(name), capture_output=True)
+    assert build.returncode == 0, build.stderr.decode()
 
 
 class TestSelectionPersistence:

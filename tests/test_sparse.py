@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubofs.errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError
+from qubofs.errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError, TooLarge
 from qubofs.sparse import SparseMatrix, ZERO_EPSILON
 
 
@@ -213,6 +213,57 @@ class TestImmutability:
         # __eq__ compares values, so identity hashing would break set semantics
         with pytest.raises(TypeError):
             hash(SparseMatrix.from_dense([[1.0]]))
+
+
+def _saved_with_wide_indices(tmp_path) -> SparseMatrix:
+    """``load_coo`` of an archive whose index arrays are int64, as earlier
+    versions wrote them."""
+    coo = sp.coo_array(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
+    coo.coords = tuple(c.astype(np.int64) for c in coo.coords)
+    with open(tmp_path / "wide.coo", "wb") as fh:
+        sp.save_npz(fh, coo, compressed=False)
+    with np.load(tmp_path / "wide.coo") as z:
+        assert z["row"].dtype == z["col"].dtype == np.int64
+    return SparseMatrix.load_coo(tmp_path / "wide.coo")
+
+
+_M = SparseMatrix.from_triplets(2, 3, [(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (1, 2, -1.0)])
+
+BUILDS = {
+    "from_triplets": lambda tmp_path: _M,
+    "from_dense": lambda tmp_path: SparseMatrix.from_dense([[1.0, 0.0], [2.0, 3.0]]),
+    "load_coo of int64 archive": _saved_with_wide_indices,
+    "matmul": lambda tmp_path: _M @ _M.transpose(),
+    "add": lambda tmp_path: _M + _M,
+    "transpose": lambda tmp_path: _M.transpose(),
+    "submatrix": lambda tmp_path: _M.submatrix(rows=np.array([1, 0]), cols=np.array([2, 0])),
+    "with_entries": lambda tmp_path: _M.with_entries(keep=np.array([True, False, True, True])),
+    "mask_cols": lambda tmp_path: _M.mask_cols(np.array([True, False, True])),
+    "top_k_per_row": lambda tmp_path: _M.top_k_per_row(1),
+}
+
+
+class TestIndexWidth:
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=list(BUILDS))
+    def test_indices_are_32_bit(self, tmp_path, build):
+        m = build(tmp_path)
+        assert m.nnz
+        assert m.csr.indptr.dtype == m.csr.indices.dtype == np.int32
+
+    def test_saves_32_bit_archives(self, tmp_path):
+        _saved_with_wide_indices(tmp_path).save_coo(tmp_path / "narrow.coo")
+        with np.load(tmp_path / "narrow.coo") as z:
+            assert z["row"].dtype == z["col"].dtype == np.int32
+
+    def test_beyond_32_bits_is_too_large(self, tmp_path):
+        # indptr has two entries: nothing large is allocated
+        with pytest.raises(TooLarge):
+            SparseMatrix(sp.csr_array((1, 2**31)))
+        (tmp_path / "wide.coo").write_bytes(_archive(
+            row=np.empty(0, np.int64), col=np.empty(0, np.int64), data=np.empty(0),
+            shape=np.array([1, 2**31])))
+        with pytest.raises(TooLarge):
+            SparseMatrix.load_coo(tmp_path / "wide.coo")
 
 
 class TestEntries:
