@@ -28,9 +28,7 @@ ITEM_KNN_CF_SPACE = {
 }
 
 ITEM_KNN_CBF_SPACE = {
-    "topK": {"type": "int", "low": 5, "high": 1000, "dist": "uniform"},
-    "shrink": {"type": "float", "low": 0.0, "high": 1000.0, "dist": "uniform"},
-    "normalize": {"type": "categorical", "choices": [True, False]},
+    **ITEM_KNN_CF_SPACE,
     "weighting": {"type": "categorical", "choices": ["none", "tfidf", "bm25"]},
 }
 

@@ -51,7 +51,7 @@ class Dataset:
             raise ValueError("item label count mismatch")
         if len(self.feature_ids) != self.icm.n_cols:
             raise ValueError("feature label count mismatch")
-        if self.icm.nnz and not np.all(self.icm.csr.data == 1.0):
+        if not np.all(self.icm.entries()[2] == 1.0):
             raise ValueError("feature matrix must be binary")
 
     @property
@@ -253,7 +253,7 @@ def user_holdout_split(m: SparseMatrix, quota: float, seed: int = 0) -> HoldoutS
         raise ValueError("quota must be in [0, 1)")
     rng = np.random.default_rng(seed)
     held = np.zeros(m.nnz, dtype=bool)
-    starts = m.csr.indptr[:-1].tolist()
+    starts = m.indptr[:-1].tolist()
     for start, n_u in zip(starts, m.row_nnz().tolist()):
         # tiny epsilon guards against fp noise flooring an exact product down
         n_holdout = int(math.floor(quota * n_u + 1e-9))

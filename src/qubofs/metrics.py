@@ -111,20 +111,16 @@ def item_coverage(recommended: Sequence[Sequence[int]], n_items: int) -> float:
     """Share of the catalog recommended to at least one user."""
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
-    seen: set[int] = set()
-    for rec in recommended:
-        seen.update(int(i) for i in rec)
-    return len(seen) / n_items
+    items = np.fromiter(chain.from_iterable(recommended), dtype=np.int64)
+    return np.count_nonzero(np.bincount(items, minlength=n_items)) / n_items
 
 
 def gini_diversity(recommended: Sequence[Sequence[int]], n_items: int) -> float:
     """1 - Gini coefficient of exposure counts over the full catalog."""
     if n_items < 2:
         raise DegenerateCatalog("need at least 2 items for a concentration index")
-    counts = np.zeros(n_items)
-    for rec in recommended:
-        for i in rec:
-            counts[int(i)] += 1
+    items = np.fromiter(chain.from_iterable(recommended), dtype=np.int64)
+    counts = np.bincount(items, minlength=n_items)
     total = counts.sum()
     if total == 0:
         raise ValueError("no recommendations to measure")

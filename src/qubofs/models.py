@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, RankTooLarge
 from .sparse import ZERO_EPSILON, SparseMatrix
@@ -44,7 +43,8 @@ class SimilarityModel:
     hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.s.n_rows == self.s.n_cols and np.any(self.s.csr.diagonal() != 0):
+        rows, cols, _ = self.s.entries()
+        if self.s.n_rows == self.s.n_cols and np.any(rows == cols):
             raise ValueError("similarity matrix must have zero diagonal")
         top_k = self.hyperparams.get("topK")
         if top_k is not None and np.any(self.s.row_nnz() > top_k):
@@ -67,7 +67,7 @@ def cosine_knn(
     gram = vectors @ vectors.transpose()
     if normalize:
         sq = vectors.power(2.0)
-        norms = np.sqrt(sq.csr.sum(axis=1))
+        norms = np.sqrt(sq.row_sums())
         rows, cols, values = gram.entries()
         # a stored dot product implies both rows are nonzero, so denom > 0
         gram = gram.with_entries(values=values / (norms[rows] * norms[cols] + shrink))
@@ -112,14 +112,14 @@ def randomized_svd(
     if not 1 <= rank <= min(n_rows, n_cols):
         raise RankTooLarge(f"rank {rank} outside [1, {min(n_rows, n_cols)}]")
     rng = np.random.default_rng(seed)
-    a = matrix.csr
+    transposed = matrix.transpose()
     l = min(rank + SVD_OVERSAMPLE, min(n_rows, n_cols))
     omega = rng.standard_normal((n_cols, l))
-    q, _ = np.linalg.qr(a @ omega)
+    q, _ = np.linalg.qr(matrix @ omega)
     for _ in range(SVD_POWER_ITERATIONS):
-        z, _ = np.linalg.qr(a.T @ q)
-        q, _ = np.linalg.qr(a @ z)
-    b = q.T @ a
+        z, _ = np.linalg.qr(transposed @ q)
+        q, _ = np.linalg.qr(matrix @ z)
+    b = (transposed @ q).T
     u_small, sigma, vt = np.linalg.svd(b, full_matrices=False)
     u = q @ u_small
     return u[:, :rank], sigma[:rank], vt[:rank, :]
@@ -202,7 +202,7 @@ def score_and_rank(
 
     The ranking runs in the compiled kernel (``_rank.c``) when this machine
     can build it and it passes its self-check: one user at a time, over one
-    dense row of candidate scores, reading the CSR arrays in place. Otherwise
+    dense row of candidate scores, reading the sparse arrays in place. Otherwise
     numpy scores users in chunks of at most ``RANK_CHUNK_ENTRIES`` dense
     scores (one user per chunk if a single row exceeds it). Either way the
     scores held do not grow with the number of users, and both paths return
@@ -215,14 +215,14 @@ def score_and_rank(
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     n_items = model.s.n_cols
-    sim = model.s.csr
+    sim = model.s
     if candidate_items is None:
         candidates = np.arange(n_items, dtype=np.int64)
     else:
         candidates = np.unique(np.asarray(candidate_items, dtype=np.int64))
         if candidates.size and (candidates[0] < 0 or candidates[-1] >= n_items):
             raise IndexOutOfRange(f"candidate item outside [0, {n_items})")
-        sim = sim[:, candidates]
+        sim = model.s.submatrix(cols=candidates)
     n_cand = candidates.size
     if n_cand == 0:
         return [candidates[:0] for _ in range(user_profiles.n_rows)]
@@ -231,24 +231,24 @@ def score_and_rank(
     position = np.full(max(model.s.shape), -1, dtype=np.int64)
     position[candidates] = np.arange(n_cand)
     rank = _load_kernel() or _rank_numpy
-    return rank(user_profiles.csr, sim, position, candidates, min(cutoff, n_cand))
+    return rank(user_profiles, sim, position, candidates, min(cutoff, n_cand))
 
 
-def _rank_numpy(profiles: sp.csr_array, sim: sp.csr_array, position: np.ndarray,
+def _rank_numpy(profiles: SparseMatrix, sim: SparseMatrix, position: np.ndarray,
                 candidates: np.ndarray, k: int) -> list[np.ndarray]:
-    """``score_and_rank`` over chunks of users: a sparse product, dense
-    scores, and ``_top_k``. ``sim`` holds the candidate columns only."""
-    n_users, n_cand = profiles.shape[0], candidates.size
+    """``score_and_rank`` over chunks of users: the canonical product (with its
+    zero rule) as dense scores, and ``_top_k``. ``sim`` holds the candidates."""
+    n_users, n_cand = profiles.n_rows, candidates.size
     step = max(1, RANK_CHUNK_ENTRIES // n_cand)
     ranked: list[np.ndarray] = []
     for lo in range(0, n_users, step):
-        chunk = profiles[lo:lo + step]
-        scores = _chunk_scores(chunk, sim)
-        rows = np.repeat(np.arange(chunk.shape[0]), np.diff(chunk.indptr))
-        cols = position[chunk.indices]
-        seen = (chunk.data > 0) & (cols >= 0)
+        chunk = profiles.submatrix(rows=np.arange(lo, min(lo + step, n_users)))
+        scores = (chunk @ sim).to_dense()
+        rows, items, values = chunk.entries()
+        cols = position[items]
+        seen = (values > 0) & (cols >= 0)
         scores[rows[seen], cols[seen]] = -np.inf
-        unseen = n_cand - np.bincount(rows[seen], minlength=chunk.shape[0])
+        unseen = n_cand - np.bincount(rows[seen], minlength=chunk.n_rows)
         lengths = np.minimum(k, unseen)
         items = candidates[_top_k(scores, k)]
         ranked.extend(row[:length] for row, length in zip(items, lengths.tolist()))
@@ -259,7 +259,7 @@ def _rank_numpy(profiles: sp.csr_array, sim: sp.csr_array, position: np.ndarray,
 def _load_kernel():
     """The compiled ranking as a drop-in for ``_rank_numpy``, or None when
     ``_rank.c`` cannot be built or loaded here, or when it disagrees with
-    numpy on a small case: the kernel relies on scipy summing the sparse
+    numpy on ``_check_case()``: the kernel relies on scipy summing the sparse
     product in CSR order, which scipy does not promise."""
     import ctypes
 
@@ -277,7 +277,7 @@ def _load_kernel():
     kernel.restype = ctypes.c_int64
 
     def rank(profiles, sim, position, candidates, k):
-        n_users, n_cand = profiles.shape[0], candidates.size
+        n_users, n_cand = profiles.n_rows, candidates.size
         out = np.empty((n_users, k), dtype=np.int64)
         lengths = np.empty(n_users, dtype=np.int64)
         status = kernel(n_users, n_cand, k, ZERO_EPSILON,
@@ -293,33 +293,29 @@ def _load_kernel():
             ranked[u] = ranked[u][:lengths[u]]
         return ranked
 
-    # integer scores that tie often, some columns' scores pushed below
-    # ZERO_EPSILON, negative and empty profiles, a candidate subset, and a
-    # cutoff above some users' unseen candidates
-    rng = np.random.default_rng(0)
-    s = rng.integers(-1, 3, size=(12, 12)) * (rng.random((12, 12)) < 0.5) * 1.0
-    s[:, :4] *= 1e-13
-    profiles = rng.integers(-1, 3, size=(8, 12)) * (rng.random((8, 12)) < 0.4) * 1.0
-    profiles[:2] = 0.0
-    candidates = np.arange(1, 12, dtype=np.int64)
-    check = (sp.csr_array(profiles), sp.csr_array(s[:, candidates]),
-             np.arange(-1, 11, dtype=np.int64), candidates, 9)
+    check = _check_case()
     got, want = rank(*check), _rank_numpy(*check)
     if [r.tolist() for r in got] != [r.tolist() for r in want]:
         return None
     return rank
 
 
-def _chunk_scores(profiles: sp.csr_array, sim: sp.csr_array) -> np.ndarray:
-    """Dense ``profiles @ sim`` with the zero rule of ``SparseMatrix``: the
-    sparse product sums in the same order as the canonical one, and scores
-    below ``ZERO_EPSILON`` in magnitude become exact zeros."""
-    product = profiles @ sim
-    data = product.data
-    if data.size and not np.all(np.isfinite(data)):
-        raise ValueError("non-finite value in sparse matrix")
-    data[np.abs(data) < ZERO_EPSILON] = 0.0
-    return product.toarray()
+def _check_case():
+    """``_rank_numpy`` arguments for the kernel's self-check: integer scores
+    that tie often, negative and empty profiles, a candidate subset, a cutoff
+    above some users' unseen candidates, and scores of +-2**-42 (below
+    ``ZERO_EPSILON``) that users 2 to 5 get by cancellation in items 2 to 5."""
+    rng = np.random.default_rng(0)
+    s = rng.integers(-1, 3, size=(12, 12)) * (rng.random((12, 12)) < 0.5) * 1.0
+    s[:, 2:6] = 0.0
+    s[:2, 2:4] = [[1.0], [-(1.0 - 2.0**-42)]]
+    s[:2, 4:6] = [[-1.0], [1.0 - 2.0**-42]]
+    profiles = rng.integers(-1, 3, size=(8, 12)) * (rng.random((8, 12)) < 0.4) * 1.0
+    profiles[:2] = 0.0
+    profiles[2:6, :2] = 1.0
+    candidates = np.arange(1, 12, dtype=np.int64)
+    return (SparseMatrix.from_dense(profiles), SparseMatrix.from_dense(s[:, candidates]),
+            np.arange(-1, 11, dtype=np.int64), candidates, 9)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

@@ -33,9 +33,9 @@ class PenalizationMatrices:
     def __post_init__(self):
         if self.keep.shape != self.eliminate.shape:
             raise DimensionMismatch("keep/eliminate shape mismatch")
-        if self.keep.nnz and not np.all(self.keep.csr.data == -1.0):
+        if not np.all(self.keep.entries()[2] == -1.0):
             raise ValueError("keep matrix values must all be -1")
-        if self.eliminate.nnz and not np.all(self.eliminate.csr.data == 1.0):
+        if not np.all(self.eliminate.entries()[2] == 1.0):
             raise ValueError("eliminate matrix values must all be +1")
 
 
@@ -78,13 +78,10 @@ def build_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> PenalizationM
     """
     cf = _positive_support(s_cf)
     cbf = _positive_support(s_cbf)
-    if cf.shape != cbf.shape:
-        raise DimensionMismatch(
-            f"similarity shapes differ: {cf.shape} vs {cbf.shape}"
-        )
-    both = SparseMatrix(cf.csr.multiply(cbf.csr))
-    cbf_only = SparseMatrix(cbf.csr - both.csr)
-    return PenalizationMatrices(keep=both.scale(-1.0), eliminate=cbf_only)
+    code = cf + cbf.scale(2.0)  # 3: in both supports, 2: in the content one only
+    values, ones = code.entries()[2], np.ones(code.nnz)
+    return PenalizationMatrices(keep=code.with_entries(values == 3.0, -ones),
+                                eliminate=code.with_entries(values == 2.0, ones))
 
 
 def build_ipm(pm: PenalizationMatrices, alpha: float, beta: float) -> SparseMatrix:

@@ -9,11 +9,11 @@ new canonical matrix, so the nonzero pattern always reflects "really nonzero"
 values, which downstream code relies on when testing similarities for
 positivity.
 
-Construction copies a CSR input and never modifies its input. The canonical
-matrix is then shared read-only: ``csr`` hands out a fresh CSR array over its
-arrays, which are not writeable, and ``entries`` its (row, col, value) arrays.
-Element-wise operations are ``with_entries`` calls, which keep a subset of the
-entries or give them new values.
+This is the only module that imports scipy. Construction copies its input and
+never modifies it. Other modules read the canonical CSR arrays through the
+read-only ``indptr``, ``indices`` and ``data``, or ``entries`` (row, col,
+value). Element-wise operations are ``with_entries`` calls, which keep a
+subset of the entries or give them new values.
 """
 
 from __future__ import annotations
@@ -120,12 +120,16 @@ class SparseMatrix:
         return self._m.nnz
 
     @property
-    def csr(self) -> sp.csr_array:
-        """A new CSR array over the canonical matrix's read-only arrays, not a
-        copy of them: rebinding its attributes leaves this matrix unchanged."""
-        m = sp.csr_array(self._m)
-        m.has_canonical_format = True
-        return m
+    def indptr(self) -> np.ndarray:
+        return self._m.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._m.indices
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._m.data
 
     def to_dense(self) -> np.ndarray:
         return self._m.toarray()
@@ -140,6 +144,10 @@ class SparseMatrix:
         """(row, col, value) in row-major, column-ascending order."""
         rows, cols, values = self.entries()
         return zip(rows.tolist(), cols.tolist(), values.tolist())
+
+    def row_sums(self) -> np.ndarray:
+        """Sum of each row's stored values, in scipy's summation order."""
+        return self._m.sum(axis=1)
 
     def row_nnz(self) -> np.ndarray:
         return np.diff(self._m.indptr)
@@ -176,12 +184,15 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix._own(self._m.T.tocsr())
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.n_cols != other.n_rows:
+    def __matmul__(self, other: "SparseMatrix | np.ndarray") -> "SparseMatrix | np.ndarray":
+        """A canonical product, or a dense ndarray for a dense ``other``."""
+        if self.n_cols != other.shape[0]:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        return SparseMatrix._own(self._m @ other._m)
+        if isinstance(other, SparseMatrix):
+            return SparseMatrix._own(self._m @ other._m)
+        return self._m @ other
 
     def scale(self, factor: float) -> "SparseMatrix":
         return self.with_entries(values=self._m.data * float(factor))

@@ -21,7 +21,7 @@ from qubofs.models import (
     score_and_rank,
     tfidf_feature_scores,
 )
-from qubofs.sparse import SparseMatrix
+from qubofs.sparse import ZERO_EPSILON, SparseMatrix
 
 
 def reference_score_and_rank(model, user_profiles, cutoff, candidate_items=None):
@@ -134,6 +134,22 @@ class TestCosineKnn:
         assert d0.min() >= 0.0 and d0.max() <= 1.0
         nz = d0 > 0
         assert np.all(d1[nz] < d0[nz])
+
+    def test_bm25_norms_sum_in_scipy_order(self):
+        """BM25 weights are not integers, so the order in which a row's squares
+        are summed shows in the last bit of its norm: the similarity equals,
+        byte for byte, the one whose norms come from scipy's ``sum(axis=1)``,
+        which a sequential sum would not."""
+        rng = np.random.default_rng(0)
+        icm = apply_feature_weighting(SparseMatrix.from_dense(rng.random((60, 40)) < 0.3), "bm25")
+        sq = icm.power(2.0)
+        norms = np.sqrt(sp.csr_array((sq.data, sq.indices, sq.indptr), shape=sq.shape).sum(axis=1))
+        rows, _, values = sq.entries()
+        assert not np.array_equal(norms, np.sqrt(np.bincount(rows, weights=values)))
+        gram = icm @ icm.transpose()
+        rows, cols, values = gram.entries()
+        want = gram.with_entries(values=values / (norms[rows] * norms[cols] + 2.0))
+        assert cosine_knn(icm, 7, shrink=2.0).s == want.zero_diagonal().top_k_per_row(7)
 
     def test_topk_bound(self):
         rng = np.random.default_rng(2)
@@ -448,13 +464,12 @@ class TestScoreAndRank:
         candidates = rng.choice(model.s.n_cols, size=5, replace=False)
 
         def widths(m):
-            csr = m.csr
-            wide = sp.csr_array((csr.data, csr.indices.astype(np.int64),
-                                 csr.indptr.astype(np.int64)), shape=csr.shape)
+            wide = sp.csr_array((m.data, m.indices.astype(np.int64),
+                                 m.indptr.astype(np.int64)), shape=m.shape)
             return [m, SparseMatrix(wide)]
 
         for m in widths(model.s) + widths(profiles):
-            assert m.csr.indptr.dtype == m.csr.indices.dtype == np.int32
+            assert m.indptr.dtype == m.indices.dtype == np.int32
         lists = [[r.tolist() for r in score_and_rank(
                       SimilarityModel(s, ModelKind.ITEM_KNN_CF, {}), p, 3, candidates)]
                  for s in widths(model.s) for p in widths(profiles)]

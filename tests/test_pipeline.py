@@ -619,7 +619,7 @@ def test_resume_from_64_bit_archives(tmp_path, monkeypatch):
 
     def recording_load_coo(cls, path):
         m = load_coo(cls, path)
-        widths.add((m.csr.indptr.dtype, m.csr.indices.dtype))
+        widths.add((m.indptr.dtype, m.indices.dtype))
         return m
 
     monkeypatch.setattr(SparseMatrix, "load_coo", classmethod(recording_load_coo))

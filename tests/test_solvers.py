@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qubofs.errors import DimensionMismatch, TooLarge
 from qubofs import _native, models, solvers
 from qubofs.qubo import QuboProblem, combination_penalty
-from qubofs.sparse import SparseMatrix
+from qubofs.sparse import ZERO_EPSILON, SparseMatrix
 from qubofs.solvers import (
     AnnealSchedule,
     SelectionResult,
@@ -603,11 +603,35 @@ class TestRankKernelBuild:
         assert models._load_kernel() is None
         self.check_reference()
 
+    def test_self_check_case_has_sub_epsilon_scores(self):
+        """The self-check scores some items with 0 < |s| < ZERO_EPSILON, which
+        no canonical matrix stores, and the kernel and numpy agree on them."""
+        check = models._check_case()
+        profiles, sim = check[:2]
+        raw = profiles.to_dense() @ sim.to_dense()
+        assert np.any((raw != 0) & (np.abs(raw) < ZERO_EPSILON))
+        kernel = models._load_kernel()
+        if kernel is None:
+            pytest.skip("no ranking kernel on this machine")
+        assert ([r.tolist() for r in kernel(*check)]
+                == [r.tolist() for r in models._rank_numpy(*check)])
+
     def test_self_check_mismatch_falls_back(self, cache, monkeypatch):
         # a kernel that ranks a tied later column above an earlier one
         TestKernelBuild.require_compiler()
         code = _native.source("_rank")
         wrong = code.replace(b"s > best_score[i - 1]", b"s >= best_score[i - 1]")
+        assert wrong != code
+        monkeypatch.setattr(_native, "source", lambda name: wrong)
+        assert models._load_kernel() is None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+    def test_self_check_sees_a_missing_zero_rule(self, cache, monkeypatch):
+        # only the self-check's sub-ZERO_EPSILON scores tell this kernel apart
+        TestKernelBuild.require_compiler()
+        code = _native.source("_rank")
+        wrong = code.replace(b"fabs(s) < zero_epsilon", b"fabs(s) < 0.0")
         assert wrong != code
         monkeypatch.setattr(_native, "source", lambda name: wrong)
         assert models._load_kernel() is None

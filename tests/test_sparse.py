@@ -1,5 +1,7 @@
+import ast
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,26 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubofs import sparse
 from qubofs.errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError, TooLarge
 from qubofs.sparse import SparseMatrix, ZERO_EPSILON
+
+
+def test_only_sparse_py_imports_scipy():
+    """The sparse storage format is decided in one module: no other module of
+    the package imports scipy, at the top or inside a function."""
+    importers = set()
+    for path in Path(sparse.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"sparse.py"}
 
 
 def dense(m: SparseMatrix) -> np.ndarray:
@@ -82,12 +102,15 @@ class TestMatmul:
             b = random_sparse(rng, 10, 10)
             expected = dense(a) @ dense(b)
             assert np.array_equal(dense(a @ b), expected)
+            assert np.array_equal(a @ dense(b), expected)
 
     def test_dimension_mismatch(self):
         a = SparseMatrix.from_triplets(2, 3, [])
         b = SparseMatrix.from_triplets(2, 3, [])
         with pytest.raises(DimensionMismatch):
             a @ b
+        with pytest.raises(DimensionMismatch):
+            a @ np.ones((2, 1))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(2, 30), st.integers(2, 30))
@@ -177,7 +200,7 @@ class TestNoStoredZeros:
         b = random_sparse(rng, 8, 8)
         for result in (a @ b, a.transpose(), a.row_normalize(), a + b):
             if result.nnz:
-                assert np.all(np.abs(result.csr.data) >= ZERO_EPSILON)
+                assert np.all(np.abs(result.data) >= ZERO_EPSILON)
 
 
 class TestImmutability:
@@ -197,17 +220,9 @@ class TestImmutability:
 
     def test_shared_arrays_are_read_only(self):
         m = SparseMatrix.from_dense([[1.0, 2.0]])
-        for array in (m.csr.data, m.csr.indices, m.csr.indptr, m.entries()[2]):
+        for array in (m.data, m.indices, m.indptr, m.entries()[2]):
             with pytest.raises(ValueError):
                 array[0] = 5
-
-    def test_rebinding_csr_attributes_does_not_reach_the_matrix(self):
-        m = SparseMatrix.from_dense([[1.0, 2.0]])
-        handed_out = m.csr
-        handed_out.data = np.array([5.0, 6.0])
-        handed_out.indices = np.array([1, 0], dtype=handed_out.indices.dtype)
-        assert np.array_equal(m.to_dense(), [[1, 2]])
-        assert np.shares_memory(m.csr.data, m.entries()[2])
 
     def test_unhashable(self):
         # __eq__ compares values, so identity hashing would break set semantics
@@ -248,7 +263,7 @@ class TestIndexWidth:
     def test_indices_are_32_bit(self, tmp_path, build):
         m = build(tmp_path)
         assert m.nnz
-        assert m.csr.indptr.dtype == m.csr.indices.dtype == np.int32
+        assert m.indptr.dtype == m.indices.dtype == np.int32
 
     def test_saves_32_bit_archives(self, tmp_path):
         _saved_with_wide_indices(tmp_path).save_coo(tmp_path / "narrow.coo")
@@ -307,6 +322,10 @@ class TestHelpers:
         masked = m.mask_cols(np.array([True, False, True]))
         assert np.array_equal(dense(masked), [[1, 0, 3]])
         assert masked.shape == (1, 3)
+
+    def test_row_sums(self):
+        m = SparseMatrix.from_dense([[1, 2], [0, 0], [-3, 0]])
+        assert m.row_sums().tolist() == [3, 0, -3]
 
     def test_submatrix(self):
         m = SparseMatrix.from_dense([[1, 2], [3, 4]])
