@@ -1,8 +1,9 @@
-"""Command-line entry point.
+"""Command-line entry point: ``qubofs COMMAND --config FILE [flags]``.
 
-Subcommands run the pipeline up to a stage, reusing any artifacts already in
+The command runs the pipeline up to a stage, reusing any artifacts already in
 the output directory: synth, prepare, train-cf, build-qubo, select, train-cbf,
-evaluate, pipeline, stats.
+evaluate, pipeline, stats. Every command takes the same flags, before or after
+it.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 infeasible stage.
 """
@@ -20,12 +21,13 @@ from .pipeline import Pipeline
 
 CONFIG_ERRORS = (errors.ConfigInvalid,)
 DATA_ERRORS = (errors.ParseError, errors.NegativeValue, errors.EmptyDataset,
-               errors.IndexOutOfRange, errors.DimensionMismatch, FileNotFoundError)
+               errors.IndexOutOfRange, errors.DimensionMismatch, errors.NonFinite,
+               FileNotFoundError)
 INFEASIBLE_ERRORS = (errors.QuotaInfeasible, errors.InfeasibleConfig,
                      errors.RankTooLarge, errors.TooLarge, errors.DegenerateCatalog,
                      errors.NegativeBase)
 
-# subcommand -> the Pipeline method it runs; every stage reuses the artifacts
+# command -> the Pipeline method it runs; every stage reuses the artifacts
 # already in the output directory
 COMMANDS = {
     "synth": "ensure_dataset",
@@ -45,21 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qubofs",
         description="QUBO-based feature selection for cold-start recommenders",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=f"run the {name} stage")
-        cmd.add_argument("--config", required=True, help="experiment config JSON")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--workers", type=int, default=None, help="override worker count")
-        cmd.add_argument(
-            "--solver", choices=("exhaustive", "sa"), default=None,
-            help="override QUBO solver",
-        )
-        cmd.add_argument(
-            "--samples", type=int, default=None,
-            help="override annealer sample count",
-        )
+    parser.add_argument("command", choices=COMMANDS, help="the stage to run up to")
+    parser.add_argument("--config", required=True, help="experiment config JSON")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--workers", type=int, default=None, help="override worker count")
+    parser.add_argument("--solver", choices=("exhaustive", "sa"), default=None,
+                        help="override QUBO solver")
+    parser.add_argument("--samples", type=int, default=None, help="override annealer sample count")
     return parser
 
 
@@ -75,12 +70,6 @@ def load_config(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, solver=solver, **_given(seed=args.seed, workers=args.workers))
 
 
-def run_stage(command: str, pipeline: Pipeline) -> None:
-    result = getattr(pipeline, COMMANDS[command])()
-    if command == "stats":
-        sys.stdout.write(result)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -90,7 +79,9 @@ def main(argv=None) -> int:
             raise errors.ConfigInvalid("synth stage needs a dataset.synth section")
         out_dir = Path(args.out) if args.out else Path("runs") / cfg.config_hash()
         pipeline = Pipeline(cfg, out_dir)
-        run_stage(args.command, pipeline)
+        result = getattr(pipeline, COMMANDS[args.command])()
+        if args.command == "stats":
+            sys.stdout.write(result)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

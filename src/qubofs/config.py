@@ -50,9 +50,30 @@ DEFAULT_SPACES = {
 }
 
 
+# the values a search space may give each model parameter: models.py raises
+# outside them, and the pipeline reads normalize with bool(), so "no" is true
+LEAST_VALUE = {"topK": 1, "num_factors": 1, "shrink": 0, "alpha": 0, "beta": 0}
+CHOICES = {"normalize": (True, False), "weighting": ("none", "tfidf", "bm25")}
+
+
 def _check(ok: bool, message: str) -> None:
     if not ok:
         raise ConfigInvalid(message)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_value(path: str, name: str, value) -> None:
+    """``value``, a choice or the low end of parameter ``name``, is one that
+    the model can take."""
+    if name in CHOICES:
+        allowed = CHOICES[name]
+        _check(value in allowed and isinstance(value, type(allowed[0])),
+               f"{path} must be among {list(allowed)}, not {value!r}")
+    elif name in LEAST_VALUE and _is_number(value):
+        _check(value >= LEAST_VALUE[name], f"{path} must be >= {LEAST_VALUE[name]}, not {value!r}")
 
 
 def _check_space(space: dict | None, defaults: dict, where: str) -> None:
@@ -72,11 +93,15 @@ def _check_space(space: dict | None, defaults: dict, where: str) -> None:
             choices = spec.get("choices")
             _check(isinstance(choices, (list, tuple)) and len(choices) > 0,
                    f"{path}.choices must be a non-empty list")
+            for choice in choices:
+                _check_value(f"{path}.choices", name, choice)
             continue
         low, high = spec.get("low"), spec.get("high")
-        _check(all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                   for v in (low, high)), f"{path}.low and .high must be finite numbers")
+        _check(all(_is_number(v) and math.isfinite(v) for v in (low, high)),
+               f"{path}.low and .high must be finite numbers")
         _check(low <= high, f"{path}.low must be <= its high")
+        if name in LEAST_VALUE:
+            _check_value(f"{path}.low", name, low)
         dist = spec.get("dist", "uniform")
         _check(dist in ("uniform", "log-uniform"),
                f"{path}.dist must be uniform or log-uniform, not {dist!r}")

@@ -2,7 +2,9 @@
 generator with planted relevant features.
 
 Interactions live in a user-by-item matrix (values > 0, duplicates summed),
-item features in a binary item-by-feature matrix. The cold-item split moves
+item features in a binary item-by-feature matrix. Both TSV inputs go through
+one reader, ``_read_tsv``: it skips blank lines and ``#`` comments, and a
+wrong field count is a ``ParseError`` naming its line. The cold-item split moves
 whole item columns into test/validation pools until each pool holds the
 requested share of interactions; the per-user holdout split moves a fixed
 fraction of each user's interactions. All randomized operations are pure
@@ -90,6 +92,23 @@ class HoldoutSplit:
     validation: SparseMatrix
 
 
+def _read_tsv(path, widths: tuple[int, ...]):
+    """Yield ``(line number, fields)`` for each line of ``path`` that is
+    neither blank nor a ``#`` comment; any field count outside ``widths`` is
+    a ``ParseError`` naming its line."""
+    expected = " or ".join(map(str, widths))
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) not in widths:
+                raise ParseError(f"expected {expected} tab-separated fields, got {len(fields)}",
+                                 line_no)
+            yield line_no, fields
+
+
 def load_interactions(path, value_mode: str = "explicit") -> list[tuple[str, str, float]]:
     """Read `user<TAB>item[<TAB>value]` lines; `#` comments skipped.
 
@@ -99,49 +118,24 @@ def load_interactions(path, value_mode: str = "explicit") -> list[tuple[str, str
     if value_mode not in ("explicit", "implicit"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
     triplets = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) == 2:
-                user, item, value = fields[0], fields[1], 1.0
-            elif len(fields) == 3:
-                user, item = fields[0], fields[1]
-                try:
-                    value = float(fields[2])
-                except ValueError as exc:
-                    raise ParseError(f"bad value {fields[2]!r}", line_no) from exc
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite value {fields[2]!r}", line_no)
-            else:
-                raise ParseError(
-                    f"expected 2 or 3 tab-separated fields, got {len(fields)}", line_no
-                )
-            if value < 0:
-                raise NegativeValue(f"line {line_no}: negative value {value}")
-            if value_mode == "implicit":
-                value = 1.0
-            triplets.append((user, item, value))
+    for line_no, (user, item, *rest) in _read_tsv(path, (2, 3)):
+        value = 1.0
+        if rest:
+            try:
+                value = float(rest[0])
+            except ValueError as exc:
+                raise ParseError(f"bad value {rest[0]!r}", line_no) from exc
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {rest[0]!r}", line_no)
+        if value < 0:
+            raise NegativeValue(f"line {line_no}: negative value {value}")
+        triplets.append((user, item, 1.0 if value_mode == "implicit" else value))
     return triplets
 
 
 def load_item_features(path) -> list[tuple[str, str]]:
     """Read `item<TAB>feature` lines; `#` comments skipped."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"expected 2 tab-separated fields, got {len(fields)}", line_no
-                )
-            pairs.append((fields[0], fields[1]))
-    return pairs
+    return [(item, feature) for _, (item, feature) in _read_tsv(path, (2,))]
 
 
 def build_dataset(

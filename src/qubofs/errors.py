@@ -29,6 +29,11 @@ class NegativeValue(QubofsError):
     pass
 
 
+class NonFinite(QubofsError):
+    """A stored value or a computed score that is inf or nan, such as a
+    product of finite inputs that overflows."""
+
+
 class EmptyDataset(QubofsError):
     pass
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, RankTooLarge
+from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, RankTooLarge
 from .sparse import ZERO_EPSILON, SparseMatrix
 
 BM25_K1 = 1.2
@@ -287,7 +287,7 @@ def _load_kernel():
                         np.zeros(n_cand), np.full(n_cand, -1, dtype=np.int64),
                         np.empty(k), np.empty(k, dtype=np.int64), out, lengths)
         if status:
-            raise ValueError("non-finite value in sparse matrix")
+            raise NonFinite("non-finite value in sparse matrix")
         ranked = list(out)
         for u in np.flatnonzero(lengths < k).tolist():
             ranked[u] = ranked[u][:lengths[u]]

@@ -24,7 +24,14 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError, TooLarge
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NegativeBase,
+    NonFinite,
+    ParseError,
+    TooLarge,
+)
 from .fileio import atomic_open
 
 # Stored values with |v| < ZERO_EPSILON are treated as exact zeros and dropped.
@@ -43,7 +50,7 @@ def _canonical(m: sp.csr_array) -> sp.csr_array:
     m.sum_duplicates()
     m.sort_indices()
     if m.nnz and not np.all(np.isfinite(m.data)):
-        raise ValueError("non-finite value in sparse matrix")
+        raise NonFinite("non-finite value in sparse matrix")
     if m.nnz and np.any(np.abs(m.data) < ZERO_EPSILON):
         m.data[np.abs(m.data) < ZERO_EPSILON] = 0.0
         m.eliminate_zeros()
@@ -170,7 +177,7 @@ class SparseMatrix:
         selects (all by default) with their own values or, if given,
         ``values``. Both are aligned with ``entries()``. The result is
         canonical again: values below ``ZERO_EPSILON`` drop out and a
-        non-finite value raises ``ValueError``."""
+        non-finite value raises ``NonFinite``."""
         m = self._m
         keep = np.ones(self.nnz, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
         data = m.data if values is None else np.asarray(values, dtype=np.float64)

@@ -1,9 +1,17 @@
+import ast
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qubofs.cli import main
+from qubofs.cli import COMMANDS, build_parser, main
+from qubofs.config import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, **overrides):
@@ -61,6 +69,33 @@ INVALID_VALUES = {
     "final_cbf.space type": ("final_cbf.space.shrink", {"final_cbf": {"space": {
         "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "double", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "final_cbf.space topK low 0": ("final_cbf.space.topK.low", {"final_cbf": {"space": {
+        "topK": {"type": "int", "low": 0, "high": 20}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "collaborative.space shrink low": ("collaborative.space.shrink.low", {"collaborative": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "float", "low": -1, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "collaborative.space topK choice 0": ("collaborative.space.topK.choices", {"collaborative": {"space": {
+        "topK": {"type": "categorical", "choices": [5, 0]}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "rp3beta space alpha low": ("collaborative.space.alpha.low", {"collaborative": {
+        "kind": "rp3beta", "n_cases": 3, "space": {
+            "topK": {"type": "int", "low": 5, "high": 20}, "alpha": {"type": "float", "low": -0.5, "high": 1},
+            "beta": {"type": "float", "low": 0, "high": 1},
+            "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "pure_svd space num_factors low 0": ("collaborative.space.num_factors.low", {"collaborative": {
+        "kind": "pure_svd", "n_cases": 3, "space": {
+            "num_factors": {"type": "int", "low": 0, "high": 5}}}}, ()),
+    "final_cbf.space weighting bm24": ("final_cbf.space.weighting.choices", {"final_cbf": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]},
+        "weighting": {"type": "categorical", "choices": ["none", "bm24"]}}}}, ()),
+    "final_cbf.space normalize no": ("final_cbf.space.normalize.choices", {"final_cbf": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": ["no"]}}}}, ()),
+    "collaborative.space normalize 0": ("collaborative.space.normalize.choices", {"collaborative": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True, 0]}}}}, ()),
     "collaborative.space topK missing": ("collaborative.space.topK", {"collaborative": {"space": {
         "shrink": {"type": "float", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
@@ -97,6 +132,35 @@ class TestStages:
         captured = capsys.readouterr()
         assert captured.out.startswith("feature\t")
         assert (out / "reports/feature_stats.tsv").exists()
+
+
+class TestParser:
+    def test_every_command_parses(self):
+        for command in COMMANDS:
+            assert build_parser().parse_args([command, "--config", "c.json"]).command == command
+
+    def test_flags_before_or_after_the_command(self):
+        after = build_parser().parse_args(["select", "--config", "c.json", "--seed", "4", "--solver", "sa"])
+        before = build_parser().parse_args(["--config", "c.json", "--seed", "4", "--solver", "sa", "select"])
+        assert vars(before) == vars(after) == {
+            "command": "select", "config": "c.json", "out": None, "seed": 4,
+            "workers": None, "solver": "sa", "samples": None}
+
+    def test_benchmark_setup_probe(self, tmp_path):
+        """The setup probe of perfbench/run.py, read from its source and run
+        as the benchmark runs it, still parses, loads and pins the config."""
+        tree = ast.parse((ROOT / "perfbench/run.py").read_text(encoding="utf-8"))
+        [probe] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "SETUP_PROBE" for t in node.targets)]
+        config, out = write_config(tmp_path), tmp_path / "probe"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", probe, str(config), str(out)],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        float(child.stdout.strip().splitlines()[-1])
+        pinned = (out / "config.resolved.json").read_text(encoding="utf-8")
+        assert pinned == ExperimentConfig.from_json_file(config).canonical_json()
 
 
 class TestOverrides:
@@ -143,7 +207,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("interactions, features, message", [
         ("u0\ta\t1\nu1\tb\tnan\n", "a\tf0\nb\tf1\n", "line 2: non-finite value"),
         ("u0\ta\t1\nu1\tb\t1\n", "# item\tfeature\n", "no item features"),
-    ], ids=["non-finite value", "no features"])
+        ("u0\ta\t1\nu1\tb\t1\n", "a\tf0\n\nb\tf1\t1\n", "line 3: expected 2 tab-separated fields, got 3"),
+    ], ids=["non-finite value", "no features", "features field count"])
     def test_bad_dataset_is_data_error(self, tmp_path, capsys, interactions, features, message):
         """The dataset stage rejects the files with exit 3 before any later
         stage runs."""
@@ -155,6 +220,20 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["config.resolved.json"]
+
+    def test_overflowing_value_is_data_error(self, tmp_path, capsys):
+        """A finite value whose products overflow passes the dataset stage
+        and stops the stage that multiplies it with exit 3."""
+        (tmp_path / "i.tsv").write_text("".join(
+            f"u{u}\ti{(u + k) % 8}\t{'1e200' if u == k == 0 else 1}\n"
+            for u in range(12) for k in range(3)))
+        (tmp_path / "f.tsv").write_text("".join(f"i{i}\tf{i % 3}\n" for i in range(8)))
+        config = write_config(tmp_path, dataset={"files": {
+            "interactions": str(tmp_path / "i.tsv"), "features": str(tmp_path / "f.tsv")}})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error: non-finite value")
+        assert (out / "holdout").is_dir() and not (out / "cf_model").exists()
 
     def test_corrupt_artifact_is_data_error(self, tmp_path, capsys):
         """A stage file that is not a sparse archive, such as a text COO file

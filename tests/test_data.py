@@ -8,6 +8,7 @@ from qubofs.data import (
     build_dataset,
     cold_item_split,
     load_interactions,
+    load_item_features,
     preprocess,
     save_cold_split,
     load_cold_split,
@@ -75,6 +76,33 @@ class TestLoadInteractions:
         p = write(tmp_path, "r.tsv", f"u1\ti1\t2\nu2\ti2\t{value}\n")
         with pytest.raises(ParseError, match="line 2"):
             load_interactions(p)
+
+    @pytest.mark.parametrize("line, n_fields", [("u2", 1), ("u2\ti2\t1\tx", 4), (" ", 1)])
+    def test_wrong_field_count(self, tmp_path, line, n_fields):
+        """Blank lines and comments still count toward the line number."""
+        p = write(tmp_path, "r.tsv", f"u1\ti1\t2\n\n# c\n{line}\nu3\ti3\n")
+        with pytest.raises(ParseError) as info:
+            load_interactions(p)
+        assert str(info.value) == f"line 4: expected 2 or 3 tab-separated fields, got {n_fields}"
+        assert info.value.line_no == 4
+
+
+class TestLoadItemFeatures:
+    def test_pairs_in_file_order(self, tmp_path):
+        p = write(tmp_path, "f.tsv", "i2\tf1\ni1\tf2\ni2\tf1\n")
+        assert load_item_features(p) == [("i2", "f1"), ("i1", "f2"), ("i2", "f1")]
+
+    def test_blank_lines_and_comments_skipped(self, tmp_path):
+        p = write(tmp_path, "f.tsv", "# item\tfeature\n\ni1\tf1\n\n#i2\tf2\ni2\tf3")
+        assert load_item_features(p) == [("i1", "f1"), ("i2", "f3")]
+
+    @pytest.mark.parametrize("line, n_fields", [("i2", 1), ("i2\tf2\t1", 3), (" ", 1)])
+    def test_wrong_field_count(self, tmp_path, line, n_fields):
+        p = write(tmp_path, "f.tsv", f"i1\tf1\n\n# c\n{line}\ni3\tf3\n")
+        with pytest.raises(ParseError) as info:
+            load_item_features(p)
+        assert str(info.value) == f"line 4: expected 2 tab-separated fields, got {n_fields}"
+        assert info.value.line_no == 4
 
 
 class TestBuildDataset:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofs import models
-from qubofs.errors import DimensionMismatch, RankTooLarge
+from qubofs.errors import DimensionMismatch, NonFinite, RankTooLarge
 from qubofs.models import (
     ModelKind,
     SimilarityModel,
@@ -480,7 +480,7 @@ class TestScoreAndRank:
         s = SparseMatrix.from_dense([[0, 1e300, 0], [1e300, 0, 1], [0, 1, 0]])
         model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
         profiles = SparseMatrix.from_dense([[0, 0, 0], [1e10, 0, 0]])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFinite, match="non-finite"):
             score_and_rank(model, profiles, cutoff=2)
 
 

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofs import sparse
-from qubofs.errors import DimensionMismatch, IndexOutOfRange, NegativeBase, ParseError, TooLarge
+from qubofs.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NegativeBase,
+    NonFinite,
+    ParseError,
+    TooLarge,
+)
 from qubofs.sparse import SparseMatrix, ZERO_EPSILON
 
 
@@ -304,7 +311,7 @@ class TestEntries:
     def test_with_entries_is_canonical_again(self):
         m = SparseMatrix.from_dense([[1, 2], [3, 0]])
         assert m.with_entries(values=np.array([1e-15, 2.0, -1e-13])).entries()[2].tolist() == [2.0]
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(NonFinite, match="non-finite"):
             m.with_entries(values=np.array([np.inf, 1.0, 1.0]))
         with pytest.raises(DimensionMismatch):
             m.with_entries(keep=np.array([True, False]))
