@@ -89,6 +89,8 @@ def _check_space(space: dict | None, defaults: dict, where: str) -> None:
         kind = spec.get("type")
         _check(kind in ("int", "float", "categorical"),
                f"{path}.type must be int, float or categorical, not {kind!r}")
+        _check(kind == "categorical" or name not in CHOICES,
+               f"{path}.type must be categorical, not {kind!r}")
         if kind == "categorical":
             choices = spec.get("choices")
             _check(isinstance(choices, (list, tuple)) and len(choices) > 0,

@@ -255,12 +255,22 @@ def _rank_numpy(profiles: SparseMatrix, sim: SparseMatrix, position: np.ndarray,
     return ranked
 
 
+# ``_rank_numpy(*_check_case())``, pinned so that the self-check runs no
+# sparse product and loading the kernel does not import scipy; a test holds
+# the pin to ``_rank_numpy``
+_CHECK_RANKING = [[1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, 4, 5, 6, 7, 8, 9],
+                  [9, 2, 3, 4, 5, 6, 10, 11, 7], [8, 6, 9, 2, 3, 4, 5, 7],
+                  [9, 8, 10, 2, 4, 7], [8, 9, 11, 2, 3, 5, 6],
+                  [6, 8, 11, 2, 3, 4, 5, 1, 7], [9, 2, 8, 11, 1, 7, 4, 5]]
+
+
 @functools.cache
 def _load_kernel():
     """The compiled ranking as a drop-in for ``_rank_numpy``, or None when
-    ``_rank.c`` cannot be built or loaded here, or when it disagrees with
-    numpy on ``_check_case()``: the kernel relies on scipy summing the sparse
-    product in CSR order, which scipy does not promise."""
+    ``_rank.c`` cannot be built or loaded here, or when it ranks
+    ``_check_case()`` otherwise than ``_CHECK_RANKING``: the kernel relies on
+    scipy summing the sparse product in CSR order, which scipy does not
+    promise."""
     import ctypes
 
     from . import _native
@@ -293,15 +303,13 @@ def _load_kernel():
             ranked[u] = ranked[u][:lengths[u]]
         return ranked
 
-    check = _check_case()
-    got, want = rank(*check), _rank_numpy(*check)
-    if [r.tolist() for r in got] != [r.tolist() for r in want]:
+    if [r.tolist() for r in rank(*_check_case())] != _CHECK_RANKING:
         return None
     return rank
 
 
 def _check_case():
-    """``_rank_numpy`` arguments for the kernel's self-check: integer scores
+    """Ranking arguments for the kernel's self-check: integer scores
     that tie often, negative and empty profiles, a candidate subset, a cutoff
     above some users' unseen candidates, and scores of +-2**-42 (below
     ``ZERO_EPSILON``) that users 2 to 5 get by cancellation in items 2 to 5."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFinite
 from .fileio import read_json, write_json
 from .sparse import SparseMatrix
 
@@ -53,7 +53,7 @@ class QuboProblem:
         if not np.array_equal(q, q.T):
             raise ValueError("q must be exactly symmetric")
         if not np.all(np.isfinite(q)) or not np.isfinite(self.offset):
-            raise ValueError("q and offset must be finite")
+            raise NonFinite("q and offset must be finite")
         object.__setattr__(self, "q", q)
 
     @property

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qubofs import models
 from qubofs.cli import COMMANDS, build_parser, main
 from qubofs.config import ExperimentConfig
 
@@ -37,6 +38,22 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def setup_probe() -> str:
+    """The benchmark's setup probe, read from the source of perfbench/run.py."""
+    tree = ast.parse((ROOT / "perfbench/run.py").read_text(encoding="utf-8"))
+    [probe] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "SETUP_PROBE" for t in node.targets)]
+    return probe
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` with this checkout's sources on the path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 # test id -> (the field named in the error, config sections to replace, CLI flags)
@@ -96,6 +113,13 @@ INVALID_VALUES = {
     "collaborative.space normalize 0": ("collaborative.space.normalize.choices", {"collaborative": {"space": {
         "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "float", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True, 0]}}}}, ()),
+    "final_cbf.space weighting int": ("final_cbf.space.weighting.type", {"final_cbf": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]},
+        "weighting": {"type": "int", "low": 1, "high": 2}}}}, ()),
+    "collaborative.space normalize float": ("collaborative.space.normalize.type", {"collaborative": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 20}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "float", "low": 0, "high": 1}}}}, ()),
     "collaborative.space topK missing": ("collaborative.space.topK", {"collaborative": {"space": {
         "shrink": {"type": "float", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
@@ -149,18 +173,49 @@ class TestParser:
     def test_benchmark_setup_probe(self, tmp_path):
         """The setup probe of perfbench/run.py, read from its source and run
         as the benchmark runs it, still parses, loads and pins the config."""
-        tree = ast.parse((ROOT / "perfbench/run.py").read_text(encoding="utf-8"))
-        [probe] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-                   and any(getattr(t, "id", None) == "SETUP_PROBE" for t in node.targets)]
         config, out = write_config(tmp_path), tmp_path / "probe"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run([sys.executable, "-c", probe, str(config), str(out)],
-                               capture_output=True, text=True, env=env, timeout=120)
+        child = run_python(setup_probe(), str(config), str(out))
         assert child.returncode == 0, child.stderr
         float(child.stdout.strip().splitlines()[-1])
         pinned = (out / "config.resolved.json").read_text(encoding="utf-8")
         assert pinned == ExperimentConfig.from_json_file(config).canonical_json()
+
+
+class TestStartup:
+    """Importing scipy costs a process about 0.2 s. Starting the command line,
+    the benchmark's setup probe and a resume need none of its arithmetic,
+    so none of them may import it."""
+
+    @staticmethod
+    def scipy_modules_after(code: str, *args: str) -> list[str]:
+        child = run_python(code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                           *args)
+        assert child.returncode == 0, child.stderr
+        return ast.literal_eval(child.stdout.strip().splitlines()[-1])
+
+    def test_imports(self):
+        assert self.scipy_modules_after("import sys\nimport qubofs.cli, qubofs.pipeline") == []
+
+    def test_setup_probe(self, tmp_path):
+        config, out = write_config(tmp_path), tmp_path / "probe"
+        assert self.scipy_modules_after(setup_probe(), str(config), str(out)) == []
+        assert (out / "config.resolved.json").is_file()
+
+    def test_resume(self, tmp_path):
+        """A resume after deleting reports/ and manifest.json, as the
+        benchmark resumes; ranking without the compiled kernel multiplies
+        sparse matrices, so it needs the kernel."""
+        if models._load_kernel() is None:
+            pytest.skip("no ranking kernel on this machine")
+        config, out = write_config(tmp_path), tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+        shutil.rmtree(out / "reports")
+        (out / "manifest.json").unlink()
+        resume = "import sys\nfrom qubofs.cli import main\nassert main(sys.argv[1:]) == 0"
+        argv = ("pipeline", "--config", str(config), "--out", str(out))
+        assert self.scipy_modules_after(resume, *argv) == []
+        assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
 
 
 class TestOverrides:
@@ -234,6 +289,15 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("data error: non-finite value")
         assert (out / "holdout").is_dir() and not (out / "cf_model").exists()
+
+    def test_overflowing_qubo_is_data_error(self, tmp_path, capsys):
+        """A finite grid value whose QUBO coefficients overflow stops the
+        qubos stage with exit 3 instead of a traceback."""
+        config = write_config(tmp_path, qubo={"alpha": [1.0], "beta": [0.001], "s": [1e308], "p": [0.5]})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (out / "selections").exists()
 
     def test_corrupt_artifact_is_data_error(self, tmp_path, capsys):
         """A stage file that is not a sparse archive, such as a text COO file

@@ -21,20 +21,38 @@ from qubofs.errors import (
 from qubofs.sparse import SparseMatrix, ZERO_EPSILON
 
 
+def scipy_imports(tree: ast.AST) -> list[bool]:
+    """For each import of scipy in ``tree``, whether it runs only inside a
+    function (a lazy import) rather than when the module is imported."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(in_function)
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    visit(tree, False)
+    return found
+
+
 def test_only_sparse_py_imports_scipy():
     """The sparse storage format is decided in one module: no other module of
-    the package imports scipy, at the top or inside a function."""
+    the package imports scipy, at the top or inside a function. No module
+    imports it at the top, so importing the package does not load it."""
     importers = set()
     for path in Path(sparse.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                importers.add(path.name)
+        lazy = scipy_imports(ast.parse(path.read_text(), str(path)))
+        if lazy:
+            importers.add(path.name)
+        assert all(lazy), f"{path.name} imports scipy at module level"
     assert importers == {"sparse.py"}
 
 
@@ -391,4 +409,128 @@ class TestCooPersistence:
         path = tmp_path / "bad.coo"
         path.write_bytes(content())
         with pytest.raises(ParseError, match=re.escape(str(path))):
+            SparseMatrix.load_coo(path)
+
+
+# ----------------------------------------------------------------------
+# equivalence with scipy: the numpy operations give scipy's arrays
+# ----------------------------------------------------------------------
+
+
+def scipy_canonical(mat) -> sp.csr_array:
+    """The canonical form of ``mat`` as scipy alone makes it: 32-bit indices,
+    duplicates summed, columns sorted, values below ``ZERO_EPSILON`` dropped."""
+    m = sp.csr_array(mat, dtype=np.float64, copy=True)
+    m.indptr, m.indices = m.indptr.astype(np.int32), m.indices.astype(np.int32)
+    m.sum_duplicates()
+    m.sort_indices()
+    m.data[np.abs(m.data) < ZERO_EPSILON] = 0.0
+    m.eliminate_zeros()
+    return m
+
+
+def as_csr(m: SparseMatrix) -> sp.csr_array:
+    return sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def assert_same_arrays(m: SparseMatrix, want: sp.csr_array) -> None:
+    assert m.shape == want.shape
+    for got, expected in ((m.indptr, want.indptr), (m.indices, want.indices), (m.data, want.data)):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, ZERO_EPSILON, -(2.0**-42)]),
+)
+
+
+@st.composite
+def triplet_lists(draw, duplicates=False, shape=None):
+    """(n_rows, n_cols, triplets) in any order; repeated coordinates only if
+    ``duplicates``."""
+    n_rows, n_cols = shape or (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    coords = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    cells = draw(st.lists(coords, max_size=30, unique=not duplicates))
+    values = draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))
+    return n_rows, n_cols, [(r, c, v) for (r, c), v in zip(cells, values)]
+
+
+def coo_of(n_rows, n_cols, triplets) -> sp.coo_array:
+    rows, cols, values = (np.array([t[i] for t in triplets], dtype=dtype)
+                          for i, dtype in enumerate((np.int64, np.int64, np.float64)))
+    return sp.coo_array((values, (rows, cols)), shape=(n_rows, n_cols))
+
+
+class TestScipyEquivalence:
+    """Every operation that runs without scipy gives, byte for byte, the
+    arrays that scipy's own operation and canonicalisation give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans().flatmap(lambda dups: triplet_lists(duplicates=dups)))
+    def test_from_triplets(self, case):
+        assert_same_arrays(SparseMatrix.from_triplets(*case), scipy_canonical(coo_of(*case)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(triplet_lists(), st.data())
+    def test_add(self, case, data):
+        n_rows, n_cols, _ = case
+        # the negation cancels every entry
+        other = data.draw(triplet_lists(shape=(n_rows, n_cols)) | st.just(
+            (n_rows, n_cols, [(r, c, -v) for r, c, v in case[2]])))
+        a, b = SparseMatrix.from_triplets(*case), SparseMatrix.from_triplets(*other)
+        assert_same_arrays(a + b, scipy_canonical(as_csr(a) + as_csr(b)))
+        assert a + b == b + a
+
+    @settings(max_examples=100, deadline=None)
+    @given(triplet_lists(), st.data())
+    def test_submatrix(self, case, data):
+        n_rows, n_cols, _ = case
+        m = SparseMatrix.from_triplets(*case)
+        rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), max_size=10)), dtype=np.int64)
+        cols = np.array(sorted(data.draw(st.sets(st.integers(0, n_cols - 1)))), dtype=np.int64)
+        assert_same_arrays(m.submatrix(rows=rows), scipy_canonical(as_csr(m)[rows, :]))
+        assert_same_arrays(m.submatrix(cols=cols), scipy_canonical(as_csr(m)[:, cols]))
+        assert_same_arrays(m.submatrix(rows=rows, cols=cols), scipy_canonical(as_csr(m)[rows, :][:, cols]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(triplet_lists())
+    def test_dense_round_trip(self, case):
+        dense = coo_of(*case).toarray()
+        m = SparseMatrix.from_dense(dense)
+        assert_same_arrays(m, scipy_canonical(sp.csr_array(dense)))
+        assert m.to_dense().tobytes() == as_csr(m).toarray().tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans().flatmap(lambda dups: triplet_lists(duplicates=dups)),
+           st.sampled_from([np.int32, np.int64]), st.booleans())
+    def test_load_coo_of_scipy_archives(self, tmp_path_factory, case, index_dtype, canonical_order):
+        """Archives that scipy wrote with 32- or 64-bit indices, in canonical
+        order or as drawn (unsorted, repeated coordinates)."""
+        coo = coo_of(*case)
+        if canonical_order:
+            coo = scipy_canonical(coo).tocoo()
+        coo.coords = tuple(c.astype(index_dtype) for c in coo.coords)
+        path = tmp_path_factory.mktemp("archives") / "m.coo"
+        with open(path, "wb") as fh:
+            sp.save_npz(fh, coo, compressed=False)
+        assert_same_arrays(SparseMatrix.load_coo(path), scipy_canonical(sp.load_npz(path)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(triplet_lists())
+    def test_save_coo_writes_scipy_bytes(self, tmp_path_factory, case):
+        m = SparseMatrix.from_triplets(*case)
+        path = tmp_path_factory.mktemp("archives") / "m.coo"
+        m.save_coo(path)
+        want = io.BytesIO()
+        sp.save_npz(want, as_csr(m).tocoo(), compressed=False)
+        assert path.read_bytes() == want.getvalue()
+
+    def test_archive_of_another_format_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "m.coo"
+        with open(path, "wb") as fh:
+            sp.save_npz(fh, sp.csr_array(np.eye(2)), compressed=False)
+        with pytest.raises(ParseError, match="'csr'"):
             SparseMatrix.load_coo(path)
