@@ -1,10 +1,11 @@
 """Dataset ingestion, preprocessing filters, split protocols and a synthetic
 generator with planted relevant features.
 
-Interactions live in a user-by-item matrix (values > 0, duplicates summed),
-item features in a binary item-by-feature matrix. Both TSV inputs go through
-one reader, ``_read_tsv``: it skips blank lines and ``#`` comments, and a
-wrong field count is a ``ParseError`` naming its line. The cold-item split moves
+Interactions live in a user-by-item matrix (values > 0, the values of
+repeated lines summed in file order), item features in a binary
+item-by-feature matrix. Both TSV inputs go through one reader,
+``_read_tsv``: it skips blank lines and ``#`` comments, and a wrong field
+count is a ``ParseError`` naming its line. The cold-item split moves
 whole item columns into test/validation pools until each pool holds the
 requested share of interactions; the per-user holdout split moves a fixed
 fraction of each user's interactions. All randomized operations are pure

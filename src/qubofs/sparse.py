@@ -9,15 +9,13 @@ entry count or a dimension exceeds ``np.iinfo(np.int32).max`` raises
 pattern always reflects "really nonzero" values, which downstream code relies
 on when testing similarities for positivity.
 
-This is the only module that uses scipy, and it imports scipy only inside
-the operations that need its arithmetic: sparse and dense products,
-``row_sums``, ``transpose``, a column restriction that is not ascending,
-construction from a scipy matrix, and the canonicalisation of input whose
-coordinates are out of order or repeated (triplets with a repeated
-coordinate, an archive written out of order). Those wrap the arrays in a
-``csr_array`` without copying them. Everything else is numpy, so a process
-that only loads, saves, sums, restricts and reweights matrices, such as a
-resumed run, never imports scipy.
+This is the only module that uses scipy, and scipy only multiplies,
+transposes and sums rows: it is imported inside sparse and dense products,
+``transpose`` and ``row_sums``, which wrap the arrays in a ``csr_array``
+without copying them. Everything else is numpy, the canonicalisation of
+entries out of order or repeated included, so a process that only loads,
+saves, sums, restricts and reweights matrices, such as a resumed run, never
+imports scipy.
 
 Construction copies its input and never modifies it. Other modules read the
 canonical arrays through the read-only ``indptr``, ``indices`` and ``data``,
@@ -80,27 +78,10 @@ def _keep(indptr: np.ndarray, keep: np.ndarray, *arrays: np.ndarray) -> tuple:
     return (np.searchsorted(kept, indptr), *(array.take(kept) for array in arrays))
 
 
-def _is_ascending(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> bool:
-    """Whether the coordinates lie inside ``shape`` in canonical order:
-    row-major, columns strictly ascending within a row."""
-    if not rows.size:
-        return True
-    n_rows, n_cols = shape
-    if min(rows.min(), cols.min()) < 0 or rows.max() >= n_rows or cols.max() >= n_cols:
-        return False
-    keys = rows.astype(np.int64) * n_cols + cols.astype(np.int64)
-    return bool(np.all(keys[1:] > keys[:-1]))
-
-
 class SparseMatrix:
     """Immutable row-compressed sparse real matrix."""
 
     __slots__ = ("_shape", "_indptr", "_indices", "_data")
-
-    def __init__(self, mat):
-        """Canonical copy of ``mat``, a scipy sparse matrix or array, which is
-        neither shared nor modified."""
-        self._set(*_sorted_by_scipy(_scipy().csr_array(mat, dtype=np.float64, copy=True)))
 
     @classmethod
     def _of(cls, shape, indptr, indices, data) -> "SparseMatrix":
@@ -133,16 +114,38 @@ class SparseMatrix:
         return _scipy().csr_array(
             (self._data, self._indices, self._indptr), shape=self._shape, copy=False)
 
-    @classmethod
-    def _from_entries(cls, shape, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> "SparseMatrix":
-        """Build from entries in canonical order (see ``_is_ascending``)."""
-        _check_size(shape, len(data))
-        counts = np.bincount(rows.astype(np.int64, copy=False), minlength=shape[0])
-        return cls._of(shape, np.concatenate(([0], np.cumsum(counts))), cols, data)
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, shape, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> "SparseMatrix":
+        """The matrix of the entries (``rows[k]``, ``cols[k]``, ``values[k]``),
+        given in any order in integer and real arrays that nothing else holds.
+        An entry outside ``shape`` raises ``IndexOutOfRange``. Entries out of
+        canonical order are sorted stably, and the values of a repeated
+        coordinate are summed one at a time in the order given. Entries
+        already in canonical order (row-major, columns strictly ascending
+        within a row) are taken as they are."""
+        n_rows, n_cols = shape = (int(shape[0]), int(shape[1]))
+        _check_size(shape, values.size)
+        if values.size and (min(rows.min(), cols.min()) < 0
+                            or rows.max() >= n_rows or cols.max() >= n_cols):
+            raise IndexOutOfRange(f"entry outside the {n_rows}x{n_cols} matrix")
+        values = values.astype(np.float64, copy=False)
+        rows = rows.astype(np.int64, copy=False)
+        keys = rows * n_cols + cols.astype(np.int64, copy=False)
+        if np.all(keys[1:] > keys[:-1]):
+            counts = np.bincount(rows, minlength=n_rows)
+            return cls._of(shape, np.concatenate(([0], np.cumsum(counts))), cols, values)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.diff(keys, prepend=-1) != 0
+        # bincount adds the weights of a bin one by one, in array order
+        sums = np.bincount(np.cumsum(first) - 1, weights=values[order])
+        keys = keys[first]
+        indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+        return cls._of(shape, indptr, keys % n_cols, sums)
 
     @classmethod
     def from_triplets(
@@ -151,20 +154,13 @@ class SparseMatrix:
         n_cols: int,
         triplets: Iterable[tuple[int, int, float]],
     ) -> "SparseMatrix":
-        """Build from (row, col, value) triplets; duplicates are summed, by
-        scipy in its order."""
+        """Build from (row, col, value) triplets in any order; the values of
+        a repeated coordinate are summed in the order given."""
         triplets = list(triplets)
         rows = np.asarray([t[0] for t in triplets], dtype=np.int64)
         cols = np.asarray([t[1] for t in triplets], dtype=np.int64)
         vals = np.asarray([t[2] for t in triplets], dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-            raise IndexOutOfRange(f"row index out of range for {n_rows} rows")
-        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-            raise IndexOutOfRange(f"col index out of range for {n_cols} cols")
-        order = np.lexsort((cols, rows))
-        if _is_ascending(rows[order], cols[order], (n_rows, n_cols)):
-            return cls._from_entries((n_rows, n_cols), rows[order], cols[order], vals[order])
-        return cls(_scipy().coo_array((vals, (rows, cols)), shape=(n_rows, n_cols)))
+        return cls._canonical((n_rows, n_cols), rows, cols, vals)
 
     @classmethod
     def from_dense(cls, array: np.ndarray | Sequence[Sequence[float]]) -> "SparseMatrix":
@@ -172,7 +168,7 @@ class SparseMatrix:
         if dense.ndim != 2:
             raise DimensionMismatch(f"from_dense needs a 2-D array, not {dense.ndim}-D")
         rows, cols = np.nonzero(dense)
-        return cls._from_entries(dense.shape, rows, cols, dense[rows, cols])
+        return cls._canonical(dense.shape, rows, cols, dense[rows, cols])
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -276,15 +272,8 @@ class SparseMatrix:
         ``a + b`` equals ``b + a`` exactly."""
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        n_cols = max(self.n_cols, 1)
-        keys = np.concatenate([rows * n_cols + cols for rows, cols, _ in (self.entries(), other.entries())])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        values = np.concatenate((self._data, other._data))[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(values, starts) if values.size else values
-        rows, cols = np.divmod(keys[starts], n_cols)
-        return SparseMatrix._from_entries(self.shape, rows, cols, sums)
+        return SparseMatrix._canonical(
+            self.shape, *(np.concatenate(pair) for pair in zip(self.entries(), other.entries())))
 
     def row_normalize(self) -> "SparseMatrix":
         """Divide each nonzero row by its L1 norm; zero rows unchanged."""
@@ -323,9 +312,8 @@ class SparseMatrix:
         return self.with_entries(keep=rows != cols)
 
     def submatrix(self, rows: np.ndarray | None = None, cols: np.ndarray | None = None) -> "SparseMatrix":
-        """The given rows, in the given order, then the given columns. Columns
-        in ascending order keep the entries in a selected column and renumber
-        them; any other column order is scipy's fancy indexing."""
+        """The given rows, in the given order, then the given columns, which
+        must be strictly ascending and inside the matrix (``ValueError``)."""
         m = self
         if rows is not None:
             # numpy's indexing rules: negative rows count from the end
@@ -338,9 +326,8 @@ class SparseMatrix:
                                  self._indices.take(take), self._data.take(take))
         if cols is not None:
             cols = np.asarray(cols, dtype=np.int64)
-            # as the columns of one row: inside the matrix, strictly ascending
-            if not _is_ascending(np.zeros_like(cols), cols, (1, m.n_cols)):
-                return SparseMatrix._of(*_sorted_by_scipy(m._csr()[:, cols]))
+            if cols.size and (cols[0] < 0 or cols[-1] >= m.n_cols or np.any(cols[1:] <= cols[:-1])):
+                raise ValueError(f"columns must ascend strictly inside [0, {m.n_cols})")
             selected = np.zeros(m.n_cols, dtype=bool)
             selected[cols] = True
             indptr, indices, data = _keep(m._indptr, selected.take(m._indices), m._indices, m._data)
@@ -396,10 +383,10 @@ class SparseMatrix:
     @classmethod
     def load_coo(cls, path) -> "SparseMatrix":
         """Read a COO archive such as ``save_coo`` or scipy's ``save_npz``
-        writes, with ``np.load(allow_pickle=False)``. Entries out of canonical
-        order or repeated go through scipy's canonicalisation. A file that is
-        not such an archive raises ``ParseError`` naming the path, and a
-        matrix beyond 32-bit indices ``TooLarge``."""
+        writes, with ``np.load(allow_pickle=False)``; entries out of canonical
+        order or repeated are canonicalised as ``from_triplets`` does. A file
+        that is not such an archive raises ``ParseError`` naming the path,
+        and a matrix beyond 32-bit indices ``TooLarge``."""
         try:
             with open(path, "rb") as fh:
                 archive = np.load(fh, allow_pickle=False)
@@ -420,11 +407,11 @@ class SparseMatrix:
         if fmt != "coo":
             raise ValueError(f"format {fmt!r}, not 'coo'")
         rows, cols, data, shape = (archive[key] for key in ("row", "col", "data", "shape"))
-        if (shape.shape == (2,) and shape.dtype.kind == "i" and shape.min() >= 0
-                and data.ndim == 1 and data.dtype == np.float64
-                and all(a.shape == data.shape and a.dtype.kind == "i" for a in (rows, cols))):
-            dims = tuple(shape.tolist())
-            _check_size(dims, data.size)
-            if _is_ascending(rows, cols, dims):
-                return cls._from_entries(dims, rows, cols, data)
-        return cls(_scipy().coo_array((data, (rows, cols)), shape=shape))
+        if shape.shape != (2,) or shape.dtype.kind not in "iu" or shape.min() < 0:
+            raise ValueError(f"shape {shape.tolist()} is not two non-negative integers")
+        for name, array, kinds in (("row", rows, "iu"), ("col", cols, "iu"), ("data", data, "biuf")):
+            if array.ndim != 1 or array.dtype.kind not in kinds:
+                raise ValueError(f"{name} is a {array.ndim}-D {array.dtype} array")
+        if not rows.size == cols.size == data.size:
+            raise ValueError(f"{rows.size} rows, {cols.size} cols and {data.size} values")
+        return cls._canonical(shape.tolist(), rows, cols, data)

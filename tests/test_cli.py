@@ -201,13 +201,23 @@ class TestStartup:
         assert self.scipy_modules_after(setup_probe(), str(config), str(out)) == []
         assert (out / "config.resolved.json").is_file()
 
-    def test_resume(self, tmp_path):
+    @pytest.mark.parametrize("repeated_lines", [False, True], ids=["synth", "repeated interaction lines"])
+    def test_resume(self, tmp_path, repeated_lines):
         """A resume after deleting reports/ and manifest.json, as the
         benchmark resumes; ranking without the compiled kernel multiplies
-        sparse matrices, so it needs the kernel."""
+        sparse matrices, so it needs the kernel. A resume reads the dataset
+        files again, and their repeated lines are summed without scipy."""
         if models._load_kernel() is None:
             pytest.skip("no ranking kernel on this machine")
         config, out = write_config(tmp_path), tmp_path / "run"
+        if repeated_lines:
+            assert main(["synth", "--config", str(config), "--out", str(tmp_path / "synth")]) == 0
+            interactions, features = (tmp_path / "synth/dataset" / name
+                                      for name in ("interactions.tsv", "features.tsv"))
+            lines = interactions.read_text().splitlines(keepends=True)
+            interactions.write_text("".join(lines + lines[:20]))
+            config = write_config(tmp_path, dataset={"files": {"interactions": str(interactions),
+                                                               "features": str(features)}})
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
         shutil.rmtree(out / "reports")

@@ -456,17 +456,20 @@ class TestScoreAndRank:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_index_widths_rank_alike(self):
-        """Matrices built from 64-bit CSR input are stored with 32-bit
-        indices, like all others, and give the same lists in every
+    def test_index_widths_rank_alike(self, tmp_path):
+        """Matrices loaded from archives with 64-bit indices are stored with
+        32-bit indices, like all others, and give the same lists in every
         combination."""
         model, profiles, rng = tie_heavy_case(9, "integer")
         candidates = rng.choice(model.s.n_cols, size=5, replace=False)
 
         def widths(m):
-            wide = sp.csr_array((m.data, m.indices.astype(np.int64),
-                                 m.indptr.astype(np.int64)), shape=m.shape)
-            return [m, SparseMatrix(wide)]
+            rows, cols, values = m.entries()
+            path = tmp_path / "wide.coo"
+            with open(path, "wb") as fh:
+                np.savez(fh, row=rows.astype(np.int64), col=cols.astype(np.int64), format=b"coo",
+                         shape=np.array(m.shape), data=values)
+            return [m, SparseMatrix.load_coo(path)]
 
         for m in widths(model.s) + widths(profiles):
             assert m.indptr.dtype == m.indices.dtype == np.int32

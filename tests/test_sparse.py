@@ -93,6 +93,15 @@ class TestFromTriplets:
         m = SparseMatrix.from_triplets(2, 2, [(1, 1, 5.0), (1, 1, -5.0)])
         assert m.nnz == 0
 
+    def test_repeats_sum_in_the_order_given(self):
+        # 17 entries in one row: an unstable sort reorders column 3's values
+        # and sums them to 8.799999999999997
+        m = SparseMatrix.from_triplets(1, 6, [
+            (0, 5, .7), (0, 3, .7), (0, 3, 2.3), (0, 1, .2), (0, 1, 1.1), (0, 0, 1.1),
+            (0, 0, .1), (0, 0, .3), (0, 1, 2.3), (0, 4, .7), (0, 3, .1), (0, 5, 1.1),
+            (0, 3, 1.1), (0, 3, 2.3), (0, 5, .2), (0, 4, .1), (0, 3, 2.3)])
+        assert m.to_dense()[0, 3] == 0.7 + 2.3 + 0.1 + 1.1 + 2.3 + 2.3 == 8.8
+
 
 class TestTranspose:
     def test_small(self):
@@ -230,18 +239,20 @@ class TestNoStoredZeros:
 
 class TestImmutability:
     def test_input_mutation_does_not_reach_the_matrix(self):
-        x = sp.csr_array(np.array([[1.0, 0.0], [2.0, 3.0]]))
-        m = SparseMatrix(x)
-        x.data[:] = 9.0
-        assert np.array_equal(m.to_dense(), [[1, 0], [2, 3]])
+        x = np.array([[1.0, 0.0], [2.0, 3.0]])
+        triplets = np.array([[0, 0, 1.0], [1, 0, 2.0], [1, 1, 3.0]])
+        built = [SparseMatrix.from_dense(x), SparseMatrix.from_triplets(2, 2, triplets)]
+        x[:] = 9.0
+        triplets[:, 2] = 9.0
+        for m in built:
+            assert np.array_equal(m.to_dense(), [[1, 0], [2, 3]])
 
     def test_sub_epsilon_input_left_untouched(self):
-        x = sp.csr_array(np.array([[1.0, 1e-15], [0.0, 2.0]]))
-        before = [a.copy() for a in (x.data, x.indices, x.indptr)]
-        m = SparseMatrix(x)
-        assert m.nnz == 2 and x.nnz == 3
-        for a, b in zip((x.data, x.indices, x.indptr), before):
-            assert np.array_equal(a, b)
+        x = np.array([[1.0, 1e-15], [0.0, 2.0]])
+        triplets = np.array([[0, 0, 1.0], [0, 1, 1e-15], [1, 1, 2.0]])
+        before = x.copy(), triplets.copy()
+        assert SparseMatrix.from_dense(x).nnz == SparseMatrix.from_triplets(2, 2, triplets).nnz == 2
+        assert np.array_equal(x, before[0]) and np.array_equal(triplets, before[1])
 
     def test_shared_arrays_are_read_only(self):
         m = SparseMatrix.from_dense([[1.0, 2.0]])
@@ -276,7 +287,7 @@ BUILDS = {
     "matmul": lambda tmp_path: _M @ _M.transpose(),
     "add": lambda tmp_path: _M + _M,
     "transpose": lambda tmp_path: _M.transpose(),
-    "submatrix": lambda tmp_path: _M.submatrix(rows=np.array([1, 0]), cols=np.array([2, 0])),
+    "submatrix": lambda tmp_path: _M.submatrix(rows=np.array([1, 0]), cols=[0, 2]),
     "with_entries": lambda tmp_path: _M.with_entries(keep=np.array([True, False, True, True])),
     "mask_cols": lambda tmp_path: _M.mask_cols(np.array([True, False, True])),
     "top_k_per_row": lambda tmp_path: _M.top_k_per_row(1),
@@ -298,7 +309,7 @@ class TestIndexWidth:
     def test_beyond_32_bits_is_too_large(self, tmp_path):
         # indptr has two entries: nothing large is allocated
         with pytest.raises(TooLarge):
-            SparseMatrix(sp.csr_array((1, 2**31)))
+            SparseMatrix.from_triplets(1, 2**31, [])
         (tmp_path / "wide.coo").write_bytes(_archive(
             row=np.empty(0, np.int64), col=np.empty(0, np.int64), data=np.empty(0),
             shape=np.array([1, 2**31])))
@@ -357,6 +368,12 @@ class TestHelpers:
         sub = m.submatrix(rows=np.array([1]), cols=np.array([0]))
         assert np.array_equal(dense(sub), [[3]])
 
+    @pytest.mark.parametrize("cols", [[1, 0], [0, 0], [-1, 1], [0, 2]],
+                             ids=["descending", "repeated", "negative", "outside"])
+    def test_submatrix_columns_ascend_inside_the_matrix(self, cols):
+        with pytest.raises(ValueError, match="ascend"):
+            SparseMatrix.from_dense([[1, 2], [3, 4]]).submatrix(cols=cols)
+
     def test_binarize(self):
         m = SparseMatrix.from_dense([[0.5, -0.5, 0.0]])
         assert np.array_equal(dense(m.binarize()), [[1, 0, 0]])
@@ -388,6 +405,30 @@ MALFORMED_FILES = {
     "index out of range": lambda: _archive(shape=np.array([2, 2])),
     "nan value": lambda: _archive(data=np.array([1.0, np.nan, 3.0])),
     "bare npy": lambda: _npy(np.zeros(3)),
+    "col out of range": lambda: _archive(col=np.array([0, 1, 2], np.int32)),
+    "negative row": lambda: _archive(row=np.array([0, -1, 2], np.int32)),
+    "negative shape": lambda: _archive(shape=np.array([3, -2])),
+    "3-element shape": lambda: _archive(shape=np.array([3, 2, 1])),
+    "lengths disagree": lambda: _archive(data=np.array([1.0, 2.0])),
+    "2-D data": lambda: _archive(data=np.array([[1.0], [2.0], [3.0]])),
+    # scipy truncated these to integers
+    "float indices": lambda: _archive(row=np.array([0.0, 1.0, 2.0])),
+}
+
+_SAVED = [[1.0, 0], [0, 2.0], [3.0, 0]]
+
+# archives that load: (content, the matrix they hold)
+LOADABLE_FILES = {
+    "int16 indices": (lambda: _archive(row=np.array([0, 1, 2], np.int16),
+                                       col=np.array([0, 1, 0], np.int16)), _SAVED),
+    "uint64 indices": (lambda: _archive(row=np.array([0, 1, 2], np.uint64),
+                                        col=np.array([0, 1, 0], np.uint64)), _SAVED),
+    "int data": (lambda: _archive(data=np.array([1, 2, 3])), _SAVED),
+    "float32 data": (lambda: _archive(data=np.array([1.0, 2.0, 3.0], np.float32)), _SAVED),
+    "bool data": (lambda: _archive(data=np.array([True, False, True])), [[1.0, 0], [0, 0], [1.0, 0]]),
+    "unsorted with repeats": (lambda: _archive(row=np.array([2, 0, 1, 0], np.int32),
+                                               col=np.array([0, 0, 1, 0], np.int32),
+                                               data=np.array([3.0, 0.25, 2.0, 0.75])), _SAVED),
 }
 
 
@@ -403,6 +444,12 @@ class TestCooPersistence:
             assert loaded == m and loaded.shape == m.shape
             # resumes compare run trees byte for byte
             assert (tmp_path / "a.coo").read_bytes() == (tmp_path / "b.coo").read_bytes()
+
+    @pytest.mark.parametrize("content, matrix", LOADABLE_FILES.values(), ids=list(LOADABLE_FILES))
+    def test_archive_dtypes_and_order(self, tmp_path, content, matrix):
+        path = tmp_path / "m.coo"
+        path.write_bytes(content())
+        assert SparseMatrix.load_coo(path) == SparseMatrix.from_dense(matrix)
 
     @pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=list(MALFORMED_FILES))
     def test_malformed_file_raises_parse_error(self, tmp_path, content):
@@ -448,14 +495,23 @@ VALUES = st.one_of(
 
 
 @st.composite
-def triplet_lists(draw, duplicates=False, shape=None):
+def triplet_lists(draw, duplicates=False, shape=None, sizes=(0, 30)):
     """(n_rows, n_cols, triplets) in any order; repeated coordinates only if
     ``duplicates``."""
     n_rows, n_cols = shape or (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
     coords = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
-    cells = draw(st.lists(coords, max_size=30, unique=not duplicates))
+    cells = draw(st.lists(coords, min_size=sizes[0], max_size=sizes[1], unique=not duplicates))
     values = draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))
     return n_rows, n_cols, [(r, c, v) for (r, c), v in zip(cells, values)]
+
+
+def summed_in_order(n_rows, n_cols, triplets) -> tuple:
+    """The triplets with each repeated coordinate's values summed left to
+    right in the order given, one triplet per coordinate."""
+    sums = {}
+    for r, c, v in triplets:
+        sums[r, c] = sums[r, c] + v if (r, c) in sums else v
+    return n_rows, n_cols, [(r, c, v) for (r, c), v in sums.items()]
 
 
 def coo_of(n_rows, n_cols, triplets) -> sp.coo_array:
@@ -471,7 +527,19 @@ class TestScipyEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(st.booleans().flatmap(lambda dups: triplet_lists(duplicates=dups)))
     def test_from_triplets(self, case):
-        assert_same_arrays(SparseMatrix.from_triplets(*case), scipy_canonical(coo_of(*case)))
+        """scipy's arrays for triplets without repeats; repeats are summed
+        in the order given first."""
+        want = scipy_canonical(coo_of(*summed_in_order(*case)))
+        assert_same_arrays(SparseMatrix.from_triplets(*case), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n_cols: triplet_lists(duplicates=True, shape=(2, n_cols), sizes=(17, 80))))
+    def test_repeats_sum_left_to_right(self, case):
+        """Rows of up to about 40 entries, more than scipy's sort keeps in
+        the order given."""
+        want = scipy_canonical(coo_of(*summed_in_order(*case)))
+        assert_same_arrays(SparseMatrix.from_triplets(*case), want)
 
     @settings(max_examples=100, deadline=None)
     @given(triplet_lists(), st.data())
@@ -508,7 +576,8 @@ class TestScipyEquivalence:
            st.sampled_from([np.int32, np.int64]), st.booleans())
     def test_load_coo_of_scipy_archives(self, tmp_path_factory, case, index_dtype, canonical_order):
         """Archives that scipy wrote with 32- or 64-bit indices, in canonical
-        order or as drawn (unsorted, repeated coordinates)."""
+        order or as drawn (unsorted, repeated coordinates). Repeats are summed
+        in file order, and the rest is scipy's canonical form."""
         coo = coo_of(*case)
         if canonical_order:
             coo = scipy_canonical(coo).tocoo()
@@ -516,7 +585,9 @@ class TestScipyEquivalence:
         path = tmp_path_factory.mktemp("archives") / "m.coo"
         with open(path, "wb") as fh:
             sp.save_npz(fh, coo, compressed=False)
-        assert_same_arrays(SparseMatrix.load_coo(path), scipy_canonical(sp.load_npz(path)))
+        in_file = list(zip(*(c.tolist() for c in coo.coords), coo.data.tolist()))
+        want = scipy_canonical(coo_of(*summed_in_order(*coo.shape, in_file)))
+        assert_same_arrays(SparseMatrix.load_coo(path), want)
 
     @settings(max_examples=60, deadline=None)
     @given(triplet_lists())
