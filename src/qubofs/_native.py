@@ -18,8 +18,6 @@ import ctypes
 import hashlib
 import os
 import platform
-import subprocess
-import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -51,13 +49,15 @@ def load_library(name: str) -> ctypes.CDLL | None:
         directory = _cache_dir()
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         return _load_or_build(directory / filename, code)
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    except (OSError, RuntimeError):
         pass  # RuntimeError: no home directory
+    import tempfile
+
     try:
         # a loaded library stays mapped after its file is removed
         with tempfile.TemporaryDirectory(prefix="qubofs-") as directory:
             return _load_or_build(Path(directory) / filename, code)
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
 
 
@@ -66,8 +66,14 @@ def _digest(path: Path) -> str:
 
 
 def _compile(code: bytes, out: str) -> None:
-    subprocess.run([*COMPILE, "-x", "c", "-", "-o", out, "-lm"], input=code,
-                   capture_output=True, check=True, timeout=_COMPILE_TIMEOUT_S)
+    """Compile ``code`` to ``out``; a failed or timed-out compile raises OSError."""
+    import subprocess
+
+    try:
+        subprocess.run([*COMPILE, "-x", "c", "-", "-o", out, "-lm"], input=code,
+                       capture_output=True, check=True, timeout=_COMPILE_TIMEOUT_S)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cannot compile the kernel: {exc}") from exc
 
 
 def _load_or_build(path: Path, code: bytes) -> ctypes.CDLL:
@@ -77,6 +83,8 @@ def _load_or_build(path: Path, code: bytes) -> ctypes.CDLL:
             return ctypes.CDLL(str(path))
     except OSError:
         pass  # missing, damaged or unloadable: build it again
+    import tempfile  # only a build needs it, so a cached load skips the import
+
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     os.close(fd)
     try:

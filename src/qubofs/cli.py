@@ -19,14 +19,6 @@ from . import errors
 from .config import ExperimentConfig
 from .pipeline import Pipeline
 
-CONFIG_ERRORS = (errors.ConfigInvalid,)
-DATA_ERRORS = (errors.ParseError, errors.NegativeValue, errors.EmptyDataset,
-               errors.IndexOutOfRange, errors.DimensionMismatch, errors.NonFinite,
-               FileNotFoundError)
-INFEASIBLE_ERRORS = (errors.QuotaInfeasible, errors.InfeasibleConfig,
-                     errors.RankTooLarge, errors.TooLarge, errors.DegenerateCatalog,
-                     errors.NegativeBase)
-
 # command -> the Pipeline method it runs; every stage reuses the artifacts
 # already in the output directory
 COMMANDS = {
@@ -82,15 +74,11 @@ def main(argv=None) -> int:
         result = getattr(pipeline, COMMANDS[args.command])()
         if args.command == "stats":
             sys.stdout.write(result)
-    except CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except INFEASIBLE_ERRORS as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 4
+    except (errors.QubofsError, FileNotFoundError) as exc:
+        # a missing input file is a data error; every toolkit error names its own
+        kind = exc if isinstance(exc, errors.QubofsError) else errors.DataError
+        print(f"{kind.prefix}: {exc}", file=sys.stderr)
+        return kind.exit_code
     print(f"{args.command}: done ({pipeline.out})")
     return 0
 

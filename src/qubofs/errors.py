@@ -1,23 +1,48 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each error class carries the command line's exit code and message prefix
+through its base: ``ConfigInvalid`` (2), ``DataError`` (3) or ``Infeasible``
+(4).
+"""
 
 
 class QubofsError(ValueError):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``exit_code`` and ``prefix`` are
+    what the command line exits with and prints before the message."""
+
+    exit_code: int
+    prefix: str
 
 
-class IndexOutOfRange(QubofsError):
+class ConfigInvalid(QubofsError):
+    exit_code, prefix = 2, "config error"
+
+
+class DataError(QubofsError):
+    """Input data or a stored artifact that cannot be used."""
+
+    exit_code, prefix = 3, "data error"
+
+
+class Infeasible(QubofsError):
+    """Valid input on which a stage cannot run."""
+
+    exit_code, prefix = 4, "infeasible"
+
+
+class IndexOutOfRange(DataError):
     pass
 
 
-class DimensionMismatch(QubofsError):
+class DimensionMismatch(DataError):
     pass
 
 
-class NegativeBase(QubofsError):
+class NegativeBase(Infeasible):
     """Non-integer power of a negative stored value."""
 
 
-class ParseError(QubofsError):
+class ParseError(DataError):
     def __init__(self, message, line_no=None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
@@ -25,38 +50,34 @@ class ParseError(QubofsError):
         self.line_no = line_no
 
 
-class NegativeValue(QubofsError):
+class NegativeValue(DataError):
     pass
 
 
-class NonFinite(QubofsError):
+class NonFinite(DataError):
     """A stored value or a computed score that is inf or nan, such as a
     product of finite inputs that overflows."""
 
 
-class EmptyDataset(QubofsError):
+class EmptyDataset(DataError):
     pass
 
 
-class QuotaInfeasible(QubofsError):
+class QuotaInfeasible(Infeasible):
     pass
 
 
-class InfeasibleConfig(QubofsError):
+class InfeasibleConfig(Infeasible):
     pass
 
 
-class RankTooLarge(QubofsError):
+class RankTooLarge(Infeasible):
     pass
 
 
-class TooLarge(QubofsError):
+class TooLarge(Infeasible):
     pass
 
 
-class DegenerateCatalog(QubofsError):
-    pass
-
-
-class ConfigInvalid(QubofsError):
+class DegenerateCatalog(Infeasible):
     pass

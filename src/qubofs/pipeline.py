@@ -9,13 +9,14 @@ retrains on train-plus-validation and reports cold-test metrics next to the
 all-features baseline.
 
 Each stage is one row of ``STAGES``: the files it writes (per grid point, for
-the three grid stages) and its build and load functions. A stage is complete
-when all its files exist; it is then loaded, otherwise built, and only a build
-asks for the stages it depends on. A grid stage loads its complete points and
-builds only the others. Every file is written atomically, so a killed run
-resumes without cleanup and deleting any artifact regenerates only its stage or
-grid point. Every file but manifest.json, which holds the stage timings, is a
-pure function of (config, seed).
+the three grid stages) and its build and load functions; ``Pipeline`` gets its
+``ensure_<name>`` method from the row. A stage is complete when all its files
+exist; it is then loaded, otherwise built, and only a build asks for the stages
+it depends on. A grid stage loads its complete points and builds only the
+others. Every file is written atomically, so a killed run resumes without
+cleanup and deleting any artifact regenerates only its stage or grid point.
+Every file but manifest.json, which holds the stage timings, is a pure function
+of (config, seed).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -166,15 +168,15 @@ def feature_selection_stats(
 # ----------------------------------------------------------------------
 
 
+def _fit_cosine(matrix: SparseMatrix, params: dict, kind: ModelKind) -> SimilarityModel:
+    """``cosine_knn`` of ``matrix``'s rows with a case's topK, shrink and normalize."""
+    return cosine_knn(matrix, top_k=int(params["topK"]), shrink=float(params["shrink"]),
+                      normalize=bool(params["normalize"]), kind=kind)
+
+
 def fit_collaborative(kind: str, urm: SparseMatrix, params: dict, seed: int) -> SimilarityModel:
     if kind == "item_knn_cf":
-        return cosine_knn(
-            urm.transpose(),
-            top_k=int(params["topK"]),
-            shrink=float(params["shrink"]),
-            normalize=bool(params["normalize"]),
-            kind=ModelKind.ITEM_KNN_CF,
-        )
+        return _fit_cosine(urm.transpose(), params, ModelKind.ITEM_KNN_CF)
     if kind == "pure_svd":
         return pure_svd(urm, num_factors=int(params["num_factors"]), seed=seed)
     if kind == "rp3beta":
@@ -190,13 +192,7 @@ def fit_collaborative(kind: str, urm: SparseMatrix, params: dict, seed: int) -> 
 
 def fit_cbf(icm: SparseMatrix, params: dict) -> SimilarityModel:
     weighting = params.get("weighting", "none")
-    model = cosine_knn(
-        apply_feature_weighting(icm, weighting),
-        top_k=int(params["topK"]),
-        shrink=float(params["shrink"]),
-        normalize=bool(params["normalize"]),
-        kind=ModelKind.ITEM_KNN_CBF,
-    )
+    model = _fit_cosine(apply_feature_weighting(icm, weighting), params, ModelKind.ITEM_KNN_CBF)
     return replace(model, hyperparams={**model.hyperparams, "weighting": weighting})
 
 
@@ -311,35 +307,6 @@ class Pipeline:
         """Stage ``name``'s files of grid point ``index``, in ``STAGES`` order."""
         return [self.out / p.format(i=index) for p in STAGES[name][0] if "{i" in p]
 
-    # -- the stages, each named by its row in STAGES -----------------------
-
-    def ensure_dataset(self) -> Dataset:
-        return self._stage("dataset")
-
-    def ensure_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
-        return self._stage("splits")
-
-    def ensure_cf_model(self) -> SimilarityModel:
-        return self._stage("cf_model")
-
-    def ensure_cbf_all(self) -> SimilarityModel:
-        return self._stage("cbf_all")
-
-    def ensure_qubos(self) -> list[dict]:
-        return self._stage("qubos")
-
-    def ensure_selections(self) -> list[SelectionResult]:
-        return self._stage("selections")
-
-    def ensure_grid_scores(self) -> list[dict]:
-        return self._stage("grid_scores")
-
-    def ensure_final(self) -> SimilarityModel:
-        return self._stage("final")
-
-    def ensure_reports(self) -> dict:
-        return self._stage("reports")
-
     # -- stage: dataset --------------------------------------------------
 
     def _build_dataset(self) -> Dataset:
@@ -417,14 +384,21 @@ class Pipeline:
         """Each user's held-out items."""
         return [set(holdings.row_entries(u)[0].tolist()) for u in range(holdings.n_rows)]
 
-    def _objective_value(self, model: SimilarityModel, profiles: SparseMatrix,
-                         relevant: list[set[int]], candidates: np.ndarray | None,
-                         metric: str) -> float:
-        ranked = score_and_rank(model, profiles, self.cfg.cutoff, candidate_items=candidates)
-        precision, recall, ndcg, map_score = accuracy_metrics(
-            ranked, relevant, self.cfg.cutoff
-        )
-        return {"precision": precision, "recall": recall, "ndcg": ndcg, "map": map_score}[metric]
+    def _search(self, label: str, space: dict, n_cases: int, fit: Callable[[dict], SimilarityModel],
+                profiles: SparseMatrix, holdings: SparseMatrix, candidates: np.ndarray | None,
+                metric: str) -> tuple[dict, float, list]:
+        """``random_search`` of ``space`` seeded by ``label``: the case whose ``fit`` model
+        ranks ``holdings`` best by ``metric``, from ``profiles``, among ``candidates``."""
+        relevant = self._relevant(holdings)
+
+        def objective(params: dict) -> float:
+            ranked = score_and_rank(fit(params), profiles, self.cfg.cutoff,
+                                    candidate_items=candidates)
+            scores = accuracy_metrics(ranked, relevant, self.cfg.cutoff)
+            return dict(zip(("precision", "recall", "ndcg", "map"), scores))[metric]
+
+        return random_search(space, n_cases, objective,
+                             seed=derive_seed(self.cfg.seed, label), workers=self.cfg.workers)
 
     def _full_report(self, model: SimilarityModel, profiles: SparseMatrix,
                      holdings: SparseMatrix, candidates: np.ndarray) -> EvalReport:
@@ -455,27 +429,15 @@ class Pipeline:
         fit_seed = derive_seed(self.cfg.seed, "cf-fit")
         space = dict(self.cfg.collaborative.resolved_space())
         if kind == "pure_svd":
-            cap = min(ds.n_users, ds.n_items)
             spec = dict(space["num_factors"])
-            spec["high"] = min(spec["high"], cap)
+            spec["high"] = min(spec["high"], ds.n_users, ds.n_items)
             spec["low"] = min(spec["low"], spec["high"])
             space["num_factors"] = spec
-        relevant = self._relevant(holdout.validation)
-
-        def objective(params: dict) -> float:
-            model = fit_collaborative(kind, holdout.train, params, fit_seed)
-            return self._objective_value(
-                model, holdout.train, relevant, None, "precision"
-            )
-
-        best, best_score, cases = random_search(
-            space,
-            self.cfg.collaborative.n_cases,
-            objective,
-            seed=derive_seed(self.cfg.seed, "cf-search"),
-            workers=self.cfg.workers,
-        )
-        model = fit_collaborative(kind, holdout.train, best, fit_seed)
+        fit = partial(fit_collaborative, kind, holdout.train, seed=fit_seed)
+        best, best_score, cases = self._search("cf-search", space, self.cfg.collaborative.n_cases,
+                                               fit, holdout.train, holdout.validation, None,
+                                               "precision")
+        model = fit(best)
         cf_dir = self.out / "cf_model"
         save_model(model, cf_dir, validation_precision=best_score, seed=fit_seed)
         write_tsv(cf_dir / "search.tsv", ("case", "params", "score"), (
@@ -498,21 +460,9 @@ class Pipeline:
         """Shared content-model search; the seed is the same for every feature
         subset so all selections see an identical case sequence."""
         candidates = np.array(sorted(cold.cold_validation_items), dtype=np.int64)
-        relevant = self._relevant(cold.validation)
-
-        def objective(params: dict) -> float:
-            model = fit_cbf(icm, params)
-            return self._objective_value(
-                model, cold.train, relevant, candidates, self.cfg.objective
-            )
-
-        return random_search(
-            self.cfg.final_cbf.resolved_space(),
-            self.cfg.final_cbf.n_cases,
-            objective,
-            seed=derive_seed(self.cfg.seed, "cbf-search"),
-            workers=self.cfg.workers,
-        )
+        return self._search("cbf-search", self.cfg.final_cbf.resolved_space(),
+                            self.cfg.final_cbf.n_cases, partial(fit_cbf, icm),
+                            cold.train, cold.validation, candidates, self.cfg.objective)
 
     # -- stage: QUBO grid ----------------------------------------------------
 
@@ -721,7 +671,10 @@ class Pipeline:
 # writes, relative to the output directory, where "{i:03d}" names one file per
 # grid point; its build function; its load function). For a grid stage, the
 # load function loads point i, and the build function fills the None entries
-# of the list of points and writes the stage's shared files.
+# of the list of points and writes the stage's shared files. The loop below
+# derives Pipeline.ensure_<name> from each row; it returns a Dataset, a
+# (ColdSplit, HoldoutSplit) pair, a SimilarityModel (cf_model, cbf_all, final),
+# one grid dict, SelectionResult or score dict per grid point, or the report.
 STAGES = {
     "dataset": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
                 Pipeline._build_dataset, Pipeline._load_dataset),
@@ -747,3 +700,14 @@ STAGES = {
                  "reports/feature_stats.tsv"),
                 Pipeline._build_reports, lambda p: read_json(p.out / "reports" / "report.json")),
 }
+
+
+def _ensure(name: str):
+    def ensure(self):
+        return self._stage(name)
+    ensure.__name__ = f"ensure_{name}"
+    return ensure
+
+
+for _name in STAGES:
+    setattr(Pipeline, f"ensure_{_name}", _ensure(_name))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qubofs import models
+from qubofs import cli, errors, models
 from qubofs.cli import COMMANDS, build_parser, main
 from qubofs.config import ExperimentConfig
 
@@ -249,7 +249,31 @@ class TestOverrides:
         assert len(run_dirs) == 1
 
 
+# the exit code and message prefix that README and the cli docstring give
+# each kind of error
+DOCUMENTED_EXITS = {errors.ConfigInvalid: (2, "config error"), errors.DataError: (3, "data error"),
+                    errors.Infeasible: (4, "infeasible")}
+
+
+def concrete_errors(cls=errors.QubofsError) -> list[type]:
+    """The error classes below ``cls`` that have no subclasses."""
+    subclasses = cls.__subclasses__()
+    return [leaf for sub in subclasses for leaf in concrete_errors(sub)] if subclasses else [cls]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("error", concrete_errors(), ids=lambda cls: cls.__name__)
+    def test_every_error_exits_with_its_documented_code(self, tmp_path, capsys, monkeypatch, error):
+        [(code, prefix)] = [kind for base, kind in DOCUMENTED_EXITS.items() if issubclass(error, base)]
+
+        def raises(*args):
+            raise error("it failed")
+
+        monkeypatch.setattr(cli, "Pipeline", raises)
+        path = write_config(tmp_path)
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{prefix}: it failed\n"
+
     def test_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dataset": {"synth": {}}, "nope": 1}))

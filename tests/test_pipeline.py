@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import inspect
 import json
 import hashlib
 import os
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 
 import qubofs
 from qubofs import data, fileio, models, pipeline, solvers
+from qubofs.cli import COMMANDS
 from qubofs.config import ITEM_KNN_CBF_SPACE, ExperimentConfig, SynthSpec
 from qubofs.errors import ConfigInvalid, InfeasibleConfig
 from qubofs.pipeline import (
@@ -439,6 +441,30 @@ def test_stages_name_exactly_the_files_a_run_writes(tmp_path):
     assert written == declared
 
 
+def test_search_seed_rule(tmp_path, monkeypatch):
+    """One collaborative search, seeded by "cf-search" over the collaborative
+    space; every content search, cbf_all's and each grid point's, seeded by
+    "cbf-search" over final_cbf's space and case count, so that all
+    selections see an identical case sequence."""
+    cfg = tiny_config()
+    calls = []
+    search = pipeline.random_search
+
+    def recorded(*args, **kwargs):
+        calls.append(inspect.signature(search).bind(*args, **kwargs).arguments)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "random_search", recorded)
+    Pipeline(cfg, tmp_path / "run").run()
+    rule = [(call["seed"], call["space"], call["n_cases"]) for call in calls]
+    cf_rule = (derive_seed(cfg.seed, "cf-search"), cfg.collaborative.resolved_space(),
+               cfg.collaborative.n_cases)
+    cbf_rule = (derive_seed(cfg.seed, "cbf-search"), cfg.final_cbf.resolved_space(),
+                cfg.final_cbf.n_cases)
+    assert rule.count(cf_rule) == 1
+    assert rule.count(cbf_rule) == len(rule) - 1 == 1 + len(cfg.qubo.points())
+
+
 def test_benchmark_tracer_names_are_bound():
     """Every name the benchmark tracer wraps exists where it looks for it, so
     a refactor cannot silently blank a per-layer metric."""
@@ -451,6 +477,10 @@ def test_benchmark_tracer_names_are_bound():
     assert {name for name in wrapped if name not in vars(pipeline)} <= {"solve_sa"}
     assert all(f"ensure_{stage}" in vars(Pipeline) for stage in tracer.STAGES)
     assert {"save_coo", "load_coo"} <= set(vars(SparseMatrix))
+    # the stage list is declared once: STAGES gives every ensure_* method
+    assert {name for name in dir(Pipeline) if name.startswith("ensure_")} == {
+        f"ensure_{stage}" for stage in pipeline.STAGES}
+    assert all(callable(getattr(Pipeline, method, None)) for method in COMMANDS.values())
 
 
 class Killed(Exception):
