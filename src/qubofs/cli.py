@@ -22,7 +22,7 @@ from .pipeline import Pipeline
 # command -> the Pipeline method it runs; every stage reuses the artifacts
 # already in the output directory
 COMMANDS = {
-    "synth": "ensure_dataset",
+    "synth": "ensure_synth",
     "prepare": "ensure_splits",
     "train-cf": "ensure_cf_model",
     "build-qubo": "ensure_qubos",
@@ -74,11 +74,10 @@ def main(argv=None) -> int:
         result = getattr(pipeline, COMMANDS[args.command])()
         if args.command == "stats":
             sys.stdout.write(result)
-    except (errors.QubofsError, FileNotFoundError) as exc:
-        # a missing input file is a data error; every toolkit error names its own
-        kind = exc if isinstance(exc, errors.QubofsError) else errors.DataError
-        print(f"{kind.prefix}: {exc}", file=sys.stderr)
-        return kind.exit_code
+    except errors.QubofsError as exc:
+        # every toolkit error carries its exit code and message prefix
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     print(f"{args.command}: done ({pipeline.out})")
     return 0
 

@@ -11,12 +11,21 @@ all-features baseline.
 Each stage is one row of ``STAGES``: the files it writes (per grid point, for
 the three grid stages) and its build and load functions; ``Pipeline`` gets its
 ``ensure_<name>`` method from the row. A stage is complete when all its files
-exist; it is then loaded, otherwise built, and only a build asks for the stages
-it depends on. A grid stage loads its complete points and builds only the
-others. Every file is written atomically, so a killed run resumes without
-cleanup and deleting any artifact regenerates only its stage or grid point.
-Every file but manifest.json, which holds the stage timings, is a pure function
-of (config, seed).
+exist; it is then loaded from them, otherwise built, and only a build asks for
+the stages it depends on. A grid stage loads its complete points and builds
+only the others. The dataset stage parses and preprocesses the input TSVs once
+(a synthetic dataset's come from the synth stage) and stores the result as
+archives, so a resume reads those and never the text. Every file is written
+atomically, so a killed run resumes without cleanup and deleting any artifact
+regenerates only its stage or grid point when a command asks for that stage.
+
+A run directory pins what it was built from: ``config.resolved.json`` the
+config, and ``dataset/inputs.json`` the sha256 and byte size of each
+``dataset.files`` input. Every run hashes those inputs before it writes
+anything; an input that cannot be read is a ``DataError`` and one whose digest
+differs from the pinned one ``ConfigInvalid``. Every file but manifest.json,
+which holds the stage timings, is then a pure function of (config, seed, input
+bytes).
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -49,7 +59,7 @@ from .data import (
     synth_planted,
     user_holdout_split,
 )
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, DataError
 from .fileio import atomic_write_text, read_json, write_json, write_tsv
 from .metrics import EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
@@ -82,6 +92,18 @@ from .solvers import (
     solve_exhaustive,
     solve_sa_many,
 )
+
+
+def file_digest(path) -> dict:
+    """The byte size and sha256 of the file at ``path``; a file that cannot
+    be read, such as a missing one or a directory, is a ``DataError`` naming
+    the path."""
+    try:
+        with open(path, "rb") as fh:
+            return {"bytes": os.fstat(fh.fileno()).st_size,
+                    "sha256": hashlib.file_digest(fh, "sha256").hexdigest()}
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -247,9 +269,28 @@ class Pipeline:
         )
         self._results: dict[str, object] = {}
         self._attributed_time = 0.0
+        self._inputs = self._hash_inputs()
         self._pin_config()
 
-    # -- config pinning -------------------------------------------------
+    # -- pinning ----------------------------------------------------------
+
+    def _hash_inputs(self) -> dict:
+        """The digest of each ``dataset.files`` input, none for a synthetic
+        dataset (a function of the pinned config and seed). An input whose
+        digest differs from the one the dataset stage stored is refused: the
+        artifacts here were built from other data."""
+        files = self.cfg.dataset.files
+        digests = {} if files is None else {
+            role: file_digest(getattr(files, role)) for role in ("interactions", "features")}
+        _, _, _, pin = self._files("dataset")
+        pinned = read_json(pin) if pin.exists() else digests
+        for role, digest in digests.items():
+            if pinned.get(role) != digest:
+                raise ConfigInvalid(
+                    f"{getattr(files, role)} is not the input that {self.out} was built from "
+                    f"({pin.relative_to(self.out)}); restore it or use a fresh output directory"
+                )
+        return digests
 
     def _pin_config(self) -> None:
         pin = self.run_info.artifacts["config"]
@@ -286,31 +327,30 @@ class Pipeline:
         """Load the stage if all its declared files exist, else build it; a
         grid stage loads its complete points and builds the others at once."""
         patterns, build, load = STAGES[name]
-        if name == "dataset" and self.cfg.dataset.synth is None:
-            patterns = ()  # read from the configured files, nothing to write
         for top in dict.fromkeys(pattern.split("/")[0] for pattern in patterns):
             self.run_info.artifacts[top] = self.out / top
-        complete = all((self.out / p).exists() for p in patterns if "{i" not in p)
+        complete = all(f.exists() for f in self._files(name))
         if not any("{i" in p for p in patterns):
             return load(self) if complete else build(self)
         # the later grid stages take the grid from the QUBOs they are built on
         grid = range(len(self.cfg.qubo.points() if name == "qubos" else self.ensure_qubos()))
         results = [
-            load(self, i) if all(f.exists() for f in self._point_files(name, i)) else None
+            load(self, i) if all(f.exists() for f in self._files(name, i)) else None
             for i in grid
         ]
         if not complete or None in results:
             build(self, results)
         return results
 
-    def _point_files(self, name: str, index: int) -> list[Path]:
-        """Stage ``name``'s files of grid point ``index``, in ``STAGES`` order."""
-        return [self.out / p.format(i=index) for p in STAGES[name][0] if "{i" in p]
+    def _files(self, name: str, index: int | None = None) -> list[Path]:
+        """Stage ``name``'s shared files, or its files of grid point ``index``,
+        in ``STAGES`` order."""
+        return [self.out / p.format(i=index) for p in STAGES[name][0]
+                if ("{i" in p) == (index is not None)]
 
-    # -- stage: dataset --------------------------------------------------
+    # -- stages: synthetic data and dataset -----------------------------------
 
-    def _build_dataset(self) -> Dataset:
-        data_dir = self.out / "dataset"
+    def _build_synth(self) -> FilesSpec:
         spec = self.cfg.dataset.synth
         generated, planted = synth_planted(
             spec.n_users,
@@ -321,33 +361,48 @@ class Pipeline:
             spec.noise_rate,
             seed=derive_seed(self.cfg.seed, "synth"),
         )
-        save_dataset_tsv(generated, data_dir / "interactions.tsv", data_dir / "features.tsv")
+        interactions, features, planted_path = self._files("synth")
+        save_dataset_tsv(generated, interactions, features)
         write_json(
-            data_dir / "planted.json",
+            planted_path,
             {"planted_feature_labels": sorted(
                 generated.feature_ids[f] for f in planted
             )},
         )
-        # always reload from disk so every run sees identical label order
-        return self._load_dataset()
+        return self._synth_files()
 
-    def _load_dataset(self) -> Dataset:
-        data_dir = self.out / "dataset"
-        # a synthetic dataset is read from the files _build_dataset wrote
-        files = self.cfg.dataset.files or FilesSpec(
-            data_dir / "interactions.tsv", data_dir / "features.tsv"
-        )
+    def _synth_files(self) -> FilesSpec:
+        """The synth stage's TSVs as a ``dataset.files`` input: the dataset
+        stage parses them as it parses configured files, so label order is
+        the same however the data came."""
+        interactions, features, _ = self._files("synth")
+        return FilesSpec(str(interactions), str(features))
+
+    def _build_dataset(self) -> Dataset:
+        files = self.cfg.dataset.files or self.ensure_synth()
         raw = build_dataset(
             load_interactions(files.interactions, files.value_mode),
             load_item_features(files.features),
         )
         pp = self.cfg.preprocess
-        return preprocess(
+        ds = preprocess(
             raw,
             pp.min_user_interactions,
             pp.min_item_interactions,
             pp.min_feature_items,
         )
+        urm, icm, labels, inputs = self._files("dataset")
+        ds.urm.save_coo(urm)
+        ds.icm.save_coo(icm)
+        write_json(labels, {"users": ds.user_ids, "items": ds.item_ids, "features": ds.feature_ids})
+        write_json(inputs, self._inputs)
+        return ds
+
+    def _load_dataset(self) -> Dataset:
+        urm, icm, labels, _ = self._files("dataset")
+        names = read_json(labels)
+        return Dataset(SparseMatrix.load_coo(urm), SparseMatrix.load_coo(icm),
+                       tuple(names["users"]), tuple(names["items"]), tuple(names["features"]))
 
     # -- stage: splits ----------------------------------------------------
 
@@ -473,7 +528,7 @@ class Pipeline:
         cold, _ = self.ensure_splits()
         warm = cold.warm_items()
         icm_warm = ds.icm.submatrix(rows=warm)
-        pair_files = (self.out / "qubo" / "keep.coo", self.out / "qubo" / "eliminate.coo")
+        pair_files = self._files("qubos")
         if all(path.exists() for path in pair_files):
             pm = PenalizationMatrices(*(SparseMatrix.load_coo(path) for path in pair_files))
         else:
@@ -493,7 +548,7 @@ class Pipeline:
                 ipm = build_ipm(pm, point["alpha"], point["beta"])
                 fpm_cache[key] = build_fpm(icm_warm, ipm)
             problem = assemble_qubo(fpm_cache[key], point["p"], point["s"])
-            save_qubo(problem, *self._point_files("qubos", index))
+            save_qubo(problem, *self._files("qubos", index))
             points[index] = point
 
     # -- stage: selection ------------------------------------------------------
@@ -507,13 +562,13 @@ class Pipeline:
         annealed: list[tuple[int, QuboProblem, AnnealSchedule]] = []
 
         def store(index: int, result: SelectionResult) -> None:
-            save_selection(result, self._point_files("selections", index)[0])
+            save_selection(result, self._files("selections", index)[0])
             results[index] = result
 
         for index, point in enumerate(points):
             if results[index] is not None:
                 continue
-            problem = load_qubo(*self._point_files("qubos", index))
+            problem = load_qubo(*self._files("qubos", index))
             if point["s"] == 0.0 and np.all(problem.q <= 0.0):
                 # every coefficient pushes toward inclusion; all-ones is optimal
                 x = np.ones(problem.n, dtype=np.int8)
@@ -579,7 +634,7 @@ class Pipeline:
                 "energy": selection.energy,
                 "solver": selection.solver,
             }
-            write_json(self._point_files("grid_scores", index)[0], row)
+            write_json(self._files("grid_scores", index)[0], row)
             rows[index] = row
 
     # -- stage: final model and reports -------------------------------------------
@@ -672,11 +727,14 @@ class Pipeline:
 # grid point; its build function; its load function). For a grid stage, the
 # load function loads point i, and the build function fills the None entries
 # of the list of points and writes the stage's shared files. The loop below
-# derives Pipeline.ensure_<name> from each row; it returns a Dataset, a
+# derives Pipeline.ensure_<name> from each row; it returns the synthetic TSVs
+# as a FilesSpec (synth, which only a synthetic dataset reaches), a Dataset, a
 # (ColdSplit, HoldoutSplit) pair, a SimilarityModel (cf_model, cbf_all, final),
 # one grid dict, SelectionResult or score dict per grid point, or the report.
 STAGES = {
-    "dataset": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
+    "synth": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
+              Pipeline._build_synth, Pipeline._synth_files),
+    "dataset": (("dataset/urm.coo", "dataset/icm.coo", "dataset/labels.json", "dataset/inputs.json"),
                 Pipeline._build_dataset, Pipeline._load_dataset),
     "splits": (("splits/train.coo", "splits/validation.coo", "splits/test.coo", "splits/split.json",
                 "holdout/train.coo", "holdout/validation.coo", "holdout/holdout.json"),
@@ -690,10 +748,10 @@ STAGES = {
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
     "selections": (("selections/grid_{i:03d}/selection.json",),
                    Pipeline._build_selections,
-                   lambda p, i: load_selection(p._point_files("selections", i)[0])),
+                   lambda p, i: load_selection(p._files("selections", i)[0])),
     "grid_scores": (("cbf_sel/grid_{i:03d}/result.json",),
                     Pipeline._build_grid_scores,
-                    lambda p, i: read_json(p._point_files("grid_scores", i)[0])),
+                    lambda p, i: read_json(p._files("grid_scores", i)[0])),
     "final": (("final/similarity.coo", "final/model.json"),
               Pipeline._build_final, lambda p: load_model(p.out / "final")),
     "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",

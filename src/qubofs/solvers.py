@@ -95,11 +95,16 @@ def load_selection(path) -> SelectionResult:
 
 
 def energy(problem: QuboProblem, x: np.ndarray) -> float:
-    """x^T Q x + offset for a binary vector x."""
-    x = np.asarray(x, dtype=np.float64)
+    """x^T Q x + offset for a binary vector x, correctly rounded: one
+    ``math.fsum`` over Q's selected rows and columns and the offset, so the
+    bytes stored do not depend on a BLAS kernel's summation order."""
+    x = np.asarray(x)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x has length {x.shape}, problem has n={problem.n}")
-    return float(x @ problem.q @ x) + problem.offset
+    selected = x.astype(bool)
+    if not np.array_equal(x, selected):
+        raise ValueError("x must be binary")
+    return math.fsum(problem.q[selected][:, selected].ravel().tolist() + [problem.offset])
 
 
 def _bit_table(first: int, stop: int, width: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qubofs import cli, errors, models
+from qubofs import cli, errors, models, pipeline
 from qubofs.cli import COMMANDS, build_parser, main
 from qubofs.config import ExperimentConfig
 
@@ -205,8 +205,9 @@ class TestStartup:
     def test_resume(self, tmp_path, repeated_lines):
         """A resume after deleting reports/ and manifest.json, as the
         benchmark resumes; ranking without the compiled kernel multiplies
-        sparse matrices, so it needs the kernel. A resume reads the dataset
-        files again, and their repeated lines are summed without scipy."""
+        sparse matrices, so it needs the kernel. A fresh run sums repeated
+        input lines without scipy, and a resume loads the dataset archives
+        that run wrote instead of parsing the input again."""
         if models._load_kernel() is None:
             pytest.skip("no ranking kernel on this machine")
         config, out = write_config(tmp_path), tmp_path / "run"
@@ -292,6 +293,32 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["prepare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("kind", ["directory", "missing", "unreadable"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, monkeypatch, kind):
+        """An input that cannot be read exits 3 naming it, before the output
+        directory is made."""
+        interactions, features = tmp_path / "i.tsv", tmp_path / "f.tsv"
+        features.write_text("a\tf0\n")
+        if kind == "directory":
+            interactions.mkdir()
+        elif kind == "unreadable":
+            interactions.write_text("u0\ta\t1\n")
+            real_open = open
+
+            def refusing_open(path, *args, **kwargs):
+                if Path(path) == interactions:
+                    raise PermissionError(13, "Permission denied", str(path))
+                return real_open(path, *args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "open", refusing_open, raising=False)
+        config = write_config(tmp_path, dataset={"files": {
+            "interactions": str(interactions), "features": str(features)}})
+        out = tmp_path / "o"
+        assert main(["prepare", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(interactions) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("interactions, features, message", [
         ("u0\ta\t1\nu1\tb\tnan\n", "a\tf0\nb\tf1\n", "line 2: non-finite value"),

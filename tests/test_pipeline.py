@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import qubofs
-from qubofs import data, fileio, models, pipeline, solvers
+from qubofs import cli, data, fileio, models, pipeline, solvers
 from qubofs.cli import COMMANDS
 from qubofs.config import ITEM_KNN_CBF_SPACE, ExperimentConfig, SynthSpec
 from qubofs.errors import ConfigInvalid, InfeasibleConfig
@@ -51,6 +51,16 @@ def tiny_config(**overrides) -> ExperimentConfig:
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def files_config(tmp_path: Path, **overrides) -> ExperimentConfig:
+    """``tiny_config`` with its synthetic data written as input TSVs under
+    ``tmp_path/inputs`` and given as ``dataset.files``."""
+    ds, _ = data.synth_planted(**dataclasses.asdict(tiny_config().dataset.synth), seed=7)
+    interactions, features = tmp_path / "inputs/interactions.tsv", tmp_path / "inputs/features.tsv"
+    data.save_dataset_tsv(ds, interactions, features)
+    return tiny_config(dataset={"files": {"interactions": str(interactions),
+                                          "features": str(features)}}, **overrides)
 
 
 def tree_hashes(root: Path) -> dict:
@@ -424,21 +434,30 @@ class TestGridResume:
         assert "cf_model" not in resumed.run_info.timings
 
 
-def test_stages_name_exactly_the_files_a_run_writes(tmp_path):
-    """A run writes the files STAGES declares, expanded over the grid, and
-    the two run-level files; nothing else. A file name that a build or load
-    function spells differently from its STAGES row fails here."""
-    cfg = tiny_config()
-    out = tmp_path / "run"
+def assert_stages_name_exactly_the_files_written(cfg: ExperimentConfig, out: Path) -> None:
     Pipeline(cfg, out).run()
     declared = {"config.resolved.json", "manifest.json"} | {
         pattern.format(i=i)
-        for patterns, _, _ in pipeline.STAGES.values()
+        for name, (patterns, _, _) in pipeline.STAGES.items()
+        if name != "synth" or cfg.dataset.synth is not None
         for pattern in patterns
         for i in range(len(cfg.qubo.points()))
     }
     written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
     assert written == declared
+
+
+def test_stages_name_exactly_the_files_a_run_writes(tmp_path):
+    """A run writes the files STAGES declares, expanded over the grid, and
+    the two run-level files; nothing else. A file name that a build or load
+    function spells differently from its STAGES row fails here."""
+    assert_stages_name_exactly_the_files_written(tiny_config(), tmp_path / "run")
+
+
+def test_stages_name_exactly_the_files_a_files_run_writes(tmp_path):
+    """The same for a dataset.files config, which never reaches the synth
+    stage, so that stage's files are not written."""
+    assert_stages_name_exactly_the_files_written(files_config(tmp_path), tmp_path / "run")
 
 
 def test_search_seed_rule(tmp_path, monkeypatch):
@@ -488,24 +507,39 @@ class Killed(Exception):
 
 
 class DiesMidway:
-    """File handle that writes its first 40 characters, then raises Killed, as
-    a process killed in the middle of the write would leave the file."""
+    """File handle that writes its first 40 characters or bytes, then raises
+    Killed, as a process killed in the middle of the write would leave the
+    file; a shorter file dies after its last write, before it is closed.
+    Once dead, every write or other use of the file raises Killed."""
 
     def __init__(self, fh):
         self.fh, self.left = fh, 40
 
     def write(self, text):
         if len(text) > self.left:
-            self.fh.write(text[: self.left])
-            self.fh.close()
-            raise Killed
+            self.die(text[: self.left])
         self.left -= len(text)
         return self.fh.write(text)
+
+    def die(self, last=None):
+        if not self.fh.closed:
+            if last:
+                self.fh.write(last)
+            self.fh.close()
+        raise Killed
+
+    def __getattr__(self, name):
+        # tell, seek and flush, which a zip archive's writer asks of its file
+        if self.fh.closed:
+            raise Killed
+        return getattr(self.fh, name)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.die()
         self.fh.close()
 
 
@@ -527,13 +561,16 @@ class TestKilledWriteResumes:
 
     VICTIMS = {
         "interactions.tsv": "dataset", "features.tsv": "dataset",
-        "planted.json": "dataset", "split.json": "splits",
+        "planted.json": "dataset", "urm.coo": "dataset", "labels.json": "dataset",
+        "inputs.json": "dataset", "split.json": "splits",
     }
 
     @staticmethod
     def run_to_splits(cfg, out):
         pipeline = Pipeline(cfg, out)
-        pipeline.ensure_dataset()  # loading the splits alone skips the dataset
+        # loading a complete stage skips the stages it was built from
+        pipeline.ensure_synth()
+        pipeline.ensure_dataset()
         pipeline.ensure_splits()
 
     @pytest.mark.parametrize("rebuild", [False, True], ids=["fresh", "rebuild"])
@@ -621,8 +658,74 @@ class TestLazyResume:
         monkeypatch.setattr(SparseMatrix, "load_coo", classmethod(recording_load_coo))
         resumed = Pipeline(cfg, out).run()
         assert loaded and not {"cf_model", "qubo"} & set(loaded)
-        assert set(resumed.timings) == set(fresh.timings) - {"cf_model"}
+        assert set(resumed.timings) == set(fresh.timings) - {"cf_model", "synth"}
         assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
+
+
+def file_states(root: Path) -> dict:
+    """Each file's bytes, inode and modification time."""
+    return {str(p.relative_to(root)): (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestDatasetStage:
+    """The dataset stage parses its inputs once and stores them as archives
+    under the digests of the dataset.files inputs; a resume loads the
+    archives and refuses inputs that changed."""
+
+    def test_edited_input_is_refused(self, tmp_path, capsys):
+        """The edit that once mixed two datasets in one run directory: the
+        same feature set on the same lines, shifted by 7 lines, then a
+        resume that rebuilds one grid point and the reports."""
+        cfg = files_config(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(cfg.canonical_json())
+        out = tmp_path / "run"
+        argv = ["pipeline", "--config", str(config), "--out", str(out)]
+        assert cli.main(argv) == 0
+        features = Path(cfg.dataset.files.features)
+        items, labels = zip(*(line.split("\t") for line in features.read_text().splitlines()))
+        features.write_text("".join(f"{i}\t{f}\n" for i, f in zip(items, labels[7:] + labels[:7])))
+        shutil.rmtree(out / "cbf_sel/grid_000")
+        shutil.rmtree(out / "reports")
+        before = file_states(out)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(features) in err
+        assert file_states(out) == before
+
+    def test_deleted_archive_is_rebuilt(self, tmp_path):
+        cfg = files_config(tmp_path)
+        out = tmp_path / "run"
+        Pipeline(cfg, out).run()
+        before = tree_hashes(out)
+        (out / "dataset/urm.coo").unlink()
+        Pipeline(cfg, out).ensure_dataset()
+        assert tree_hashes(out) == before
+
+    @pytest.mark.parametrize("source", ["synth", "files"])
+    def test_resume_parses_nothing(self, tmp_path, monkeypatch, source):
+        """With every stage on disk, no stage parses or preprocesses the
+        input, and the loaded dataset is the one the fresh run built."""
+        cfg = tiny_config() if source == "synth" else files_config(tmp_path)
+        out = tmp_path / "run"
+        fresh = Pipeline(cfg, out)
+        fresh.run()
+        before = tree_hashes(out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a resume parsed the input")
+
+        for name in ("load_interactions", "load_item_features", "build_dataset", "preprocess"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        resumed = Pipeline(cfg, out)
+        for name in pipeline.STAGES:
+            if name != "synth" or source == "synth":
+                getattr(resumed, f"ensure_{name}")()
+        resumed.write_feature_stats()  # the labels, rewritten from the loaded dataset
+        assert resumed.ensure_dataset() == fresh.ensure_dataset()
+        assert tree_hashes(out) == before
 
 
 def test_resume_from_64_bit_archives(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -75,6 +76,11 @@ def reference_solve_exhaustive(problem):
     return best_x, energy(problem, best_x)
 
 
+# coefficients of very different magnitudes, so a sum rounded term by term
+# can lose small ones that a correctly rounded sum keeps
+COEFFICIENTS = st.one_of(st.floats(-1e15, 1e15), st.floats(-1.0, 1.0))
+
+
 class TestEnergy:
     def test_zero_vector_gives_offset(self):
         rng = np.random.default_rng(0)
@@ -97,6 +103,26 @@ class TestEnergy:
         p = QuboProblem(q=np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
             energy(p, np.zeros(4))
+
+    def test_non_binary_rejected(self):
+        with pytest.raises(ValueError, match="binary"):
+            energy(QuboProblem(q=np.eye(2)), np.array([1.0, 0.5]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(COEFFICIENTS, min_size=n * n, max_size=n * n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        COEFFICIENTS)))
+    def test_correctly_rounded(self, case):
+        """The float nearest to the exact sum of the selected coefficients
+        and the offset."""
+        values, bits, offset = case
+        n = len(bits)
+        q = np.array(values).reshape(n, n)
+        q = q + q.T
+        selected = [f for f in range(n) if bits[f]]
+        exact = sum((Fraction(q[i, j]) for i in selected for j in selected), Fraction(offset))
+        assert energy(QuboProblem(q=q, offset=offset), np.array(bits)) == float(exact)
 
 
 class TestExhaustive:
