@@ -23,9 +23,9 @@ A run directory pins what it was built from: ``config.resolved.json`` the
 config, and ``dataset/inputs.json`` the sha256 and byte size of each
 ``dataset.files`` input. Every run hashes those inputs before it writes
 anything; an input that cannot be read is a ``DataError`` and one whose digest
-differs from the pinned one ``ConfigInvalid``. Every file but manifest.json,
-which holds the stage timings, is then a pure function of (config, seed, input
-bytes).
+differs from the pinned one ``ConfigInvalid``, as is a missing pin once a stage
+built on the dataset is on disk. Every file but manifest.json, which holds
+the stage timings, is then a pure function of (config, seed, input bytes).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -59,7 +58,7 @@ from .data import (
     synth_planted,
     user_holdout_split,
 )
-from .errors import ConfigInvalid, DataError
+from .errors import ConfigInvalid, DataError, ParseError
 from .fileio import atomic_write_text, read_json, write_json, write_tsv
 from .metrics import EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
@@ -98,12 +97,15 @@ def file_digest(path) -> dict:
     """The byte size and sha256 of the file at ``path``; a file that cannot
     be read, such as a missing one or a directory, is a ``DataError`` naming
     the path."""
+    digest, size = hashlib.sha256(), 0
     try:
         with open(path, "rb") as fh:
-            return {"bytes": os.fstat(fh.fileno()).st_size,
-                    "sha256": hashlib.file_digest(fh, "sha256").hexdigest()}
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+                size += len(block)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return {"bytes": size, "sha256": digest.hexdigest()}
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -278,12 +280,28 @@ class Pipeline:
         """The digest of each ``dataset.files`` input, none for a synthetic
         dataset (a function of the pinned config and seed). An input whose
         digest differs from the one the dataset stage stored is refused: the
-        artifacts here were built from other data."""
+        artifacts here were built from other data. So is a missing pin while
+        a stage built on the dataset is on disk, as nothing tells which data
+        that stage was built from."""
         files = self.cfg.dataset.files
-        digests = {} if files is None else {
-            role: file_digest(getattr(files, role)) for role in ("interactions", "features")}
+        if files is None:
+            return {}
+        digests = {role: file_digest(getattr(files, role)) for role in ("interactions", "features")}
         _, _, _, pin = self._files("dataset")
-        pinned = read_json(pin) if pin.exists() else digests
+        if not pin.exists():
+            built = self._built_on_dataset()
+            if built:
+                raise ConfigInvalid(
+                    f"{pin} is missing, so the inputs that {', '.join(built)} in {self.out} were "
+                    "built from cannot be checked; delete those or use a fresh output directory"
+                )
+            return digests
+        try:
+            pinned = read_json(pin)
+            if not isinstance(pinned, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"{pin}: not an input pin ({exc})") from exc
         for role, digest in digests.items():
             if pinned.get(role) != digest:
                 raise ConfigInvalid(
@@ -291,6 +309,13 @@ class Pipeline:
                     f"({pin.relative_to(self.out)}); restore it or use a fresh output directory"
                 )
         return digests
+
+    def _built_on_dataset(self) -> list[str]:
+        """The output directories of the stages after the dataset's that hold
+        anything."""
+        later = list(STAGES)[list(STAGES).index("dataset") + 1:]
+        tops = dict.fromkeys(p.split("/")[0] for name in later for p in STAGES[name][0])
+        return [top + "/" for top in tops if any((self.out / top).glob("*"))]
 
     def _pin_config(self) -> None:
         pin = self.run_info.artifacts["config"]

@@ -201,24 +201,41 @@ class TestStartup:
         assert self.scipy_modules_after(setup_probe(), str(config), str(out)) == []
         assert (out / "config.resolved.json").is_file()
 
+    @staticmethod
+    def repeated_lines_config(tmp_path) -> Path:
+        """The CLI config with its synthetic data given as ``dataset.files``,
+        the first 20 interaction lines repeated at the end of the file."""
+        config = write_config(tmp_path)
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "synth")]) == 0
+        interactions, features = (tmp_path / "synth/dataset" / name
+                                  for name in ("interactions.tsv", "features.tsv"))
+        lines = interactions.read_text().splitlines(keepends=True)
+        interactions.write_text("".join(lines + lines[:20]))
+        return write_config(tmp_path, dataset={"files": {"interactions": str(interactions),
+                                                         "features": str(features)}})
+
+    def test_dataset_stage_of_repeated_lines(self, tmp_path):
+        """A fresh dataset stage parses the input, sums its repeated lines
+        and preprocesses the result without scipy."""
+        config, out = self.repeated_lines_config(tmp_path), tmp_path / "run"
+        build = ("import sys\nfrom qubofs.config import ExperimentConfig\n"
+                 "from qubofs.pipeline import Pipeline\n"
+                 "Pipeline(ExperimentConfig.from_json_file(sys.argv[1]), sys.argv[2]).ensure_dataset()")
+        assert self.scipy_modules_after(build, str(config), str(out)) == []
+        assert (out / "dataset/urm.coo").is_file()
+
     @pytest.mark.parametrize("repeated_lines", [False, True], ids=["synth", "repeated interaction lines"])
     def test_resume(self, tmp_path, repeated_lines):
         """A resume after deleting reports/ and manifest.json, as the
         benchmark resumes; ranking without the compiled kernel multiplies
-        sparse matrices, so it needs the kernel. A fresh run sums repeated
-        input lines without scipy, and a resume loads the dataset archives
-        that run wrote instead of parsing the input again."""
+        sparse matrices, so it needs the kernel. A resume loads the dataset
+        archives the fresh run wrote instead of parsing the input again; with
+        a ``dataset.files`` config it hashes the input files first."""
         if models._load_kernel() is None:
             pytest.skip("no ranking kernel on this machine")
         config, out = write_config(tmp_path), tmp_path / "run"
         if repeated_lines:
-            assert main(["synth", "--config", str(config), "--out", str(tmp_path / "synth")]) == 0
-            interactions, features = (tmp_path / "synth/dataset" / name
-                                      for name in ("interactions.tsv", "features.tsv"))
-            lines = interactions.read_text().splitlines(keepends=True)
-            interactions.write_text("".join(lines + lines[:20]))
-            config = write_config(tmp_path, dataset={"files": {"interactions": str(interactions),
-                                                               "features": str(features)}})
+            config = self.repeated_lines_config(tmp_path)
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
         shutil.rmtree(out / "reports")

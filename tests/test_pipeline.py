@@ -668,24 +668,35 @@ def file_states(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def shift_feature_column(features: Path) -> None:
+    """Shift the feature column of a features TSV by 7 lines: the same
+    feature set on the same lines, each item given another's features."""
+    items, labels = zip(*(line.split("\t") for line in features.read_text().splitlines()))
+    features.write_text("".join(f"{i}\t{f}\n" for i, f in zip(items, labels[7:] + labels[:7])))
+
+
 class TestDatasetStage:
     """The dataset stage parses its inputs once and stores them as archives
     under the digests of the dataset.files inputs; a resume loads the
     archives and refuses inputs that changed."""
+
+    @staticmethod
+    def pipeline_argv(tmp_path, cfg) -> list[str]:
+        """``qubofs pipeline`` of ``cfg`` into ``tmp_path/run``, run once."""
+        config = tmp_path / "config.json"
+        config.write_text(cfg.canonical_json())
+        argv = ["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 0
+        return argv
 
     def test_edited_input_is_refused(self, tmp_path, capsys):
         """The edit that once mixed two datasets in one run directory: the
         same feature set on the same lines, shifted by 7 lines, then a
         resume that rebuilds one grid point and the reports."""
         cfg = files_config(tmp_path)
-        config = tmp_path / "config.json"
-        config.write_text(cfg.canonical_json())
-        out = tmp_path / "run"
-        argv = ["pipeline", "--config", str(config), "--out", str(out)]
-        assert cli.main(argv) == 0
+        argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
         features = Path(cfg.dataset.files.features)
-        items, labels = zip(*(line.split("\t") for line in features.read_text().splitlines()))
-        features.write_text("".join(f"{i}\t{f}\n" for i, f in zip(items, labels[7:] + labels[:7])))
+        shift_feature_column(features)
         shutil.rmtree(out / "cbf_sel/grid_000")
         shutil.rmtree(out / "reports")
         before = file_states(out)
@@ -694,6 +705,60 @@ class TestDatasetStage:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(features) in err
         assert file_states(out) == before
+
+    @pytest.mark.parametrize("deleted", ["dataset", "dataset/inputs.json"])
+    @pytest.mark.parametrize("edited", [False, True], ids=["same input", "edited input"])
+    def test_missing_pin_is_refused_under_later_stages(self, tmp_path, capsys, deleted, edited):
+        """Without the pin nothing tells which input the later stages were
+        built from, so the run stops, whether or not the input changed,
+        instead of rebuilding the dataset under them."""
+        cfg = files_config(tmp_path)
+        argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
+        if edited:
+            shift_feature_column(Path(cfg.dataset.files.features))
+        if deleted == "dataset":
+            shutil.rmtree(out / deleted)
+        else:
+            (out / deleted).unlink()
+        shutil.rmtree(out / "reports")
+        before = file_states(out)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out / "dataset/inputs.json") in err
+        assert file_states(out) == before
+
+    def test_missing_pin_alone_is_rebuilt(self, tmp_path):
+        """With no later stage on disk, a deleted pin is rebuilt with its stage."""
+        cfg = files_config(tmp_path)
+        out = tmp_path / "run"
+        Pipeline(cfg, out).ensure_dataset()
+        before = tree_hashes(out)
+        (out / "dataset/inputs.json").unlink()
+        Pipeline(cfg, out).ensure_dataset()
+        assert tree_hashes(out) == before
+
+    @pytest.mark.parametrize("pin", ["{", "[]"], ids=["not JSON", "not an object"])
+    def test_corrupt_pin_is_data_error(self, tmp_path, capsys, pin):
+        cfg = files_config(tmp_path)
+        argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
+        (out / "dataset/inputs.json").write_text(pin)
+        before = file_states(out)
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out / "dataset/inputs.json") in err
+        assert file_states(out) == before
+
+    def test_file_digest_needs_no_hashlib_file_digest(self, tmp_path, monkeypatch):
+        """``hashlib.file_digest`` is new in Python 3.11; the digest of an
+        input is taken without it, in blocks."""
+        monkeypatch.delattr(hashlib, "file_digest", raising=False)
+        path = tmp_path / "input.tsv"
+        content = os.urandom(3 << 19)  # one and a half 1 MiB blocks
+        path.write_bytes(content)
+        assert pipeline.file_digest(path) == {"bytes": len(content),
+                                              "sha256": hashlib.sha256(content).hexdigest()}
 
     def test_deleted_archive_is_rebuilt(self, tmp_path):
         cfg = files_config(tmp_path)
