@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyDataset,
     InfeasibleConfig,
     NegativeValue,
@@ -47,13 +48,13 @@ class Dataset:
 
     def __post_init__(self):
         if self.urm.n_cols != self.icm.n_rows:
-            raise ValueError("interaction and feature matrices disagree on item count")
+            raise DimensionMismatch("interaction and feature matrices disagree on item count")
         if len(self.user_ids) != self.urm.n_rows:
-            raise ValueError("user label count mismatch")
+            raise DimensionMismatch("user label count mismatch")
         if len(self.item_ids) != self.urm.n_cols:
-            raise ValueError("item label count mismatch")
+            raise DimensionMismatch("item label count mismatch")
         if len(self.feature_ids) != self.icm.n_cols:
-            raise ValueError("feature label count mismatch")
+            raise DimensionMismatch("feature label count mismatch")
         if not np.all(self.icm.entries()[2] == 1.0):
             raise ValueError("feature matrix must be binary")
 
@@ -341,10 +342,13 @@ def save_dataset_tsv(ds: Dataset, interactions_path, features_path) -> None:
             fh.write(f"{ds.item_ids[i]}\t{ds.feature_ids[f]}\n")
 
 
-def save_cold_split(split: ColdSplit, out_dir, seed: int, test_quota: float, validation_quota: float) -> None:
-    split.train.save_coo(out_dir / "train.coo")
-    split.validation.save_coo(out_dir / "validation.coo")
-    split.test.save_coo(out_dir / "test.coo")
+def save_cold_split(split: ColdSplit, train_path, validation_path, test_path, sidecar_path,
+                    seed: int, test_quota: float, validation_quota: float) -> None:
+    """The three matrices as COO archives plus a JSON sidecar holding the
+    cold items and the seed and quotas they were drawn with."""
+    split.train.save_coo(train_path)
+    split.validation.save_coo(validation_path)
+    split.test.save_coo(test_path)
     sidecar = {
         "seed": seed,
         "test_quota": test_quota,
@@ -352,15 +356,16 @@ def save_cold_split(split: ColdSplit, out_dir, seed: int, test_quota: float, val
         "cold_test_items": sorted(split.cold_test_items),
         "cold_validation_items": sorted(split.cold_validation_items),
     }
-    write_json(out_dir / "split.json", sidecar)
+    write_json(sidecar_path, sidecar)
 
 
-def load_cold_split(out_dir) -> ColdSplit:
-    sidecar = read_json(out_dir / "split.json")
+def load_cold_split(train_path, validation_path, test_path, sidecar_path) -> ColdSplit:
+    """The split ``save_cold_split`` stored."""
+    sidecar = read_json(sidecar_path)
     return ColdSplit(
-        train=SparseMatrix.load_coo(out_dir / "train.coo"),
-        validation=SparseMatrix.load_coo(out_dir / "validation.coo"),
-        test=SparseMatrix.load_coo(out_dir / "test.coo"),
+        train=SparseMatrix.load_coo(train_path),
+        validation=SparseMatrix.load_coo(validation_path),
+        test=SparseMatrix.load_coo(test_path),
         cold_validation_items=frozenset(sidecar["cold_validation_items"]),
         cold_test_items=frozenset(sidecar["cold_test_items"]),
     )

@@ -2,7 +2,8 @@
 a truncated one, however the writer dies. JSON artifacts are written in one
 format: two-space indent, sorted keys, a final newline. Tables with a header
 (the collaborative search log and the reports) are written in one format too:
-a header line, one line per row, every number with 17 significant digits."""
+a header line, one line per row, every number with 17 significant digits.
+A JSON file that cannot be read back is a ``ParseError`` naming it."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numbers
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -55,5 +58,10 @@ def write_tsv(path, header, rows) -> None:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value stored at ``path``; a file that cannot be read or is
+    not JSON in UTF-8 is a ``ParseError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: not a readable JSON file ({exc})") from exc

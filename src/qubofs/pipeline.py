@@ -17,15 +17,18 @@ only the others. The dataset stage parses and preprocesses the input TSVs once
 (a synthetic dataset's come from the synth stage) and stores the result as
 archives, so a resume reads those and never the text. Every file is written
 atomically, so a killed run resumes without cleanup and deleting any artifact
-regenerates only its stage or grid point when a command asks for that stage.
+but the pin regenerates only its stage or grid point when a command asks for
+that stage.
 
-A run directory pins what it was built from: ``config.resolved.json`` the
-config, and ``dataset/inputs.json`` the sha256 and byte size of each
-``dataset.files`` input. Every run hashes those inputs before it writes
-anything; an input that cannot be read is a ``DataError`` and one whose digest
-differs from the pinned one ``ConfigInvalid``, as is a missing pin once a stage
-built on the dataset is on disk. Every file but manifest.json, which holds
-the stage timings, is then a pure function of (config, seed, input bytes).
+A run directory is pinned to what it was built from by one file,
+``config.resolved.json``: the canonical config, and for a ``dataset.files``
+config also the sha256 and byte size of each input. Every run computes the
+pin's bytes before it writes anything, reading the inputs; an input that
+cannot be read is a ``DataError``. A pin on disk that holds other bytes is
+``ConfigInvalid``, as is a missing pin while any stage directory holds
+anything, since nothing then tells what that output was built from. Every file
+but manifest.json, which holds the stage timings, is a pure function of
+(config, seed, input bytes).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .data import (
     synth_planted,
     user_holdout_split,
 )
-from .errors import ConfigInvalid, DataError, ParseError
+from .errors import ConfigInvalid, DataError, DimensionMismatch, ParseError
 from .fileio import atomic_write_text, read_json, write_json, write_tsv
 from .metrics import EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
@@ -220,21 +223,22 @@ def fit_cbf(icm: SparseMatrix, params: dict) -> SimilarityModel:
     return replace(model, hyperparams={**model.hyperparams, "weighting": weighting})
 
 
-def save_model(model: SimilarityModel, model_dir: Path, **extra) -> None:
-    """similarity.coo plus a model.json sidecar holding the kind, the model's
-    hyperparameters, their names as ``hyperparam_names``, and ``extra``."""
-    model.s.save_coo(model_dir / "similarity.coo")
-    write_json(model_dir / "model.json", {
+def save_model(model: SimilarityModel, coo_path, sidecar_path, **extra) -> None:
+    """The similarity as a COO archive plus a JSON sidecar holding the kind,
+    the model's hyperparameters, their names as ``hyperparam_names``, and
+    ``extra``."""
+    model.s.save_coo(coo_path)
+    write_json(sidecar_path, {
         "kind": model.kind.value, **model.hyperparams,
         "hyperparam_names": sorted(model.hyperparams), **extra,
     })
 
 
-def load_model(model_dir: Path) -> SimilarityModel:
+def load_model(coo_path, sidecar_path) -> SimilarityModel:
     """The model ``save_model`` stored."""
-    meta = read_json(model_dir / "model.json")
+    meta = read_json(sidecar_path)
     return SimilarityModel(
-        SparseMatrix.load_coo(model_dir / "similarity.coo"),
+        SparseMatrix.load_coo(coo_path),
         ModelKind(meta["kind"]),
         {k: meta[k] for k in meta["hyperparam_names"]},
     )
@@ -248,15 +252,10 @@ def load_model(model_dir: Path) -> SimilarityModel:
 @dataclass
 class PipelineRun:
     config_hash: str
-    artifacts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
     def manifest_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "artifacts": {k: str(v) for k, v in self.artifacts.items()},
-            "timings_s": self.timings,
-        }
+        return {"config_hash": self.config_hash, "timings_s": self.timings}
 
 
 class Pipeline:
@@ -265,69 +264,44 @@ class Pipeline:
     def __init__(self, cfg: ExperimentConfig, out_dir):
         self.cfg = cfg
         self.out = Path(out_dir)
-        self.run_info = PipelineRun(
-            config_hash=cfg.config_hash(),
-            artifacts={"config": self.out / "config.resolved.json"},
-        )
+        self.run_info = PipelineRun(config_hash=cfg.config_hash())
         self._results: dict[str, object] = {}
         self._attributed_time = 0.0
-        self._inputs = self._hash_inputs()
-        self._pin_config()
+        self._pin()
 
-    # -- pinning ----------------------------------------------------------
-
-    def _hash_inputs(self) -> dict:
-        """The digest of each ``dataset.files`` input, none for a synthetic
-        dataset (a function of the pinned config and seed). An input whose
-        digest differs from the one the dataset stage stored is refused: the
-        artifacts here were built from other data. So is a missing pin while
-        a stage built on the dataset is on disk, as nothing tells which data
-        that stage was built from."""
+    def _pin(self) -> None:
+        """Pin the directory to this run's config and, for a ``dataset.files``
+        config, to the digest of each input: ``config.resolved.json`` holds the
+        canonical config, with those digests as ``"inputs"``. A pin on disk
+        must hold exactly these bytes. A missing one is written only while no
+        stage directory holds anything, as nothing tells what that output was
+        built from. Either refusal is ``ConfigInvalid`` and writes nothing."""
+        pin = self.out / "config.resolved.json"
         files = self.cfg.dataset.files
-        if files is None:
-            return {}
-        digests = {role: file_digest(getattr(files, role)) for role in ("interactions", "features")}
-        _, _, _, pin = self._files("dataset")
-        if not pin.exists():
-            built = self._built_on_dataset()
+        expected = self.cfg.canonical_json()
+        if files is not None:
+            inputs = {role: file_digest(getattr(files, role)) for role in ("interactions", "features")}
+            expected = json.dumps({**self.cfg.to_canonical_dict(), "inputs": inputs},
+                                  indent=2, sort_keys=True) + "\n"
+        try:
+            pinned = pin.read_bytes()
+        except FileNotFoundError:
+            pinned = None
+        except OSError as exc:
+            raise DataError(f"cannot read {pin}: {exc.strerror or exc}") from exc
+        if pinned is None:
+            tops = dict.fromkeys(p.split("/")[0] for patterns, _, _ in STAGES.values() for p in patterns)
+            built = [top + "/" for top in tops if any((self.out / top).glob("*"))]
             if built:
                 raise ConfigInvalid(
-                    f"{pin} is missing, so the inputs that {', '.join(built)} in {self.out} were "
-                    "built from cannot be checked; delete those or use a fresh output directory"
+                    f"{pin} is missing, so nothing tells what {', '.join(built)} in {self.out} "
+                    "were built from; delete those or use a fresh output directory"
                 )
-            return digests
-        try:
-            pinned = read_json(pin)
-            if not isinstance(pinned, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:
-            raise ParseError(f"{pin}: not an input pin ({exc})") from exc
-        for role, digest in digests.items():
-            if pinned.get(role) != digest:
-                raise ConfigInvalid(
-                    f"{getattr(files, role)} is not the input that {self.out} was built from "
-                    f"({pin.relative_to(self.out)}); restore it or use a fresh output directory"
-                )
-        return digests
-
-    def _built_on_dataset(self) -> list[str]:
-        """The output directories of the stages after the dataset's that hold
-        anything."""
-        later = list(STAGES)[list(STAGES).index("dataset") + 1:]
-        tops = dict.fromkeys(p.split("/")[0] for name in later for p in STAGES[name][0])
-        return [top + "/" for top in tops if any((self.out / top).glob("*"))]
-
-    def _pin_config(self) -> None:
-        pin = self.run_info.artifacts["config"]
-        if pin.exists():
-            previous = pin.read_text(encoding="utf-8")
-            if previous != self.cfg.canonical_json():
-                raise ConfigInvalid(
-                    f"{self.out} holds artifacts for a different config; "
-                    "use a fresh output directory"
-                )
-        else:
-            atomic_write_text(pin, self.cfg.canonical_json())
+            atomic_write_text(pin, expected)
+        elif pinned != expected.encode():
+            inputs = f" or other bytes of {files.interactions} and {files.features}" if files else ""
+            raise ConfigInvalid(f"{pin} pins another config{inputs} than this run's; "
+                                "use a fresh output directory")
 
     # -- the stage runner -------------------------------------------------
 
@@ -352,8 +326,6 @@ class Pipeline:
         """Load the stage if all its declared files exist, else build it; a
         grid stage loads its complete points and builds the others at once."""
         patterns, build, load = STAGES[name]
-        for top in dict.fromkeys(pattern.split("/")[0] for pattern in patterns):
-            self.run_info.artifacts[top] = self.out / top
         complete = all(f.exists() for f in self._files(name))
         if not any("{i" in p for p in patterns):
             return load(self) if complete else build(self)
@@ -416,18 +388,22 @@ class Pipeline:
             pp.min_item_interactions,
             pp.min_feature_items,
         )
-        urm, icm, labels, inputs = self._files("dataset")
+        urm, icm, labels = self._files("dataset")
         ds.urm.save_coo(urm)
         ds.icm.save_coo(icm)
         write_json(labels, {"users": ds.user_ids, "items": ds.item_ids, "features": ds.feature_ids})
-        write_json(inputs, self._inputs)
         return ds
 
     def _load_dataset(self) -> Dataset:
-        urm, icm, labels, _ = self._files("dataset")
+        """The stored dataset; labels that do not fit the matrices are a
+        ``ParseError`` naming the labels file."""
+        urm, icm, labels = self._files("dataset")
+        matrices = SparseMatrix.load_coo(urm), SparseMatrix.load_coo(icm)
         names = read_json(labels)
-        return Dataset(SparseMatrix.load_coo(urm), SparseMatrix.load_coo(icm),
-                       tuple(names["users"]), tuple(names["items"]), tuple(names["features"]))
+        try:
+            return Dataset(*matrices, *(tuple(names[key]) for key in ("users", "items", "features")))
+        except (KeyError, TypeError, DimensionMismatch) as exc:
+            raise ParseError(f"{labels}: labels that do not fit {urm.name} and {icm.name} ({exc})") from exc
 
     # -- stage: splits ----------------------------------------------------
 
@@ -436,26 +412,21 @@ class Pipeline:
         sp = self.cfg.split
         cold_seed = derive_seed(self.cfg.seed, "cold-split")
         cold = cold_item_split(ds, sp.test_quota, sp.validation_quota, seed=cold_seed)
-        save_cold_split(cold, self.out / "splits", cold_seed, sp.test_quota, sp.validation_quota)
+        *cold_files, train, validation, sidecar = self._files("splits")
+        save_cold_split(cold, *cold_files, cold_seed, sp.test_quota, sp.validation_quota)
         warm = cold.train + cold.validation
         holdout_seed = derive_seed(self.cfg.seed, "holdout")
         holdout = user_holdout_split(warm, sp.holdout_quota, seed=holdout_seed)
-        holdout_dir = self.out / "holdout"
-        holdout.train.save_coo(holdout_dir / "train.coo")
-        holdout.validation.save_coo(holdout_dir / "validation.coo")
-        write_json(
-            holdout_dir / "holdout.json",
-            {"seed": holdout_seed, "quota": sp.holdout_quota},
-        )
+        holdout.train.save_coo(train)
+        holdout.validation.save_coo(validation)
+        write_json(sidecar, {"seed": holdout_seed, "quota": sp.holdout_quota})
         return cold, holdout
 
     def _load_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
-        holdout_dir = self.out / "holdout"
-        holdout = HoldoutSplit(
-            train=SparseMatrix.load_coo(holdout_dir / "train.coo"),
-            validation=SparseMatrix.load_coo(holdout_dir / "validation.coo"),
-        )
-        return load_cold_split(self.out / "splits"), holdout
+        *cold_files, train, validation, _ = self._files("splits")
+        holdout = HoldoutSplit(train=SparseMatrix.load_coo(train),
+                               validation=SparseMatrix.load_coo(validation))
+        return load_cold_split(*cold_files), holdout
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -518,9 +489,9 @@ class Pipeline:
                                                fit, holdout.train, holdout.validation, None,
                                                "precision")
         model = fit(best)
-        cf_dir = self.out / "cf_model"
-        save_model(model, cf_dir, validation_precision=best_score, seed=fit_seed)
-        write_tsv(cf_dir / "search.tsv", ("case", "params", "score"), (
+        similarity, sidecar, search = self._files("cf_model")
+        save_model(model, similarity, sidecar, validation_precision=best_score, seed=fit_seed)
+        write_tsv(search, ("case", "params", "score"), (
             (index, json.dumps(params, sort_keys=True), score)
             for index, (params, score) in enumerate(cases)
         ))
@@ -533,7 +504,7 @@ class Pipeline:
         cold, _ = self.ensure_splits()
         params, _, _ = self._search_cbf(ds.icm, cold)
         model = fit_cbf(ds.icm, params)
-        save_model(model, self.out / "cbf_all")
+        save_model(model, *self._files("cbf_all"))
         return model
 
     def _search_cbf(self, icm: SparseMatrix, cold: ColdSplit) -> tuple[dict, float, list]:
@@ -677,12 +648,8 @@ class Pipeline:
         selections = self.ensure_selections()
         mask = selections[winner["grid_index"]].x.astype(bool)
         final_model = fit_cbf(ds.icm.mask_cols(mask), winner["cbf_params"])
-        save_model(
-            final_model,
-            self.out / "final",
-            grid_index=winner["grid_index"],
-            n_selected=winner["n_selected"],
-        )
+        save_model(final_model, *self._files("final"),
+                   grid_index=winner["grid_index"], n_selected=winner["n_selected"])
         return final_model
 
     def _build_reports(self) -> dict:
@@ -711,15 +678,15 @@ class Pipeline:
             "final": asdict(final_report),
             "baseline_all_features": asdict(baseline_report),
         }
-        reports_dir = self.out / "reports"
-        write_json(reports_dir / "report.json", report)
-        write_tsv(reports_dir / "report.tsv", ("model", *(f.name for f in fields(EvalReport))), (
+        report_json, report_tsv, grid_tsv, _ = self._files("reports")
+        write_json(report_json, report)
+        write_tsv(report_tsv, ("model", *(f.name for f in fields(EvalReport))), (
             ("selected_features", *astuple(final_report)),
             ("all_features", *astuple(baseline_report)),
         ))
         qubo_params = ("alpha", "beta", "s", "p")
         write_tsv(
-            reports_dir / "grid_validation.tsv",
+            grid_tsv,
             ("grid_index", *qubo_params, "n_selected", "energy", "validation_score"),
             ((row["grid_index"], *(row["params"][k] for k in qubo_params), row["n_selected"],
               row["energy"], row["validation_score"]) for row in rows),
@@ -734,7 +701,7 @@ class Pipeline:
         rows = feature_selection_stats(
             [s.selected() for s in self.ensure_selections()], ds.n_features
         )
-        path = self.out / "reports" / "feature_stats.tsv"
+        *_, path = self._files("reports")
         write_tsv(path, ("feature", "label", "times_selected", "share"),
                   ((f, ds.feature_ids[f], count, share) for f, count, share in rows))
         return path.read_text(encoding="utf-8")
@@ -749,7 +716,9 @@ class Pipeline:
 
 # The experiment's stages in dependency order: name -> (the files the stage
 # writes, relative to the output directory, where "{i:03d}" names one file per
-# grid point; its build function; its load function). For a grid stage, the
+# grid point; its build function; its load function). The functions take their
+# paths from Pipeline._files, so these rows are the only place a stage file is
+# named. For a grid stage, the
 # load function loads point i, and the build function fills the None entries
 # of the list of points and writes the stage's shared files. The loop below
 # derives Pipeline.ensure_<name> from each row; it returns the synthetic TSVs
@@ -759,15 +728,15 @@ class Pipeline:
 STAGES = {
     "synth": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
               Pipeline._build_synth, Pipeline._synth_files),
-    "dataset": (("dataset/urm.coo", "dataset/icm.coo", "dataset/labels.json", "dataset/inputs.json"),
+    "dataset": (("dataset/urm.coo", "dataset/icm.coo", "dataset/labels.json"),
                 Pipeline._build_dataset, Pipeline._load_dataset),
     "splits": (("splits/train.coo", "splits/validation.coo", "splits/test.coo", "splits/split.json",
                 "holdout/train.coo", "holdout/validation.coo", "holdout/holdout.json"),
                Pipeline._build_splits, Pipeline._load_splits),
     "cf_model": (("cf_model/similarity.coo", "cf_model/model.json", "cf_model/search.tsv"),
-                 Pipeline._build_cf_model, lambda p: load_model(p.out / "cf_model")),
+                 Pipeline._build_cf_model, lambda p: load_model(*p._files("cf_model")[:2])),
     "cbf_all": (("cbf_all/similarity.coo", "cbf_all/model.json"),
-                Pipeline._build_cbf_all, lambda p: load_model(p.out / "cbf_all")),
+                Pipeline._build_cbf_all, lambda p: load_model(*p._files("cbf_all"))),
     "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
                "qubo/grid_{i:03d}/qubo.json"),
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
@@ -778,10 +747,10 @@ STAGES = {
                     Pipeline._build_grid_scores,
                     lambda p, i: read_json(p._files("grid_scores", i)[0])),
     "final": (("final/similarity.coo", "final/model.json"),
-              Pipeline._build_final, lambda p: load_model(p.out / "final")),
+              Pipeline._build_final, lambda p: load_model(*p._files("final"))),
     "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",
                  "reports/feature_stats.tsv"),
-                Pipeline._build_reports, lambda p: read_json(p.out / "reports" / "report.json")),
+                Pipeline._build_reports, lambda p: read_json(p._files("reports")[0])),
 }
 
 

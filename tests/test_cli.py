@@ -390,6 +390,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out / "holdout/train.coo") in err
 
+    @pytest.mark.parametrize("name, edit", [
+        ("dataset/labels.json", lambda text: "{"),
+        ("splits/split.json", lambda text: "{"),
+        ("dataset/labels.json", lambda text: json.dumps({**json.loads(text),
+                                                         "users": json.loads(text)["users"][1:]})),
+    ], ids=["labels not JSON", "split not JSON", "labels short of a user"])
+    def test_corrupt_sidecar_is_data_error(self, tmp_path, capsys, name, edit):
+        """A JSON sidecar that does not parse, or labels that do not fit the
+        stored matrices, exit 3 naming the file instead of a traceback."""
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        (out / name).write_text(edit((out / name).read_text()))
+        shutil.rmtree(out / "reports")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out / name) in err
+
     def test_infeasible_error(self, tmp_path, capsys):
         # item a holds 10 of 11 interactions, more than the 70% train share
         inter = tmp_path / "i.tsv"

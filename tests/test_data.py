@@ -181,8 +181,9 @@ class TestColdItemSplit:
     def test_round_trip_persistence(self, tmp_path):
         ds = random_dataset(np.random.default_rng(6))
         split = cold_item_split(ds, 0.2, 0.1, seed=7)
-        save_cold_split(split, tmp_path, seed=7, test_quota=0.2, validation_quota=0.1)
-        loaded = load_cold_split(tmp_path)
+        paths = [tmp_path / name for name in ("train.coo", "validation.coo", "test.coo", "split.json")]
+        save_cold_split(split, *paths, seed=7, test_quota=0.2, validation_quota=0.1)
+        loaded = load_cold_split(*paths)
         assert loaded.train == split.train
         assert loaded.cold_test_items == split.cold_test_items
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import hashlib
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -312,7 +313,8 @@ class TestPipeline:
             "final": run.ensure_final(),
         }
         for name, model in built.items():
-            assert pipeline.load_model(out / name) == model, name
+            loaded = pipeline.load_model(out / name / "similarity.coo", out / name / "model.json")
+            assert loaded == model, name
 
 
 class TestSelectionResume:
@@ -460,6 +462,28 @@ def test_stages_name_exactly_the_files_a_files_run_writes(tmp_path):
     assert_stages_name_exactly_the_files_written(files_config(tmp_path), tmp_path / "run")
 
 
+def readme_output_layout() -> set[str]:
+    """The entries README's Output layout block lists under ``run/``: the
+    first column of each line indented by two spaces."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Output layout", 1)[1].split("```")[1]
+    return {name for line in block.splitlines()
+            if line.startswith("  ") and not line.startswith("   ")
+            for name in re.split(r"\s{2,}", line.strip())[0].split()}
+
+
+def test_readme_output_layout_names_what_a_run_writes(tmp_path):
+    """README's Output layout names exactly the top-level entries of a run
+    directory: the directories STAGES writes into, the pin and the manifest."""
+    out = tmp_path / "run"
+    Pipeline(tiny_config(), out).run()
+    written = {p.name + "/" * p.is_dir() for p in out.iterdir()}
+    tops = {pattern.split("/")[0] + "/" for patterns, _, _ in pipeline.STAGES.values()
+            for pattern in patterns}
+    assert written == tops | {"config.resolved.json", "manifest.json"}
+    assert readme_output_layout() == written
+
+
 def test_search_seed_rule(tmp_path, monkeypatch):
     """One collaborative search, seeded by "cf-search" over the collaborative
     space; every content search, cbf_all's and each grid point's, seeded by
@@ -562,7 +586,7 @@ class TestKilledWriteResumes:
     VICTIMS = {
         "interactions.tsv": "dataset", "features.tsv": "dataset",
         "planted.json": "dataset", "urm.coo": "dataset", "labels.json": "dataset",
-        "inputs.json": "dataset", "split.json": "splits",
+        "split.json": "splits",
     }
 
     @staticmethod
@@ -675,10 +699,14 @@ def shift_feature_column(features: Path) -> None:
     features.write_text("".join(f"{i}\t{f}\n" for i, f in zip(items, labels[7:] + labels[:7])))
 
 
+PIN = "config.resolved.json"
+
+
 class TestDatasetStage:
-    """The dataset stage parses its inputs once and stores them as archives
-    under the digests of the dataset.files inputs; a resume loads the
-    archives and refuses inputs that changed."""
+    """The dataset stage parses its inputs once and stores them as archives.
+    The run directory's one pin, config.resolved.json, holds the config and
+    the digests of the dataset.files inputs; a run refuses a pin that holds
+    other bytes, or a missing one under stage output, and writes nothing."""
 
     @staticmethod
     def pipeline_argv(tmp_path, cfg) -> list[str]:
@@ -688,6 +716,18 @@ class TestDatasetStage:
         argv = ["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]
         assert cli.main(argv) == 0
         return argv
+
+    @staticmethod
+    def assert_refused(argv, capsys, *named) -> None:
+        """``argv`` exits 2 with a message naming each of ``named``, and no
+        file of the run directory changes its bytes, inode or mtime."""
+        out = Path(argv[argv.index("--out") + 1])
+        before = file_states(out)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and all(str(name) in err for name in named), err
+        assert file_states(out) == before
 
     def test_edited_input_is_refused(self, tmp_path, capsys):
         """The edit that once mixed two datasets in one run directory: the
@@ -699,56 +739,56 @@ class TestDatasetStage:
         shift_feature_column(features)
         shutil.rmtree(out / "cbf_sel/grid_000")
         shutil.rmtree(out / "reports")
-        before = file_states(out)
-        capsys.readouterr()
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(features) in err
-        assert file_states(out) == before
+        self.assert_refused(argv, capsys, out / PIN, cfg.dataset.files.interactions, features)
 
-    @pytest.mark.parametrize("deleted", ["dataset", "dataset/inputs.json"])
-    @pytest.mark.parametrize("edited", [False, True], ids=["same input", "edited input"])
-    def test_missing_pin_is_refused_under_later_stages(self, tmp_path, capsys, deleted, edited):
-        """Without the pin nothing tells which input the later stages were
-        built from, so the run stops, whether or not the input changed,
-        instead of rebuilding the dataset under them."""
+    @pytest.mark.parametrize("deleted_dirs", [["dataset"], []], ids=["dataset and pin", "pin"])
+    @pytest.mark.parametrize("source, change", [
+        ("files", None), ("files", "input"), ("files", "seed"), ("synth", None), ("synth", "seed"),
+    ], ids=["same input", "edited input", "another seed", "synth", "synth, another seed"])
+    def test_missing_pin_is_refused_under_later_stages(self, tmp_path, capsys, source, change,
+                                                       deleted_dirs):
+        """Without the pin nothing tells which config and inputs the stage
+        output was built from, so the run stops, whether or not either
+        changed, instead of rebuilding under it. A rerun at another seed once
+        reported that seed over the old seed's splits, models and selections."""
+        cfg = files_config(tmp_path) if source == "files" else tiny_config()
+        argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
+        if change == "input":
+            shift_feature_column(Path(cfg.dataset.files.features))
+        if change == "seed":
+            argv += ["--seed", "8"]
+        (out / PIN).unlink()
+        for name in deleted_dirs + ["reports"]:
+            shutil.rmtree(out / name)
+        self.assert_refused(argv, capsys, out / PIN, "splits/", "cf_model/")
+
+    @pytest.mark.parametrize("source", ["files", "synth"])
+    @pytest.mark.parametrize("pin", [b"{", b"[]", b"\xff"], ids=["not JSON", "not an object", "not UTF-8"])
+    def test_corrupt_pin_is_refused(self, tmp_path, capsys, pin, source):
+        """The pin is compared as bytes, so a pin that does not decode is
+        refused as any other pin that differs."""
+        cfg = files_config(tmp_path) if source == "files" else tiny_config()
+        argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
+        (out / PIN).write_bytes(pin)
+        self.assert_refused(argv, capsys, out / PIN)
+
+    def test_deleted_dataset_is_rebuilt(self, tmp_path):
+        """The pin vouches for the inputs, so a deleted dataset/ is rebuilt
+        byte for byte from unchanged ones."""
         cfg = files_config(tmp_path)
         argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
-        if edited:
-            shift_feature_column(Path(cfg.dataset.files.features))
-        if deleted == "dataset":
-            shutil.rmtree(out / deleted)
-        else:
-            (out / deleted).unlink()
-        shutil.rmtree(out / "reports")
-        before = file_states(out)
-        capsys.readouterr()
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(out / "dataset/inputs.json") in err
-        assert file_states(out) == before
-
-    def test_missing_pin_alone_is_rebuilt(self, tmp_path):
-        """With no later stage on disk, a deleted pin is rebuilt with its stage."""
-        cfg = files_config(tmp_path)
-        out = tmp_path / "run"
-        Pipeline(cfg, out).ensure_dataset()
         before = tree_hashes(out)
-        (out / "dataset/inputs.json").unlink()
-        Pipeline(cfg, out).ensure_dataset()
+        shutil.rmtree(out / "dataset")
+        shutil.rmtree(out / "reports")  # the reports read the dataset's labels
+        assert cli.main(argv) == 0
         assert tree_hashes(out) == before
 
-    @pytest.mark.parametrize("pin", ["{", "[]"], ids=["not JSON", "not an object"])
-    def test_corrupt_pin_is_data_error(self, tmp_path, capsys, pin):
+    def test_deleted_dataset_with_edited_input_is_refused(self, tmp_path, capsys):
         cfg = files_config(tmp_path)
         argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
-        (out / "dataset/inputs.json").write_text(pin)
-        before = file_states(out)
-        capsys.readouterr()
-        assert cli.main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(out / "dataset/inputs.json") in err
-        assert file_states(out) == before
+        shutil.rmtree(out / "dataset")
+        shift_feature_column(Path(cfg.dataset.files.features))
+        self.assert_refused(argv, capsys, out / PIN, cfg.dataset.files.features)
 
     def test_file_digest_needs_no_hashlib_file_digest(self, tmp_path, monkeypatch):
         """``hashlib.file_digest`` is new in Python 3.11; the digest of an
