@@ -7,9 +7,10 @@ item-by-feature matrix. Both TSV inputs go through one reader,
 ``_read_tsv``: it skips blank lines and ``#`` comments, and a wrong field
 count is a ``ParseError`` naming its line. The cold-item split moves
 whole item columns into test/validation pools until each pool holds the
-requested share of interactions; the per-user holdout split moves a fixed
-fraction of each user's interactions. All randomized operations are pure
-functions of (input, seed).
+requested share of interactions; it is stored as its cold item lists alone,
+and loading it takes those columns of the interactions again. The per-user
+holdout split moves a fixed fraction of each user's interactions. All
+randomized operations are pure functions of (input, seed).
 """
 
 from __future__ import annotations
@@ -229,15 +230,20 @@ def cold_item_split(
             pool.add(item)
             accumulated += int(col_counts[item])
 
-    test_mask = np.zeros(ds.n_items, dtype=bool)
+    return _split_columns(ds.urm, test_items, validation_items)
+
+
+def _split_columns(urm: SparseMatrix, test_items, validation_items) -> ColdSplit:
+    """``urm``'s test and validation item columns, and the rest as train."""
+    test_mask = np.zeros(urm.n_cols, dtype=bool)
     test_mask[list(test_items)] = True
-    validation_mask = np.zeros(ds.n_items, dtype=bool)
+    validation_mask = np.zeros(urm.n_cols, dtype=bool)
     validation_mask[list(validation_items)] = True
     train_mask = ~(test_mask | validation_mask)
     return ColdSplit(
-        train=ds.urm.mask_cols(train_mask),
-        validation=ds.urm.mask_cols(validation_mask),
-        test=ds.urm.mask_cols(test_mask),
+        train=urm.mask_cols(train_mask),
+        validation=urm.mask_cols(validation_mask),
+        test=urm.mask_cols(test_mask),
         cold_validation_items=frozenset(validation_items),
         cold_test_items=frozenset(test_items),
     )
@@ -342,30 +348,21 @@ def save_dataset_tsv(ds: Dataset, interactions_path, features_path) -> None:
             fh.write(f"{ds.item_ids[i]}\t{ds.feature_ids[f]}\n")
 
 
-def save_cold_split(split: ColdSplit, train_path, validation_path, test_path, sidecar_path,
-                    seed: int, test_quota: float, validation_quota: float) -> None:
-    """The three matrices as COO archives plus a JSON sidecar holding the
-    cold items and the seed and quotas they were drawn with."""
-    split.train.save_coo(train_path)
-    split.validation.save_coo(validation_path)
-    split.test.save_coo(test_path)
-    sidecar = {
+def save_cold_split(split: ColdSplit, sidecar_path, seed: int, test_quota: float,
+                    validation_quota: float) -> None:
+    """A JSON sidecar holding the cold items and the seed and quotas they
+    were drawn with; the matrices are columns of the interactions, so
+    ``load_cold_split`` derives them again."""
+    write_json(sidecar_path, {
         "seed": seed,
         "test_quota": test_quota,
         "validation_quota": validation_quota,
         "cold_test_items": sorted(split.cold_test_items),
         "cold_validation_items": sorted(split.cold_validation_items),
-    }
-    write_json(sidecar_path, sidecar)
+    })
 
 
-def load_cold_split(train_path, validation_path, test_path, sidecar_path) -> ColdSplit:
-    """The split ``save_cold_split`` stored."""
-    sidecar = read_json(sidecar_path)
-    return ColdSplit(
-        train=SparseMatrix.load_coo(train_path),
-        validation=SparseMatrix.load_coo(validation_path),
-        test=SparseMatrix.load_coo(test_path),
-        cold_validation_items=frozenset(sidecar["cold_validation_items"]),
-        cold_test_items=frozenset(sidecar["cold_test_items"]),
-    )
+def load_cold_split(urm: SparseMatrix, sidecar_path) -> ColdSplit:
+    """The split of ``urm`` whose cold items ``save_cold_split`` stored."""
+    sidecar = read_json(sidecar_path, "cold_test_items", "cold_validation_items")
+    return _split_columns(urm, sidecar["cold_test_items"], sidecar["cold_validation_items"])

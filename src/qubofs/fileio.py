@@ -3,7 +3,8 @@ a truncated one, however the writer dies. JSON artifacts are written in one
 format: two-space indent, sorted keys, a final newline. Tables with a header
 (the collaborative search log and the reports) are written in one format too:
 a header line, one line per row, every number with 17 significant digits.
-A JSON file that cannot be read back is a ``ParseError`` naming it."""
+A JSON file that cannot be read back as an object with the keys its reader
+indexes is a ``ParseError`` naming it."""
 
 from __future__ import annotations
 
@@ -57,11 +58,18 @@ def write_tsv(path, header, rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_json(path):
-    """The JSON value stored at ``path``; a file that cannot be read or is
-    not JSON in UTF-8 is a ``ParseError`` naming the path."""
+def read_json(path, *keys) -> dict:
+    """The JSON object stored at ``path``. A file that cannot be read, is not
+    JSON in UTF-8, holds another value than an object or lacks one of
+    ``keys`` is a ``ParseError`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            value = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: not a readable JSON file ({exc})") from exc
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: not a JSON object but a {type(value).__name__}")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ParseError(f"{path}: no {', '.join(map(repr, missing))} key")
+    return value

@@ -1,24 +1,26 @@
 """Two-phase experiment pipeline.
 
-Phase one removes cold items and tunes a collaborative model on the warm
-interactions. Phase two builds one QUBO per grid point from the agreement
-between that collaborative similarity and an all-features content similarity
-(warm items only), solves it, trains a content-based model on each selected
-feature subset, picks the grid point with the best cold-validation quality,
-retrains on train-plus-validation and reports cold-test metrics next to the
-all-features baseline.
+Phase one removes cold items and tunes a collaborative model on a per-user
+holdout of the warm interactions. Phase two builds one QUBO per grid point
+from the agreement between that collaborative similarity and an all-features
+content similarity (warm items only), solves it, trains a content-based model
+on each selected feature subset, picks the grid point with the best
+cold-validation quality, retrains on train-plus-validation and reports
+cold-test metrics next to the all-features baseline.
 
 Each stage is one row of ``STAGES``: the files it writes (per grid point, for
 the three grid stages) and its build and load functions; ``Pipeline`` gets its
 ``ensure_<name>`` method from the row. A stage is complete when all its files
 exist; it is then loaded from them, otherwise built, and only a build asks for
-the stages it depends on. A grid stage loads its complete points and builds
-only the others. The dataset stage parses and preprocesses the input TSVs once
-(a synthetic dataset's come from the synth stage) and stores the result as
-archives, so a resume reads those and never the text. Every file is written
-atomically, so a killed run resumes without cleanup and deleting any artifact
-but the pin regenerates only its stage or grid point when a command asks for
-that stage.
+the stages it depends on, save that the splits stage is stored as its cold
+item lists and loads its matrices as columns of the loaded dataset. A grid
+stage loads its complete points and builds only the others. The dataset stage
+parses and preprocesses the input TSVs once (a synthetic dataset's come from
+the synth stage) and stores the result as archives, so a resume reads those
+and never the text. The collaborative stage draws its holdout itself and
+stores none. Every file is written atomically, so a killed run resumes without
+cleanup and deleting any artifact but the pin regenerates only its stage or
+grid point when a command asks for that stage.
 
 A run directory is pinned to what it was built from by one file,
 ``config.resolved.json``: the canonical config, and for a ``dataset.files``
@@ -49,7 +51,6 @@ from .config import ExperimentConfig, FilesSpec
 from .data import (
     ColdSplit,
     Dataset,
-    HoldoutSplit,
     build_dataset,
     cold_item_split,
     load_cold_split,
@@ -236,7 +237,7 @@ def save_model(model: SimilarityModel, coo_path, sidecar_path, **extra) -> None:
 
 def load_model(coo_path, sidecar_path) -> SimilarityModel:
     """The model ``save_model`` stored."""
-    meta = read_json(sidecar_path)
+    meta = read_json(sidecar_path, "kind", "hyperparam_names")
     return SimilarityModel(
         SparseMatrix.load_coo(coo_path),
         ModelKind(meta["kind"]),
@@ -399,34 +400,21 @@ class Pipeline:
         ``ParseError`` naming the labels file."""
         urm, icm, labels = self._files("dataset")
         matrices = SparseMatrix.load_coo(urm), SparseMatrix.load_coo(icm)
-        names = read_json(labels)
+        keys = ("users", "items", "features")
+        names = read_json(labels, *keys)
         try:
-            return Dataset(*matrices, *(tuple(names[key]) for key in ("users", "items", "features")))
-        except (KeyError, TypeError, DimensionMismatch) as exc:
+            return Dataset(*matrices, *(tuple(names[key]) for key in keys))
+        except (TypeError, DimensionMismatch) as exc:
             raise ParseError(f"{labels}: labels that do not fit {urm.name} and {icm.name} ({exc})") from exc
 
     # -- stage: splits ----------------------------------------------------
 
-    def _build_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
-        ds = self.ensure_dataset()
+    def _build_splits(self) -> ColdSplit:
         sp = self.cfg.split
-        cold_seed = derive_seed(self.cfg.seed, "cold-split")
-        cold = cold_item_split(ds, sp.test_quota, sp.validation_quota, seed=cold_seed)
-        *cold_files, train, validation, sidecar = self._files("splits")
-        save_cold_split(cold, *cold_files, cold_seed, sp.test_quota, sp.validation_quota)
-        warm = cold.train + cold.validation
-        holdout_seed = derive_seed(self.cfg.seed, "holdout")
-        holdout = user_holdout_split(warm, sp.holdout_quota, seed=holdout_seed)
-        holdout.train.save_coo(train)
-        holdout.validation.save_coo(validation)
-        write_json(sidecar, {"seed": holdout_seed, "quota": sp.holdout_quota})
-        return cold, holdout
-
-    def _load_splits(self) -> tuple[ColdSplit, HoldoutSplit]:
-        *cold_files, train, validation, _ = self._files("splits")
-        holdout = HoldoutSplit(train=SparseMatrix.load_coo(train),
-                               validation=SparseMatrix.load_coo(validation))
-        return load_cold_split(*cold_files), holdout
+        seed = derive_seed(self.cfg.seed, "cold-split")
+        cold = cold_item_split(self.ensure_dataset(), sp.test_quota, sp.validation_quota, seed=seed)
+        save_cold_split(cold, *self._files("splits"), seed, sp.test_quota, sp.validation_quota)
+        return cold
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -476,7 +464,10 @@ class Pipeline:
     def _build_cf_model(self) -> SimilarityModel:
         kind = self.cfg.collaborative.kind
         ds = self.ensure_dataset()
-        _, holdout = self.ensure_splits()
+        cold = self.ensure_splits()
+        # the per-user holdout of the warm interactions serves this search alone
+        holdout = user_holdout_split(cold.train + cold.validation, self.cfg.split.holdout_quota,
+                                     seed=derive_seed(self.cfg.seed, "holdout"))
         fit_seed = derive_seed(self.cfg.seed, "cf-fit")
         space = dict(self.cfg.collaborative.resolved_space())
         if kind == "pure_svd":
@@ -501,7 +492,7 @@ class Pipeline:
 
     def _build_cbf_all(self) -> SimilarityModel:
         ds = self.ensure_dataset()
-        cold, _ = self.ensure_splits()
+        cold = self.ensure_splits()
         params, _, _ = self._search_cbf(ds.icm, cold)
         model = fit_cbf(ds.icm, params)
         save_model(model, *self._files("cbf_all"))
@@ -521,7 +512,7 @@ class Pipeline:
         """The QUBO of every grid point that is None, and the pair matrices
         unless both are on disk already (each is written atomically)."""
         ds = self.ensure_dataset()
-        cold, _ = self.ensure_splits()
+        cold = self.ensure_splits()
         warm = cold.warm_items()
         icm_warm = ds.icm.submatrix(rows=warm)
         pair_files = self._files("qubos")
@@ -614,7 +605,7 @@ class Pipeline:
         points = self.ensure_qubos()
         selections = self.ensure_selections()
         ds = self.ensure_dataset()
-        cold, _ = self.ensure_splits()
+        cold = self.ensure_splits()
         for index, row in enumerate(rows):
             if row is not None:
                 continue
@@ -656,7 +647,7 @@ class Pipeline:
         final_model = self.ensure_final()
         winner = self._winner()
         rows = self.ensure_grid_scores()
-        cold, _ = self.ensure_splits()
+        cold = self.ensure_splits()
         baseline_model = self.ensure_cbf_all()
 
         # retrain on train + validation, report on the cold test items
@@ -718,21 +709,20 @@ class Pipeline:
 # writes, relative to the output directory, where "{i:03d}" names one file per
 # grid point; its build function; its load function). The functions take their
 # paths from Pipeline._files, so these rows are the only place a stage file is
-# named. For a grid stage, the
-# load function loads point i, and the build function fills the None entries
-# of the list of points and writes the stage's shared files. The loop below
-# derives Pipeline.ensure_<name> from each row; it returns the synthetic TSVs
-# as a FilesSpec (synth, which only a synthetic dataset reaches), a Dataset, a
-# (ColdSplit, HoldoutSplit) pair, a SimilarityModel (cf_model, cbf_all, final),
-# one grid dict, SelectionResult or score dict per grid point, or the report.
+# named. For a grid stage, the load function loads point i, and the build
+# function fills the None entries of the list of points and writes the stage's
+# shared files. The loop below derives Pipeline.ensure_<name> from each row; it
+# returns the synthetic TSVs as a FilesSpec (synth, which only a synthetic
+# dataset reaches), a Dataset, a ColdSplit, a SimilarityModel (cf_model,
+# cbf_all, final), one grid dict, SelectionResult or score dict per grid point,
+# or the report.
 STAGES = {
     "synth": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
               Pipeline._build_synth, Pipeline._synth_files),
     "dataset": (("dataset/urm.coo", "dataset/icm.coo", "dataset/labels.json"),
                 Pipeline._build_dataset, Pipeline._load_dataset),
-    "splits": (("splits/train.coo", "splits/validation.coo", "splits/test.coo", "splits/split.json",
-                "holdout/train.coo", "holdout/validation.coo", "holdout/holdout.json"),
-               Pipeline._build_splits, Pipeline._load_splits),
+    "splits": (("splits/split.json",), Pipeline._build_splits,
+               lambda p: load_cold_split(p.ensure_dataset().urm, *p._files("splits"))),
     "cf_model": (("cf_model/similarity.coo", "cf_model/model.json", "cf_model/search.tsv"),
                  Pipeline._build_cf_model, lambda p: load_model(*p._files("cf_model")[:2])),
     "cbf_all": (("cbf_all/similarity.coo", "cbf_all/model.json"),
@@ -745,7 +735,8 @@ STAGES = {
                    lambda p, i: load_selection(p._files("selections", i)[0])),
     "grid_scores": (("cbf_sel/grid_{i:03d}/result.json",),
                     Pipeline._build_grid_scores,
-                    lambda p, i: read_json(p._files("grid_scores", i)[0])),
+                    lambda p, i: read_json(p._files("grid_scores", i)[0], "grid_index", "params",
+                                           "cbf_params", "validation_score", "n_selected", "energy")),
     "final": (("final/similarity.coo", "final/model.json"),
               Pipeline._build_final, lambda p: load_model(*p._files("final"))),
     "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",

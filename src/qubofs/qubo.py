@@ -135,7 +135,7 @@ def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
 
 
 def load_qubo(coo_path, sidecar_path) -> QuboProblem:
-    sidecar = read_json(sidecar_path)
+    sidecar = read_json(sidecar_path, "n", "offset")
     q = SparseMatrix.load_coo(coo_path).to_dense()
     if q.shape[0] != sidecar["n"]:
         raise DimensionMismatch("sidecar n disagrees with matrix size")

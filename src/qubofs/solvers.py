@@ -91,7 +91,8 @@ def save_selection(result: SelectionResult, path) -> None:
 
 
 def load_selection(path) -> SelectionResult:
-    return SelectionResult.from_json_dict(read_json(path))
+    return SelectionResult.from_json_dict(
+        read_json(path, *(f.name for f in fields(SelectionResult))))
 
 
 def energy(problem: QuboProblem, x: np.ndarray) -> float:

@@ -385,8 +385,9 @@ class SparseMatrix:
         """Read a COO archive such as ``save_coo`` or scipy's ``save_npz``
         writes, with ``np.load(allow_pickle=False)``; entries out of canonical
         order or repeated are canonicalised as ``from_triplets`` does. A file
-        that is not such an archive raises ``ParseError`` naming the path,
-        and a matrix beyond 32-bit indices ``TooLarge``."""
+        that cannot be read, such as a directory, or is not such an archive
+        raises ``ParseError`` naming the path, and a matrix beyond 32-bit
+        indices ``TooLarge``."""
         try:
             with open(path, "rb") as fh:
                 archive = np.load(fh, allow_pickle=False)
@@ -396,7 +397,7 @@ class SparseMatrix:
                     return cls._from_archive(archive)
         except TooLarge:
             raise
-        except (ValueError, TypeError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+        except (OSError, ValueError, TypeError, EOFError, KeyError, zipfile.BadZipFile) as exc:
             raise ParseError(f"{path}: not a sparse matrix archive ({exc})") from exc
 
     @classmethod

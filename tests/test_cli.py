@@ -366,7 +366,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("data error: non-finite value")
-        assert (out / "holdout").is_dir() and not (out / "cf_model").exists()
+        assert (out / "splits").is_dir() and not (out / "cf_model").exists()
 
     def test_overflowing_qubo_is_data_error(self, tmp_path, capsys):
         """A finite grid value whose QUBO coefficients overflow stops the
@@ -379,31 +379,44 @@ class TestExitCodes:
 
     def test_corrupt_artifact_is_data_error(self, tmp_path, capsys):
         """A stage file that is not a sparse archive, such as a text COO file
-        of an older run, exits 3 naming the file instead of a traceback."""
+        of an older run, or that cannot be read, such as a directory, exits 3
+        naming the file instead of a traceback."""
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
-        (out / "holdout/train.coo").write_text("40\t30\t1\n0\t0\t1\n")
-        shutil.rmtree(out / "reports")
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(out / "holdout/train.coo") in err
+        urm, icm = out / "dataset/urm.coo", out / "dataset/icm.coo"
+        saved = urm.read_bytes()
+        for path, corrupt in ((urm, lambda: urm.write_text("40\t30\t1\n0\t0\t1\n")),
+                              (icm, lambda: (icm.unlink(), icm.mkdir()))):
+            urm.write_bytes(saved)
+            corrupt()
+            shutil.rmtree(out / "reports", ignore_errors=True)
+            capsys.readouterr()
+            assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and str(path) in err
 
-    @pytest.mark.parametrize("name, edit", [
-        ("dataset/labels.json", lambda text: "{"),
-        ("splits/split.json", lambda text: "{"),
+    @pytest.mark.parametrize("name, edit, deleted", [
+        ("dataset/labels.json", lambda text: "{", ()),
+        ("splits/split.json", lambda text: "{", ()),
         ("dataset/labels.json", lambda text: json.dumps({**json.loads(text),
-                                                         "users": json.loads(text)["users"][1:]})),
-    ], ids=["labels not JSON", "split not JSON", "labels short of a user"])
-    def test_corrupt_sidecar_is_data_error(self, tmp_path, capsys, name, edit):
-        """A JSON sidecar that does not parse, or labels that do not fit the
-        stored matrices, exit 3 naming the file instead of a traceback."""
+                                                         "users": json.loads(text)["users"][1:]}), ()),
+        ("splits/split.json", lambda text: "[]", ()),
+        ("splits/split.json", lambda text: "{}", ()),
+        ("selections/grid_000/selection.json", lambda text: "[]", ("cbf_sel", "final")),
+    ], ids=["labels not JSON", "split not JSON", "labels short of a user", "split not an object",
+            "split without its items", "selection not an object"])
+    def test_corrupt_sidecar_is_data_error(self, tmp_path, capsys, name, edit, deleted):
+        """A JSON sidecar that does not parse, is not an object or lacks a key
+        its loader reads, or labels that do not fit the stored matrices, exit
+        3 naming the file instead of a traceback. The stages in ``deleted``
+        are deleted too, so that the evaluation reaches the file."""
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         (out / name).write_text(edit((out / name).read_text()))
-        shutil.rmtree(out / "reports")
+        for stage in ("reports", *deleted):
+            shutil.rmtree(out / stage)
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -179,13 +179,14 @@ class TestColdItemSplit:
         assert not (val_cols & train_cols)
 
     def test_round_trip_persistence(self, tmp_path):
+        """The sidecar holds the cold items alone; loading it takes the same
+        columns of the interactions that the split took."""
         ds = random_dataset(np.random.default_rng(6))
         split = cold_item_split(ds, 0.2, 0.1, seed=7)
-        paths = [tmp_path / name for name in ("train.coo", "validation.coo", "test.coo", "split.json")]
-        save_cold_split(split, *paths, seed=7, test_quota=0.2, validation_quota=0.1)
-        loaded = load_cold_split(*paths)
-        assert loaded.train == split.train
-        assert loaded.cold_test_items == split.cold_test_items
+        path = tmp_path / "split.json"
+        save_cold_split(split, path, seed=7, test_quota=0.2, validation_quota=0.1)
+        # all three matrices and both item sets
+        assert load_cold_split(ds.urm, path) == split
 
     def test_dominant_item_is_infeasible(self):
         # one item holds 90% of interactions; train cannot reach its share

@@ -774,12 +774,15 @@ class TestDatasetStage:
 
     def test_deleted_dataset_is_rebuilt(self, tmp_path):
         """The pin vouches for the inputs, so a deleted dataset/ is rebuilt
-        byte for byte from unchanged ones."""
+        byte for byte from unchanged ones, and so is a deleted cf_model/,
+        whose holdout is drawn again from the split's columns of it."""
         cfg = files_config(tmp_path)
         argv, out = self.pipeline_argv(tmp_path, cfg), tmp_path / "run"
         before = tree_hashes(out)
-        shutil.rmtree(out / "dataset")
-        shutil.rmtree(out / "reports")  # the reports read the dataset's labels
+        for name in ("dataset", "cf_model", "reports"):  # the reports read the dataset's labels
+            shutil.rmtree(out / name)
+        assert cli.main(["train-cf", *argv[1:]]) == 0
+        assert (out / "cf_model").is_dir() and not (out / "reports").exists()
         assert cli.main(argv) == 0
         assert tree_hashes(out) == before
 
