@@ -2,9 +2,10 @@
  *
  * A user's scores are their CSR profile row times the CSR similarity, which
  * holds the candidate columns only, summed into one dense accumulator. The
- * terms are added in the order scipy's csr_matmat adds them: the profile's
- * entries in order, each times its similarity row's entries in order; build
- * with -ffp-contract=off so that no multiply-add is fused. Then one pass over
+ * terms are added in the order SparseMatrix's product adds them (see
+ * _similarity.c): the profile's entries in order, each times its similarity
+ * row's entries in order; build with -ffp-contract=off so that no
+ * multiply-add is fused. Then one pass over
  * the candidate columns checks each score, applies the zero rule
  * (|s| < zero_epsilon counts as 0), skips the items the user has seen
  * (profile value > 0) and keeps the best k in a buffer ordered by score

@@ -1,0 +1,158 @@
+/* Sparse products of SparseMatrix, one output row at a time.
+ *
+ * Row i of A @ B is summed into a dense accumulator in the order of scipy's
+ * csr_matmat, the reference the tests compare with: A's row i entries in
+ * order, each times its B row's entries in order, starting from 0; build with
+ * -ffp-contract=off so that no multiply-add is fused. Each column's sum must
+ * be finite (else the call returns 1) and is kept when its magnitude is at
+ * least zero_epsilon, so a column that no term lands in, or whose terms
+ * cancel, drops out. A row with few terms lists the columns they land in; a
+ * row with many scans its dense sums.
+ *
+ * Plain mode (top_k == 0) writes the kept columns: the canonical product.
+ * Cosine mode (top_k >= 1) divides each kept sum g of column j by
+ * (norms[i] * norms[j] + shrink) when normalize is set and applies the same
+ * finiteness and zero rules again, drops the diagonal, and keeps the best
+ * top_k by value descending, then column ascending. The item x item product
+ * never exists: the scratch is a few arrays of n_cols entries.
+ *
+ * Each row is written in ascending column order. The 32-bit index arrays are
+ * read in place, as SparseMatrix stores them.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+static int by_column(const void *a, const void *b)
+{
+    const int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The k-th largest of x[0..n), 1 <= k <= n, none of them NaN; x is
+ * reordered. */
+static double kth_largest(double *x, int64_t n, int64_t k)
+{
+    int64_t lo = 0, hi = n - 1;
+    const int64_t want = k - 1;
+    while (lo < hi) {
+        const double pivot = x[lo + (hi - lo) / 2];
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (x[i] > pivot)
+                i++;
+            while (x[j] < pivot)
+                j--;
+            if (i <= j) {
+                const double held = x[i];
+                x[i++] = x[j];
+                x[j--] = held;
+            }
+        }
+        if (want <= j)
+            hi = j;
+        else if (want >= i)
+            lo = i;
+        else
+            return x[want];
+    }
+    return x[lo];
+}
+
+/* 0, or 1 when a sum or a normalised value is not finite. norms (n_rows, read
+ * only when normalize is set) are A's row norms, and B's column norms too as
+ * cosine mode runs on A @ A^T. acc (n_cols, zeros), touched_by (n_cols,
+ * negative), cols, vals and sel (n_cols) are scratch. out_indptr
+ * (n_rows + 1) receives the row pointers; out_indices and out_data hold
+ * every row's bound: min(n_cols, the row's terms), and at most top_k in
+ * cosine mode. */
+int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t normalize,
+                     double shrink, double zero_epsilon,
+                     const int32_t *a_indptr, const int32_t *a_indices, const double *a_data,
+                     const int32_t *b_indptr, const int32_t *b_indices, const double *b_data,
+                     const double *norms,
+                     double *acc, int64_t *touched_by, int32_t *cols, double *vals, double *sel,
+                     int64_t *out_indptr, int32_t *out_indices, double *out_data)
+{
+    int64_t nnz = 0;
+    out_indptr[0] = 0;
+    for (int64_t i = 0; i < n_rows; i++) {
+        int64_t terms = 0;
+        for (int64_t jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++)
+            terms += b_indptr[a_indices[jj] + 1] - b_indptr[a_indices[jj]];
+        int64_t n = 0;
+        if (terms > n_cols / 32) {
+            /* many terms: sum them, then find the nonzero sums by a scan */
+            for (int64_t jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++) {
+                const int64_t j = a_indices[jj];
+                const double v = a_data[jj];
+                for (int64_t kk = b_indptr[j]; kk < b_indptr[j + 1]; kk++)
+                    acc[b_indices[kk]] += v * b_data[kk];
+            }
+            for (int32_t c = 0; c < n_cols; c++) {
+                cols[n] = c;
+                n += acc[c] != 0.0;
+            }
+        } else {
+            for (int64_t jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++) {
+                const int64_t j = a_indices[jj];
+                const double v = a_data[jj];
+                for (int64_t kk = b_indptr[j]; kk < b_indptr[j + 1]; kk++) {
+                    const int32_t c = b_indices[kk];
+                    acc[c] += v * b_data[kk];
+                    if (touched_by[c] != i) {
+                        touched_by[c] = i;
+                        cols[n++] = c;
+                    }
+                }
+            }
+            qsort(cols, (size_t)n, sizeof *cols, by_column);
+        }
+        /* keep cols[0..m) with their values, in place */
+        int64_t m = 0;
+        for (int64_t t = 0; t < n; t++) {
+            const int32_t c = cols[t];
+            double g = acc[c];
+            acc[c] = 0.0;
+            if (!isfinite(g))
+                return 1;
+            if (fabs(g) < zero_epsilon)
+                continue;
+            if (top_k) {
+                if (normalize) {
+                    g = g / (norms[i] * norms[c] + shrink);
+                    if (!isfinite(g))
+                        return 1;
+                    if (fabs(g) < zero_epsilon)
+                        continue;
+                }
+                if (c == i)
+                    continue;
+            }
+            cols[m] = c;
+            vals[m] = g;
+            m++;
+        }
+        /* the best top_k: the values above the top_k-th largest, and as
+         * many of the values equal to it as are missing, lowest column first */
+        double kth = -INFINITY;
+        int64_t ties = m;
+        if (top_k && m > top_k) {
+            for (int64_t t = 0; t < m; t++)
+                sel[t] = vals[t];
+            kth = kth_largest(sel, m, top_k);
+            ties = top_k;
+            for (int64_t t = 0; t < m; t++)
+                ties -= vals[t] > kth;
+        }
+        for (int64_t t = 0; t < m; t++) {
+            if (vals[t] < kth || (vals[t] == kth && ties-- <= 0))
+                continue;
+            out_indices[nnz] = cols[t];
+            out_data[nnz] = vals[t];
+            nnz++;
+        }
+        out_indptr[i + 1] = nnz;
+    }
+    return 0;
+}

@@ -363,6 +363,19 @@ def save_cold_split(split: ColdSplit, sidecar_path, seed: int, test_quota: float
 
 
 def load_cold_split(urm: SparseMatrix, sidecar_path) -> ColdSplit:
-    """The split of ``urm`` whose cold items ``save_cold_split`` stored."""
+    """The split of ``urm`` whose cold items ``save_cold_split`` stored. Each
+    list must hold distinct integer items in ``[0, urm.n_cols)``, and no item
+    may be in both; otherwise it is a ``ParseError`` naming the file."""
     sidecar = read_json(sidecar_path, "cold_test_items", "cold_validation_items")
-    return _split_columns(urm, sidecar["cold_test_items"], sidecar["cold_validation_items"])
+    pools = []
+    for key in ("cold_test_items", "cold_validation_items"):
+        items = sidecar[key]
+        if not (isinstance(items, list)
+                and all(type(item) is int and 0 <= item < urm.n_cols for item in items)):
+            raise ParseError(f"{sidecar_path}: {key} is not a list of items in [0, {urm.n_cols})")
+        if len(set(items)) < len(items):
+            raise ParseError(f"{sidecar_path}: {key} repeats an item")
+        pools.append(set(items))
+    if pools[0] & pools[1]:
+        raise ParseError(f"{sidecar_path}: an item is both a cold test and a cold validation item")
+    return _split_columns(urm, *pools)

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import sparse
 from .errors import DimensionMismatch, IndexOutOfRange, NonFinite, RankTooLarge
 from .sparse import ZERO_EPSILON, SparseMatrix
 
@@ -59,19 +60,25 @@ def cosine_knn(
     kind: ModelKind = ModelKind.ITEM_KNN_CF,
 ) -> SimilarityModel:
     """Pairwise similarity of `vectors` rows: dot products, optionally divided
-    by (norm_i * norm_j + shrink). Diagonal removed, then per-row top-k."""
+    by (norm_i * norm_j + shrink). Diagonal removed, then per-row top-k.
+
+    The compiled product (``sparse._load_kernel``) does all of it one row at
+    a time, so the matrix of all dot products never exists. Without it, that
+    matrix is built and reduced step by step; both give the same bytes."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if shrink < 0:
         raise ValueError("shrink must be >= 0")
-    gram = vectors @ vectors.transpose()
-    if normalize:
-        sq = vectors.power(2.0)
-        norms = np.sqrt(sq.row_sums())
-        rows, cols, values = gram.entries()
-        # a stored dot product implies both rows are nonzero, so denom > 0
-        gram = gram.with_entries(values=values / (norms[rows] * norms[cols] + shrink))
-    s = gram.zero_diagonal().top_k_per_row(top_k)
+    norms = np.sqrt(vectors.power(2.0).row_sums()) if normalize else None
+    product = sparse._load_kernel()
+    if product:
+        s = product(vectors, vectors.transpose(), top_k, norms, shrink)
+    else:
+        gram = vectors @ vectors.transpose()
+        if normalize:
+            rows, cols, values = gram.entries()
+            gram = gram.with_entries(values=values / (norms[rows] * norms[cols] + shrink))
+        s = gram.zero_diagonal().top_k_per_row(top_k)
     return SimilarityModel(
         s, kind, {"topK": top_k, "shrink": shrink, "normalize": normalize}
     )
@@ -256,8 +263,8 @@ def _rank_numpy(profiles: SparseMatrix, sim: SparseMatrix, position: np.ndarray,
 
 
 # ``_rank_numpy(*_check_case())``, pinned so that the self-check runs no
-# sparse product and loading the kernel does not import scipy; a test holds
-# the pin to ``_rank_numpy``
+# sparse product and depends on no other kernel; a test holds the pin to
+# ``_rank_numpy``
 _CHECK_RANKING = [[1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, 4, 5, 6, 7, 8, 9],
                   [9, 2, 3, 4, 5, 6, 10, 11, 7], [8, 6, 9, 2, 3, 4, 5, 7],
                   [9, 8, 10, 2, 4, 7], [8, 9, 11, 2, 3, 5, 6],
@@ -268,9 +275,9 @@ _CHECK_RANKING = [[1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, 4, 5, 6, 7, 8, 9],
 def _load_kernel():
     """The compiled ranking as a drop-in for ``_rank_numpy``, or None when
     ``_rank.c`` cannot be built or loaded here, or when it ranks
-    ``_check_case()`` otherwise than ``_CHECK_RANKING``: the kernel relies on
-    scipy summing the sparse product in CSR order, which scipy does not
-    promise."""
+    ``_check_case()`` otherwise than ``_CHECK_RANKING``: the kernel sums each
+    score in the order of ``SparseMatrix``'s product (``_similarity.c``), and
+    the check sees a build that sums otherwise."""
     import ctypes
 
     from . import _native

@@ -236,13 +236,21 @@ def save_model(model: SimilarityModel, coo_path, sidecar_path, **extra) -> None:
 
 
 def load_model(coo_path, sidecar_path) -> SimilarityModel:
-    """The model ``save_model`` stored."""
+    """The model ``save_model`` stored. A sidecar whose ``kind`` is not a
+    model kind, or whose ``hyperparam_names`` is not a list of strings that
+    are its keys, is a ``ParseError`` naming the file."""
     meta = read_json(sidecar_path, "kind", "hyperparam_names")
-    return SimilarityModel(
-        SparseMatrix.load_coo(coo_path),
-        ModelKind(meta["kind"]),
-        {k: meta[k] for k in meta["hyperparam_names"]},
-    )
+    names = meta["hyperparam_names"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ParseError(f"{sidecar_path}: hyperparam_names is not a list of strings")
+    missing = [name for name in names if name not in meta]
+    if missing:
+        raise ParseError(f"{sidecar_path}: no {', '.join(map(repr, missing))} key")
+    try:
+        kind = ModelKind(meta["kind"])
+    except ValueError as exc:
+        raise ParseError(f"{sidecar_path}: {meta['kind']!r} is not a model kind") from exc
+    return SimilarityModel(SparseMatrix.load_coo(coo_path), kind, {name: meta[name] for name in names})
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,15 @@ entry count or a dimension exceeds ``np.iinfo(np.int32).max`` raises
 pattern always reflects "really nonzero" values, which downstream code relies
 on when testing similarities for positivity.
 
-This is the only module that uses scipy, and scipy only multiplies,
-transposes and sums rows: it is imported inside sparse and dense products,
-``transpose`` and ``row_sums``, which wrap the arrays in a ``csr_array``
-without copying them. Everything else is numpy, the canonicalisation of
-entries out of order or repeated included, so a process that only loads,
-saves, sums, restricts and reweights matrices, such as a resumed run, never
-imports scipy.
+Everything is numpy except the sparse product, which runs in a compiled row
+kernel (``_similarity.c``, built on first use by ``_native``) when this
+machine can build it and it passes its self-check, and otherwise in numpy
+over dense blocks of rows. Both sum each entry's terms in one fixed order,
+that of scipy's ``csr_matmat``, and the row sums, the transpose and the
+product with a dense array are summed or ordered as scipy's are: the tests
+hold every operation to scipy byte for byte, and the package does not import
+it. The kernel also fuses ``models.cosine_knn``'s normalisation, diagonal
+drop and per-row top k into the product (``_load_kernel``).
 
 Construction copies its input and never modifies it. Other modules read the
 canonical arrays through the read-only ``indptr``, ``indices`` and ``data``,
@@ -26,6 +28,7 @@ values.
 
 from __future__ import annotations
 
+import functools
 import zipfile
 from typing import Iterable, Iterator, Sequence
 
@@ -44,31 +47,14 @@ from .fileio import atomic_open
 # Stored values with |v| < ZERO_EPSILON are treated as exact zeros and dropped.
 ZERO_EPSILON = 1e-12
 _INDEX_MAX = np.iinfo(np.int32).max
-
-
-def _scipy():
-    """``scipy.sparse``, imported on first use: it costs a process about
-    0.2 s, which a run that needs no sparse arithmetic does not pay."""
-    import scipy.sparse
-
-    return scipy.sparse
+# dense sums plus terms that one block of the numpy product holds, and terms
+# per chunk of a product with a dense array: 2**20 float64s are 8 MB
+PRODUCT_BLOCK_ENTRIES = 1 << 20
 
 
 def _check_size(shape: tuple[int, int], nnz: int) -> None:
     if max(nnz, *shape) > _INDEX_MAX:
         raise TooLarge(f"{shape} matrix with {nnz} entries needs indices beyond 32 bits")
-
-
-def _sorted_by_scipy(m) -> tuple:
-    """The CSR arrays of ``m``, a float64 scipy CSR array whose arrays nothing
-    else holds, with repeated coordinates summed and columns sorted in place;
-    the indices become 32-bit first."""
-    _check_size(m.shape, m.nnz)
-    m.indptr = m.indptr.astype(np.int32, copy=False)
-    m.indices = m.indices.astype(np.int32, copy=False)
-    m.sum_duplicates()
-    m.sort_indices()
-    return m.shape, m.indptr, m.indices, m.data
 
 
 def _keep(indptr: np.ndarray, keep: np.ndarray, *arrays: np.ndarray) -> tuple:
@@ -108,11 +94,6 @@ class SparseMatrix:
         self._data = data
         for array in (self._indptr, self._indices, self._data):
             array.flags.writeable = False
-
-    def _csr(self):
-        """A scipy CSR array over this matrix's arrays, not a copy of them."""
-        return _scipy().csr_array(
-            (self._data, self._indices, self._indptr), shape=self._shape, copy=False)
 
     # ------------------------------------------------------------------
     # construction
@@ -220,8 +201,13 @@ class SparseMatrix:
         return zip(rows.tolist(), cols.tolist(), values.tolist())
 
     def row_sums(self) -> np.ndarray:
-        """Sum of each row's stored values, in scipy's summation order."""
-        return self._csr().sum(axis=1)
+        """Sum of each row's stored values, as scipy's ``sum(axis=1)`` sums
+        them: one ``np.add.reduceat`` over the non-empty rows."""
+        sums = np.zeros(self.n_rows)
+        nonempty = np.flatnonzero(np.diff(self._indptr))
+        if nonempty.size:
+            sums[nonempty] = np.add.reduceat(self._data, self._indptr[nonempty])
+        return sums
 
     def row_nnz(self) -> np.ndarray:
         return np.diff(self._indptr)
@@ -252,17 +238,27 @@ class SparseMatrix:
         return SparseMatrix._of(self.shape, *_keep(self._indptr, keep, self._indices, data))
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._of(*_sorted_by_scipy(self._csr().T.tocsr()))
+        """A stable sort of the entries by column, as scipy's ``csr_tocsc``
+        makes it: each new row holds its entries in ascending old row."""
+        rows, cols, values = self.entries()
+        order = np.argsort(cols, kind="stable")
+        counts = np.bincount(cols, minlength=self.n_cols)
+        return SparseMatrix._of((self.n_cols, self.n_rows), np.concatenate(([0], np.cumsum(counts))),
+                                rows.take(order), values.take(order))
 
     def __matmul__(self, other: "SparseMatrix | np.ndarray") -> "SparseMatrix | np.ndarray":
-        """A canonical product, or a dense ndarray for a dense ``other``."""
+        """A canonical product, or a dense ndarray for a dense ``other``.
+        Each entry is the sum of its terms in ``csr_matmat``'s order (see
+        ``_similarity.c``), in the compiled kernel or in ``_product_numpy``;
+        a dense ``other`` is multiplied by ``_dense_product``."""
         if self.n_cols != other.shape[0]:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        if isinstance(other, SparseMatrix):
-            return SparseMatrix._of(*_sorted_by_scipy(self._csr() @ other._csr()))
-        return self._csr() @ other
+        if not isinstance(other, SparseMatrix):
+            return _dense_product(self, np.asarray(other))
+        product = _load_kernel()
+        return product(self, other) if product else _product_numpy(self, other)
 
     def scale(self, factor: float) -> "SparseMatrix":
         return self.with_entries(values=self._data * float(factor))
@@ -416,3 +412,149 @@ class SparseMatrix:
         if not rows.size == cols.size == data.size:
             raise ValueError(f"{rows.size} rows, {cols.size} cols and {data.size} values")
         return cls._canonical(shape.tolist(), rows, cols, data)
+
+
+# ----------------------------------------------------------------------
+# products
+# ----------------------------------------------------------------------
+
+
+def _row_terms(a: SparseMatrix, b: SparseMatrix) -> np.ndarray:
+    """The number of terms (multiply-adds) in each row of ``a @ b``."""
+    per_entry = np.diff(b.indptr).astype(np.int64).take(a.indices)
+    ends = np.concatenate(([0], np.cumsum(per_entry)))
+    return ends[a.indptr[1:]] - ends[a.indptr[:-1]]
+
+
+def _product_numpy(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """``a @ b`` without the kernel, over blocks of rows that hold at most
+    ``PRODUCT_BLOCK_ENTRIES`` dense sums and terms (one row if it alone holds
+    more). A block's terms are listed in ``csr_matmat``'s order and added into
+    its dense sums by ``np.add.at``, which adds them one at a time in that
+    order; the sums that are not exactly zero are the block's entries."""
+    n_rows, n_cols = a.n_rows, b.n_cols
+    terms = _row_terms(a, b)
+    cost = np.cumsum(terms + n_cols)
+    pieces = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    lo = 0
+    while lo < n_rows:
+        spent = cost[lo] - terms[lo] - n_cols
+        hi = max(lo + 1, int(np.searchsorted(cost, spent + PRODUCT_BLOCK_ENTRIES, side="right")))
+        first, last = a.indptr[lo], a.indptr[hi]
+        starts = b.indptr.take(a.indices[first:last]).astype(np.int64)
+        lengths = b.indptr.take(a.indices[first:last] + 1) - starts
+        # term t of a's entry e reads b's entry starts[e] + t
+        within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        read = np.repeat(starts, lengths) + within
+        values = np.repeat(a.data[first:last], lengths) * b.data.take(read)
+        rows = np.repeat(np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1])), lengths)
+        sums = np.zeros((hi - lo) * n_cols)
+        np.add.at(sums, rows * n_cols + b.indices.take(read), values)
+        r, c = np.nonzero(sums.reshape(hi - lo, n_cols))
+        pieces.append((np.bincount(r, minlength=hi - lo), c, sums[r * n_cols + c]))
+        lo = hi
+    counts, cols, data = (np.concatenate(arrays) for arrays in zip(*pieces))
+    return SparseMatrix._of((n_rows, n_cols), np.concatenate(([0], np.cumsum(counts))), cols, data)
+
+
+def _dense_product(a: SparseMatrix, dense: np.ndarray) -> np.ndarray:
+    """``a @ dense`` as scipy's ``csr_matvecs`` sums it: each row of the
+    result adds its entries' terms in CSR order, starting from 0. ``np.add.at``
+    adds them one at a time in that order, over chunks of entries that hold at
+    most ``PRODUCT_BLOCK_ENTRIES`` terms."""
+    out = np.zeros((a.n_rows, *dense.shape[1:]), dtype=np.result_type(np.float64, dense.dtype))
+    rows, cols, values = a.entries()
+    width = int(np.prod(dense.shape[1:], dtype=np.int64))
+    step = max(1, PRODUCT_BLOCK_ENTRIES // max(1, width))
+    for lo in range(0, a.nnz, step):
+        chunk = slice(lo, lo + step)
+        factors = values[chunk].reshape((-1,) + (1,) * (dense.ndim - 1))
+        np.add.at(out, rows[chunk], factors * dense[cols[chunk]])
+    return out
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled product, or None when ``_similarity.c`` cannot be built or
+    loaded here, or when it computes ``_check_case()`` otherwise than
+    ``_CHECK_PRODUCTS``. The product is called as ``product(a, b)``, or
+    ``product(a, b, top_k, norms, shrink)`` for ``_similarity.c``'s cosine
+    mode, with ``norms`` None for raw dot products."""
+    import ctypes
+
+    from . import _native
+
+    lib = _native.load_library("_similarity")
+    if lib is None:
+        return None
+    kernel = lib.product_rows
+    int32s, int64s, doubles = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                               for t in (np.int32, np.int64, np.float64))
+    kernel.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_double] * 2 + [
+        int32s, int32s, doubles] * 2 + [
+        doubles, doubles, int64s, int32s, doubles, doubles, int64s, int32s, doubles]
+    kernel.restype = ctypes.c_int64
+
+    def product(a: SparseMatrix, b: SparseMatrix, top_k: int = 0,
+                norms: np.ndarray | None = None, shrink: float = 0.0) -> SparseMatrix:
+        n_rows, n_cols = a.n_rows, b.n_cols
+        if top_k and (n_rows != n_cols or (norms is not None and np.shape(norms) != (n_rows,))):
+            raise DimensionMismatch("cosine mode needs a square product and one norm per row")
+        bound = np.minimum(_row_terms(a, b), min(top_k, n_cols) if top_k else n_cols)
+        capacity = int(bound.sum())
+        indptr = np.empty(n_rows + 1, dtype=np.int64)
+        indices, data = np.empty(capacity, dtype=np.int32), np.empty(capacity)
+        status = kernel(n_rows, n_cols, top_k, norms is not None, shrink, ZERO_EPSILON,
+                        a.indptr, a.indices, a.data, b.indptr, b.indices, b.data,
+                        np.zeros(0) if norms is None else np.ascontiguousarray(norms, dtype=np.float64),
+                        np.zeros(n_cols), np.full(n_cols, -1, dtype=np.int64),
+                        np.empty(n_cols, dtype=np.int32), np.empty(n_cols), np.empty(n_cols),
+                        indptr, indices, data)
+        if status:
+            raise NonFinite("non-finite value in sparse matrix")
+        nnz = int(indptr[-1])
+        if nnz < capacity:
+            indices, data = indices[:nnz].copy(), data[:nnz].copy()
+        return SparseMatrix._of((n_rows, n_cols), indptr, indices, data)
+
+    checks = [product(a, b, *mode) for a, b, *mode in _check_case()]
+    if [(m.indptr.tolist(), m.indices.tolist(), m.data.tolist()) for m in checks] != _CHECK_PRODUCTS:
+        return None
+    return product
+
+
+def _check_case() -> list[tuple]:
+    """Products for the kernel's self-check, as argument lists of the kernel's
+    ``product``: a plain product whose row 0 sums 2**14 + 2**-39 + 2**-39,
+    which only the left-to-right order rounds to 2**14, and cancels to 2**-42
+    (below ``ZERO_EPSILON``), and which has an empty row; the same product
+    into 512 columns, where each row has few enough terms to list the columns
+    they land in instead of scanning its sums; then cosine top 2 of five
+    vectors with tied, cancelling and negative dot products, normalised with
+    shrink 4 (where 2**-38 falls below ``ZERO_EPSILON``) and raw."""
+    a = SparseMatrix.from_dense([[1, 1, 1], [0, 2, 0], [0, 0, 0], [-1, 0, 1]])
+    b = np.zeros((3, 512))
+    b[:, [0, 1, 2, 511]] = [[2.0**14, 1, -1, 0], [2.0**-39, -(1 - 2.0**-42), 1, 0], [2.0**-39, 0, 3, 5]]
+    vectors = SparseMatrix.from_dense([[1, 1, 1, 1], [1, 1, -1, -1], [2, 0, 0, 0],
+                                       [0, -1, 0, 2.0**-19], [2.0**10, 0, 0, 2.0**-19]])
+    norms = np.sqrt(vectors.power(2.0).row_sums())
+    return [(a, SparseMatrix.from_dense(b[:, :3])), (a, SparseMatrix.from_dense(b)),
+            (vectors, vectors.transpose(), 2, norms, 4.0), (vectors, vectors.transpose(), 2)]
+
+
+# the products of ``_check_case()`` as (indptr, indices, data), pinned so that
+# the self-check depends on no other code path; a test holds the pin to
+# ``_product_numpy`` and ``models.cosine_knn``'s composition
+_CHECK_PRODUCTS = [
+    ([0, 2, 5, 5, 8], [0, 2, 0, 1, 2, 0, 1, 2],
+     [16384.0, 3.0, 3.637978807091713e-12, -1.9999999999995453, 2.0, -16383.999999999998, -1.0, 4.0]),
+    ([0, 3, 6, 6, 10], [0, 2, 511, 0, 1, 2, 0, 1, 2, 511],
+     [16384.0, 3.0, 5.0, 3.637978807091713e-12, -1.9999999999995453, 2.0, -16383.999999999998, -1.0,
+      4.0, 5.0]),
+    ([0, 2, 4, 6, 8, 10], [2, 4, 2, 4, 0, 4, 0, 1, 0, 2],
+     [0.25, 0.4990253420601114, 0.25, 0.4990253402010972, 0.25, 0.9980506822612085,
+      -0.16666634877512682, -0.1666669845580044, 0.4990253420601114, 0.9980506822612085]),
+    ([0, 2, 4, 6, 8, 10], [2, 4, 2, 4, 0, 4, 0, 4, 0, 2],
+     [2.0, 1024.0000019073486, 2.0, 1023.9999980926514, 2.0, 2048.0, -0.9999980926513672,
+      3.637978807091713e-12, 1024.0000019073486, 2048.0]),
+]

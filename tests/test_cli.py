@@ -5,10 +5,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
-from qubofs import cli, errors, models, pipeline
+from qubofs import cli, errors, pipeline
 from qubofs.cli import COMMANDS, build_parser, main
 from qubofs.config import ExperimentConfig
 
@@ -182,9 +183,9 @@ class TestParser:
 
 
 class TestStartup:
-    """Importing scipy costs a process about 0.2 s. Starting the command line,
-    the benchmark's setup probe and a resume need none of its arithmetic,
-    so none of them may import it."""
+    """Importing scipy costs a process about 0.2 s and 15 MB. It is the
+    tests' oracle, not a dependency: starting the command line, the
+    benchmark's setup probe, a fresh run and a resume never import it."""
 
     @staticmethod
     def scipy_modules_after(code: str, *args: str) -> list[str]:
@@ -224,15 +225,21 @@ class TestStartup:
         assert self.scipy_modules_after(build, str(config), str(out)) == []
         assert (out / "dataset/urm.coo").is_file()
 
+    def test_fresh_pipeline(self, tmp_path):
+        """Every stage of a fresh run, the similarities and the products
+        included, on the compiled kernels or on numpy."""
+        config, out = write_config(tmp_path), tmp_path / "run"
+        run = "import sys\nfrom qubofs.cli import main\nassert main(sys.argv[1:]) == 0"
+        argv = ("pipeline", "--config", str(config), "--out", str(out))
+        assert self.scipy_modules_after(run, *argv) == []
+        assert (out / "reports/report.json").is_file()
+
     @pytest.mark.parametrize("repeated_lines", [False, True], ids=["synth", "repeated interaction lines"])
     def test_resume(self, tmp_path, repeated_lines):
         """A resume after deleting reports/ and manifest.json, as the
-        benchmark resumes; ranking without the compiled kernel multiplies
-        sparse matrices, so it needs the kernel. A resume loads the dataset
-        archives the fresh run wrote instead of parsing the input again; with
-        a ``dataset.files`` config it hashes the input files first."""
-        if models._load_kernel() is None:
-            pytest.skip("no ranking kernel on this machine")
+        benchmark resumes. A resume loads the dataset archives the fresh run
+        wrote instead of parsing the input again; with a ``dataset.files``
+        config it hashes the input files first."""
         config, out = write_config(tmp_path), tmp_path / "run"
         if repeated_lines:
             config = self.repeated_lines_config(tmp_path)
@@ -277,6 +284,14 @@ def concrete_errors(cls=errors.QubofsError) -> list[type]:
     """The error classes below ``cls`` that have no subclasses."""
     subclasses = cls.__subclasses__()
     return [leaf for sub in subclasses for leaf in concrete_errors(sub)] if subclasses else [cls]
+
+
+def edited(key: str, change) -> Callable[[str], str]:
+    """An edit of a JSON object's text that sets ``key`` to ``change(object)``."""
+    def edit(text: str) -> str:
+        value = json.loads(text)
+        return json.dumps({**value, key: change(value)})
+    return edit
 
 
 class TestExitCodes:
@@ -404,13 +419,27 @@ class TestExitCodes:
         ("splits/split.json", lambda text: "[]", ()),
         ("splits/split.json", lambda text: "{}", ()),
         ("selections/grid_000/selection.json", lambda text: "[]", ("cbf_sel", "final")),
+        ("splits/split.json", edited("cold_test_items", lambda v: v["cold_test_items"] + [999]), ()),
+        ("splits/split.json", edited("cold_test_items", lambda v: v["cold_test_items"] + [-1]), ()),
+        ("splits/split.json", edited("cold_test_items", lambda v: v["cold_test_items"] + [1.0]), ()),
+        ("splits/split.json", edited("cold_test_items", lambda v: v["cold_test_items"] * 2), ()),
+        ("splits/split.json", edited("cold_validation_items",
+                                     lambda v: v["cold_validation_items"] + v["cold_test_items"][:1]), ()),
+        ("cbf_all/model.json", edited("hyperparam_names", lambda v: v["hyperparam_names"] + ["zzz"]), ()),
+        ("cbf_all/model.json", edited("hyperparam_names", lambda v: "topK"), ()),
+        ("cbf_all/model.json", edited("kind", lambda v: "knn"), ()),
     ], ids=["labels not JSON", "split not JSON", "labels short of a user", "split not an object",
-            "split without its items", "selection not an object"])
+            "split without its items", "selection not an object", "split item beyond the items",
+            "split item negative", "split item not an integer", "split item repeated",
+            "split item in both lists", "model without a named hyperparameter",
+            "model hyperparameter names not a list", "model of an unknown kind"])
     def test_corrupt_sidecar_is_data_error(self, tmp_path, capsys, name, edit, deleted):
         """A JSON sidecar that does not parse, is not an object or lacks a key
-        its loader reads, or labels that do not fit the stored matrices, exit
-        3 naming the file instead of a traceback. The stages in ``deleted``
-        are deleted too, so that the evaluation reaches the file."""
+        its loader reads; labels that do not fit the stored matrices; cold
+        items outside the interactions, repeated or in both lists; or a model
+        whose kind or hyperparameter names do not hold: each exits 3 naming
+        the file instead of a traceback. The stages in ``deleted`` are
+        deleted too, so that the evaluation reaches the file."""
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0

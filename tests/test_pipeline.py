@@ -17,7 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 import qubofs
-from qubofs import cli, data, fileio, models, pipeline, solvers
+from qubofs import cli, data, fileio, models, pipeline, solvers, sparse
 from qubofs.cli import COMMANDS
 from qubofs.config import ITEM_KNN_CBF_SPACE, ExperimentConfig, SynthSpec
 from qubofs.errors import ConfigInvalid, InfeasibleConfig
@@ -299,6 +299,18 @@ class TestPipeline:
         kernel, fallback = (tree_hashes(tmp_path / run) for run in ("kernel", "numpy"))
         assert {"cf_model/search.tsv", "reports/report.json"} <= set(kernel)
         assert any(name.startswith("cbf_sel/") for name in kernel)
+        assert kernel == fallback
+
+    @pytest.mark.parametrize("kind", ["item_knn_cf", "rp3beta", "pure_svd"])
+    def test_run_without_product_kernel(self, tmp_path, monkeypatch, kind):
+        """The numpy products (``cosine_knn``'s composition included) write
+        the product kernel's run tree byte for byte."""
+        cfg = tiny_config(collaborative={"kind": kind, "n_cases": 4})
+        Pipeline(cfg, tmp_path / "kernel").run()
+        monkeypatch.setattr(sparse, "_load_kernel", lambda: None)
+        Pipeline(cfg, tmp_path / "numpy").run()
+        kernel, fallback = (tree_hashes(tmp_path / run) for run in ("kernel", "numpy"))
+        assert {"cf_model/similarity.coo", "cbf_all/similarity.coo", "reports/report.json"} <= set(kernel)
         assert kernel == fallback
 
     @pytest.mark.parametrize("kind", ["item_knn_cf", "pure_svd"])

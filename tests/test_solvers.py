@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch, TooLarge
-from qubofs import _native, models, solvers
+from qubofs import _native, models, solvers, sparse
 from qubofs.qubo import QuboProblem, combination_penalty
 from qubofs.sparse import ZERO_EPSILON, SparseMatrix
 from qubofs.solvers import (
@@ -506,7 +506,7 @@ def cache(tmp_path, monkeypatch):
         compile_(*args)
 
     monkeypatch.setattr(_native, "_compile", counted)
-    loaders = (solvers._load_kernel, models._load_kernel)
+    loaders = (solvers._load_kernel, models._load_kernel, sparse._load_kernel)
     for loader in loaders:
         loader.cache_clear()
     yield SimpleNamespace(dir=tmp_path / "home" / "qubofs", compiles=compiles)
@@ -653,7 +653,9 @@ class TestRankKernelBuild:
         code = _native.source("_rank")
         wrong = code.replace(b"s > best_score[i - 1]", b"s >= best_score[i - 1]")
         assert wrong != code
-        monkeypatch.setattr(_native, "source", lambda name: wrong)
+        # the numpy ranking multiplies, which loads the product kernel
+        source = _native.source
+        monkeypatch.setattr(_native, "source", lambda name: wrong if name == "_rank" else source(name))
         assert models._load_kernel() is None
         assert len(cache.compiles) == 1
         self.check_reference()
@@ -664,8 +666,77 @@ class TestRankKernelBuild:
         code = _native.source("_rank")
         wrong = code.replace(b"fabs(s) < zero_epsilon", b"fabs(s) < 0.0")
         assert wrong != code
-        monkeypatch.setattr(_native, "source", lambda name: wrong)
+        source = _native.source
+        monkeypatch.setattr(_native, "source", lambda name: wrong if name == "_rank" else source(name))
         assert models._load_kernel() is None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+
+class TestProductKernelBuild:
+    """The product kernel loads like the others, and whatever happens to the
+    compiler or the source, products and cosine similarities are those of
+    the numpy fallback."""
+
+    @staticmethod
+    def check_reference():
+        rng = np.random.default_rng(52)
+        vectors = SparseMatrix.from_dense(rng.random((9, 7)) * (rng.random((9, 7)) < 0.5))
+        results = (vectors @ vectors.transpose(), models.cosine_knn(vectors, 3, shrink=0.5).s)
+        with mock.patch.object(sparse, "_load_kernel", lambda: None):
+            assert results == (vectors @ vectors.transpose(), models.cosine_knn(vectors, 3, shrink=0.5).s)
+
+    def test_source_ships_with_the_package(self):
+        assert b"int64_t product_rows(" in _native.source("_similarity")
+
+    def test_builds_once_then_loads_from_the_cache(self, cache):
+        TestKernelBuild.require_compiler()
+        assert sparse._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+        sparse._load_kernel.cache_clear()
+        assert sparse._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+    def test_no_compiler(self, cache, monkeypatch):
+        monkeypatch.setattr(_native, "COMPILE", ("/nonexistent/cc",) + _native.COMPILE[1:])
+        assert sparse._load_kernel() is None
+        self.check_reference()
+
+    def test_self_check_products_are_the_numpy_products(self):
+        """The self-check compares the kernel with pinned products, which
+        must stay what the numpy product and ``cosine_knn``'s composition
+        give on the same case."""
+        products = []
+        with mock.patch.object(sparse, "_load_kernel", lambda: None):
+            for a, b, *cosine in sparse._check_case():
+                if not cosine:
+                    products.append(a @ b)
+                else:
+                    top_k, *normalized = cosine
+                    products.append(models.cosine_knn(a, top_k, shrink=normalized[1] if normalized else 0.0,
+                                                      normalize=bool(normalized)).s)
+        assert sparse._CHECK_PRODUCTS == [
+            (m.indptr.tolist(), m.indices.tolist(), m.data.tolist()) for m in products]
+
+    @pytest.mark.parametrize("right, wrong", [
+        (b"jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++) {",
+         b"jj = a_indptr[i + 1] - 1; jj >= a_indptr[i]; jj--) {"),
+        (b"                    if (fabs(g) < zero_epsilon)", b"                    if (fabs(g) < 0.0)"),
+        (b"ties -= vals[t] > kth", b"ties -= vals[t] >= kth"),
+        (b"if (c == i)", b"if (c == i + n_rows)"),
+        (b"if (touched_by[c] != i)", b"if (touched_by[c] < 0)"),
+    ], ids=["summation order", "zero rule after normalising", "tie rule", "diagonal",
+            "columns listed once in all rows"])
+    def test_self_check_mismatch_falls_back(self, cache, monkeypatch, right, wrong):
+        TestKernelBuild.require_compiler()
+        source = _native.source
+        code = source("_similarity")
+        assert right in code
+        monkeypatch.setattr(_native, "source",
+                            lambda name: code.replace(right, wrong) if name == "_similarity" else source(name))
+        assert sparse._load_kernel() is None
         assert len(cache.compiles) == 1
         self.check_reference()
 

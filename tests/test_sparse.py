@@ -2,6 +2,7 @@ import ast
 import io
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubofs import sparse
+from qubofs import models, sparse
 from qubofs.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -21,39 +22,26 @@ from qubofs.errors import (
 from qubofs.sparse import SparseMatrix, ZERO_EPSILON
 
 
-def scipy_imports(tree: ast.AST) -> list[bool]:
-    """For each import of scipy in ``tree``, whether it runs only inside a
-    function (a lazy import) rather than when the module is imported."""
-    found = []
-
-    def visit(node, in_function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module]
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append(in_function)
-            visit(child, in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
-
-    visit(tree, False)
-    return found
+def imports_scipy(tree: ast.AST) -> bool:
+    """Whether ``tree`` imports scipy anywhere, at the top or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            return True
+    return False
 
 
-def test_only_sparse_py_imports_scipy():
-    """The sparse storage format is decided in one module: no other module of
-    the package imports scipy, at the top or inside a function. No module
-    imports it at the top, so importing the package does not load it."""
-    importers = set()
-    for path in Path(sparse.__file__).parent.glob("*.py"):
-        lazy = scipy_imports(ast.parse(path.read_text(), str(path)))
-        if lazy:
-            importers.add(path.name)
-        assert all(lazy), f"{path.name} imports scipy at module level"
-    assert importers == {"sparse.py"}
+def test_no_module_imports_scipy():
+    """scipy is the tests' oracle, not a dependency of the package: no module
+    of it imports scipy, at the top or inside a function."""
+    importers = [path.name for path in Path(sparse.__file__).parent.glob("*.py")
+                 if imports_scipy(ast.parse(path.read_text(), str(path)))]
+    assert importers == []
 
 
 def dense(m: SparseMatrix) -> np.ndarray:
@@ -520,6 +508,41 @@ def coo_of(n_rows, n_cols, triplets) -> sp.coo_array:
     return sp.coo_array((values, (rows, cols)), shape=(n_rows, n_cols))
 
 
+def on_both_paths(check, block_entries: int | None = None) -> None:
+    """``check()`` on the compiled product, where this machine builds it, and
+    on the numpy fallback, whose blocks then hold at most ``block_entries``."""
+    if sparse._load_kernel() is not None:
+        check()
+    with mock.patch.multiple(sparse, _load_kernel=lambda: None,
+                             PRODUCT_BLOCK_ENTRIES=block_entries or sparse.PRODUCT_BLOCK_ENTRIES):
+        check()
+
+
+def scipy_cosine(m: SparseMatrix, top_k: int, shrink: float, normalize: bool) -> sp.csr_array | None:
+    """``cosine_knn(m, ...)`` as scipy computes its parts: ``csr_matmat``'s
+    product of the rows, norms from ``sum(axis=1)`` of the canonical squares,
+    the epsilon rule after each step, then the diagonal dropped and each row's
+    top k sorted out by (value descending, column ascending). None when a
+    value is not finite."""
+    v = as_csr(m)
+    gram = (v @ v.T).tocoo()
+    values = gram.data
+    if normalize:
+        norms = np.sqrt(scipy_canonical(v.power(2.0)).sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = np.where(np.abs(values) < ZERO_EPSILON, 0.0,
+                              values / (norms[gram.row] * norms[gram.col] + shrink))
+    if not np.all(np.isfinite(values)):
+        return None
+    gram = scipy_canonical(sp.coo_array((values, (gram.row, gram.col)), shape=gram.shape)).tocoo()
+    by_row = {}
+    for r, c, value in zip(gram.row.tolist(), gram.col.tolist(), gram.data.tolist()):
+        if r != c:
+            by_row.setdefault(r, []).append((-value, c))
+    kept = [(r, c, -neg) for r, row in by_row.items() for neg, c in sorted(row)[:top_k]]
+    return scipy_canonical(coo_of(*gram.shape, kept))
+
+
 class TestScipyEquivalence:
     """Every operation that runs without scipy gives, byte for byte, the
     arrays that scipy's own operation and canonicalisation give."""
@@ -605,3 +628,92 @@ class TestScipyEquivalence:
             sp.save_npz(fh, sp.csr_array(np.eye(2)), compressed=False)
         with pytest.raises(ParseError, match="'csr'"):
             SparseMatrix.load_coo(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(triplet_lists(), st.data(), st.integers(1, 40))
+    def test_matmul(self, case, data, block):
+        """Products of up to 8 terms an entry, also into 60 to 200 columns,
+        where a row touches few of them: scipy's ``csr_matmat`` arrays, on
+        both paths and over blocks of any size."""
+        n_rows, inner, _ = case
+        n_cols = data.draw(st.integers(1, 8) | st.integers(60, 200))
+        other = data.draw(triplet_lists(shape=(inner, n_cols)))
+        a, b = SparseMatrix.from_triplets(*case), SparseMatrix.from_triplets(*other)
+        want = scipy_canonical(as_csr(a) @ as_csr(b))
+        on_both_paths(lambda: assert_same_arrays(a @ b, want), block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(triplet_lists(), st.data(), st.integers(1, 40))
+    def test_dense_matmul(self, case, data, block):
+        """Products with a dense vector, or a matrix in C or Fortran order:
+        scipy's ``csr_matvec(s)`` bytes, also in chunks of any size."""
+        n_rows, inner, _ = case
+        width = data.draw(st.integers(1, 4))
+        dense = np.array(data.draw(st.lists(VALUES, min_size=inner * width, max_size=inner * width)))
+        dense = dense.reshape(inner, width, order=data.draw(st.sampled_from("CF")))
+        if data.draw(st.booleans()):
+            dense = dense[:, 0]
+        m = SparseMatrix.from_triplets(*case)
+        want = as_csr(m) @ dense
+
+        def check():
+            got = m @ dense
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+        on_both_paths(check, block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans().flatmap(lambda dups: triplet_lists(duplicates=dups)))
+    def test_transpose(self, case):
+        m = SparseMatrix.from_triplets(*case)
+        assert_same_arrays(m.transpose(), scipy_canonical(as_csr(m).T))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n_cols: triplet_lists(shape=(3, n_cols), sizes=(0, 100))))
+    def test_row_sums(self, case):
+        """Rows of up to 40 entries, where a sequential sum and numpy's
+        pairwise one differ in the last bit."""
+        m = SparseMatrix.from_triplets(*case)
+        want = as_csr(m).sum(axis=1)
+        got = m.row_sums()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8) | st.integers(40, 120), st.integers(1, 8), st.data(),
+           st.integers(1, 10), st.sampled_from([0.0, 0.5, 4.0]), st.booleans())
+    def test_cosine_knn(self, n_items, n_features, data, top_k, shrink, normalize):
+        """The fused kernel and the numpy composition give scipy's arrays;
+        both raise ``NonFinite`` where scipy's parts hold a non-finite value
+        (a dot product over a norm that is 0 because the squares fell below
+        ``ZERO_EPSILON``)."""
+        case = data.draw(triplet_lists(shape=(n_items, n_features), sizes=(0, 60)))
+        vectors = SparseMatrix.from_triplets(*case)
+        want = scipy_cosine(vectors, top_k, shrink, normalize)
+
+        def check():
+            if want is None:
+                # the composition divides by the zero norm before it checks
+                with pytest.raises(NonFinite), np.errstate(divide="ignore", invalid="ignore"):
+                    models.cosine_knn(vectors, top_k, shrink=shrink, normalize=normalize)
+            else:
+                assert_same_arrays(models.cosine_knn(vectors, top_k, shrink=shrink,
+                                                     normalize=normalize).s, want)
+
+        on_both_paths(check)
+
+    @pytest.mark.parametrize("dense_a, dense_b", [
+        ([[1e300, 1e300]], [[1e300], [1.0]]),
+        ([[1e300, -1e300]], [[1e300], [1e300]]),
+    ], ids=["overflow", "inf minus inf"])
+    def test_non_finite_product_raises(self, dense_a, dense_b):
+        a, b = SparseMatrix.from_dense(dense_a), SparseMatrix.from_dense(dense_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite((as_csr(a) @ as_csr(b)).data))
+
+        def check():
+            with pytest.raises(NonFinite, match="non-finite"), np.errstate(over="ignore", invalid="ignore"):
+                a @ b
+
+        on_both_paths(check)
