@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .fileio import atomic_write_text
 
-COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 120
 
 

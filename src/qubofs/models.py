@@ -226,7 +226,11 @@ def score_and_rank(
     if candidate_items is None:
         candidates = np.arange(n_items, dtype=np.int64)
     else:
-        candidates = np.unique(np.asarray(candidate_items, dtype=np.int64))
+        # sorted and each once, as np.unique gives, without its numpy.ma import
+        candidates = np.sort(np.asarray(candidate_items, dtype=np.int64), axis=None)
+        first = np.ones(candidates.size, dtype=bool)
+        first[1:] = candidates[1:] != candidates[:-1]
+        candidates = candidates[first]
         if candidates.size and (candidates[0] < 0 or candidates[-1] >= n_items):
             raise IndexOutOfRange(f"candidate item outside [0, {n_items})")
         sim = model.s.submatrix(cols=candidates)

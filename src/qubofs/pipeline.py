@@ -250,7 +250,11 @@ def load_model(coo_path, sidecar_path) -> SimilarityModel:
         kind = ModelKind(meta["kind"])
     except ValueError as exc:
         raise ParseError(f"{sidecar_path}: {meta['kind']!r} is not a model kind") from exc
-    return SimilarityModel(SparseMatrix.load_coo(coo_path), kind, {name: meta[name] for name in names})
+    similarity = SparseMatrix.load_coo(coo_path)
+    try:
+        return SimilarityModel(similarity, kind, {name: meta[name] for name in names})
+    except ValueError as exc:
+        raise ParseError(f"{coo_path} and {sidecar_path} do not make a model: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -609,17 +613,26 @@ class Pipeline:
 
     def _build_grid_scores(self, rows: list[dict | None]) -> None:
         """Score every grid point that is None by the content-model search on
-        its selected features."""
+        its selected features. The search depends on the selection alone, so
+        each distinct selection is searched once, and not at all when a
+        loaded point already holds its score."""
         points = self.ensure_qubos()
         selections = self.ensure_selections()
         ds = self.ensure_dataset()
         cold = self.ensure_splits()
+        # selected features (mask bytes) -> (cbf_params, validation_score)
+        searched = {selections[index].x.astype(bool).tobytes(): (row["cbf_params"], row["validation_score"])
+                    for index, row in enumerate(rows) if row is not None}
         for index, row in enumerate(rows):
             if row is not None:
                 continue
             selection = selections[index]
             mask = selection.x.astype(bool)
-            params, score, _ = self._search_cbf(ds.icm.mask_cols(mask), cold)
+            key = mask.tobytes()
+            if key not in searched:
+                params, score, _ = self._search_cbf(ds.icm.mask_cols(mask), cold)
+                searched[key] = params, score
+            params, score = searched[key]
             row = {
                 "grid_index": index,
                 "params": points[index],

@@ -11,10 +11,13 @@ inverse-temperature ramp. Every row owns two RNG streams derived from
 coins) the initial assignment and then one uniform per flip. Each stream is
 read strictly in sequence, so a result depends neither on which other
 problems share the run nor on how the sweeps are run. They run one row at a
-time in a small C kernel (``_anneal.c``, built on first use by ``_native``)
-that draws from the rows' generators itself; where it cannot be built or
-disagrees with numpy, they run in numpy, all rows in lockstep over draw
-buffers bounded over the whole run. Both give identical results.
+time in a small C kernel (``_anneal.c``, built on first use by ``_native``
+with ``-O3``) that seeds and draws the rows' PCG64 streams itself, from
+SeedSequence words that ``_stream_words`` computes for all rows at once;
+where it cannot be built or disagrees with numpy, they run in numpy on real
+Generators, all rows in lockstep over draw buffers bounded over the whole
+run. That numpy path is the kernel's self-check oracle; both give identical
+results. Restarts that end in one state share one energy sum.
 """
 
 from __future__ import annotations
@@ -195,10 +198,11 @@ def solve_sa_many(
     flip order per sweep; the second, the coins, gives the initial
     ``random(n)`` and then one uniform per flip. Both are read in sequence.
 
-    The sweeps run in the compiled kernel (``_anneal.c``) when this machine
-    can build it and it passes its self-check, and otherwise in numpy, all
-    rows in lockstep over bounded draw buffers. Both paths read the same
-    draws and do the same arithmetic, so they return identical results.
+    The streams are seeded and the sweeps run in the compiled kernel
+    (``_anneal.c``) when this machine can build it and it passes its
+    self-check, and otherwise in numpy, all rows in lockstep over bounded
+    draw buffers. Both paths read the same draws and do the same arithmetic,
+    so they return identical results.
     """
     if not len(problems) == len(schedules) == len(seeds):
         raise ValueError("need one schedule and one seed per problem")
@@ -211,41 +215,37 @@ def solve_sa_many(
         raise DimensionMismatch("problems annealed together must share n")
     if any(s.sweeps != schedules[0].sweeps for s in schedules):
         raise ValueError("schedules annealed together must share the sweep count")
-    best_x = _anneal(problems, schedules, num_samples, seeds, _load_kernel() or _sweep_numpy)
+    best_x = _anneal(problems, schedules, num_samples, seeds, _load_kernel() or _NUMPY)
 
     results = []
     for p, (problem, seed) in enumerate(zip(problems, seeds)):
-        own = [
-            SelectionResult(
-                x=bx.copy(),
-                energy=energy(problem, bx),
-                solver="sa",
-                seed=seed,
-                samples_drawn=num_samples,
-            )
-            for bx in best_x[p * num_samples:(p + 1) * num_samples]
-        ]
+        # restarts often end in one state: sum each distinct state once
+        energies: dict[bytes, float] = {}
+        own = []
+        for bx in best_x[p * num_samples:(p + 1) * num_samples]:
+            key = bx.tobytes()
+            if key not in energies:
+                energies[key] = energy(problem, bx)
+            own.append(SelectionResult(x=bx.copy(), energy=energies[key], solver="sa",
+                                       seed=seed, samples_drawn=num_samples))
         own.sort(key=lambda r: r.energy)
         results.append(own)
     return results
 
 
-def _anneal(problems, schedules, num_samples, seeds, sweep) -> np.ndarray:
+def _anneal(problems, schedules, num_samples, seeds, path) -> np.ndarray:
     """The best assignment each row visited, one row per (problem, restart).
-    The state before the first sweep is set up here, in numpy, whichever
-    ``sweep`` runs the sweeps."""
+    ``path`` is a (start, sweep) pair: ``start`` seeds every row's streams
+    and draws its initial assignment, numpy sets up the field and energy of
+    that state, and ``sweep`` runs the sweeps."""
+    start, sweep = path
     n = problems[0].n
-    n_rows = len(problems) * num_samples
-    streams = [[np.random.Generator(np.random.PCG64(c)) for c in child.spawn(2)]
-               for seed in seeds for child in np.random.SeedSequence(seed).spawn(num_samples)]
+    streams, x = start(seeds, num_samples, n)
     q_stack = np.concatenate([p.q for p in problems])
     neg_betas = -np.stack([s.betas() for s in schedules])
 
-    x = np.empty((n_rows, n))
-    for r, (_, coins) in enumerate(streams):
-        x[r] = coins.random(n) < 0.5
-    field = np.empty((n_rows, n))
-    current = np.empty(n_rows)
+    field = np.empty_like(x)
+    current = np.empty(len(x))
     for p, problem in enumerate(problems):
         rows = slice(p * num_samples, (p + 1) * num_samples)
         field[rows] = x[rows] @ problem.q
@@ -256,12 +256,86 @@ def _anneal(problems, schedules, num_samples, seeds, sweep) -> np.ndarray:
     return best_x
 
 
+# numpy's SeedSequence mixing (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words and its hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix of uint32 arrays; each call moves the hash
+    constant on, as numpy's does."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> 16
+
+
+def _stream_words(seeds, num_samples) -> np.ndarray:
+    """``SeedSequence(seeds[p]).spawn(num_samples)[s].spawn(2)[k]
+    .generate_state(4, np.uint64)`` at ``[p * num_samples + s, k]``, for k = 0
+    (the orders) and 1 (the coins): numpy's documented mixing on uint32
+    arrays, every row at once. A negative seed is a ``ValueError``, as for
+    ``SeedSequence``."""
+    # each seed's uint32 words, low first, zero-padded to the pool size as
+    # for any spawned SeedSequence; seeds of one length mix alike
+    entropy: dict[int, list[list[int]]] = {}
+    members: dict[int, list[int]] = {}
+    for p, seed in enumerate(map(int, seeds)):
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        length = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+        entropy.setdefault(length, []).append([seed >> 32 * i & 0xFFFFFFFF for i in range(length)])
+        members.setdefault(length, []).append(p)
+    words = np.empty((len(seeds), num_samples, 2, 4), dtype=np.uint64)
+    spawn_key = [np.arange(num_samples, dtype=np.uint32)[None, :, None],
+                 np.arange(2, dtype=np.uint32)[None, None, :]]
+    for length, run in entropy.items():
+        values = list(np.array(run, dtype=np.uint32).T[:, :, None, None]) + spawn_key
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(value) for value in values[:_POOL_SIZE]]
+        for i_src in range(_POOL_SIZE):
+            for i_dst in range(_POOL_SIZE):
+                if i_src != i_dst:
+                    pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+        for value in values[_POOL_SIZE:]:
+            for i_dst in range(_POOL_SIZE):
+                pool[i_dst] = _mix(pool[i_dst], hashmix(value))
+        output = _hasher(_INIT_B, _MULT_B)
+        state = [output(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        words[members[length]] = np.stack([state[2 * j] | state[2 * j + 1] << 32 for j in range(4)],
+                                          axis=-1)
+    return words.reshape(-1, 2, 4)
+
+
+def _start_numpy(seeds, num_samples, n):
+    """Each row's (orders, coins) Generators, and its initial assignment: the
+    coins' first n uniforms below 0.5."""
+    streams = [[np.random.Generator(np.random.PCG64(c)) for c in child.spawn(2)]
+               for seed in seeds for child in np.random.SeedSequence(seed).spawn(num_samples)]
+    x = np.empty((len(streams), n))
+    for r, (_, coins) in enumerate(streams):
+        x[r] = coins.random(n) < 0.5
+    return streams, x
+
+
 @functools.cache
 def _load_kernel():
-    """The compiled sweeps as a drop-in for ``_sweep_numpy``, or None when
-    ``_anneal.c`` cannot be built or loaded here, or when it disagrees with
-    numpy on a small problem: the kernel relies on how numpy shuffles and on
-    libm's ``exp``, neither of which numpy promises."""
+    """The compiled (start, sweep) pair as a drop-in for ``_NUMPY``, or None
+    when ``_anneal.c`` cannot be built or loaded here, or when it disagrees
+    with numpy on a small problem: the kernel relies on how numpy seeds,
+    draws and shuffles and on libm's ``exp``, none of which numpy promises."""
     import ctypes
 
     from . import _native
@@ -269,33 +343,37 @@ def _load_kernel():
     lib = _native.load_library("_anneal")
     if lib is None:
         return None
-    kernel = lib.anneal_rows
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    kernel.argtypes = [ctypes.c_int64] * 4 + [doubles] * 2 + [
-        np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")] + [doubles] * 4 + [
+    words = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
+    lib.seed_rows.argtypes = [ctypes.c_int64] * 2 + [words, doubles]
+    lib.seed_rows.restype = None
+    lib.anneal_rows.argtypes = [ctypes.c_int64] * 4 + [doubles] * 2 + [words] + [doubles] * 4 + [
         np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS"),
         np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")]
-    kernel.restype = None
-    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    lib.anneal_rows.restype = None
+
+    def start(seeds, num_samples, n):
+        # each row's (orders, coins) seed words, then their PCG64 states
+        streams = _stream_words(seeds, num_samples)
+        x = np.empty((len(streams), n))
+        lib.seed_rows(len(streams), n, streams, x)
+        return streams, x
 
     def sweep(streams, q_stack, neg_betas, num_samples, x, field, current, best_energy, best_x):
-        # each row's (orders, coins) bitgen_t pointers, in row order
-        bitgens = np.array([capsule_pointer(g.bit_generator.capsule, b"BitGenerator")
-                            for row in streams for g in row], dtype=np.uintp)
         n_rows, n = x.shape
-        kernel(n_rows, n, neg_betas.shape[1], num_samples, q_stack, neg_betas, bitgens,
-               x, field, current, best_energy, best_x, np.empty(n, dtype=np.int64))
+        lib.anneal_rows(n_rows, n, neg_betas.shape[1], num_samples, q_stack, neg_betas, streams,
+                        x, field, current, best_energy, best_x, np.empty(n, dtype=np.int64))
 
     # 2^12 states, few sweeps and a ramp on which the coins decide many
-    # moves: each row's best state depends on its draws
+    # moves: each row's best state depends on its draws. The second seed
+    # has more than four uint32 words, so SeedSequence pads the first only.
     rng = np.random.default_rng(0)
     problems = [QuboProblem(q=q + q.T) for q in rng.normal(size=(2, 12, 12))]
     schedules = [AnnealSchedule(sweeps=4, beta_start=0.3, beta_end=1.0)] * 2
-    check = (problems, schedules, 3, [1, 2])
-    if not np.array_equal(_anneal(*check, sweep), _anneal(*check, _sweep_numpy)):
+    check = (problems, schedules, 3, [1, 2**128 + 2])
+    if not np.array_equal(_anneal(*check, (start, sweep)), _anneal(*check, _NUMPY)):
         return None
-    return sweep
+    return start, sweep
 
 
 def _sweep_numpy(streams, q_stack, neg_betas, num_samples, x, field, current,
@@ -349,3 +427,6 @@ def _sweep_numpy(streams, q_stack, neg_betas, num_samples, x, field, current,
                 if improved.size:
                     best_energy[improved] = current[improved]
                     best_x[improved] = x[improved]
+
+
+_NUMPY = (_start_numpy, _sweep_numpy)

@@ -12,6 +12,7 @@ import pytest
 from qubofs import cli, errors, pipeline
 from qubofs.cli import COMMANDS, build_parser, main
 from qubofs.config import ExperimentConfig
+from qubofs.sparse import SparseMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -196,6 +197,20 @@ class TestStartup:
 
     def test_imports(self):
         assert self.scipy_modules_after("import sys\nimport qubofs.cli, qubofs.pipeline") == []
+
+    def test_fresh_pipeline_and_resume_skip_numpy_ma(self, tmp_path):
+        """numpy.ma costs a process about 10 ms to import; np.unique imports
+        it, so the pipeline calls none."""
+        config, out = write_config(tmp_path, solver={"kind": "sa", "num_samples": 4}), tmp_path / "run"
+        run = ("import sys\nfrom qubofs.cli import main\nassert main(sys.argv[1:]) == 0\n"
+               "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+        argv = ("pipeline", "--config", str(config), "--out", str(out))
+        for _ in ("fresh", "resume"):
+            child = run_python(run, *argv)
+            assert child.returncode == 0, child.stderr
+            assert ast.literal_eval(child.stdout.strip().splitlines()[-1]) == []
+            shutil.rmtree(out / "reports")
+            (out / "manifest.json").unlink()
 
     def test_setup_probe(self, tmp_path):
         config, out = write_config(tmp_path), tmp_path / "probe"
@@ -410,6 +425,27 @@ class TestExitCodes:
             assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
             err = capsys.readouterr().err
             assert err.startswith("data error:") and str(path) in err
+
+    @pytest.mark.parametrize("edit", ["diagonal entry", "row above topK"])
+    def test_similarity_breaking_its_invariants_is_data_error(self, tmp_path, capsys, edit):
+        """A stored similarity that no model can hold, with an entry on its
+        diagonal or a row of more entries than its sidecar's topK, exits 3
+        naming the file instead of a ValueError."""
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        similarity, sidecar = out / "cbf_all/similarity.coo", out / "cbf_all/model.json"
+        if edit == "diagonal entry":
+            dense = SparseMatrix.load_coo(similarity).to_dense()
+            dense[0, 0] = 1.0
+            SparseMatrix.from_dense(dense).save_coo(similarity)
+        else:
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "topK": 1}))
+        shutil.rmtree(out / "reports")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(similarity) in err
 
     @pytest.mark.parametrize("name, edit, deleted", [
         ("dataset/labels.json", lambda text: "{", ()),

@@ -428,6 +428,40 @@ class TestGridResume:
         assert rewritten == {name for name in before if name.startswith(rebuilt)}
         assert len(calls) == searches
 
+    def test_each_distinct_selection_searched_once(self, tmp_path, monkeypatch):
+        """The content-model search of a grid point depends on its selection
+        alone: points 0 and 2, and 1 and 3, select the same features, so a
+        fresh run searches twice, and a rebuild of point 2 takes point 0's
+        score without a search. Each row is what its own search gives."""
+        cfg = tiny_config(qubo={"alpha": [1.0, 2.0], "beta": [0.001], "s": [100.0], "p": [0.25, 0.5]})
+        out = tmp_path / "run"
+        fresh = Pipeline(cfg, out)
+        masks = [s.x.astype(bool) for s in fresh.ensure_selections()]
+        keys = [m.tobytes() for m in masks]
+        assert keys[0] == keys[2] != keys[1] == keys[3]
+        fresh.ensure_cbf_all()
+        calls = []
+        search = pipeline.random_search
+
+        def counted_search(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "random_search", counted_search)
+        rows = fresh.ensure_grid_scores()
+        assert len(calls) == 2
+        ds, cold = fresh.ensure_dataset(), fresh.ensure_splits()
+        for row, mask in zip(rows, masks):
+            params, score, _ = fresh._search_cbf(ds.icm.mask_cols(mask), cold)
+            assert (row["cbf_params"], row["validation_score"]) == (params, score)
+        fresh.run()
+        before = tree_hashes(out)
+        (out / "cbf_sel/grid_002/result.json").unlink()
+        calls.clear()
+        Pipeline(cfg, out).ensure_grid_scores()
+        assert tree_hashes(out) == before
+        assert calls == []
+
     def test_point_rebuilt_from_pair_matrices_on_disk(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         Pipeline(tiny_config(), out).ensure_qubos()

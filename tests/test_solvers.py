@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch, TooLarge
@@ -332,6 +332,35 @@ def reference_sa(problem, schedule, num_samples, seed):
     return sorted(results, key=lambda r: r[0])
 
 
+def seed_sequence_words(seeds, num_samples):
+    """What ``solvers._stream_words`` computes, from numpy's SeedSequence."""
+    return np.array([[g.generate_state(4, np.uint64) for g in child.spawn(2)]
+                     for seed in seeds for child in np.random.SeedSequence(seed).spawn(num_samples)],
+                    dtype=np.uint64).reshape(-1, 2, 4)
+
+
+class TestStreamWords:
+    # one uint32 word, the largest one, two words, a full pool, and more
+    # words than the pool holds (no zero padding)
+    EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**130 + 7, 2**300 + 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64),
+                              st.integers(0, 2**400)), min_size=1, max_size=4),
+           st.integers(1, 40))
+    @example(EDGE_SEEDS, 3)
+    def test_matches_seed_sequence(self, seeds, num_samples):
+        words = solvers._stream_words(seeds, num_samples)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, seed_sequence_words(seeds, num_samples))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            solvers._stream_words([4, -1], 2)
+
+
 class TestSolveSaGolden:
     def test_pinned_restarts(self):
         # integer coefficients keep every energy exact; the values pin the
@@ -447,6 +476,26 @@ class TestSolveSaMany:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_restarts_sharing_a_state(self):
+        # a short ramp on a small problem: the 40 restarts end in three
+        # states, 2, 8 and 30 times; each state's energy is summed once and
+        # handed to every restart that ends there
+        rng = np.random.default_rng(35)
+        p = random_problem(rng, 6, with_offset=True)
+        sch = AnnealSchedule(sweeps=5, beta_start=0.1, beta_end=0.5)
+        summed = []
+
+        def counted(problem, x):
+            summed.append(x.tobytes())
+            return energy(problem, x)
+
+        with mock.patch.object(solvers, "energy", counted):
+            results = solve_sa_many([p], [sch], 40, [12])[0]
+        distinct = {r.x.tobytes() for r in results}
+        assert len(distinct) == 3
+        assert sorted(summed) == sorted(distinct)
+        assert as_tuples(results) == reference_sa(p, sch, 40, 12)
 
     def test_empty(self):
         assert solve_sa_many([], [], 5, []) == []
@@ -587,6 +636,21 @@ class TestKernelBuild:
         wrong = code.replace(b"i > 0; i--", b"i > 1; i--")
         assert wrong != code
         monkeypatch.setattr(_native, "source", lambda name: wrong)
+        assert solvers._load_kernel() is None
+        assert len(cache.compiles) == 1
+        self.check_reference()
+
+    @pytest.mark.parametrize("right, wrong", [
+        (b"0x4385df649fccf645ULL", b"0x4385df649fccf64dULL"),
+        (b"orders = load(streams + 8 * r);\n        pcg64_t coins = load(streams + 8 * r + 4);",
+         b"orders = load(streams + 8 * r + 4);\n        pcg64_t coins = load(streams + 8 * r);"),
+        (b"rng->has_uint32 = 1;", b"rng->has_uint32 = 0;"),
+    ], ids=["PCG64 multiplier", "orders and coins swapped", "high half of a draw dropped"])
+    def test_self_check_sees_a_wrong_stream(self, cache, monkeypatch, right, wrong):
+        self.require_compiler()
+        code = _native.source("_anneal")
+        assert right in code
+        monkeypatch.setattr(_native, "source", lambda name: code.replace(right, wrong))
         assert solvers._load_kernel() is None
         assert len(cache.compiles) == 1
         self.check_reference()
