@@ -18,9 +18,11 @@ stage loads its complete points and builds only the others. The dataset stage
 parses and preprocesses the input TSVs once (a synthetic dataset's come from
 the synth stage) and stores the result as archives, so a resume reads those
 and never the text. The collaborative stage draws its holdout itself and
-stores none. Every file is written atomically, so a killed run resumes without
-cleanup and deleting any artifact but the pin regenerates only its stage or
-grid point when a command asks for that stage.
+stores none. The three model stages store no similarity, only a sidecar with
+the model's kind and hyperparameters, from which a load fits it again. Every
+file is written atomically, so a killed run resumes without cleanup and
+deleting any artifact but the pin regenerates only its stage or grid point
+when a command asks for that stage.
 
 A run directory is pinned to what it was built from by one file,
 ``config.resolved.json``: the canonical config, and for a ``dataset.files``
@@ -47,10 +49,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, FilesSpec
+from .config import ExperimentConfig, FilesSpec, _check_value
 from .data import (
     ColdSplit,
     Dataset,
+    HoldoutSplit,
     build_dataset,
     cold_item_split,
     load_cold_split,
@@ -224,21 +227,21 @@ def fit_cbf(icm: SparseMatrix, params: dict) -> SimilarityModel:
     return replace(model, hyperparams={**model.hyperparams, "weighting": weighting})
 
 
-def save_model(model: SimilarityModel, coo_path, sidecar_path, **extra) -> None:
-    """The similarity as a COO archive plus a JSON sidecar holding the kind,
-    the model's hyperparameters, their names as ``hyperparam_names``, and
-    ``extra``."""
-    model.s.save_coo(coo_path)
+def save_model(model: SimilarityModel, sidecar_path, **extra) -> None:
+    """The model as a JSON sidecar holding the kind, the model's
+    hyperparameters, their names as ``hyperparam_names``, and ``extra``: all
+    that ``load_model`` needs to fit it again."""
     write_json(sidecar_path, {
         "kind": model.kind.value, **model.hyperparams,
         "hyperparam_names": sorted(model.hyperparams), **extra,
     })
 
 
-def load_model(coo_path, sidecar_path) -> SimilarityModel:
-    """The model ``save_model`` stored. A sidecar whose ``kind`` is not a
-    model kind, or whose ``hyperparam_names`` is not a list of strings that
-    are its keys, is a ``ParseError`` naming the file."""
+def load_model(sidecar_path, fit: Callable[[dict], SimilarityModel]) -> SimilarityModel:
+    """``fit`` of the hyperparameters ``save_model`` stored. A sidecar whose
+    ``hyperparam_names`` is not a list of strings that are its keys, holding
+    values no search space may give or ``fit`` refuses, or another kind or
+    hyperparameters than the fitted model's, is a ``ParseError`` naming it."""
     meta = read_json(sidecar_path, "kind", "hyperparam_names")
     names = meta["hyperparam_names"]
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
@@ -246,15 +249,16 @@ def load_model(coo_path, sidecar_path) -> SimilarityModel:
     missing = [name for name in names if name not in meta]
     if missing:
         raise ParseError(f"{sidecar_path}: no {', '.join(map(repr, missing))} key")
+    params = {name: meta[name] for name in names}
     try:
-        kind = ModelKind(meta["kind"])
-    except ValueError as exc:
-        raise ParseError(f"{sidecar_path}: {meta['kind']!r} is not a model kind") from exc
-    similarity = SparseMatrix.load_coo(coo_path)
-    try:
-        return SimilarityModel(similarity, kind, {name: meta[name] for name in names})
-    except ValueError as exc:
-        raise ParseError(f"{coo_path} and {sidecar_path} do not make a model: {exc}") from exc
+        for name, value in params.items():
+            _check_value(name, name, value)
+        model = fit(params)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{sidecar_path}: hyperparameters that fit no model ({exc})") from exc
+    if (model.kind.value, model.hyperparams) != (meta["kind"], params):
+        raise ParseError(f"{sidecar_path}: its values fit a {model.kind.value} model with {model.hyperparams}")
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -473,27 +477,31 @@ class Pipeline:
 
     # -- stage: collaborative model ----------------------------------------
 
+    def _cf_fit(self) -> tuple[Callable[[dict], SimilarityModel], HoldoutSplit]:
+        """A case's collaborative model, fitted on the per-user holdout of the
+        warm interactions, and that holdout, which serves this stage alone."""
+        cold = self.ensure_splits()
+        holdout = user_holdout_split(cold.train + cold.validation, self.cfg.split.holdout_quota,
+                                     seed=derive_seed(self.cfg.seed, "holdout"))
+        return partial(fit_collaborative, self.cfg.collaborative.kind, holdout.train,
+                       seed=derive_seed(self.cfg.seed, "cf-fit")), holdout
+
     def _build_cf_model(self) -> SimilarityModel:
         kind = self.cfg.collaborative.kind
         ds = self.ensure_dataset()
-        cold = self.ensure_splits()
-        # the per-user holdout of the warm interactions serves this search alone
-        holdout = user_holdout_split(cold.train + cold.validation, self.cfg.split.holdout_quota,
-                                     seed=derive_seed(self.cfg.seed, "holdout"))
-        fit_seed = derive_seed(self.cfg.seed, "cf-fit")
+        fit, holdout = self._cf_fit()
         space = dict(self.cfg.collaborative.resolved_space())
         if kind == "pure_svd":
             spec = dict(space["num_factors"])
             spec["high"] = min(spec["high"], ds.n_users, ds.n_items)
             spec["low"] = min(spec["low"], spec["high"])
             space["num_factors"] = spec
-        fit = partial(fit_collaborative, kind, holdout.train, seed=fit_seed)
         best, best_score, cases = self._search("cf-search", space, self.cfg.collaborative.n_cases,
                                                fit, holdout.train, holdout.validation, None,
                                                "precision")
         model = fit(best)
-        similarity, sidecar, search = self._files("cf_model")
-        save_model(model, similarity, sidecar, validation_precision=best_score, seed=fit_seed)
+        sidecar, search = self._files("cf_model")
+        save_model(model, sidecar, validation_precision=best_score, seed=fit.keywords["seed"])
         write_tsv(search, ("case", "params", "score"), (
             (index, json.dumps(params, sort_keys=True), score)
             for index, (params, score) in enumerate(cases)
@@ -654,12 +662,14 @@ class Pipeline:
         best = max(range(len(rows)), key=lambda i: (rows[i]["validation_score"], -i))
         return rows[best]
 
+    def _winner_icm(self) -> SparseMatrix:
+        """The item features the winning grid point selected."""
+        selection = self.ensure_selections()[self._winner()["grid_index"]]
+        return self.ensure_dataset().icm.mask_cols(selection.x.astype(bool))
+
     def _build_final(self) -> SimilarityModel:
         winner = self._winner()
-        ds = self.ensure_dataset()
-        selections = self.ensure_selections()
-        mask = selections[winner["grid_index"]].x.astype(bool)
-        final_model = fit_cbf(ds.icm.mask_cols(mask), winner["cbf_params"])
+        final_model = fit_cbf(self._winner_icm(), winner["cbf_params"])
         save_model(final_model, *self._files("final"),
                    grid_index=winner["grid_index"], n_selected=winner["n_selected"])
         return final_model
@@ -744,22 +754,21 @@ STAGES = {
                 Pipeline._build_dataset, Pipeline._load_dataset),
     "splits": (("splits/split.json",), Pipeline._build_splits,
                lambda p: load_cold_split(p.ensure_dataset().urm, *p._files("splits"))),
-    "cf_model": (("cf_model/similarity.coo", "cf_model/model.json", "cf_model/search.tsv"),
-                 Pipeline._build_cf_model, lambda p: load_model(*p._files("cf_model")[:2])),
-    "cbf_all": (("cbf_all/similarity.coo", "cbf_all/model.json"),
-                Pipeline._build_cbf_all, lambda p: load_model(*p._files("cbf_all"))),
+    "cf_model": (("cf_model/model.json", "cf_model/search.tsv"), Pipeline._build_cf_model,
+                 lambda p: load_model(p._files("cf_model")[0], p._cf_fit()[0])),
+    "cbf_all": (("cbf_all/model.json",), Pipeline._build_cbf_all,
+                lambda p: load_model(*p._files("cbf_all"), partial(fit_cbf, p.ensure_dataset().icm))),
     "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
                "qubo/grid_{i:03d}/qubo.json"),
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
-    "selections": (("selections/grid_{i:03d}/selection.json",),
-                   Pipeline._build_selections,
-                   lambda p, i: load_selection(p._files("selections", i)[0])),
+    "selections": (("selections/grid_{i:03d}/selection.json",), Pipeline._build_selections,
+                   lambda p, i: load_selection(p._files("selections", i)[0], p.ensure_dataset().n_features)),
     "grid_scores": (("cbf_sel/grid_{i:03d}/result.json",),
                     Pipeline._build_grid_scores,
                     lambda p, i: read_json(p._files("grid_scores", i)[0], "grid_index", "params",
                                            "cbf_params", "validation_score", "n_selected", "energy")),
-    "final": (("final/similarity.coo", "final/model.json"),
-              Pipeline._build_final, lambda p: load_model(*p._files("final"))),
+    "final": (("final/model.json",), Pipeline._build_final,
+              lambda p: load_model(*p._files("final"), partial(fit_cbf, p._winner_icm()))),
     "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",
                  "reports/feature_stats.tsv"),
                 Pipeline._build_reports, lambda p: read_json(p._files("reports")[0])),

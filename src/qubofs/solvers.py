@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, ParseError, TooLarge
 from .fileio import read_json, write_json
 from .qubo import QuboProblem
 
@@ -93,9 +93,14 @@ def save_selection(result: SelectionResult, path) -> None:
     write_json(path, result.to_json_dict())
 
 
-def load_selection(path) -> SelectionResult:
-    return SelectionResult.from_json_dict(
-        read_json(path, *(f.name for f in fields(SelectionResult))))
+def load_selection(path, n: int | None = None) -> SelectionResult:
+    """The result ``save_selection`` stored; an ``x`` that is not a list of 0/1
+    integers, ``n`` of them if ``n`` is given, is a ``ParseError`` naming the path."""
+    d = read_json(path, *(f.name for f in fields(SelectionResult)))
+    if not (isinstance(d["x"], list) and n in (None, len(d["x"]))
+            and all(type(v) is int and v in (0, 1) for v in d["x"])):
+        raise ParseError(f"{path}: x is not a list of {'' if n is None else f'{n} '}0/1 integers")
+    return SelectionResult.from_json_dict(d)
 
 
 def energy(problem: QuboProblem, x: np.ndarray) -> float:
@@ -226,7 +231,7 @@ def solve_sa_many(
             key = bx.tobytes()
             if key not in energies:
                 energies[key] = energy(problem, bx)
-            own.append(SelectionResult(x=bx.copy(), energy=energies[key], solver="sa",
+            own.append(SelectionResult(x=bx, energy=energies[key], solver="sa",
                                        seed=seed, samples_drawn=num_samples))
         own.sort(key=lambda r: r.energy)
         results.append(own)

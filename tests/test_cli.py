@@ -426,27 +426,6 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("data error:") and str(path) in err
 
-    @pytest.mark.parametrize("edit", ["diagonal entry", "row above topK"])
-    def test_similarity_breaking_its_invariants_is_data_error(self, tmp_path, capsys, edit):
-        """A stored similarity that no model can hold, with an entry on its
-        diagonal or a row of more entries than its sidecar's topK, exits 3
-        naming the file instead of a ValueError."""
-        config = write_config(tmp_path)
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
-        similarity, sidecar = out / "cbf_all/similarity.coo", out / "cbf_all/model.json"
-        if edit == "diagonal entry":
-            dense = SparseMatrix.load_coo(similarity).to_dense()
-            dense[0, 0] = 1.0
-            SparseMatrix.from_dense(dense).save_coo(similarity)
-        else:
-            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "topK": 1}))
-        shutil.rmtree(out / "reports")
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(similarity) in err
-
     @pytest.mark.parametrize("name, edit, deleted", [
         ("dataset/labels.json", lambda text: "{", ()),
         ("splits/split.json", lambda text: "{", ()),
@@ -464,24 +443,45 @@ class TestExitCodes:
         ("cbf_all/model.json", edited("hyperparam_names", lambda v: v["hyperparam_names"] + ["zzz"]), ()),
         ("cbf_all/model.json", edited("hyperparam_names", lambda v: "topK"), ()),
         ("cbf_all/model.json", edited("kind", lambda v: "knn"), ()),
+        ("cbf_all/model.json", edited("topK", lambda v: 0), ()),
+        ("cbf_all/model.json", edited("weighting", lambda v: "zzz"), ()),
+        ("cbf_all/model.json", edited("kind", lambda v: "item_knn_cf"), ()),
+        ("cf_model/model.json", edited("num_factors", lambda v: 31), ("qubo/keep.coo", "qubo/grid_000")),
+        ("selections/grid_000/selection.json", edited("x", lambda v: [300] + v["x"][1:]),
+         ("cbf_sel", "final")),
+        ("selections/grid_000/selection.json", edited("x", lambda v: ["a"] + v["x"][1:]),
+         ("cbf_sel", "final")),
+        ("selections/grid_000/selection.json", edited("x", lambda v: [2] + v["x"][1:]),
+         ("cbf_sel", "final")),
+        ("selections/grid_000/selection.json", edited("x", lambda v: v["x"][1:]), ("cbf_sel", "final")),
     ], ids=["labels not JSON", "split not JSON", "labels short of a user", "split not an object",
             "split without its items", "selection not an object", "split item beyond the items",
             "split item negative", "split item not an integer", "split item repeated",
             "split item in both lists", "model without a named hyperparameter",
-            "model hyperparameter names not a list", "model of an unknown kind"])
+            "model hyperparameter names not a list", "model of an unknown kind",
+            "model topK below one", "model weighting unknown", "model of another kind",
+            "model rank beyond the matrix", "selection entry out of int8",
+            "selection entry a string", "selection entry not binary", "selection short of a feature"])
     def test_corrupt_sidecar_is_data_error(self, tmp_path, capsys, name, edit, deleted):
         """A JSON sidecar that does not parse, is not an object or lacks a key
         its loader reads; labels that do not fit the stored matrices; cold
-        items outside the interactions, repeated or in both lists; or a model
-        whose kind or hyperparameter names do not hold: each exits 3 naming
-        the file instead of a traceback. The stages in ``deleted`` are
-        deleted too, so that the evaluation reaches the file."""
-        config = write_config(tmp_path)
+        items outside the interactions, repeated or in both lists; a model
+        whose kind or hyperparameter names do not hold, or whose values fit
+        no model or another kind of model than the one named; or a selection
+        that is not one 0/1 integer per feature: each exits 3 naming the file
+        instead of a traceback. The collaborative model is ``pure_svd``, whose
+        rank the matrix bounds. The files and stages in ``deleted`` are
+        deleted too, so that the evaluation reaches the file: a partial QUBO
+        rebuild fits the collaborative model again."""
+        config = write_config(tmp_path, collaborative={"kind": "pure_svd", "n_cases": 3})
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         (out / name).write_text(edit((out / name).read_text()))
         for stage in ("reports", *deleted):
-            shutil.rmtree(out / stage)
+            if (out / stage).is_dir():
+                shutil.rmtree(out / stage)
+            else:
+                (out / stage).unlink()
         capsys.readouterr()
         assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -235,8 +235,7 @@ class TestPipeline:
         Pipeline(cfg, out).run()
         before = tree_hashes(out)
         # wipe the last two stages and re-run
-        for name in ("reports/report.json", "reports/report.tsv",
-                      "final/similarity.coo", "final/model.json"):
+        for name in ("reports/report.json", "reports/report.tsv", "final/model.json"):
             (out / name).unlink()
         Pipeline(cfg, out).run()
         after = tree_hashes(out)
@@ -304,29 +303,31 @@ class TestPipeline:
     @pytest.mark.parametrize("kind", ["item_knn_cf", "rp3beta", "pure_svd"])
     def test_run_without_product_kernel(self, tmp_path, monkeypatch, kind):
         """The numpy products (``cosine_knn``'s composition included) write
-        the product kernel's run tree byte for byte."""
+        the product kernel's run tree byte for byte and fit the same three
+        similarities, which no run stores."""
         cfg = tiny_config(collaborative={"kind": kind, "n_cases": 4})
-        Pipeline(cfg, tmp_path / "kernel").run()
+        runs = {"kernel": Pipeline(cfg, tmp_path / "kernel")}
+        runs["kernel"].run()
         monkeypatch.setattr(sparse, "_load_kernel", lambda: None)
-        Pipeline(cfg, tmp_path / "numpy").run()
-        kernel, fallback = (tree_hashes(tmp_path / run) for run in ("kernel", "numpy"))
-        assert {"cf_model/similarity.coo", "cbf_all/similarity.coo", "reports/report.json"} <= set(kernel)
+        runs["numpy"] = Pipeline(cfg, tmp_path / "numpy")
+        runs["numpy"].run()
+        kernel, fallback = (tree_hashes(tmp_path / run) for run in runs)
+        assert {"cf_model/model.json", "cbf_all/model.json", "reports/report.json"} <= set(kernel)
         assert kernel == fallback
+        for name in ("cf_model", "cbf_all", "final"):
+            built, refit = (getattr(run, f"ensure_{name}")() for run in runs.values())
+            assert built.s.nnz and built.s == refit.s, name
 
-    @pytest.mark.parametrize("kind", ["item_knn_cf", "pure_svd"])
+    @pytest.mark.parametrize("kind", ["item_knn_cf", "rp3beta", "pure_svd"])
     def test_loaded_models_equal_built_ones(self, tmp_path, kind):
-        """A resumed run sees the models a fresh run built: the same
-        similarity, kind and hyperparameters."""
-        out = tmp_path / "run"
-        run = Pipeline(tiny_config(collaborative={"kind": kind, "n_cases": 2}), out)
-        built = {
-            "cf_model": run.ensure_cf_model(),
-            "cbf_all": run.ensure_cbf_all(),
-            "final": run.ensure_final(),
-        }
-        for name, model in built.items():
-            loaded = pipeline.load_model(out / name / "similarity.coo", out / name / "model.json")
-            assert loaded == model, name
+        """A resumed run fits again, from the stored sidecars, the models a
+        fresh run built: the same similarity, kind and hyperparameters."""
+        cfg, out = tiny_config(collaborative={"kind": kind, "n_cases": 2}), tmp_path / "run"
+        built, resumed = Pipeline(cfg, out), Pipeline(cfg, out)
+        for name in ("cf_model", "cbf_all", "final"):
+            model = getattr(built, f"ensure_{name}")()
+            assert getattr(resumed, f"ensure_{name}")() == model, name
+        assert not list(out.rglob("similarity.coo"))
 
 
 class TestSelectionResume:
@@ -882,15 +883,30 @@ class TestDatasetStage:
         assert tree_hashes(out) == before
 
 
+def test_resume_beside_stored_similarities(tmp_path):
+    """A run directory of an earlier version, which stored each model's
+    similarity as ``similarity.coo`` beside its sidecar, resumes to the same
+    reports and leaves those archives as they were."""
+    cfg = tiny_config(collaborative={"kind": "rp3beta", "n_cases": 2})
+    out = tmp_path / "run"
+    run = Pipeline(cfg, out)
+    run.run()
+    for name in ("cf_model", "cbf_all", "final"):
+        getattr(run, f"ensure_{name}")().s.save_coo(out / name / "similarity.coo")
+    before = tree_hashes(out)
+    shutil.rmtree(out / "reports")
+    Pipeline(cfg, out).run()
+    assert tree_hashes(out) == before
+
+
 def test_resume_from_64_bit_archives(tmp_path, monkeypatch):
     """A run whose .coo files hold int64 index arrays, as earlier versions
-    wrote them, resumes to the same reports and final model, and every matrix
-    it loads has 32-bit indices."""
+    wrote them, resumes to the same reports, and every matrix it loads has
+    32-bit indices."""
     cfg = tiny_config()
     out = tmp_path / "run"
     Pipeline(cfg, out).run()
     reports = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
-    final = (out / "final/similarity.coo").read_bytes()
     for path in out.rglob("*.coo"):
         coo = sp.load_npz(path)
         coo.coords = tuple(c.astype(np.int64) for c in coo.coords)
@@ -913,7 +929,6 @@ def test_resume_from_64_bit_archives(tmp_path, monkeypatch):
     Pipeline(cfg, out).run()
     assert widths == {(np.dtype(np.int32), np.dtype(np.int32))}
     assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == reports
-    assert (out / "final/similarity.coo").read_bytes() == final
 
 
 class TestConfigParsing:
