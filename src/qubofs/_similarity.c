@@ -4,7 +4,7 @@
  * csr_matmat, the reference the tests compare with: A's row i entries in
  * order, each times its B row's entries in order, starting from 0; build with
  * -ffp-contract=off so that no multiply-add is fused. Each column's sum must
- * be finite (else the call returns 1) and is kept when its magnitude is at
+ * be finite (else the call returns -1) and is kept when its magnitude is at
  * least zero_epsilon, so a column that no term lands in, or whose terms
  * cancel, drops out. A row with few terms lists the columns they land in; a
  * row with many scans its dense sums.
@@ -17,7 +17,10 @@
  * never exists: the scratch is a few arrays of n_cols entries.
  *
  * Each row is written in ascending column order. The 32-bit index arrays are
- * read in place, as SparseMatrix stores them.
+ * read in place, as SparseMatrix stores them. A call writes the rows from
+ * first_row on into an output buffer of a given capacity and stops before
+ * the first row whose bound (the most entries it can keep) no longer fits,
+ * so the caller copies out each block and goes on from the row returned.
  */
 #include <math.h>
 #include <stdint.h>
@@ -59,27 +62,34 @@ static double kth_largest(double *x, int64_t n, int64_t k)
     return x[lo];
 }
 
-/* 0, or 1 when a sum or a normalised value is not finite. norms (n_rows, read
- * only when normalize is set) are A's row norms, and B's column norms too as
- * cosine mode runs on A @ A^T. acc (n_cols, zeros), touched_by (n_cols,
- * negative), cols, vals and sel (n_cols) are scratch. out_indptr
- * (n_rows + 1) receives the row pointers; out_indices and out_data hold
- * every row's bound: min(n_cols, the row's terms), and at most top_k in
- * cosine mode. */
+/* norms (n_rows, read only when normalize is set) are A's row norms, and
+ * B's column norms too as cosine mode runs on A @ A^T. acc (n_cols, zeros),
+ * touched_by (n_cols, negative), cols, vals and sel (n_cols) are scratch,
+ * kept from one call to the next. out_indptr (n_rows + 1, with
+ * out_indptr[first_row] set) receives the row pointers of the rows written;
+ * their entries fill out_indices and out_data from 0 on, capacity entries at
+ * most. A row's bound is min(n_cols, the row's terms), and at most top_k in
+ * cosine mode. Returns the first row not written (n_rows when all are), or -1
+ * when a sum or a normalised value is not finite. */
 int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t normalize,
-                     double shrink, double zero_epsilon,
+                     double shrink, double zero_epsilon, int64_t first_row, int64_t capacity,
                      const int32_t *a_indptr, const int32_t *a_indices, const double *a_data,
                      const int32_t *b_indptr, const int32_t *b_indices, const double *b_data,
                      const double *norms,
                      double *acc, int64_t *touched_by, int32_t *cols, double *vals, double *sel,
                      int64_t *out_indptr, int32_t *out_indices, double *out_data)
 {
+    const int64_t base = out_indptr[first_row];
     int64_t nnz = 0;
-    out_indptr[0] = 0;
-    for (int64_t i = 0; i < n_rows; i++) {
+    for (int64_t i = first_row; i < n_rows; i++) {
         int64_t terms = 0;
         for (int64_t jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++)
             terms += b_indptr[a_indices[jj] + 1] - b_indptr[a_indices[jj]];
+        int64_t bound = terms < n_cols ? terms : n_cols;
+        if (top_k && bound > top_k)
+            bound = top_k;
+        if (nnz + bound > capacity)
+            return i;
         int64_t n = 0;
         if (terms > n_cols / 32) {
             /* many terms: sum them, then find the nonzero sums by a scan */
@@ -115,14 +125,14 @@ int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t norm
             double g = acc[c];
             acc[c] = 0.0;
             if (!isfinite(g))
-                return 1;
+                return -1;
             if (fabs(g) < zero_epsilon)
                 continue;
             if (top_k) {
                 if (normalize) {
                     g = g / (norms[i] * norms[c] + shrink);
                     if (!isfinite(g))
-                        return 1;
+                        return -1;
                     if (fabs(g) < zero_epsilon)
                         continue;
                 }
@@ -152,7 +162,7 @@ int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t norm
             out_data[nnz] = vals[t];
             nnz++;
         }
-        out_indptr[i + 1] = nnz;
+        out_indptr[i + 1] = base + nnz;
     }
-    return 0;
+    return n_rows;
 }

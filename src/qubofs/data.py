@@ -16,7 +16,9 @@ randomized operations are pure functions of (input, seed).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -112,15 +114,19 @@ def _read_tsv(path, widths: tuple[int, ...]):
             yield line_no, fields
 
 
-def load_interactions(path, value_mode: str = "explicit") -> list[tuple[str, str, float]]:
-    """Read `user<TAB>item[<TAB>value]` lines; `#` comments skipped.
+def load_interactions(path, value_mode: str = "explicit") -> Iterator[tuple[str, str, float]]:
+    """Yield ``(user, item, value)`` for each `user<TAB>item[<TAB>value]` line,
+    in file order, as the file is read; `#` comments skipped.
 
     Missing values default to 1.0; ``implicit`` mode forces all values to 1. A
     value that is not a finite number is a ``ParseError`` naming its line.
     """
     if value_mode not in ("explicit", "implicit"):
         raise ValueError(f"unknown value_mode {value_mode!r}")
-    triplets = []
+    return _interactions(path, value_mode == "implicit")
+
+
+def _interactions(path, implicit: bool) -> Iterator[tuple[str, str, float]]:
     for line_no, (user, item, *rest) in _read_tsv(path, (2, 3)):
         value = 1.0
         if rest:
@@ -132,8 +138,7 @@ def load_interactions(path, value_mode: str = "explicit") -> list[tuple[str, str
                 raise ParseError(f"non-finite value {rest[0]!r}", line_no)
         if value < 0:
             raise NegativeValue(f"line {line_no}: negative value {value}")
-        triplets.append((user, item, 1.0 if value_mode == "implicit" else value))
-    return triplets
+        yield user, item, 1.0 if implicit else value
 
 
 def load_item_features(path) -> list[tuple[str, str]]:
@@ -141,32 +146,55 @@ def load_item_features(path) -> list[tuple[str, str]]:
     return [(item, feature) for _, (item, feature) in _read_tsv(path, (2,))]
 
 
+def _sorted_codes(index: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The labels of ``index`` (label -> code in first-seen order) sorted, and
+    each code's position among them."""
+    labels = sorted(index)
+    position = np.empty(len(labels), dtype=np.int64)
+    position[[index[label] for label in labels]] = np.arange(len(labels))
+    return tuple(labels), position
+
+
 def build_dataset(
-    interactions: list[tuple[str, str, float]],
+    interactions: Iterable[tuple[str, str, float]],
     item_features: list[tuple[str, str]],
 ) -> Dataset:
-    """Assemble a Dataset; the item space is the union of both sources."""
-    users = sorted({u for u, _, _ in interactions})
-    items = sorted({i for _, i, _ in interactions} | {i for i, _ in item_features})
-    features = sorted({f for _, f in item_features})
-    if not users or not items:
+    """Assemble a Dataset; the item space is the union of both sources, and
+    each label space is sorted.
+
+    The interactions are read in one pass, as ``load_interactions`` yields
+    them: each label gets an integer code in first-seen order, and the codes
+    and values go into flat arrays (16 bytes a line), which are then mapped
+    to sorted label order and canonicalised once, the values of repeated
+    (user, item) lines summed in the order given."""
+    u_index: dict[str, int] = {}
+    i_index: dict[str, int] = {}
+    user_codes, item_codes, values = array("i"), array("i"), array("d")
+    for user, item, value in interactions:
+        user_codes.append(u_index.setdefault(user, len(u_index)))
+        item_codes.append(i_index.setdefault(item, len(i_index)))
+        values.append(value)
+    for item, _ in item_features:
+        i_index.setdefault(item, len(i_index))
+    f_index = {f: k for k, f in enumerate(sorted({f for _, f in item_features}))}
+    if not u_index or not i_index:
         raise EmptyDataset("no users or items")
-    if not features:
+    if not f_index:
         raise EmptyDataset("no item features")
-    u_index = {u: k for k, u in enumerate(users)}
-    i_index = {i: k for k, i in enumerate(items)}
-    f_index = {f: k for k, f in enumerate(features)}
-    urm = SparseMatrix.from_triplets(
-        len(users),
-        len(items),
-        [(u_index[u], i_index[i], v) for u, i, v in interactions],
+    users, user_position = _sorted_codes(u_index)
+    items, item_position = _sorted_codes(i_index)
+    urm = SparseMatrix._canonical(
+        (len(users), len(items)),
+        user_position.take(np.frombuffer(user_codes, dtype=np.int32)),
+        item_position.take(np.frombuffer(item_codes, dtype=np.int32)),
+        np.frombuffer(values, dtype=np.float64),
     )
     # repeated (item, feature) pairs would sum above 1; deduplicate first
-    icm_pairs = {(i_index[i], f_index[f]) for i, f in item_features}
+    icm_pairs = {(int(item_position[i_index[i]]), f_index[f]) for i, f in item_features}
     icm = SparseMatrix.from_triplets(
-        len(items), len(features), [(i, f, 1.0) for i, f in sorted(icm_pairs)]
+        len(items), len(f_index), [(i, f, 1.0) for i, f in sorted(icm_pairs)]
     )
-    return Dataset(urm, icm, tuple(users), tuple(items), tuple(features))
+    return Dataset(urm, icm, users, items, tuple(f_index))
 
 
 def preprocess(

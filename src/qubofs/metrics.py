@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .errors import DegenerateCatalog
+
+# user pairs whose list overlaps ``mean_inter_list`` counts at once
+MIL_CHUNK_PAIRS = 512
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class EvalReport:
 
 def accuracy_metrics(
     recommended: Sequence[Sequence[int]],
-    relevant: Sequence[set[int]],
+    relevant: Sequence[Collection[int]],
     cutoff: int,
 ) -> tuple[float, float, float, float]:
     """(precision, recall, ndcg, map): macro averages over users with a
@@ -80,7 +83,7 @@ def accuracy_metrics(
 
 
 def _hit_matrix(
-    recommended: Sequence[Sequence[int]], relevant: Sequence[set[int]],
+    recommended: Sequence[Sequence[int]], relevant: Sequence[Collection[int]],
     rel_len: np.ndarray, cutoff: int,
 ) -> np.ndarray:
     """Bool users x cutoff: whether the item at each rank is relevant;
@@ -137,45 +140,63 @@ def mean_inter_list(
     seed: int = 0,
 ) -> float:
     """Mean over user pairs of 1 - |overlap| / cutoff; exact when the pair
-    count fits in max_pairs, otherwise a seeded uniform pair sample."""
+    count fits in max_pairs, otherwise a seeded uniform pair sample.
+
+    The lists' distinct items are held as one padded users x longest-list
+    array, and the overlaps are counted for ``MIL_CHUNK_PAIRS`` pairs at a
+    time; the terms are added one at a time, in pair order."""
     n_users = len(recommended)
     if n_users < 2:
         raise ValueError("need at least 2 users")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    sets = [set(int(i) for i in rec) for rec in recommended]
+    lists, pad = _padded_sets(recommended)
     total_pairs = n_users * (n_users - 1) // 2
     if total_pairs <= max_pairs:
-        pair_iter = (
-            (u, v) for u in range(n_users) for v in range(u + 1, n_users)
-        )
-        count = total_pairs
+        chosen = np.arange(total_pairs)
     else:
         rng = np.random.default_rng(seed)
         chosen = rng.choice(total_pairs, size=max_pairs, replace=False)
-        # decode triangular pair index: offsets[u] is the first index of row u
-        row_sizes = np.arange(n_users - 1, 0, -1)
-        offsets = np.concatenate([[0], np.cumsum(row_sizes)])
-        us = np.searchsorted(offsets, chosen, side="right") - 1
-        vs = chosen - offsets[us] + us + 1
-        pair_iter = zip(us.tolist(), vs.tolist())
-        count = max_pairs
+    # decode triangular pair index: offsets[u] is the first index of row u
+    row_sizes = np.arange(n_users - 1, 0, -1)
+    offsets = np.concatenate([[0], np.cumsum(row_sizes)])
     acc = 0.0
-    for u, v in pair_iter:
-        acc += 1.0 - len(sets[u] & sets[v]) / cutoff
-    return acc / count
+    for lo in range(0, chosen.size, MIL_CHUNK_PAIRS):
+        pairs = chosen[lo:lo + MIL_CHUNK_PAIRS]
+        us = np.searchsorted(offsets, pairs, side="right") - 1
+        a, b = lists[us], lists[pairs - offsets[us] + us + 1]
+        overlaps = ((a[:, :, None] == b[:, None, :]) & (a != pad)[:, :, None]).sum(axis=(1, 2))
+        for o in overlaps.tolist():
+            acc += 1.0 - o / cutoff
+    return acc / chosen.size
+
+
+def _padded_sets(recommended: Sequence[Sequence[int]]) -> tuple[np.ndarray, int]:
+    """Each list's distinct items as a row of an int64 array, the rest of the
+    row filled with a pad below every item, and the pad."""
+    n_users = len(recommended)
+    lengths = np.fromiter(map(len, recommended), dtype=np.int64, count=n_users)
+    # as int(item) would: lists of any integer type, and empty lists, join
+    items = np.concatenate(recommended, dtype=np.int64, casting="unsafe")
+    pad = int(items.min()) - 1 if items.size else 0
+    padded = np.full((n_users, max(1, int(lengths.max()))), pad, dtype=np.int64)
+    rank = np.arange(items.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    padded[np.repeat(np.arange(n_users), lengths), rank] = items
+    padded.sort(axis=1)
+    padded[:, 1:][padded[:, 1:] == padded[:, :-1]] = pad  # a repeated item counts once
+    return padded, pad
 
 
 def evaluate_recommendations(
     recommended: Sequence[Sequence[int]],
-    relevant: Sequence[set[int]],
+    relevant: Sequence[Collection[int]],
     cutoff: int,
     n_items: int,
     max_pairs: int = 10_000,
     seed: int = 0,
 ) -> EvalReport:
     """Full report over users with a non-empty relevant set."""
-    kept = [(rec, rel) for rec, rel in zip(recommended, relevant) if rel]
+    kept = [(rec, rel) for rec, rel in zip(recommended, relevant) if len(rel)]
     lists = [rec for rec, _ in kept]
     rels = [rel for _, rel in kept]
     precision, recall, ndcg, map_score = accuracy_metrics(lists, rels, cutoff)

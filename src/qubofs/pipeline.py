@@ -434,10 +434,18 @@ class Pipeline:
 
     # -- evaluation helpers -------------------------------------------------
 
+    def _warm_interactions(self) -> SparseMatrix:
+        """``cold.train + cold.validation``, the interactions outside the cold
+        test items, as one column mask of the dataset's interactions: the
+        split's matrices are disjoint column masks of them."""
+        warm = np.ones(self.ensure_dataset().n_items, dtype=bool)
+        warm[list(self.ensure_splits().cold_test_items)] = False
+        return self.ensure_dataset().urm.mask_cols(warm)
+
     @staticmethod
-    def _relevant(holdings: SparseMatrix) -> list[set[int]]:
-        """Each user's held-out items."""
-        return [set(holdings.row_entries(u)[0].tolist()) for u in range(holdings.n_rows)]
+    def _relevant(holdings: SparseMatrix) -> list[np.ndarray]:
+        """Each user's held-out items, ascending."""
+        return [holdings.row_entries(u)[0] for u in range(holdings.n_rows)]
 
     def _search(self, label: str, space: dict, n_cases: int, fit: Callable[[dict], SimilarityModel],
                 profiles: SparseMatrix, holdings: SparseMatrix, candidates: np.ndarray | None,
@@ -457,20 +465,17 @@ class Pipeline:
 
     def _full_report(self, model: SimilarityModel, profiles: SparseMatrix,
                      holdings: SparseMatrix, candidates: np.ndarray) -> EvalReport:
+        """The report of ``model`` ranking the ascending, distinct
+        ``candidates`` for ``profiles``, relevant where ``holdings`` hold an
+        entry among them."""
         ranked = score_and_rank(model, profiles, self.cfg.cutoff, candidate_items=candidates)
-        relevant = self._relevant(holdings)
         # reindex to the candidate catalog so coverage and concentration are
         # measured against the cold catalog only
-        local = {int(item): j for j, item in enumerate(sorted(candidates.tolist()))}
-        ranked_local = [[local[int(i)] for i in rec] for rec in ranked]
-        relevant_local = [
-            {local[i] for i in rel if i in local} for rel in relevant
-        ]
         return evaluate_recommendations(
-            ranked_local,
-            relevant_local,
+            [np.searchsorted(candidates, rec) for rec in ranked],
+            self._relevant(holdings.submatrix(cols=candidates)),
             cutoff=self.cfg.cutoff,
-            n_items=len(local),
+            n_items=candidates.size,
             max_pairs=self.cfg.max_pairs,
             seed=derive_seed(self.cfg.seed, "eval"),
         )
@@ -480,8 +485,7 @@ class Pipeline:
     def _cf_fit(self) -> tuple[Callable[[dict], SimilarityModel], HoldoutSplit]:
         """A case's collaborative model, fitted on the per-user holdout of the
         warm interactions, and that holdout, which serves this stage alone."""
-        cold = self.ensure_splits()
-        holdout = user_holdout_split(cold.train + cold.validation, self.cfg.split.holdout_quota,
+        holdout = user_holdout_split(self._warm_interactions(), self.cfg.split.holdout_quota,
                                      seed=derive_seed(self.cfg.seed, "holdout"))
         return partial(fit_collaborative, self.cfg.collaborative.kind, holdout.train,
                        seed=derive_seed(self.cfg.seed, "cf-fit")), holdout
@@ -682,7 +686,7 @@ class Pipeline:
         baseline_model = self.ensure_cbf_all()
 
         # retrain on train + validation, report on the cold test items
-        union_profiles = cold.train + cold.validation
+        union_profiles = self._warm_interactions()
         test_candidates = np.array(sorted(cold.cold_test_items), dtype=np.int64)
         final_report = self._full_report(
             final_model, union_profiles, cold.test, test_candidates

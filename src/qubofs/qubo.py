@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 from .fileio import read_json, write_json
-from .sparse import SparseMatrix
+from .sparse import ZERO_EPSILON, SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,34 @@ def build_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> PenalizationM
     the content similarity get +1 (eliminate); pairs positive only in the
     collaborative similarity carry no signal because there is no content
     similarity to change; fully absent pairs are already consistent.
+
+    A pair is positive in a similarity when either of its directions is, so
+    only the symmetrised content support is built. Its pairs are looked up,
+    as (i, j) and as (j, i), among ``s_cf``'s positive entries written as
+    keys ``row * n + col``, which CSR order already sorts; no copy of the
+    collaborative support is made.
     """
-    cf = _positive_support(s_cf)
+    if s_cf.shape != s_cbf.shape:
+        raise DimensionMismatch(f"similarities of shape {s_cf.shape} and {s_cbf.shape}")
     cbf = _positive_support(s_cbf)
-    code = cf + cbf.scale(2.0)  # 3: in both supports, 2: in the content one only
-    values, ones = code.entries()[2], np.ones(code.nnz)
-    return PenalizationMatrices(keep=code.with_entries(values == 3.0, -ones),
-                                eliminate=code.with_entries(values == 2.0, ones))
+    n = cbf.n_cols
+    cf_keys = np.repeat(np.arange(n, dtype=np.int64) * n, s_cf.row_nnz())
+    cf_keys += s_cf.indices
+    cf_keys = cf_keys[s_cf.data > ZERO_EPSILON]
+    rows, cols, _ = cbf.entries()
+    cols = cols.astype(np.int64)
+    agree = _found(cf_keys, rows * n + cols) | _found(cf_keys, cols * n + rows)
+    ones = np.ones(cbf.nnz)
+    return PenalizationMatrices(keep=cbf.with_entries(agree, -ones),
+                                eliminate=cbf.with_entries(~agree, ones))
+
+
+def _found(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether each of ``queries`` is among the ascending ``keys``."""
+    if not keys.size:
+        return np.zeros(queries.size, dtype=bool)
+    at = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    return keys[at] == queries
 
 
 def build_ipm(pm: PenalizationMatrices, alpha: float, beta: float) -> SparseMatrix:

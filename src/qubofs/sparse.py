@@ -50,6 +50,9 @@ _INDEX_MAX = np.iinfo(np.int32).max
 # dense sums plus terms that one block of the numpy product holds, and terms
 # per chunk of a product with a dense array: 2**20 float64s are 8 MB
 PRODUCT_BLOCK_ENTRIES = 1 << 20
+# entries that the compiled product's output buffer holds beyond the largest
+# row's bound: 2**16 entries are 768 KB of 32-bit indices and float64s
+PRODUCT_BUFFER_ENTRIES = 1 << 16
 
 
 def _check_size(shape: tuple[int, int], nnz: int) -> None:
@@ -446,10 +449,12 @@ def _product_numpy(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         # term t of a's entry e reads b's entry starts[e] + t
         within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         read = np.repeat(starts, lengths) + within
-        values = np.repeat(a.data[first:last], lengths) * b.data.take(read)
         rows = np.repeat(np.repeat(np.arange(hi - lo), np.diff(a.indptr[lo:hi + 1])), lengths)
         sums = np.zeros((hi - lo) * n_cols)
-        np.add.at(sums, rows * n_cols + b.indices.take(read), values)
+        # a sum that overflows is not finite, which ``_set`` raises as NonFinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.repeat(a.data[first:last], lengths) * b.data.take(read)
+            np.add.at(sums, rows * n_cols + b.indices.take(read), values)
         r, c = np.nonzero(sums.reshape(hi - lo, n_cols))
         pieces.append((np.bincount(r, minlength=hi - lo), c, sums[r * n_cols + c]))
         lo = hi
@@ -490,32 +495,41 @@ def _load_kernel():
     kernel = lib.product_rows
     int32s, int64s, doubles = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
                                for t in (np.int32, np.int64, np.float64))
-    kernel.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_double] * 2 + [
+    kernel.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_double] * 2 + [ctypes.c_int64] * 2 + [
         int32s, int32s, doubles] * 2 + [
         doubles, doubles, int64s, int32s, doubles, doubles, int64s, int32s, doubles]
     kernel.restype = ctypes.c_int64
 
     def product(a: SparseMatrix, b: SparseMatrix, top_k: int = 0,
                 norms: np.ndarray | None = None, shrink: float = 0.0) -> SparseMatrix:
+        """The kernel's blocks of rows, each written into one buffer that
+        holds the largest row's bound plus ``PRODUCT_BUFFER_ENTRIES`` (or all
+        of the bounds, if fewer) and copied out at its exact size."""
         n_rows, n_cols = a.n_rows, b.n_cols
         if top_k and (n_rows != n_cols or (norms is not None and np.shape(norms) != (n_rows,))):
             raise DimensionMismatch("cosine mode needs a square product and one norm per row")
         bound = np.minimum(_row_terms(a, b), min(top_k, n_cols) if top_k else n_cols)
-        capacity = int(bound.sum())
-        indptr = np.empty(n_rows + 1, dtype=np.int64)
-        indices, data = np.empty(capacity, dtype=np.int32), np.empty(capacity)
-        status = kernel(n_rows, n_cols, top_k, norms is not None, shrink, ZERO_EPSILON,
-                        a.indptr, a.indices, a.data, b.indptr, b.indices, b.data,
-                        np.zeros(0) if norms is None else np.ascontiguousarray(norms, dtype=np.float64),
-                        np.zeros(n_cols), np.full(n_cols, -1, dtype=np.int64),
-                        np.empty(n_cols, dtype=np.int32), np.empty(n_cols), np.empty(n_cols),
-                        indptr, indices, data)
-        if status:
-            raise NonFinite("non-finite value in sparse matrix")
-        nnz = int(indptr[-1])
-        if nnz < capacity:
-            indices, data = indices[:nnz].copy(), data[:nnz].copy()
-        return SparseMatrix._of((n_rows, n_cols), indptr, indices, data)
+        capacity = int(min(bound.sum(), bound.max(initial=0) + PRODUCT_BUFFER_ENTRIES))
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        arrays = (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data,
+                  np.zeros(0) if norms is None else np.ascontiguousarray(norms, dtype=np.float64),
+                  np.zeros(n_cols), np.full(n_cols, -1, dtype=np.int64),
+                  np.empty(n_cols, dtype=np.int32), np.empty(n_cols), np.empty(n_cols), indptr)
+        buffer = (np.empty(capacity, dtype=np.int32), np.empty(capacity))
+        blocks = []
+        row = 0
+        while row < n_rows or not blocks:
+            stop = kernel(n_rows, n_cols, top_k, norms is not None, shrink, ZERO_EPSILON,
+                          row, capacity, *arrays, *buffer)
+            if stop < 0:
+                raise NonFinite("non-finite value in sparse matrix")
+            written = int(indptr[stop] - indptr[row])
+            blocks.append(tuple(array[:written].copy() for array in buffer))
+            row = stop
+        del buffer  # freed before the result is put together and checked
+        if len(blocks) > 1:
+            blocks = [tuple(np.concatenate(parts) for parts in zip(*blocks))]
+        return SparseMatrix._of((n_rows, n_cols), indptr, *blocks[0])
 
     checks = [product(a, b, *mode) for a, b, *mode in _check_case()]
     if [(m.indptr.tolist(), m.indices.tolist(), m.data.tolist()) for m in checks] != _CHECK_PRODUCTS:

@@ -138,7 +138,40 @@ class TestGiniDiversity:
             gini_diversity([[0]], 1)
 
 
+def reference_mean_inter_list(recommended, cutoff, max_pairs=10_000, seed=0):
+    """The per-pair loop over item sets that the padded, chunked count
+    replaced: the oracle for its float, which adds one pair at a time."""
+    n_users = len(recommended)
+    sets = [set(int(i) for i in rec) for rec in recommended]
+    total_pairs = n_users * (n_users - 1) // 2
+    if total_pairs <= max_pairs:
+        pairs = [(u, v) for u in range(n_users) for v in range(u + 1, n_users)]
+    else:
+        chosen = np.random.default_rng(seed).choice(total_pairs, size=max_pairs, replace=False)
+        offsets = np.concatenate([[0], np.cumsum(np.arange(n_users - 1, 0, -1))])
+        us = np.searchsorted(offsets, chosen, side="right") - 1
+        pairs = zip(us.tolist(), (chosen - offsets[us] + us + 1).tolist())
+    acc = 0.0
+    for u, v in pairs:
+        acc += 1.0 - len(sets[u] & sets[v]) / cutoff
+    return acc / min(total_pairs, max_pairs)
+
+
 class TestMeanInterList:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_pairs", [10_000, 700])
+    def test_matches_the_per_pair_sets(self, seed, max_pairs):
+        """Lists of any length, empty ones, repeated items, negative and
+        numpy items, over more pairs than a chunk holds."""
+        rng = np.random.default_rng(seed)
+        lists = []
+        for _ in range(int(rng.integers(2, 90))):
+            items = rng.integers(-3, 25, size=int(rng.integers(0, 12)))
+            lists.append(items if rng.random() < 0.5 else items.tolist())
+        cutoff = int(rng.integers(1, 12))
+        assert mean_inter_list(lists, cutoff, max_pairs, seed) == \
+            reference_mean_inter_list(lists, cutoff, max_pairs, seed)
+
     def test_identical_lists(self):
         assert mean_inter_list([[0, 1], [0, 1]], cutoff=2) == 0.0
 

@@ -179,6 +179,32 @@ class TestCosineKnn:
         assert model.s.nnz == 2000 * 10
         assert peak < 4 * 2**20
 
+    def test_output_buffer_follows_what_is_written(self):
+        """With top k above the item count each row may keep min(terms,
+        items) entries, 800 here, but groups of 40 items that share 20
+        features keep 39: the product's buffer and blocks peak at a small
+        multiple of the 78000 entries written (12 bytes each), not of the
+        1.6M that the rows' bounds add up to."""
+        import tracemalloc
+
+        from qubofs import sparse
+
+        if sparse._load_kernel() is None:
+            pytest.skip("no product kernel on this machine")
+        n_items, group, per_item = 2000, 40, 20
+        features = (np.arange(n_items) // group * per_item)[:, None] + np.arange(per_item)
+        vectors = SparseMatrix._canonical((n_items, n_items // group * per_item),
+                                          np.repeat(np.arange(n_items), per_item),
+                                          features.ravel(), np.ones(n_items * per_item))
+        tracemalloc.start()
+        try:
+            model = cosine_knn(vectors, top_k=n_items, shrink=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.s.nnz == n_items * (group - 1)
+        assert peak < 4 * 12 * model.s.nnz
+
 
 class TestFeatureWeighting:
     def test_ubiquitous_feature_drops_out(self):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qubofs.errors import DimensionMismatch
 from qubofs.qubo import (
     PenalizationMatrices,
     QuboProblem,
+    _positive_support,
     assemble_qubo,
     build_fpm,
     build_ipm,
@@ -18,7 +20,7 @@ from qubofs.qubo import (
     save_qubo,
 )
 from qubofs.solvers import energy, solve_exhaustive
-from qubofs.sparse import SparseMatrix
+from qubofs.sparse import ZERO_EPSILON, SparseMatrix
 
 
 def sym_pair(n, entries):
@@ -44,7 +46,56 @@ def fpm_oracle(icm: np.ndarray, ipm: np.ndarray) -> np.ndarray:
     return out
 
 
+def composed_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> PenalizationMatrices:
+    """The classification as once composed: both symmetrised positive
+    supports in full, summed as cf + 2 * cbf, where 3 codes keep and 2
+    eliminate."""
+    code = _positive_support(s_cf) + _positive_support(s_cbf).scale(2.0)
+    values, ones = code.entries()[2], np.ones(code.nnz)
+    return PenalizationMatrices(keep=code.with_entries(values == 3.0, -ones),
+                                eliminate=code.with_entries(values == 2.0, ones))
+
+
+def random_similarity(rng, n, density) -> SparseMatrix:
+    """An asymmetric n x n similarity whose entries are positive, negative,
+    exactly ``ZERO_EPSILON`` (stored but not positive) or below it (dropped)."""
+    mask = rng.random((n, n)) < density
+    values = rng.choice([0.7, 2.5, -0.4, ZERO_EPSILON, ZERO_EPSILON / 2], size=(n, n)) * mask
+    return SparseMatrix.from_dense(np.where(values > ZERO_EPSILON, values * rng.random((n, n)), values))
+
+
 class TestBuildPenalization:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_composed_supports(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        s_cf, s_cbf = (random_similarity(rng, n, rng.choice([0.0, 0.05, 0.3, 0.9])) for _ in range(2))
+        pm, want = build_penalization(s_cf, s_cbf), composed_penalization(s_cf, s_cbf)
+        for got, expected in ((pm.keep, want.keep), (pm.eliminate, want.eliminate)):
+            assert got == expected
+            assert [a.dtype for a in (got.indptr, got.indices, got.data)] == \
+                   [a.dtype for a in (expected.indptr, expected.indices, expected.data)]
+
+    def test_peak_follows_the_content_support(self):
+        """The collaborative entries cost their sorted keys (8 bytes each
+        and a copy of the positive ones), not a symmetrised copy of the
+        collaborative support as the composed classification makes."""
+        rng = np.random.default_rng(5)
+        n, per_row = 3000, 60
+        # per_row ascending columns in each row, one in each stride of n / per_row
+        cols = np.arange(per_row) * (n // per_row) + rng.integers(0, n // per_row, size=(n, 1))
+        s_cf = SparseMatrix._canonical((n, n), np.repeat(np.arange(n), per_row), cols.ravel(),
+                                       rng.random(n * per_row) + 0.1)
+        s_cbf = SparseMatrix.from_triplets(n, n, [(i, (i * 7 + 1) % n, 1.0) for i in range(n)])
+        tracemalloc.start()
+        try:
+            pm = build_penalization(s_cf, s_cbf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pm.keep.nnz + pm.eliminate.nnz == 2 * n
+        assert peak < 18 * s_cf.nnz + 200 * 2 * n
+
     def test_both_positive_goes_to_keep(self):
         s_cf = sym_pair(2, {(0, 1): 0.7})
         s_cbf = sym_pair(2, {(0, 1): 0.7})

@@ -143,6 +143,55 @@ class TestMatmul:
         assert np.array_equal(dense(a @ b), dense(a) @ dense(b))
 
 
+class TestProductBlocks:
+    """The compiled product writes blocks of rows into one bounded buffer and
+    puts the blocks together; any buffer gives the bytes of one block."""
+
+    @staticmethod
+    def product():
+        product = sparse._load_kernel()
+        if product is None:
+            pytest.skip("no product kernel on this machine")
+        return product
+
+    @staticmethod
+    def cases(rng) -> list[tuple]:
+        """Plain products, one with empty and full rows, and cosine top k of
+        vectors (normalised with shrink, and raw), where the diagonal drops
+        out and ties and negative values meet the cut."""
+        a = random_sparse(rng, 30, 12, density=0.4)
+        b = random_sparse(rng, 12, 25, density=0.4)
+        full = SparseMatrix.from_dense(np.vstack([np.zeros(12), np.ones((3, 12)), np.zeros(12)]))
+        vectors = random_sparse(rng, 40, 6, density=0.5, lo=-2, hi=2)
+        norms = np.sqrt(vectors.power(2.0).row_sums())
+        return [(a, b), (full, b), (b.transpose(), a.transpose()),
+                (vectors, vectors.transpose(), 3, norms, 0.5), (vectors, vectors.transpose(), 2),
+                (vectors, vectors.transpose(), 40, norms, 0.0)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("buffer_entries", [0, 1, 7])
+    def test_tiny_buffer_gives_the_same_bytes(self, monkeypatch, seed, buffer_entries):
+        """With no room beyond the largest row's bound, a block ends before
+        any row whose bound does not fit what is left."""
+        product = self.product()
+        cases = self.cases(np.random.default_rng(seed))
+        whole = [product(*case) for case in cases]
+        monkeypatch.setattr(sparse, "PRODUCT_BUFFER_ENTRIES", buffer_entries)
+        for case, want in zip(cases, whole):
+            got = product(*case)
+            for array, expected in zip((got.indptr, got.indices, got.data),
+                                       (want.indptr, want.indices, want.data)):
+                assert array.dtype == expected.dtype
+                assert array.tobytes() == expected.tobytes()
+
+    def test_non_finite_sum_in_a_later_block(self, monkeypatch):
+        product = self.product()
+        monkeypatch.setattr(sparse, "PRODUCT_BUFFER_ENTRIES", 0)
+        a = SparseMatrix.from_dense(np.vstack([np.ones((5, 3)), [[1e200, 1e200, 0.0]]]))
+        with pytest.raises(NonFinite):
+            product(a, a.transpose())
+
+
 class TestRowNormalize:
     def test_l1(self):
         m = SparseMatrix.from_dense([[2, 2]])
