@@ -18,6 +18,13 @@ where it cannot be built or disagrees with numpy, they run in numpy on real
 Generators, all rows in lockstep over draw buffers bounded over the whole
 run. That numpy path is the kernel's self-check oracle; both give identical
 results. Restarts that end in one state share one energy sum.
+
+The pipeline finishes each annealed grid point with ``descend``, a
+deterministic steepest descent over single flips and count-preserving swaps
+from the point's best restart. The count penalty ``s * (sum(x) - p n)^2``
+puts a barrier of up to s before every flip that changes the count, and a
+single-flip annealer at a large s stops where only a swap, which keeps the
+count, still lowers the energy.
 """
 
 from __future__ import annotations
@@ -236,6 +243,47 @@ def solve_sa_many(
         own.sort(key=lambda r: r.energy)
         results.append(own)
     return results
+
+
+def descend(problem: QuboProblem, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The assignment that steepest descent over single flips and
+    count-preserving swaps (one selected variable cleared, one unselected
+    set) reaches from ``x``, a state that no such move lowers, and its
+    ``energy``.
+
+    Each step takes the move of most negative gain. The gains come from the
+    field ``Q x``, the selected rows of Q added in index order by numpy,
+    without BLAS. Ties go to the smaller flipped index, or to the smaller
+    (cleared, set) pair, and a flip wins over a swap of equal gain. A move
+    is taken only when it strictly lowers the correctly rounded ``energy``,
+    and the descent stops otherwise, so it always ends and never raises the
+    energy. Under a count penalty of strength s, every flip that changes
+    the count pays up to s; a swap keeps the count and pays nothing."""
+    x = np.array(x, dtype=np.int8)
+    q = problem.q
+    diag = np.diagonal(q)
+    current = energy(problem, x)
+    while x.size:
+        selected = x.astype(bool)
+        flips = diag + 2.0 * (1 - 2 * x) * q[selected].sum(axis=0)
+        ones, zeros = np.flatnonzero(selected), np.flatnonzero(~selected)
+        swaps = flips[ones][:, None] + flips[zeros][None, :] - 2.0 * q[np.ix_(ones, zeros)]
+        step = x.copy()
+        f = int(np.argmin(flips))
+        if swaps.size and swaps.min() < flips[f]:
+            a, b = np.unravel_index(int(np.argmin(swaps)), swaps.shape)
+            step[ones[a]], step[zeros[b]] = 0, 1
+            gain = swaps[a, b]
+        else:
+            step[f] ^= 1
+            gain = flips[f]
+        if not gain < 0.0:
+            break
+        lowered = energy(problem, step)
+        if not lowered < current:
+            break
+        x, current = step, lowered
+    return x, current
 
 
 def _anneal(problems, schedules, num_samples, seeds, path) -> np.ndarray:

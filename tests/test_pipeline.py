@@ -27,8 +27,10 @@ from qubofs.pipeline import (
     feature_selection_stats,
     random_search,
 )
+from qubofs.qubo import load_qubo
 from qubofs.solvers import SelectionResult
 from qubofs.sparse import SparseMatrix
+from test_solvers import localopt
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -391,6 +393,67 @@ class TestSelectionResume:
 
         Pipeline(cfg, out).ensure_selections()
         assert self.selections(out) == reference
+
+
+class TestDescentInPipeline:
+    """Every annealed selection is a local optimum under single flips and
+    count-preserving swaps, as the benchmark's checker sees it, and still a
+    function of its own QUBO and seed alone."""
+
+    # grid index 2 * s + p + 4 * beta: points 2, 3, 6 and 7 have s = 1000
+    SA_CONFIG = dict(qubo={"alpha": [1.0], "beta": [1.0, 0.001], "s": [10.0, 1000.0], "p": [0.25, 0.5]},
+                     solver={"kind": "sa", "num_samples": 5, "sweeps": 30})
+
+    def test_every_selection_is_locally_optimal(self, tmp_path, monkeypatch):
+        starts = []
+
+        def recorded(problem, x):
+            starts.append(x)
+            return solvers.descend(problem, x)
+
+        monkeypatch.setattr(pipeline, "descend", recorded)
+        run = Pipeline(tiny_config(**self.SA_CONFIG), tmp_path / "run")
+        selections = run.ensure_selections()
+        problems = [load_qubo(*run._files("qubos", i)) for i in range(len(selections))]
+        assert len(starts) == len(selections) == 8
+        for problem, selection, start in zip(problems, selections, starts):
+            assert selection.solver == "sa"
+            assert localopt.is_local_optimum(problem.q, selection.x, problem.offset)
+            assert selection.energy == solvers.energy(problem, selection.x) <= solvers.energy(problem, start)
+        # the count penalty stops the short ramps short of a local optimum at s = 1000
+        stuck = [i for i, (problem, start) in enumerate(zip(problems, starts))
+                 if not localopt.is_local_optimum(problem.q, start, problem.offset)]
+        assert stuck and set(stuck) <= {2, 3, 6, 7}
+
+    def test_deleted_selections_rebuild_the_same_bytes(self, tmp_path):
+        cfg, out = tiny_config(**self.SA_CONFIG), tmp_path / "run"
+        Pipeline(cfg, out).ensure_selections()
+        before = tree_hashes(out / "selections")
+        for i in (3, 6):
+            (out / f"selections/grid_{i:03d}/selection.json").unlink()
+        Pipeline(cfg, out).ensure_selections()
+        assert tree_hashes(out / "selections") == before
+
+    @pytest.mark.parametrize("qubo, solver, kind", [
+        ({"alpha": [1.0], "beta": [0.001], "s": [100.0], "p": [0.25, 0.5]}, {"kind": "exhaustive"},
+         "exhaustive"),
+        ({"alpha": [1.0], "beta": [0.0], "s": [0.0], "p": [1.0]}, SA_CONFIG["solver"], "closed_form"),
+    ], ids=["exhaustive", "closed_form"])
+    def test_optimal_points_are_not_descended(self, tmp_path, monkeypatch, qubo, solver, kind):
+        """Exhaustive and closed-form points keep what their solver found,
+        which the descent would not move either."""
+
+        def refuse(*args):
+            raise AssertionError("an optimal point was descended")
+
+        monkeypatch.setattr(pipeline, "descend", refuse)
+        run = Pipeline(tiny_config(qubo=qubo, solver=solver), tmp_path / "run")
+        for i, selection in enumerate(run.ensure_selections()):
+            problem = load_qubo(*run._files("qubos", i))
+            assert selection.solver == kind
+            if kind == "exhaustive":
+                assert selection.to_json_dict() == solvers.solve_exhaustive(problem).to_json_dict()
+            assert np.array_equal(solvers.descend(problem, selection.x)[0], selection.x)
 
 
 class TestGridResume:

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import shutil
@@ -21,6 +22,7 @@ from qubofs.solvers import (
     AnnealSchedule,
     SelectionResult,
     default_schedule,
+    descend,
     energy,
     load_selection,
     save_selection,
@@ -281,6 +283,125 @@ class TestSolveSa:
         few_set = {(r.energy, tuple(r.x)) for r in few}
         many_set = {(r.energy, tuple(r.x)) for r in many}
         assert few_set <= many_set
+
+
+def load_localopt():
+    """perfbench/localopt.py, the benchmark's local-optimality checker, which
+    shares no code with the package."""
+    path = Path(__file__).parents[1] / "perfbench" / "localopt.py"
+    spec = importlib.util.spec_from_file_location("perfbench_localopt", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+localopt = load_localopt()
+
+
+def reference_descend(problem, x):
+    """Every flip and swap scored by the energy it reaches; the least by
+    (energy change, flip before swap, indices) is taken while it lowers the
+    energy. Exact on integer-valued problems."""
+    x = np.array(x, dtype=np.int8)
+    while True:
+        current = energy(problem, x)
+        moves = []
+        for f in range(problem.n):
+            y = x.copy()
+            y[f] ^= 1
+            moves.append((energy(problem, y) - current, 0, f, 0, y))
+        for i in np.flatnonzero(x == 1):
+            for j in np.flatnonzero(x == 0):
+                y = x.copy()
+                y[i], y[j] = 0, 1
+                moves.append((energy(problem, y) - current, 1, i, j, y))
+        best = min(moves, key=lambda move: move[:4], default=None)
+        if best is None or not best[0] < 0:
+            return x
+        x = best[4]
+
+
+def penalised_case(coefficients):
+    """Hypothesis cases: a symmetric Q drawn from ``coefficients`` plus a
+    count penalty toward an integer count, and a start assignment."""
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(coefficients, min_size=n * n, max_size=n * n),
+        st.integers(0, n), st.sampled_from([0.0, 10.0, 1000.0]),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
+def penalised_problem(case):
+    values, count, s, bits = case
+    n = len(bits)
+    q = np.triu(np.array(values, dtype=np.float64).reshape(n, n))
+    penalty = combination_penalty(n, count, s)
+    return QuboProblem(q=q + np.triu(q, 1).T + penalty.q, offset=penalty.offset), np.array(bits)
+
+
+class TestDescend:
+    def test_flip_ties_go_to_the_smaller_index(self):
+        # either flip gains 1, and after either the other one loses 9
+        p = QuboProblem(q=np.array([[-1.0, 5.0], [5.0, -1.0]]))
+        assert list(descend(p, [0, 0])[0]) == [1, 0]
+
+    def test_swap_ties_go_to_the_smaller_pair(self):
+        # from [1, 1, 0, 0] the swaps (0, 3) and (1, 2) gain 2, (0, 2) and
+        # (1, 3) gain 1, and every flip loses; then no move gains
+        q = combination_penalty(4, 2, 10.0).q
+        q[[2, 3], [2, 3]] -= 1.0
+        q[[0, 2, 1, 3], [2, 0, 3, 1]] -= 0.5
+        q[[2, 3], [3, 2]] += 5.0
+        p = QuboProblem(q=q)
+        assert list(descend(p, [1, 1, 0, 0])[0]) == [0, 1, 0, 1]
+        assert list(reference_descend(p, [1, 1, 0, 0])) == [0, 1, 0, 1]
+
+    def test_flip_beats_a_swap_of_equal_gain(self):
+        # setting 1 and swapping 0 for 1 both gain 1, and end apart
+        p = QuboProblem(q=np.diag([0.0, -1.0]))
+        assert list(descend(p, [1, 0])[0]) == [1, 1]
+
+    def test_swap_crosses_the_count_barrier(self):
+        # every flip changes the count and pays s = 1000; swapping 0 for 1 gains 2
+        penalty = combination_penalty(3, 1, 1000.0)
+        q = penalty.q + np.diag([0.0, -2.0, 0.0])
+        p = QuboProblem(q=q, offset=penalty.offset)
+        assert localopt.is_flip_optimal(q, np.array([1, 0, 0]), p.offset)
+        x, lowest = descend(p, [1, 0, 0])
+        assert list(x) == [0, 1, 0] and lowest == energy(p, x) == -2.0
+
+    def test_identity_on_a_local_optimum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            p = random_problem(rng, 9, with_offset=True)
+            best = solve_exhaustive(p)
+            x, lowest = descend(p, best.x)
+            assert x.dtype == np.int8 and list(x) == list(best.x) and lowest == best.energy
+
+    def test_takes_no_move_the_rounded_energy_does_not_see(self):
+        # flipping 0 gains 1e-30, which the correctly rounded energy 1.0 cannot show
+        p = QuboProblem(q=np.diag([-1e-30, 0.0]), offset=1.0)
+        x, lowest = descend(p, [0, 0])
+        assert list(x) == [0, 0] and lowest == 1.0
+
+    def test_no_variables(self):
+        x, lowest = descend(QuboProblem(q=np.zeros((0, 0)), offset=2.0), np.zeros(0))
+        assert x.shape == (0,) and lowest == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(penalised_case(st.integers(-3, 3)))
+    def test_matches_reference_on_integer_problems(self, case):
+        """Integer coefficients tie often, and every gain is exact."""
+        p, x = penalised_problem(case)
+        assert list(descend(p, x)[0]) == list(reference_descend(p, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(penalised_case(st.integers(-3, 3)),
+                     penalised_case(st.floats(-100.0, 100.0))))
+    def test_ends_locally_optimal_and_never_higher(self, case):
+        p, x = penalised_problem(case)
+        y, lowest = descend(p, x)
+        assert localopt.is_local_optimum(p.q, y, p.offset)
+        assert lowest == energy(p, y) <= energy(p, x)
 
 
 def as_tuples(results):
