@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -56,6 +57,13 @@ def write_tsv(path, header, rows) -> None:
 
     lines = ["\t".join(header)] + ["\t".join(map(cell, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def is_finite_number(value) -> bool:
+    """``value``, as ``json`` reads it, is a number other than a bool within
+    float range; a bound rather than ``math.isfinite``, which raises on an int
+    beyond float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def read_json(path, *keys) -> dict:

@@ -18,9 +18,11 @@ stage loads its complete points and builds only the others. The dataset stage
 parses and preprocesses the input TSVs once (a synthetic dataset's come from
 the synth stage) and stores the result as archives, so a resume reads those
 and never the text. The collaborative stage draws its holdout itself and
-stores none. The three model stages store no similarity, only a sidecar with
-the model's kind and hyperparameters, from which a load fits it again. Every
-file is written atomically, so a killed run resumes without cleanup and
+stores none. The collaborative and all-features model stages store no
+similarity, only a sidecar with the model's kind and hyperparameters, from
+which a load fits it again. The final stage stores nothing: its load fits the
+winner's content model from the winner's content-search row. Every file is
+written atomically, so a killed run resumes without cleanup and
 deleting any artifact but the pin regenerates only its stage or grid point
 when a command asks for that stage.
 
@@ -66,7 +68,7 @@ from .data import (
     user_holdout_split,
 )
 from .errors import ConfigInvalid, DataError, DimensionMismatch, ParseError
-from .fileio import atomic_write_text, read_json, write_json, write_tsv
+from .fileio import atomic_write_text, is_finite_number, read_json, write_json, write_tsv
 from .metrics import EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
     ModelKind,
@@ -255,7 +257,7 @@ def load_model(sidecar_path, fit: Callable[[dict], SimilarityModel]) -> Similari
         for name, value in params.items():
             _check_value(name, name, value)
         model = fit(params)
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{sidecar_path}: hyperparameters that fit no model ({exc})") from exc
     if (model.kind.value, model.hyperparams) != (meta["kind"], params):
         raise ParseError(f"{sidecar_path}: its values fit a {model.kind.value} model with {model.hyperparams}")
@@ -637,60 +639,69 @@ class Pipeline:
         its selected features. The search depends on the selection alone, so
         each distinct selection is searched once, and not at all when a
         loaded point already holds its score."""
-        points = self.ensure_qubos()
         selections = self.ensure_selections()
         ds = self.ensure_dataset()
         cold = self.ensure_splits()
-        # selected features (mask bytes) -> (cbf_params, validation_score)
-        searched = {selections[index].x.astype(bool).tobytes(): (row["cbf_params"], row["validation_score"])
+        # selected features (mask bytes) -> that selection's row
+        searched = {selections[index].x.astype(bool).tobytes(): row
                     for index, row in enumerate(rows) if row is not None}
         for index, row in enumerate(rows):
             if row is not None:
                 continue
-            selection = selections[index]
-            mask = selection.x.astype(bool)
+            mask = selections[index].x.astype(bool)
             key = mask.tobytes()
             if key not in searched:
                 params, score, _ = self._search_cbf(ds.icm.mask_cols(mask), cold)
-                searched[key] = params, score
-            params, score = searched[key]
-            row = {
-                "grid_index": index,
-                "params": points[index],
-                "cbf_params": params,
-                "validation_score": score,
-                "n_selected": int(mask.sum()),
-                "energy": selection.energy,
-                "solver": selection.solver,
-            }
-            write_json(self._files("grid_scores", index)[0], row)
-            rows[index] = row
+                searched[key] = {"cbf_params": params, "validation_score": score}
+            rows[index] = searched[key]
+            write_json(self._files("grid_scores", index)[0], rows[index])
+
+    def _load_grid_score(self, index: int) -> dict:
+        """Grid point ``index``'s row: the best content-model case's
+        hyperparameters and validation score. A score that is not a finite
+        number, or hyperparameters that are not an object of values a search
+        space may give, is a ``ParseError`` naming the file; keys an earlier
+        version stored beside those two are not read."""
+        path = self._files("grid_scores", index)[0]
+        row = read_json(path, "cbf_params", "validation_score")
+        params, score = row["cbf_params"], row["validation_score"]
+        if not is_finite_number(score):
+            raise ParseError(f"{path}: validation_score {score!r} is not a finite number")
+        if not isinstance(params, dict):
+            raise ParseError(f"{path}: cbf_params is not an object")
+        try:
+            for name, value in params.items():
+                _check_value(f"cbf_params.{name}", name, value)
+        except ConfigInvalid as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        return {"cbf_params": params, "validation_score": score}
 
     # -- stage: final model and reports -------------------------------------------
 
-    def _winner(self) -> dict:
-        """The grid point with the best validation score; ties go to the
-        smaller grid index."""
+    def _winner(self) -> int:
+        """The grid index with the best validation score; ties go to the
+        smaller one."""
         rows = self.ensure_grid_scores()
-        best = max(range(len(rows)), key=lambda i: (rows[i]["validation_score"], -i))
-        return rows[best]
+        return max(range(len(rows)), key=lambda i: (rows[i]["validation_score"], -i))
 
-    def _winner_icm(self) -> SparseMatrix:
-        """The item features the winning grid point selected."""
-        selection = self.ensure_selections()[self._winner()["grid_index"]]
-        return self.ensure_dataset().icm.mask_cols(selection.x.astype(bool))
-
-    def _build_final(self) -> SimilarityModel:
-        winner = self._winner()
-        final_model = fit_cbf(self._winner_icm(), winner["cbf_params"])
-        save_model(final_model, *self._files("final"),
-                   grid_index=winner["grid_index"], n_selected=winner["n_selected"])
-        return final_model
+    def _fit_final(self) -> SimilarityModel:
+        """The winner's content model: its row's hyperparameters fitted on
+        the features its selection picked. Hyperparameters the fit refuses
+        are a ``ParseError`` naming the row."""
+        index = self._winner()
+        icm = self.ensure_dataset().icm.mask_cols(self.ensure_selections()[index].x.astype(bool))
+        try:
+            return fit_cbf(icm, self.ensure_grid_scores()[index]["cbf_params"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{self._files('grid_scores', index)[0]}: "
+                             f"hyperparameters that fit no model ({exc})") from exc
 
     def _build_reports(self) -> dict:
         final_model = self.ensure_final()
-        winner = self._winner()
+        index = self._winner()
         rows = self.ensure_grid_scores()
+        selections = self.ensure_selections()
+        points = self.cfg.qubo.points()
         cold = self.ensure_splits()
         baseline_model = self.ensure_cbf_all()
 
@@ -708,8 +719,8 @@ class Pipeline:
             "config_hash": self.cfg.config_hash(),
             "cutoff": self.cfg.cutoff,
             "objective": self.cfg.objective,
-            "winner": {key: winner[key] for key in (
-                "grid_index", "params", "cbf_params", "n_selected", "validation_score")},
+            "winner": {"grid_index": index, "params": points[index],
+                       "n_selected": len(selections[index].selected()), **rows[index]},
             "final": asdict(final_report),
             "baseline_all_features": asdict(baseline_report),
         }
@@ -723,8 +734,9 @@ class Pipeline:
         write_tsv(
             grid_tsv,
             ("grid_index", *qubo_params, "n_selected", "energy", "validation_score"),
-            ((row["grid_index"], *(row["params"][k] for k in qubo_params), row["n_selected"],
-              row["energy"], row["validation_score"]) for row in rows),
+            ((i, *(point[k] for k in qubo_params), len(selection.selected()), selection.energy,
+              row["validation_score"]) for i, (point, selection, row)
+             in enumerate(zip(points, selections, rows))),
         )
         self.write_feature_stats()
         return report
@@ -755,11 +767,12 @@ class Pipeline:
 # paths from Pipeline._files, so these rows are the only place a stage file is
 # named. For a grid stage, the load function loads point i, and the build
 # function fills the None entries of the list of points and writes the stage's
-# shared files. The loop below derives Pipeline.ensure_<name> from each row; it
-# returns the synthetic TSVs as a FilesSpec (synth, which only a synthetic
-# dataset reaches), a Dataset, a ColdSplit, a SimilarityModel (cf_model,
-# cbf_all, final), one grid dict, SelectionResult or score dict per grid point,
-# or the report.
+# shared files. A stage may declare no files (final): it is then always
+# complete, has no build function, and its load computes it. The loop below
+# derives Pipeline.ensure_<name> from each row; it returns the synthetic TSVs
+# as a FilesSpec (synth, which only a synthetic dataset reaches), a Dataset, a
+# ColdSplit, a SimilarityModel (cf_model, cbf_all, final), one grid dict,
+# SelectionResult or score dict per grid point, or the report.
 STAGES = {
     "synth": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
               Pipeline._build_synth, Pipeline._synth_files),
@@ -776,12 +789,9 @@ STAGES = {
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
     "selections": (("selections/grid_{i:03d}/selection.json",), Pipeline._build_selections,
                    lambda p, i: load_selection(p._files("selections", i)[0], p.ensure_dataset().n_features)),
-    "grid_scores": (("cbf_sel/grid_{i:03d}/result.json",),
-                    Pipeline._build_grid_scores,
-                    lambda p, i: read_json(p._files("grid_scores", i)[0], "grid_index", "params",
-                                           "cbf_params", "validation_score", "n_selected", "energy")),
-    "final": (("final/model.json",), Pipeline._build_final,
-              lambda p: load_model(*p._files("final"), partial(fit_cbf, p._winner_icm()))),
+    "grid_scores": (("cbf_sel/grid_{i:03d}/result.json",), Pipeline._build_grid_scores,
+                    Pipeline._load_grid_score),
+    "final": ((), None, Pipeline._fit_final),
     "reports": (("reports/report.json", "reports/report.tsv", "reports/grid_validation.tsv",
                  "reports/feature_stats.tsv"),
                 Pipeline._build_reports, lambda p: read_json(p._files("reports")[0])),

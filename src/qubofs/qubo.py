@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
-from .fileio import read_json, write_json
+from .errors import DimensionMismatch, NonFinite, ParseError
+from .fileio import is_finite_number, read_json, write_json
 from .sparse import ZERO_EPSILON, SparseMatrix
 
 
@@ -156,8 +156,18 @@ def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
 
 
 def load_qubo(coo_path, sidecar_path) -> QuboProblem:
+    """The problem ``save_qubo`` stored. A sidecar whose ``offset`` is not a
+    finite number or whose ``n`` is not the matrix's size is a ``ParseError``
+    naming the sidecar; a matrix that is not square, symmetric and finite is
+    one naming the matrix."""
     sidecar = read_json(sidecar_path, "n", "offset")
+    offset = sidecar["offset"]
+    if not is_finite_number(offset):
+        raise ParseError(f"{sidecar_path}: offset {offset!r} is not a finite number")
     q = SparseMatrix.load_coo(coo_path).to_dense()
     if q.shape[0] != sidecar["n"]:
-        raise DimensionMismatch("sidecar n disagrees with matrix size")
-    return QuboProblem(q=q, offset=float(sidecar["offset"]))
+        raise ParseError(f"{sidecar_path}: n {sidecar['n']!r} is not the size of {coo_path}")
+    try:
+        return QuboProblem(q=q, offset=float(offset))
+    except ValueError as exc:
+        raise ParseError(f"{coo_path}: {exc}") from exc

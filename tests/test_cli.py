@@ -145,7 +145,7 @@ class TestStages:
             ("train-cf", "cf_model/model.json"),
             ("build-qubo", "qubo/grid_000/qubo.coo"),
             ("select", "selections/grid_000/selection.json"),
-            ("train-cbf", "final/model.json"),
+            ("train-cbf", "cbf_sel/grid_000/result.json"),
             ("evaluate", "reports/report.json"),
         ]:
             assert main([stage, "--config", str(config), "--out", str(out)]) == 0
@@ -433,7 +433,7 @@ class TestExitCodes:
                                                          "users": json.loads(text)["users"][1:]}), ()),
         ("splits/split.json", lambda text: "[]", ()),
         ("splits/split.json", lambda text: "{}", ()),
-        ("selections/grid_000/selection.json", lambda text: "[]", ("cbf_sel", "final")),
+        ("selections/grid_000/selection.json", lambda text: "[]", ("cbf_sel",)),
         ("splits/split.json", edited("cold_test_items", lambda v: v["cold_test_items"] + [999]), ()),
         ("splits/split.json", edited("cold_test_items", lambda v: v["cold_test_items"] + [-1]), ()),
         ("splits/split.json", edited("cold_test_items", lambda v: v["cold_test_items"] + [1.0]), ()),
@@ -442,35 +442,54 @@ class TestExitCodes:
                                      lambda v: v["cold_validation_items"] + v["cold_test_items"][:1]), ()),
         ("cbf_all/model.json", edited("hyperparam_names", lambda v: v["hyperparam_names"] + ["zzz"]), ()),
         ("cbf_all/model.json", edited("hyperparam_names", lambda v: "topK"), ()),
+        ("cbf_all/model.json",
+         edited("hyperparam_names", lambda v: [n for n in v["hyperparam_names"] if n != "topK"]), ()),
         ("cbf_all/model.json", edited("kind", lambda v: "knn"), ()),
         ("cbf_all/model.json", edited("topK", lambda v: 0), ()),
         ("cbf_all/model.json", edited("weighting", lambda v: "zzz"), ()),
         ("cbf_all/model.json", edited("kind", lambda v: "item_knn_cf"), ()),
         ("cf_model/model.json", edited("num_factors", lambda v: 31), ("qubo/keep.coo", "qubo/grid_000")),
-        ("selections/grid_000/selection.json", edited("x", lambda v: [300] + v["x"][1:]),
-         ("cbf_sel", "final")),
-        ("selections/grid_000/selection.json", edited("x", lambda v: ["a"] + v["x"][1:]),
-         ("cbf_sel", "final")),
-        ("selections/grid_000/selection.json", edited("x", lambda v: [2] + v["x"][1:]),
-         ("cbf_sel", "final")),
-        ("selections/grid_000/selection.json", edited("x", lambda v: v["x"][1:]), ("cbf_sel", "final")),
+        ("selections/grid_000/selection.json", edited("x", lambda v: [300] + v["x"][1:]), ("cbf_sel",)),
+        ("selections/grid_000/selection.json", edited("x", lambda v: ["a"] + v["x"][1:]), ("cbf_sel",)),
+        ("selections/grid_000/selection.json", edited("x", lambda v: [2] + v["x"][1:]), ("cbf_sel",)),
+        ("selections/grid_000/selection.json", edited("x", lambda v: v["x"][1:]), ("cbf_sel",)),
+        ("cbf_sel/grid_000/result.json", edited("validation_score", lambda v: "high"), ()),
+        ("cbf_sel/grid_000/result.json", edited("validation_score", lambda v: True), ()),
+        ("cbf_sel/grid_000/result.json", edited("validation_score", lambda v: float("nan")), ()),
+        ("cbf_sel/grid_000/result.json", edited("validation_score", lambda v: 10 ** 400), ()),
+        ("cbf_sel/grid_000/result.json", edited("cbf_params", lambda v: "oops"), ()),
+        ("cbf_sel/grid_000/result.json", edited("cbf_params", lambda v: {**v["cbf_params"], "topK": 0}), ()),
+        ("cbf_sel/grid_000/result.json", edited("cbf_params", lambda v: {**v["cbf_params"], "shrink": "x"}), ()),
+        ("cbf_sel/grid_000/result.json",
+         edited("cbf_params", lambda v: {k: p for k, p in v["cbf_params"].items() if k != "topK"}), ()),
+        ("qubo/grid_000/qubo.json", edited("offset", lambda v: "abc"), ("selections", "cbf_sel")),
+        ("qubo/grid_000/qubo.json", edited("offset", lambda v: None), ("selections", "cbf_sel")),
+        ("qubo/grid_000/qubo.json", edited("offset", lambda v: [1]), ("selections", "cbf_sel")),
+        ("qubo/grid_000/qubo.json", edited("offset", lambda v: float("nan")), ("selections", "cbf_sel")),
     ], ids=["labels not JSON", "split not JSON", "labels short of a user", "split not an object",
             "split without its items", "selection not an object", "split item beyond the items",
             "split item negative", "split item not an integer", "split item repeated",
             "split item in both lists", "model without a named hyperparameter",
-            "model hyperparameter names not a list", "model of an unknown kind",
-            "model topK below one", "model weighting unknown", "model of another kind",
+            "model hyperparameter names not a list", "model hyperparameter names without topK",
+            "model of an unknown kind", "model topK below one", "model weighting unknown", "model of another kind",
             "model rank beyond the matrix", "selection entry out of int8",
-            "selection entry a string", "selection entry not binary", "selection short of a feature"])
+            "selection entry a string", "selection entry not binary", "selection short of a feature",
+            "row score a string", "row score a bool", "row score not finite",
+            "row score beyond float range", "row params not an object",
+            "row topK below one", "row params that fit no model", "row params without topK",
+            "qubo offset a string", "qubo offset null", "qubo offset a list", "qubo offset NaN"])
     def test_corrupt_sidecar_is_data_error(self, tmp_path, capsys, name, edit, deleted):
         """A JSON sidecar that does not parse, is not an object or lacks a key
         its loader reads; labels that do not fit the stored matrices; cold
         items outside the interactions, repeated or in both lists; a model
         whose kind or hyperparameter names do not hold, or whose values fit
-        no model or another kind of model than the one named; or a selection
-        that is not one 0/1 integer per feature: each exits 3 naming the file
-        instead of a traceback. The collaborative model is ``pure_svd``, whose
-        rank the matrix bounds. The files and stages in ``deleted`` are
+        no model or another kind of model than the one named; a selection
+        that is not one 0/1 integer per feature; a content-search row whose
+        score is not a finite number or whose hyperparameters fit no model (the
+        one grid point is the winner, so the final fit reads them); or a QUBO
+        sidecar whose offset is not a finite number: each exits 3 naming the
+        file instead of a traceback. The collaborative model is ``pure_svd``,
+        whose rank the matrix bounds. The files and stages in ``deleted`` are
         deleted too, so that the evaluation reaches the file: a partial QUBO
         rebuild fits the collaborative model again."""
         config = write_config(tmp_path, collaborative={"kind": "pure_svd", "n_cases": 3})

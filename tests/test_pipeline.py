@@ -236,8 +236,8 @@ class TestPipeline:
         out = tmp_path / "run"
         Pipeline(cfg, out).run()
         before = tree_hashes(out)
-        # wipe the last two stages and re-run
-        for name in ("reports/report.json", "reports/report.tsv", "final/model.json"):
+        # wipe the last stage's tables and re-run
+        for name in ("reports/report.json", "reports/report.tsv"):
             (out / name).unlink()
         Pipeline(cfg, out).run()
         after = tree_hashes(out)
@@ -962,6 +962,32 @@ def test_resume_beside_stored_similarities(tmp_path):
     assert tree_hashes(out) == before
 
 
+def test_resume_beside_stored_final_model_and_row_copies(tmp_path):
+    """A run directory of an earlier version, which stored the final model's
+    sidecar as ``final/model.json`` and copied the grid point, the selection's
+    size, energy and solver into every ``cbf_sel`` row, resumes to the same
+    reports and leaves those files as they were."""
+    cfg = tiny_config(qubo={"alpha": [1.0], "beta": [1.0, 0.001], "s": [100.0], "p": [0.25, 0.5]})
+    out = tmp_path / "run"
+    run = Pipeline(cfg, out)
+    run.run()
+    points = cfg.qubo.points()
+    for index, selection in enumerate(run.ensure_selections()):
+        path = out / f"cbf_sel/grid_{index:03d}/result.json"
+        row = json.loads(path.read_text())
+        assert sorted(row) == ["cbf_params", "validation_score"]
+        fileio.write_json(path, {**row, "grid_index": index, "params": points[index],
+                                 "n_selected": len(selection.selected()),
+                                 "energy": selection.energy, "solver": selection.solver})
+    winner = json.loads((out / "reports/report.json").read_text())["winner"]
+    pipeline.save_model(run.ensure_final(), out / "final/model.json",
+                        grid_index=winner["grid_index"], n_selected=winner["n_selected"])
+    before = tree_hashes(out)
+    shutil.rmtree(out / "reports")
+    Pipeline(cfg, out).run()
+    assert tree_hashes(out) == before
+
+
 def test_resume_from_64_bit_archives(tmp_path, monkeypatch):
     """A run whose .coo files hold int64 index arrays, as earlier versions
     wrote them, resumes to the same reports, and every matrix it loads has
@@ -978,7 +1004,6 @@ def test_resume_from_64_bit_archives(tmp_path, monkeypatch):
         with np.load(path) as z:
             assert z["row"].dtype == z["col"].dtype == np.int64
     shutil.rmtree(out / "reports")
-    shutil.rmtree(out / "final")
 
     widths = set()
     load_coo = SparseMatrix.load_coo.__func__

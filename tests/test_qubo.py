@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubofs.errors import DimensionMismatch
+from qubofs.errors import DimensionMismatch, ParseError
 from qubofs.qubo import (
     PenalizationMatrices,
     QuboProblem,
@@ -315,6 +317,37 @@ class TestConversionAndPersistence:
         loaded = load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
         assert np.array_equal(loaded.q, problem.q)
         assert loaded.offset == problem.offset
+
+    @pytest.mark.parametrize("edit", [
+        {"offset": "abc"}, {"offset": None}, {"offset": [1]}, {"offset": True},
+        {"offset": float("nan")}, {"offset": float("inf")}, {"offset": 10 ** 400},
+        {"n": 3}, {"n": "4"},
+    ], ids=["offset a string", "offset null", "offset a list", "offset a bool", "offset NaN",
+            "offset infinite", "offset beyond float range", "n short of the matrix", "n a string"])
+    def test_bad_sidecar_is_parse_error(self, tmp_path, edit):
+        """A sidecar whose offset is not a finite number or whose n is not
+        the matrix's size is a ParseError naming it, not a TypeError,
+        ValueError or unnamed NonFinite."""
+        save_qubo(QuboProblem(q=np.eye(4), offset=2.0), tmp_path / "q.coo", tmp_path / "q.json")
+        sidecar = json.loads((tmp_path / "q.json").read_text())
+        (tmp_path / "q.json").write_text(json.dumps({**sidecar, **edit}))
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.json"))):
+            load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
+
+    def test_int_offset_loads_as_float(self, tmp_path):
+        """An offset stored as a JSON integer is a finite number: it loads as
+        that float."""
+        save_qubo(QuboProblem(q=np.eye(2), offset=2.0), tmp_path / "q.coo", tmp_path / "q.json")
+        (tmp_path / "q.json").write_text(json.dumps({"n": 2, "offset": 3, "convention": "symmetric"}))
+        loaded = load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
+        assert type(loaded.offset) is float and loaded.offset == 3.0
+
+    def test_asymmetric_matrix_is_parse_error(self, tmp_path):
+        """A stored matrix that is not symmetric is a ParseError naming it."""
+        SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]])).save_coo(tmp_path / "q.coo")
+        (tmp_path / "q.json").write_text(json.dumps({"n": 2, "offset": 0.0}))
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.coo"))):
+            load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
