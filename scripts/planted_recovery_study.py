@@ -83,10 +83,7 @@ def cold_ndcg(ds, cold, selected, cutoff=10):
     ranked = score_and_rank(
         model, cold.train + cold.validation, cutoff, candidate_items=candidates
     )
-    relevant = [
-        set(int(i) for i in cold.test.row_entries(u)[0]) for u in range(ds.n_users)
-    ]
-    return accuracy_metrics(ranked, relevant, cutoff)[2]
+    return accuracy_metrics(ranked, cold.test, cutoff)[2]
 
 
 def main() -> int:

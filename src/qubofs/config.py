@@ -20,6 +20,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigInvalid
+from .fileio import is_finite_number
 
 ITEM_KNN_CF_SPACE = {
     "topK": {"type": "int", "low": 5, "high": 1000, "dist": "uniform"},
@@ -99,7 +100,7 @@ def _check_space(space: dict | None, defaults: dict, where: str) -> None:
                 _check_value(f"{path}.choices", name, choice)
             continue
         low, high = spec.get("low"), spec.get("high")
-        _check(all(_is_number(v) and math.isfinite(v) for v in (low, high)),
+        _check(all(is_finite_number(v) for v in (low, high)),
                f"{path}.low and .high must be finite numbers")
         _check(low <= high, f"{path}.low must be <= its high")
         if name in LEAST_VALUE:

@@ -1,5 +1,11 @@
 """Ranking and beyond-accuracy evaluation at a fixed cutoff.
 
+A ranking is an int64 users x k array, as ``models.score_and_rank`` returns
+it: row u holds user u's list, best first, padded with -1 after its end. The
+relevant items are a users x items ``SparseMatrix`` of held-out interactions;
+each stored entry of row u is relevant to user u, and an item outside its
+columns is never a hit.
+
 Accuracy metrics are macro-averaged over users with at least one relevant
 item; binary relevance throughout. Diversity is measured as one minus the
 Gini coefficient of recommendation exposure over the whole catalog (never-
@@ -12,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Collection, Sequence
 
 import numpy as np
 
 from .errors import DegenerateCatalog
+from .sparse import SparseMatrix
 
 # user pairs whose list overlaps ``mean_inter_list`` counts at once
 MIL_CHUNK_PAIRS = 512
@@ -47,22 +52,19 @@ class EvalReport:
 
 
 def accuracy_metrics(
-    recommended: Sequence[Sequence[int]],
-    relevant: Sequence[Collection[int]],
-    cutoff: int,
+    ranked: np.ndarray, holdings: SparseMatrix, cutoff: int
 ) -> tuple[float, float, float, float]:
     """(precision, recall, ndcg, map): macro averages over users with a
-    non-empty relevant set. Lists are assumed already truncated to cutoff
-    (longer ones are cut).
+    non-empty row of ``holdings``. Rankings wider than the cutoff are cut.
 
     Computed from a users x cutoff hit matrix; DCG and the AP sum are
     sequential cumulative sums, so every value equals the one a per-user loop
     adding hit by hit gives."""
-    if len(recommended) != len(relevant):
-        raise ValueError("recommended and relevant must align per user")
+    if len(ranked) != holdings.n_rows:
+        raise ValueError("ranked and holdings must align per user")
     discounts = 1.0 / np.log2(np.arange(2, cutoff + 2))
-    n_rel = np.fromiter(map(len, relevant), dtype=np.int64, count=len(relevant))
-    hit = _hit_matrix(recommended, relevant, n_rel, cutoff)
+    n_rel = holdings.row_nnz()
+    hit = _hit_matrix(ranked[:, :cutoff], holdings, cutoff)
     kept = n_rel > 0
     if not kept.any():
         return 0.0, 0.0, 0.0, 0.0
@@ -82,48 +84,35 @@ def accuracy_metrics(
     )
 
 
-def _hit_matrix(
-    recommended: Sequence[Sequence[int]], relevant: Sequence[Collection[int]],
-    rel_len: np.ndarray, cutoff: int,
-) -> np.ndarray:
-    """Bool users x cutoff: whether the item at each rank is relevant;
-    ``rel_len`` holds the sizes of the relevant sets."""
-    n_users = len(recommended)
-    rec_len = np.fromiter(map(len, recommended), dtype=np.int64, count=n_users)
-    # as int(item) would: lists of any integer type, and empty lists, join
-    rec = (np.concatenate(recommended, dtype=np.int64, casting="unsafe")
-           if n_users else np.empty(0, dtype=np.int64))
-    rel = np.fromiter(chain.from_iterable(relevant), dtype=np.int64, count=rel_len.sum())
-    rec_user = np.repeat(np.arange(n_users), rec_len)
-    rank = np.arange(rec.size) - np.repeat(np.cumsum(rec_len) - rec_len, rec_len)
-    hit = np.zeros((n_users, cutoff), dtype=bool)
-    if rec.size and rel.size:
-        # one integer key per (user, item) pair; a hit is a recommended key
-        # found among the sorted relevant keys
-        lo = min(rec.min(), rel.min())
-        span = max(rec.max(), rel.max()) - lo + 1
-        rec_keys = rec_user * span + (rec - lo)
-        rel_keys = np.sort(np.repeat(np.arange(n_users), rel_len) * span + (rel - lo))
-        at = np.minimum(np.searchsorted(rel_keys, rec_keys), rel_keys.size - 1)
-        is_hit = (rel_keys[at] == rec_keys) & (rank < cutoff)
-        hit[rec_user[is_hit], rank[is_hit]] = True
+def _hit_matrix(ranked: np.ndarray, holdings: SparseMatrix, cutoff: int) -> np.ndarray:
+    """Bool users x cutoff: whether the item at each rank is in the user's
+    row of ``holdings``."""
+    n_items = holdings.n_cols
+    hit = np.zeros((len(ranked), cutoff), dtype=bool)
+    users, ranks = np.nonzero((ranked >= 0) & (ranked < n_items))
+    if users.size and holdings.nnz:
+        # one integer key per (user, item) pair, which CSR order sorts; a hit
+        # is a ranked key found among the held ones
+        rows, items, _ = holdings.entries()
+        held = rows * n_items + items
+        keys = users * n_items + ranked[users, ranks]
+        is_hit = held[np.minimum(np.searchsorted(held, keys), held.size - 1)] == keys
+        hit[users[is_hit], ranks[is_hit]] = True
     return hit
 
 
-def item_coverage(recommended: Sequence[Sequence[int]], n_items: int) -> float:
+def item_coverage(ranked: np.ndarray, n_items: int) -> float:
     """Share of the catalog recommended to at least one user."""
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
-    items = np.fromiter(chain.from_iterable(recommended), dtype=np.int64)
-    return np.count_nonzero(np.bincount(items, minlength=n_items)) / n_items
+    return np.count_nonzero(np.bincount(ranked[ranked >= 0], minlength=n_items)) / n_items
 
 
-def gini_diversity(recommended: Sequence[Sequence[int]], n_items: int) -> float:
+def gini_diversity(ranked: np.ndarray, n_items: int) -> float:
     """1 - Gini coefficient of exposure counts over the full catalog."""
     if n_items < 2:
         raise DegenerateCatalog("need at least 2 items for a concentration index")
-    items = np.fromiter(chain.from_iterable(recommended), dtype=np.int64)
-    counts = np.bincount(items, minlength=n_items)
+    counts = np.bincount(ranked[ranked >= 0], minlength=n_items)
     total = counts.sum()
     if total == 0:
         raise ValueError("no recommendations to measure")
@@ -134,7 +123,7 @@ def gini_diversity(recommended: Sequence[Sequence[int]], n_items: int) -> float:
 
 
 def mean_inter_list(
-    recommended: Sequence[Sequence[int]],
+    ranked: np.ndarray,
     cutoff: int,
     max_pairs: int = 10_000,
     seed: int = 0,
@@ -142,15 +131,16 @@ def mean_inter_list(
     """Mean over user pairs of 1 - |overlap| / cutoff; exact when the pair
     count fits in max_pairs, otherwise a seeded uniform pair sample.
 
-    The lists' distinct items are held as one padded users x longest-list
-    array, and the overlaps are counted for ``MIL_CHUNK_PAIRS`` pairs at a
-    time; the terms are added one at a time, in pair order."""
-    n_users = len(recommended)
+    Each list's distinct items are held as a sorted row, its repeats and pads
+    set to -1, and the overlaps are counted for ``MIL_CHUNK_PAIRS`` pairs at
+    a time; the terms are added one at a time, in pair order."""
+    n_users = len(ranked)
     if n_users < 2:
         raise ValueError("need at least 2 users")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    lists, pad = _padded_sets(recommended)
+    lists = np.sort(ranked, axis=1)
+    lists[:, 1:][lists[:, 1:] == lists[:, :-1]] = -1  # a repeated item counts once
     total_pairs = n_users * (n_users - 1) // 2
     if total_pairs <= max_pairs:
         chosen = np.arange(total_pairs)
@@ -165,42 +155,24 @@ def mean_inter_list(
         pairs = chosen[lo:lo + MIL_CHUNK_PAIRS]
         us = np.searchsorted(offsets, pairs, side="right") - 1
         a, b = lists[us], lists[pairs - offsets[us] + us + 1]
-        overlaps = ((a[:, :, None] == b[:, None, :]) & (a != pad)[:, :, None]).sum(axis=(1, 2))
+        overlaps = ((a[:, :, None] == b[:, None, :]) & (a >= 0)[:, :, None]).sum(axis=(1, 2))
         for o in overlaps.tolist():
             acc += 1.0 - o / cutoff
     return acc / chosen.size
 
 
-def _padded_sets(recommended: Sequence[Sequence[int]]) -> tuple[np.ndarray, int]:
-    """Each list's distinct items as a row of an int64 array, the rest of the
-    row filled with a pad below every item, and the pad."""
-    n_users = len(recommended)
-    lengths = np.fromiter(map(len, recommended), dtype=np.int64, count=n_users)
-    # as int(item) would: lists of any integer type, and empty lists, join
-    items = np.concatenate(recommended, dtype=np.int64, casting="unsafe")
-    pad = int(items.min()) - 1 if items.size else 0
-    padded = np.full((n_users, max(1, int(lengths.max()))), pad, dtype=np.int64)
-    rank = np.arange(items.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    padded[np.repeat(np.arange(n_users), lengths), rank] = items
-    padded.sort(axis=1)
-    padded[:, 1:][padded[:, 1:] == padded[:, :-1]] = pad  # a repeated item counts once
-    return padded, pad
-
-
 def evaluate_recommendations(
-    recommended: Sequence[Sequence[int]],
-    relevant: Sequence[Collection[int]],
+    ranked: np.ndarray,
+    holdings: SparseMatrix,
     cutoff: int,
     n_items: int,
     max_pairs: int = 10_000,
     seed: int = 0,
 ) -> EvalReport:
-    """Full report over users with a non-empty relevant set."""
-    kept = [(rec, rel) for rec, rel in zip(recommended, relevant) if len(rel)]
-    lists = [rec for rec, _ in kept]
-    rels = [rel for _, rel in kept]
-    precision, recall, ndcg, map_score = accuracy_metrics(lists, rels, cutoff)
-    if lists and any(len(rec) for rec in lists):
+    """Full report over users with a non-empty row of ``holdings``."""
+    precision, recall, ndcg, map_score = accuracy_metrics(ranked, holdings, cutoff)
+    lists = ranked[holdings.row_nnz() > 0]
+    if (lists >= 0).any():
         coverage = item_coverage(lists, n_items)
         gini = gini_diversity(lists, n_items)
     else:

@@ -197,9 +197,11 @@ def score_and_rank(
     user_profiles: SparseMatrix,
     cutoff: int,
     candidate_items: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Ranked item lists per user from profile-times-similarity scores,
-    without the items each user has already seen.
+) -> np.ndarray:
+    """Ranked items per user from profile-times-similarity scores, without
+    the items each user has already seen: an int64 users x
+    ``min(cutoff, n_candidates)`` array whose row u is user u's list, best
+    first, padded with -1 after its end when u has fewer unseen candidates.
 
     Ties break toward the smaller item index, which also serves as the
     deterministic fallback for users whose scores are all zero. Repeated
@@ -213,7 +215,7 @@ def score_and_rank(
     numpy scores users in chunks of at most ``RANK_CHUNK_ENTRIES`` dense
     scores (one user per chunk if a single row exceeds it). Either way the
     scores held do not grow with the number of users, and both paths return
-    identical lists.
+    identical arrays.
     """
     if user_profiles.n_cols != model.s.n_rows:
         raise DimensionMismatch(
@@ -236,7 +238,7 @@ def score_and_rank(
         sim = model.s.submatrix(cols=candidates)
     n_cand = candidates.size
     if n_cand == 0:
-        return [candidates[:0] for _ in range(user_profiles.n_rows)]
+        return np.empty((user_profiles.n_rows, 0), dtype=np.int64)
     # column of each item among the candidates, -1 for the others; it covers
     # the profiles' columns too, which index the similarity's rows
     position = np.full(max(model.s.shape), -1, dtype=np.int64)
@@ -246,12 +248,13 @@ def score_and_rank(
 
 
 def _rank_numpy(profiles: SparseMatrix, sim: SparseMatrix, position: np.ndarray,
-                candidates: np.ndarray, k: int) -> list[np.ndarray]:
+                candidates: np.ndarray, k: int) -> np.ndarray:
     """``score_and_rank`` over chunks of users: the canonical product (with its
     zero rule) as dense scores, and ``_top_k``. ``sim`` holds the candidates."""
     n_users, n_cand = profiles.n_rows, candidates.size
     step = max(1, RANK_CHUNK_ENTRIES // n_cand)
-    ranked: list[np.ndarray] = []
+    out = np.empty((n_users, k), dtype=np.int64)
+    unseen = np.empty(n_users, dtype=np.int64)
     for lo in range(0, n_users, step):
         chunk = profiles.submatrix(rows=np.arange(lo, min(lo + step, n_users)))
         scores = (chunk @ sim).to_dense()
@@ -259,16 +262,15 @@ def _rank_numpy(profiles: SparseMatrix, sim: SparseMatrix, position: np.ndarray,
         cols = position[items]
         seen = (values > 0) & (cols >= 0)
         scores[rows[seen], cols[seen]] = -np.inf
-        unseen = n_cand - np.bincount(rows[seen], minlength=chunk.n_rows)
-        lengths = np.minimum(k, unseen)
-        items = candidates[_top_k(scores, k)]
-        ranked.extend(row[:length] for row, length in zip(items, lengths.tolist()))
-    return ranked
+        unseen[lo:lo + chunk.n_rows] = n_cand - np.bincount(rows[seen], minlength=chunk.n_rows)
+        out[lo:lo + chunk.n_rows] = candidates[_top_k(scores, k)]
+    out[np.arange(k) >= unseen[:, None]] = -1
+    return out
 
 
-# ``_rank_numpy(*_check_case())``, pinned so that the self-check runs no
-# sparse product and depends on no other kernel; a test holds the pin to
-# ``_rank_numpy``
+# ``_rank_numpy(*_check_case())``, its rows cut at the -1 pad, pinned so that
+# the self-check runs no sparse product and depends on no other kernel; a
+# test holds the pin to ``_rank_numpy``
 _CHECK_RANKING = [[1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, 4, 5, 6, 7, 8, 9],
                   [9, 2, 3, 4, 5, 6, 10, 11, 7], [8, 6, 9, 2, 3, 4, 5, 7],
                   [9, 8, 10, 2, 4, 7], [8, 9, 11, 2, 3, 5, 6],
@@ -309,12 +311,10 @@ def _load_kernel():
                         np.empty(k), np.empty(k, dtype=np.int64), out, lengths)
         if status:
             raise NonFinite("non-finite value in sparse matrix")
-        ranked = list(out)
-        for u in np.flatnonzero(lengths < k).tolist():
-            ranked[u] = ranked[u][:lengths[u]]
-        return ranked
+        out[np.arange(k) >= lengths[:, None]] = -1
+        return out
 
-    if [r.tolist() for r in rank(*_check_case())] != _CHECK_RANKING:
+    if [r[r >= 0].tolist() for r in rank(*_check_case())] != _CHECK_RANKING:
         return None
     return rank
 

@@ -48,8 +48,9 @@ from .fileio import atomic_open
 ZERO_EPSILON = 1e-12
 _INDEX_MAX = np.iinfo(np.int32).max
 # dense sums plus terms that one block of the numpy product holds, and terms
-# per chunk of a product with a dense array: 2**20 float64s are 8 MB
-PRODUCT_BLOCK_ENTRIES = 1 << 20
+# per chunk of a product with a dense array: a term costs about 50 bytes of
+# index and value arrays while its block is summed, so 2**17 cost about 7 MB
+PRODUCT_BLOCK_ENTRIES = 1 << 17
 # entries that the compiled product's output buffer holds beyond the largest
 # row's bound: 2**16 entries are 768 KB of 32-bit indices and float64s
 PRODUCT_BUFFER_ENTRIES = 1 << 16
@@ -70,7 +71,7 @@ def _keep(indptr: np.ndarray, keep: np.ndarray, *arrays: np.ndarray) -> tuple:
 class SparseMatrix:
     """Immutable row-compressed sparse real matrix."""
 
-    __slots__ = ("_shape", "_indptr", "_indices", "_data")
+    __slots__ = ("_shape", "_indptr", "_indices", "_data", "_transpose")
 
     @classmethod
     def _of(cls, shape, indptr, indices, data) -> "SparseMatrix":
@@ -95,6 +96,7 @@ class SparseMatrix:
         self._indptr = indptr.astype(np.int32, copy=False)
         self._indices = indices.astype(np.int32, copy=False)
         self._data = data
+        self._transpose = None
         for array in (self._indptr, self._indices, self._data):
             array.flags.writeable = False
 
@@ -218,10 +220,6 @@ class SparseMatrix:
     def col_nnz(self) -> np.ndarray:
         return np.bincount(self._indices, minlength=self.n_cols)
 
-    def row_entries(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self._indptr[r], self._indptr[r + 1]
-        return self._indices[lo:hi], self._data[lo:hi]
-
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
@@ -242,12 +240,17 @@ class SparseMatrix:
 
     def transpose(self) -> "SparseMatrix":
         """A stable sort of the entries by column, as scipy's ``csr_tocsc``
-        makes it: each new row holds its entries in ascending old row."""
-        rows, cols, values = self.entries()
-        order = np.argsort(cols, kind="stable")
-        counts = np.bincount(cols, minlength=self.n_cols)
-        return SparseMatrix._of((self.n_cols, self.n_rows), np.concatenate(([0], np.cumsum(counts))),
-                                rows.take(order), values.take(order))
+        makes it: each new row holds its entries in ascending old row. The
+        result is kept, so a matrix is transposed once; the transpose holds
+        no reference back, so no reference cycle forms."""
+        if self._transpose is None:
+            rows, cols, values = self.entries()
+            order = np.argsort(cols, kind="stable")
+            counts = np.bincount(cols, minlength=self.n_cols)
+            self._transpose = SparseMatrix._of(
+                (self.n_cols, self.n_rows), np.concatenate(([0], np.cumsum(counts))),
+                rows.take(order), values.take(order))
+        return self._transpose
 
     def __matmul__(self, other: "SparseMatrix | np.ndarray") -> "SparseMatrix | np.ndarray":
         """A canonical product, or a dense ndarray for a dense ``other``.

@@ -20,6 +20,7 @@ from qubofs.models import ModelKind, SimilarityModel, cosine_knn, randomized_svd
 from qubofs.qubo import assemble_qubo, build_fpm
 from qubofs.solvers import default_schedule, energy, solve_exhaustive, solve_sa_many
 from qubofs.sparse import SparseMatrix
+from test_metrics import holdings, ranking
 
 
 def all_assignments(n: int) -> np.ndarray:
@@ -119,7 +120,7 @@ def test_cardinality_control():
 
 def test_metric_fixtures():
     """Hand-computed ranking values and MIL sampling agreement."""
-    precision, recall, ndcg, map_score = accuracy_metrics([[0, 1, 2]], [{1}], cutoff=3)
+    precision, recall, ndcg, map_score = accuracy_metrics(ranking([[0, 1, 2]]), holdings([{1}]), cutoff=3)
     assert abs(precision - 1 / 3) <= 1e-9
     assert abs(recall - 1.0) <= 1e-9
     assert abs(ndcg - 1 / math.log2(3)) <= 1e-9
@@ -127,10 +128,10 @@ def test_metric_fixtures():
 
     rng = np.random.default_rng(20244)
     lists = [rng.choice(60, size=10, replace=False).tolist() for _ in range(100)]
-    exact = mean_inter_list(lists, cutoff=10, max_pairs=10_000, seed=0)
-    stated = mean_inter_list(lists, cutoff=10, max_pairs=10_000, seed=1)
+    exact = mean_inter_list(ranking(lists), cutoff=10, max_pairs=10_000, seed=0)
+    stated = mean_inter_list(ranking(lists), cutoff=10, max_pairs=10_000, seed=1)
     assert abs(exact - stated) <= 0.02  # 4950 pairs fit, so both are exact
-    forced = mean_inter_list(lists, cutoff=10, max_pairs=1_000, seed=1)
+    forced = mean_inter_list(ranking(lists), cutoff=10, max_pairs=1_000, seed=1)
     assert abs(exact - forced) <= 0.02
     print(
         f"\nPASS metric-fixtures: ndcg {ndcg:.6f}, mil exact {exact:.4f}, sampled {forced:.4f}"

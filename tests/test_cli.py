@@ -125,6 +125,9 @@ INVALID_VALUES = {
     "collaborative.space topK missing": ("collaborative.space.topK", {"collaborative": {"space": {
         "shrink": {"type": "float", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "final_cbf.space topK high beyond float range": ("final_cbf.space.topK", {"final_cbf": {"space": {
+        "topK": {"type": "int", "low": 5, "high": 10**400}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
 }
 
 

@@ -330,7 +330,7 @@ class TestSynthPlanted:
         ds, planted = synth_planted(20, 30, 10, 3, 5, 0.0, seed=0)
         carries = ds.icm.to_dense() > 0
         for u in range(ds.n_users):
-            cols, _ = ds.urm.row_entries(u)
+            cols = ds.urm.indices[ds.urm.indptr[u]:ds.urm.indptr[u + 1]]
             hit_any_planted = [
                 any(carries[i, f] for f in planted) for i in cols
             ]
@@ -350,7 +350,8 @@ class TestSynthPlanted:
         hits = 0.0
         # recompute preference as the planted feature most interacted with
         for u in range(ds.n_users):
-            cols, vals = ds.urm.row_entries(u)
+            lo, hi = ds.urm.indptr[u], ds.urm.indptr[u + 1]
+            cols, vals = ds.urm.indices[lo:hi], ds.urm.data[lo:hi]
             mass = {f: 0.0 for f in planted}
             for i, v in zip(cols, vals):
                 for f in planted:

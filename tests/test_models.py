@@ -375,7 +375,7 @@ def matches_reference_test():
         assert len(ranked) == len(expected) == profiles.n_rows
         for got, want in zip(ranked, expected):
             assert got.dtype == want.dtype
-            assert got.tolist() == want.tolist()
+            assert got.tolist() == want.tolist() + [-1] * (got.size - want.size)
 
     return test_matches_reference
 
@@ -397,7 +397,7 @@ class TestScoreAndRank:
         model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
         profiles = SparseMatrix.from_dense([[1, 1]])
         ranked = score_and_rank(model, profiles, cutoff=1)
-        assert len(ranked[0]) == 0
+        assert (ranked[0] < 0).all()
 
     def test_matches_dense_oracle(self):
         from qubofs.models import SimilarityModel
@@ -449,6 +449,24 @@ class TestScoreAndRank:
             score_and_rank(model, SparseMatrix.from_triplets(2, 4, []), cutoff=1)
 
     test_matches_reference = matches_reference_test()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("subset", [None, "some", "none"])
+    def test_one_padded_block(self, seed, subset):
+        """One int64 users x min(cutoff, candidates) array, each row's items
+        up to its user's count of unseen candidates and -1 from there on."""
+        model, profiles, rng = tie_heavy_case(seed, "integer")
+        n_items = model.s.n_cols
+        candidates = {None: np.arange(n_items), "none": np.arange(0),
+                      "some": rng.choice(n_items, size=n_items // 2, replace=False)}[subset]
+        cutoff = int(rng.integers(1, n_items + 3))
+        ranked = score_and_rank(model, profiles, cutoff,
+                                candidate_items=None if subset is None else candidates)
+        unseen = (profiles.to_dense()[:, candidates] <= 0).sum(axis=1)
+        assert ranked.dtype == np.int64
+        assert ranked.shape == (profiles.n_rows, min(cutoff, candidates.size))
+        assert np.array_equal(ranked >= 0, np.arange(ranked.shape[1]) < unseen[:, None])
+        assert np.all(ranked < n_items)
 
     def test_chunks_stay_within_budget(self, monkeypatch):
         """On the numpy path, no chunk holds more dense scores than the

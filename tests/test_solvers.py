@@ -830,7 +830,7 @@ class TestRankKernelBuild:
     def test_self_check_ranking_is_the_numpy_ranking(self):
         """The self-check compares the kernel with a pinned ranking, which
         must stay what numpy ranks on the same case."""
-        assert models._CHECK_RANKING == [r.tolist() for r in models._rank_numpy(*models._check_case())]
+        assert models._CHECK_RANKING == [r[r >= 0].tolist() for r in models._rank_numpy(*models._check_case())]
 
     def test_self_check_mismatch_falls_back(self, cache, monkeypatch):
         # a kernel that ranks a tied later column above an earlier one

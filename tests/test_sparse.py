@@ -1,4 +1,5 @@
 import ast
+import gc
 import io
 import re
 from pathlib import Path
@@ -104,6 +105,18 @@ class TestTranspose:
         rng = np.random.default_rng(0)
         m = random_sparse(rng, 5, 7, density=0.2)
         assert m.transpose().transpose() == m
+
+    def test_kept_once(self):
+        """A second transpose is the first one, which equals a transpose that
+        no matrix kept; the transpose holds no reference back."""
+        rng = np.random.default_rng(1)
+        m = random_sparse(rng, 6, 9, density=0.3)
+        t = m.transpose()
+        assert m.transpose() is t
+        assert t == SparseMatrix.from_dense(dense(m).T)
+        assert t == SparseMatrix.from_dense(dense(m)).transpose()
+        assert not any(ref is m for ref in gc.get_referents(t))
+        assert t.transpose() == m and t.transpose() is not m
 
 
 class TestMatmul:
