@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qubofs.data import cold_item_split, synth_planted, user_holdout_split
 from qubofs.metrics import accuracy_metrics
-from qubofs.models import ModelKind, cosine_knn, score_and_rank, tfidf_feature_scores
+from qubofs.models import cosine_knn, score_and_rank, tfidf_feature_scores
 from qubofs.qubo import assemble_qubo, build_fpm, build_ipm, build_penalization
 from qubofs.solvers import default_schedule, solve_sa_many
 
@@ -57,9 +57,7 @@ def qubo_selection(ds, cold, p, seed):
     cf = cosine_knn(holdout.train.transpose(), top_k=10, shrink=2.0, normalize=True)
     warm = cold.warm_items()
     icm_warm = ds.icm.submatrix(rows=warm)
-    cbf_warm = cosine_knn(
-        icm_warm, top_k=25, shrink=0.0, normalize=True, kind=ModelKind.ITEM_KNN_CBF
-    )
+    cbf_warm = cosine_knn(icm_warm, top_k=25, shrink=0.0, normalize=True)
     pm = build_penalization(cf.s.submatrix(rows=warm, cols=warm), cbf_warm.s)
     fpm = build_fpm(icm_warm, build_ipm(pm, alpha=1.0, beta=1.0))
     strength = 1.5 * float(np.abs(fpm.to_dense()).sum(axis=1).mean())
@@ -75,13 +73,9 @@ def cold_ndcg(ds, cold, selected, cutoff=10):
     """NDCG on the cold test items of a content model on the selected features."""
     mask = np.zeros(ds.n_features, dtype=bool)
     mask[sorted(selected)] = True
-    model = cosine_knn(
-        ds.icm.mask_cols(mask), top_k=100, shrink=0.0, normalize=True,
-        kind=ModelKind.ITEM_KNN_CBF,
-    )
-    candidates = np.array(sorted(cold.cold_test_items), dtype=np.int64)
+    model = cosine_knn(ds.icm.mask_cols(mask), top_k=100, shrink=0.0, normalize=True)
     ranked = score_and_rank(
-        model, cold.train + cold.validation, cutoff, candidate_items=candidates
+        model, cold.train + cold.validation, cutoff, candidate_items=cold.cold_test_items
     )
     return accuracy_metrics(ranked, cold.test, cutoff)[2]
 

@@ -76,19 +76,21 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ColdSplit:
-    """Item-wise split: warm train/validation columns, cold test columns."""
+    """Item-wise split: warm train/validation columns, cold test columns.
+    The cold items are ascending int64 arrays."""
 
     train: SparseMatrix
     validation: SparseMatrix
     test: SparseMatrix
-    cold_validation_items: frozenset[int]
-    cold_test_items: frozenset[int]
+    cold_validation_items: np.ndarray
+    cold_test_items: np.ndarray
 
     def warm_items(self) -> np.ndarray:
-        cold = self.cold_validation_items | self.cold_test_items
-        return np.array(
-            [i for i in range(self.train.n_cols) if i not in cold], dtype=np.int64
-        )
+        """The items in neither cold pool, ascending, as int64."""
+        warm = np.ones(self.train.n_cols, dtype=bool)
+        warm[self.cold_validation_items] = False
+        warm[self.cold_test_items] = False
+        return np.flatnonzero(warm)
 
 
 @dataclass(frozen=True)
@@ -272,8 +274,8 @@ def _split_columns(urm: SparseMatrix, test_items, validation_items) -> ColdSplit
         train=urm.mask_cols(train_mask),
         validation=urm.mask_cols(validation_mask),
         test=urm.mask_cols(test_mask),
-        cold_validation_items=frozenset(validation_items),
-        cold_test_items=frozenset(test_items),
+        cold_validation_items=np.flatnonzero(validation_mask),
+        cold_test_items=np.flatnonzero(test_mask),
     )
 
 
@@ -385,8 +387,8 @@ def save_cold_split(split: ColdSplit, sidecar_path, seed: int, test_quota: float
         "seed": seed,
         "test_quota": test_quota,
         "validation_quota": validation_quota,
-        "cold_test_items": sorted(split.cold_test_items),
-        "cold_validation_items": sorted(split.cold_validation_items),
+        "cold_test_items": split.cold_test_items.tolist(),
+        "cold_validation_items": split.cold_validation_items.tolist(),
     })
 
 

@@ -1,6 +1,8 @@
 """Similarity-based recommenders and ranking.
 
-All models produce an item-item similarity matrix with zero diagonal.
+Every fit returns an item-item similarity with zero diagonal and, where its
+hyperparameters name a ``topK``, at most that many entries per row; the fits
+guarantee both and the tests hold them, so nothing checks them at run time.
 Recommendation scores are user profiles times the similarity matrix; the
 highest-scoring items win, ties broken by the smaller item index so that runs
 are reproducible.
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -28,28 +29,14 @@ SVD_OVERSAMPLE = 10
 SVD_POWER_ITERATIONS = 7
 
 
-class ModelKind(str, Enum):
-    ITEM_KNN_CF = "item_knn_cf"
-    ITEM_KNN_CBF = "item_knn_cbf"
-    PURE_SVD = "pure_svd"
-    RP3_BETA = "rp3beta"
-
-
 @dataclass(frozen=True)
 class SimilarityModel:
-    """Top-k-sparsified item-item similarity plus the producing hyperparameters."""
+    """An item-item similarity and the hyperparameters that fit it again.
+    The fits below leave its diagonal empty and its rows within ``topK``;
+    the tests, not this class, hold those invariants."""
 
     s: SparseMatrix
-    kind: ModelKind
     hyperparams: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        rows, cols, _ = self.s.entries()
-        if self.s.n_rows == self.s.n_cols and np.any(rows == cols):
-            raise ValueError("similarity matrix must have zero diagonal")
-        top_k = self.hyperparams.get("topK")
-        if top_k is not None and np.any(self.s.row_nnz() > top_k):
-            raise ValueError("a row exceeds the topK bound")
 
 
 def cosine_knn(
@@ -57,7 +44,6 @@ def cosine_knn(
     top_k: int,
     shrink: float = 0.0,
     normalize: bool = True,
-    kind: ModelKind = ModelKind.ITEM_KNN_CF,
 ) -> SimilarityModel:
     """Pairwise similarity of `vectors` rows: dot products, optionally divided
     by (norm_i * norm_j + shrink). Diagonal removed, then per-row top-k.
@@ -79,9 +65,7 @@ def cosine_knn(
             rows, cols, values = gram.entries()
             gram = gram.with_entries(values=values / (norms[rows] * norms[cols] + shrink))
         s = gram.zero_diagonal().top_k_per_row(top_k)
-    return SimilarityModel(
-        s, kind, {"topK": top_k, "shrink": shrink, "normalize": normalize}
-    )
+    return SimilarityModel(s, {"topK": top_k, "shrink": shrink, "normalize": normalize})
 
 
 def apply_feature_weighting(icm: SparseMatrix, scheme: str = "none") -> SparseMatrix:
@@ -142,11 +126,8 @@ def pure_svd(urm: SparseMatrix, num_factors: int, seed: int = 0) -> SimilarityMo
     _, _, vt = randomized_svd(urm, num_factors, seed)
     s_dense = vt.T @ vt
     np.fill_diagonal(s_dense, 0.0)
-    return SimilarityModel(
-        SparseMatrix.from_dense(s_dense),
-        ModelKind.PURE_SVD,
-        {"num_factors": num_factors, "seed": seed},
-    )
+    return SimilarityModel(SparseMatrix.from_dense(s_dense),
+                           {"num_factors": num_factors, "seed": seed})
 
 
 def bipartite_walk_similarity(urm: SparseMatrix, alpha: float) -> SparseMatrix:
@@ -186,9 +167,7 @@ def rp3beta(
     if normalize:
         s = s.row_normalize()
     return SimilarityModel(
-        s,
-        ModelKind.RP3_BETA,
-        {"alpha": alpha, "beta": beta, "topK": top_k, "normalize": normalize},
+        s, {"alpha": alpha, "beta": beta, "topK": top_k, "normalize": normalize}
     )
 
 

@@ -19,7 +19,7 @@ parses and preprocesses the input TSVs once (a synthetic dataset's come from
 the synth stage) and stores the result as archives, so a resume reads those
 and never the text. The collaborative stage draws its holdout itself and
 stores none. The collaborative and all-features model stages store no
-similarity, only a sidecar with the model's kind and hyperparameters, from
+similarity, only a sidecar with the stage's kind and the hyperparameters, from
 which a load fits it again. The final stage stores nothing: its load fits the
 winner's content model from the winner's content-search row. Every file is
 written atomically, so a killed run resumes without cleanup and
@@ -71,7 +71,6 @@ from .errors import ConfigInvalid, DataError, DimensionMismatch, ParseError
 from .fileio import atomic_write_text, is_finite_number, read_json, write_json, write_tsv
 from .metrics import EvalReport, accuracy_metrics, evaluate_recommendations
 from .models import (
-    ModelKind,
     SimilarityModel,
     apply_feature_weighting,
     cosine_knn,
@@ -202,15 +201,15 @@ def feature_selection_stats(
 # ----------------------------------------------------------------------
 
 
-def _fit_cosine(matrix: SparseMatrix, params: dict, kind: ModelKind) -> SimilarityModel:
+def _fit_cosine(matrix: SparseMatrix, params: dict) -> SimilarityModel:
     """``cosine_knn`` of ``matrix``'s rows with a case's topK, shrink and normalize."""
     return cosine_knn(matrix, top_k=int(params["topK"]), shrink=float(params["shrink"]),
-                      normalize=bool(params["normalize"]), kind=kind)
+                      normalize=bool(params["normalize"]))
 
 
 def fit_collaborative(kind: str, urm: SparseMatrix, params: dict, seed: int) -> SimilarityModel:
     if kind == "item_knn_cf":
-        return _fit_cosine(urm.transpose(), params, ModelKind.ITEM_KNN_CF)
+        return _fit_cosine(urm.transpose(), params)
     if kind == "pure_svd":
         return pure_svd(urm, num_factors=int(params["num_factors"]), seed=seed)
     if kind == "rp3beta":
@@ -226,26 +225,29 @@ def fit_collaborative(kind: str, urm: SparseMatrix, params: dict, seed: int) -> 
 
 def fit_cbf(icm: SparseMatrix, params: dict) -> SimilarityModel:
     weighting = params.get("weighting", "none")
-    model = _fit_cosine(apply_feature_weighting(icm, weighting), params, ModelKind.ITEM_KNN_CBF)
+    model = _fit_cosine(apply_feature_weighting(icm, weighting), params)
     return replace(model, hyperparams={**model.hyperparams, "weighting": weighting})
 
 
-def save_model(model: SimilarityModel, sidecar_path, **extra) -> None:
-    """The model as a JSON sidecar holding the kind, the model's
-    hyperparameters, their names as ``hyperparam_names``, and ``extra``: all
-    that ``load_model`` needs to fit it again."""
+def save_model(model: SimilarityModel, kind: str, sidecar_path, **extra) -> None:
+    """The model as a JSON sidecar holding ``kind``, the stage's name for its
+    fit, the model's hyperparameters, their names as ``hyperparam_names``, and
+    ``extra``: all that ``load_model`` needs to fit it again."""
     write_json(sidecar_path, {
-        "kind": model.kind.value, **model.hyperparams,
+        "kind": kind, **model.hyperparams,
         "hyperparam_names": sorted(model.hyperparams), **extra,
     })
 
 
-def load_model(sidecar_path, fit: Callable[[dict], SimilarityModel]) -> SimilarityModel:
-    """``fit`` of the hyperparameters ``save_model`` stored. A sidecar whose
-    ``hyperparam_names`` is not a list of strings that are its keys, holding
-    values no search space may give or ``fit`` refuses, or another kind or
-    hyperparameters than the fitted model's, is a ``ParseError`` naming it."""
+def load_model(sidecar_path, kind: str, fit: Callable[[dict], SimilarityModel]) -> SimilarityModel:
+    """``fit`` of the hyperparameters ``save_model`` stored for a stage that
+    fits ``kind``. A sidecar of another kind, whose ``hyperparam_names`` is
+    not a list of strings that are its keys, holding values no search space
+    may give or ``fit`` refuses, or other hyperparameters than the fitted
+    model's, is a ``ParseError`` naming it."""
     meta = read_json(sidecar_path, "kind", "hyperparam_names")
+    if meta["kind"] != kind:
+        raise ParseError(f"{sidecar_path}: kind {meta['kind']!r} is not its stage's {kind!r}")
     names = meta["hyperparam_names"]
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ParseError(f"{sidecar_path}: hyperparam_names is not a list of strings")
@@ -259,8 +261,8 @@ def load_model(sidecar_path, fit: Callable[[dict], SimilarityModel]) -> Similari
         model = fit(params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{sidecar_path}: hyperparameters that fit no model ({exc})") from exc
-    if (model.kind.value, model.hyperparams) != (meta["kind"], params):
-        raise ParseError(f"{sidecar_path}: its values fit a {model.kind.value} model with {model.hyperparams}")
+    if model.hyperparams != params:
+        raise ParseError(f"{sidecar_path}: its values fit a {kind} model with {model.hyperparams}")
     return model
 
 
@@ -442,7 +444,7 @@ class Pipeline:
         test items, as one column mask of the dataset's interactions: the
         split's matrices are disjoint column masks of them."""
         warm = np.ones(self.ensure_dataset().n_items, dtype=bool)
-        warm[list(self.ensure_splits().cold_test_items)] = False
+        warm[self.ensure_splits().cold_test_items] = False
         return self.ensure_dataset().urm.mask_cols(warm)
 
     def _search(self, label: str, space: dict, n_cases: int, fit: Callable[[dict], SimilarityModel],
@@ -502,7 +504,7 @@ class Pipeline:
                                                "precision")
         model = fit(best)
         sidecar, search = self._files("cf_model")
-        save_model(model, sidecar, validation_precision=best_score, seed=fit.keywords["seed"])
+        save_model(model, kind, sidecar, validation_precision=best_score, seed=fit.keywords["seed"])
         write_tsv(search, ("case", "params", "score"), (
             (index, json.dumps(params, sort_keys=True), score)
             for index, (params, score) in enumerate(cases)
@@ -516,16 +518,16 @@ class Pipeline:
         cold = self.ensure_splits()
         params, _, _ = self._search_cbf(ds.icm, cold)
         model = fit_cbf(ds.icm, params)
-        save_model(model, *self._files("cbf_all"))
+        save_model(model, "item_knn_cbf", *self._files("cbf_all"))
         return model
 
     def _search_cbf(self, icm: SparseMatrix, cold: ColdSplit) -> tuple[dict, float, list]:
         """Shared content-model search; the seed is the same for every feature
         subset so all selections see an identical case sequence."""
-        candidates = np.array(sorted(cold.cold_validation_items), dtype=np.int64)
         return self._search("cbf-search", self.cfg.final_cbf.resolved_space(),
                             self.cfg.final_cbf.n_cases, partial(fit_cbf, icm),
-                            cold.train, cold.validation, candidates, self.cfg.objective)
+                            cold.train, cold.validation, cold.cold_validation_items,
+                            self.cfg.objective)
 
     # -- stage: QUBO grid ----------------------------------------------------
 
@@ -698,12 +700,11 @@ class Pipeline:
 
         # retrain on train + validation, report on the cold test items
         union_profiles = self._warm_interactions()
-        test_candidates = np.array(sorted(cold.cold_test_items), dtype=np.int64)
         final_report = self._full_report(
-            final_model, union_profiles, cold.test, test_candidates
+            final_model, union_profiles, cold.test, cold.cold_test_items
         )
         baseline_report = self._full_report(
-            baseline_model, union_profiles, cold.test, test_candidates
+            baseline_model, union_profiles, cold.test, cold.cold_test_items
         )
 
         report = {
@@ -772,9 +773,10 @@ STAGES = {
     "splits": (("splits/split.json",), Pipeline._build_splits,
                lambda p: load_cold_split(p.ensure_dataset().urm, *p._files("splits"))),
     "cf_model": (("cf_model/model.json", "cf_model/search.tsv"), Pipeline._build_cf_model,
-                 lambda p: load_model(p._files("cf_model")[0], p._cf_fit()[0])),
+                 lambda p: load_model(p._files("cf_model")[0], p.cfg.collaborative.kind, p._cf_fit()[0])),
     "cbf_all": (("cbf_all/model.json",), Pipeline._build_cbf_all,
-                lambda p: load_model(*p._files("cbf_all"), partial(fit_cbf, p.ensure_dataset().icm))),
+                lambda p: load_model(*p._files("cbf_all"), "item_knn_cbf",
+                                     partial(fit_cbf, p.ensure_dataset().icm))),
     "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
                "qubo/grid_{i:03d}/qubo.json"),
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),

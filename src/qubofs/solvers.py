@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, TooLarge
-from .fileio import read_json, write_json
+from .fileio import is_finite_number, read_json, write_json
 from .qubo import QuboProblem
 
 # n = 31 takes about 8 s on one core of a 2-core Xeon with OpenBLAS, n = 32 16 s
@@ -102,11 +102,14 @@ def save_selection(result: SelectionResult, path) -> None:
 
 def load_selection(path, n: int | None = None) -> SelectionResult:
     """The result ``save_selection`` stored; an ``x`` that is not a list of 0/1
-    integers, ``n`` of them if ``n`` is given, is a ``ParseError`` naming the path."""
+    integers, ``n`` of them if ``n`` is given, or an energy that is not a
+    finite number, is a ``ParseError`` naming the path."""
     d = read_json(path, *(f.name for f in fields(SelectionResult)))
     if not (isinstance(d["x"], list) and n in (None, len(d["x"]))
             and all(type(v) is int and v in (0, 1) for v in d["x"])):
         raise ParseError(f"{path}: x is not a list of {'' if n is None else f'{n} '}0/1 integers")
+    if not is_finite_number(d["energy"]):
+        raise ParseError(f"{path}: energy {d['energy']!r} is not a finite number")
     return SelectionResult.from_json_dict(d)
 
 

@@ -16,7 +16,7 @@ import pytest
 from qubofs.cli import main as cli_main
 from qubofs.data import cold_item_split, synth_planted
 from qubofs.metrics import accuracy_metrics, mean_inter_list
-from qubofs.models import ModelKind, SimilarityModel, cosine_knn, randomized_svd, rp3beta, score_and_rank
+from qubofs.models import SimilarityModel, cosine_knn, randomized_svd, rp3beta, score_and_rank
 from qubofs.qubo import assemble_qubo, build_fpm
 from qubofs.solvers import default_schedule, energy, solve_exhaustive, solve_sa_many
 from qubofs.sparse import SparseMatrix
@@ -218,7 +218,7 @@ def test_model_oracles():
     # ranking
     s_dense = rng.random((15, 15))
     np.fill_diagonal(s_dense, 0.0)
-    sim = SimilarityModel(SparseMatrix.from_dense(s_dense), ModelKind.ITEM_KNN_CF, {})
+    sim = SimilarityModel(SparseMatrix.from_dense(s_dense), {})
     profiles_dense = (rng.random((10, 15)) < 0.3).astype(float)
     ranked = score_and_rank(
         sim, SparseMatrix.from_dense(profiles_dense), cutoff=5

@@ -456,6 +456,10 @@ class TestExitCodes:
         ("selections/grid_000/selection.json", edited("x", lambda v: ["a"] + v["x"][1:]), ("cbf_sel",)),
         ("selections/grid_000/selection.json", edited("x", lambda v: [2] + v["x"][1:]), ("cbf_sel",)),
         ("selections/grid_000/selection.json", edited("x", lambda v: v["x"][1:]), ("cbf_sel",)),
+        ("selections/grid_000/selection.json", edited("energy", lambda v: "abc"), ()),
+        ("selections/grid_000/selection.json", edited("energy", lambda v: float("nan")), ()),
+        ("selections/grid_000/selection.json", edited("energy", lambda v: 10 ** 400), ()),
+        ("selections/grid_000/selection.json", edited("energy", lambda v: True), ()),
         ("cbf_sel/grid_000/result.json", edited("validation_score", lambda v: "high"), ()),
         ("cbf_sel/grid_000/result.json", edited("validation_score", lambda v: True), ()),
         ("cbf_sel/grid_000/result.json", edited("validation_score", lambda v: float("nan")), ()),
@@ -477,6 +481,8 @@ class TestExitCodes:
             "model of an unknown kind", "model topK below one", "model weighting unknown", "model of another kind",
             "model rank beyond the matrix", "selection entry out of int8",
             "selection entry a string", "selection entry not binary", "selection short of a feature",
+            "selection energy a string", "selection energy NaN", "selection energy beyond float range",
+            "selection energy a bool",
             "row score a string", "row score a bool", "row score not finite",
             "row score beyond float range", "row params not an object",
             "row topK below one", "row params that fit no model", "row params without topK",
@@ -487,9 +493,10 @@ class TestExitCodes:
         items outside the interactions, repeated or in both lists; a model
         whose kind or hyperparameter names do not hold, or whose values fit
         no model or another kind of model than the one named; a selection
-        that is not one 0/1 integer per feature; a content-search row whose
-        score is not a finite number or whose hyperparameters fit no model (the
-        one grid point is the winner, so the final fit reads them); or a QUBO
+        that is not one 0/1 integer per feature or whose energy is not a
+        finite number; a content-search row whose score is not a finite
+        number or whose hyperparameters fit no model (the one grid point is
+        the winner, so the final fit reads them); or a QUBO
         sidecar whose offset is not a finite number: each exits 3 naming the
         file instead of a traceback. The collaborative model is ``pure_svd``,
         whose rank the matrix bounds. The files and stages in ``deleted`` are

@@ -262,7 +262,7 @@ class TestColdItemSplit:
         ds = random_dataset(np.random.default_rng(4))
         s1 = cold_item_split(ds, 0.2, 0.1, seed=11)
         s2 = cold_item_split(ds, 0.2, 0.1, seed=11)
-        assert s1.cold_test_items == s2.cold_test_items
+        assert np.array_equal(s1.cold_test_items, s2.cold_test_items)
         assert s1.train == s2.train
 
     def test_partition_and_disjoint_columns(self):
@@ -283,8 +283,11 @@ class TestColdItemSplit:
         split = cold_item_split(ds, 0.2, 0.1, seed=7)
         path = tmp_path / "split.json"
         save_cold_split(split, path, seed=7, test_quota=0.2, validation_quota=0.1)
-        # all three matrices and both item sets
-        assert load_cold_split(ds.urm, path) == split
+        # all three matrices and both item arrays
+        loaded = load_cold_split(ds.urm, path)
+        assert (loaded.train, loaded.validation, loaded.test) == (split.train, split.validation, split.test)
+        assert np.array_equal(loaded.cold_test_items, split.cold_test_items)
+        assert np.array_equal(loaded.cold_validation_items, split.cold_validation_items)
 
     def test_dominant_item_is_infeasible(self):
         # one item holds 90% of interactions; train cannot reach its share

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qubofs import models
 from qubofs.errors import DimensionMismatch, NonFinite, RankTooLarge
 from qubofs.models import (
-    ModelKind,
     SimilarityModel,
     apply_feature_weighting,
     bipartite_walk_similarity,
@@ -70,7 +69,7 @@ def tie_heavy_case(seed: int, kind: str):
         np.fill_diagonal(s, 0)
         if kind == "tiny":
             s = s * 1e-12
-        model = SimilarityModel(SparseMatrix.from_dense(s), ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(SparseMatrix.from_dense(s), {})
     return model, SparseMatrix.from_dense(profiles.astype(float)), rng
 
 
@@ -348,6 +347,61 @@ class TestRp3Beta:
                 assert abs(sums[r] - 1.0) <= 1e-9
 
 
+def random_matrix(seed: int, n_rows: int, n_cols: int, density: float, signed: bool) -> SparseMatrix:
+    """Small integer entries, some rows repeating the first so that
+    similarities tie, negated at random when ``signed``."""
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((n_rows, n_cols)) < density) * rng.integers(1, 4, size=(n_rows, n_cols))
+    dense[rng.random(n_rows) < 0.3] = dense[0]
+    if signed:
+        dense = dense * rng.choice([-1, 1], size=dense.shape)
+    return SparseMatrix.from_dense(dense.astype(float))
+
+
+def assert_fit_invariants(model: SimilarityModel) -> None:
+    """What every fit guarantees and nothing checks at run time: a square
+    similarity with no diagonal entry and, where the hyperparameters name a
+    ``topK``, at most that many entries in each row."""
+    rows, cols, _ = model.s.entries()
+    assert model.s.n_rows == model.s.n_cols
+    assert not np.any(rows == cols)
+    if "topK" in model.hyperparams:
+        assert model.s.row_nnz().max(initial=0) <= model.hyperparams["topK"]
+
+
+matrices = st.builds(random_matrix, seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12),
+                     n_cols=st.integers(1, 10), density=st.floats(0.0, 1.0), signed=st.booleans())
+interactions = st.builds(random_matrix, seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 12),
+                         n_cols=st.integers(1, 10), density=st.floats(0.0, 1.0),
+                         signed=st.just(False))
+
+
+class TestFitInvariants:
+    @settings(max_examples=100, deadline=None)
+    @given(vectors=matrices, top_k=st.integers(1, 14), shrink=st.sampled_from([0.0, 0.5, 3.0]),
+           normalize=st.booleans())
+    def test_cosine_knn(self, vectors, top_k, shrink, normalize):
+        """On the product kernel's path (the numpy one where none loads) and
+        on the numpy path."""
+        from qubofs import sparse
+
+        assert_fit_invariants(cosine_knn(vectors, top_k, shrink, normalize))
+        with mock.patch.object(sparse, "_load_kernel", lambda: None):
+            assert_fit_invariants(cosine_knn(vectors, top_k, shrink, normalize))
+
+    @settings(max_examples=100, deadline=None)
+    @given(urm=interactions, alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           beta=st.sampled_from([0.0, 0.3, 1.0]), top_k=st.integers(1, 12), normalize=st.booleans())
+    def test_rp3beta(self, urm, alpha, beta, top_k, normalize):
+        assert_fit_invariants(rp3beta(urm, alpha, beta, top_k, normalize))
+
+    @settings(max_examples=100, deadline=None)
+    @given(urm=interactions, data=st.data())
+    def test_pure_svd(self, urm, data):
+        factors = data.draw(st.integers(1, min(urm.shape)))
+        assert_fit_invariants(pure_svd(urm, factors, seed=data.draw(st.integers(0, 2**32 - 1))))
+
+
 def matches_reference_test():
     """A fresh test function each time: Hypothesis runs a test function for
     one class only, and TestScoreAndRank has a subclass."""
@@ -385,7 +439,7 @@ class TestScoreAndRank:
         from qubofs.models import SimilarityModel
 
         s = SparseMatrix.from_dense([[0, 1], [1, 0]])
-        model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(s, {})
         profiles = SparseMatrix.from_dense([[1, 0]])
         ranked = score_and_rank(model, profiles, cutoff=1)
         assert list(ranked[0]) == [1]
@@ -394,7 +448,7 @@ class TestScoreAndRank:
         from qubofs.models import SimilarityModel
 
         s = SparseMatrix.from_dense([[0, 1], [1, 0]])
-        model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(s, {})
         profiles = SparseMatrix.from_dense([[1, 1]])
         ranked = score_and_rank(model, profiles, cutoff=1)
         assert (ranked[0] < 0).all()
@@ -405,7 +459,7 @@ class TestScoreAndRank:
         rng = np.random.default_rng(11)
         s_dense = rng.random((10, 10))
         np.fill_diagonal(s_dense, 0.0)
-        model = SimilarityModel(SparseMatrix.from_dense(s_dense), ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(SparseMatrix.from_dense(s_dense), {})
         profiles_dense = (rng.random((6, 10)) < 0.3).astype(float)
         profiles = SparseMatrix.from_dense(profiles_dense)
         ranked = score_and_rank(model, profiles, cutoff=4)
@@ -422,8 +476,8 @@ class TestScoreAndRank:
         s_dense = rng.random((8, 8))
         np.fill_diagonal(s_dense, 0.0)
         profiles = SparseMatrix.from_dense((rng.random((5, 8)) < 0.4).astype(float))
-        m1 = SimilarityModel(SparseMatrix.from_dense(s_dense), ModelKind.ITEM_KNN_CF, {})
-        m2 = SimilarityModel(SparseMatrix.from_dense(3.7 * s_dense), ModelKind.ITEM_KNN_CF, {})
+        m1 = SimilarityModel(SparseMatrix.from_dense(s_dense), {})
+        m2 = SimilarityModel(SparseMatrix.from_dense(3.7 * s_dense), {})
         r1 = score_and_rank(m1, profiles, cutoff=3)
         r2 = score_and_rank(m2, profiles, cutoff=3)
         for a, b in zip(r1, r2):
@@ -433,7 +487,7 @@ class TestScoreAndRank:
         from qubofs.models import SimilarityModel
 
         s = SparseMatrix.from_triplets(4, 4, [])
-        model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(s, {})
         profiles = SparseMatrix.from_dense([[0, 0, 0, 0]])
         ranked = score_and_rank(
             model, profiles, cutoff=2, candidate_items=np.array([3, 1, 2])
@@ -444,7 +498,7 @@ class TestScoreAndRank:
         from qubofs.errors import DimensionMismatch
         from qubofs.models import SimilarityModel
 
-        model = SimilarityModel(SparseMatrix.from_triplets(3, 3, []), ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(SparseMatrix.from_triplets(3, 3, []), {})
         with pytest.raises(DimensionMismatch):
             score_and_rank(model, SparseMatrix.from_triplets(2, 4, []), cutoff=1)
 
@@ -491,7 +545,7 @@ class TestScoreAndRank:
 
     def test_duplicate_candidates_count_once(self):
         s = SparseMatrix.from_dense([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(s, {})
         profiles = SparseMatrix.from_dense([[1, 0, 0], [0, 0, 0]])
         ranked = score_and_rank(model, profiles, cutoff=3, candidate_items=np.array([2, 1, 2, 1, 1]))
         assert [r.tolist() for r in ranked] == [[2, 1], [1, 2]]
@@ -499,7 +553,7 @@ class TestScoreAndRank:
     def test_candidate_out_of_range(self):
         from qubofs.errors import IndexOutOfRange
 
-        model = SimilarityModel(SparseMatrix.from_triplets(3, 3, []), ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(SparseMatrix.from_triplets(3, 3, []), {})
         with pytest.raises(IndexOutOfRange):
             score_and_rank(model, SparseMatrix.from_triplets(1, 3, []), cutoff=1,
                            candidate_items=np.array([0, 3]))
@@ -540,14 +594,14 @@ class TestScoreAndRank:
         for m in widths(model.s) + widths(profiles):
             assert m.indptr.dtype == m.indices.dtype == np.int32
         lists = [[r.tolist() for r in score_and_rank(
-                      SimilarityModel(s, ModelKind.ITEM_KNN_CF, {}), p, 3, candidates)]
+                      SimilarityModel(s, {}), p, 3, candidates)]
                  for s in widths(model.s) for p in widths(profiles)]
         assert lists[0] and all(other == lists[0] for other in lists[1:])
 
     def test_non_finite_score_raises(self):
         # finite entries whose product overflows
         s = SparseMatrix.from_dense([[0, 1e300, 0], [1e300, 0, 1], [0, 1, 0]])
-        model = SimilarityModel(s, ModelKind.ITEM_KNN_CF, {})
+        model = SimilarityModel(s, {})
         profiles = SparseMatrix.from_dense([[0, 0, 0], [1e10, 0, 0]])
         with pytest.raises(NonFinite, match="non-finite"):
             score_and_rank(model, profiles, cutoff=2)

@@ -323,13 +323,17 @@ class TestPipeline:
     @pytest.mark.parametrize("kind", ["item_knn_cf", "rp3beta", "pure_svd"])
     def test_loaded_models_equal_built_ones(self, tmp_path, kind):
         """A resumed run fits again, from the stored sidecars, the models a
-        fresh run built: the same similarity, kind and hyperparameters."""
+        fresh run built: the same similarity and hyperparameters. The kind
+        each sidecar stores is its stage's: the configured collaborative
+        kind, and the content model's for ``cbf_all``."""
         cfg, out = tiny_config(collaborative={"kind": kind, "n_cases": 2}), tmp_path / "run"
         built, resumed = Pipeline(cfg, out), Pipeline(cfg, out)
         for name in ("cf_model", "cbf_all", "final"):
             model = getattr(built, f"ensure_{name}")()
             assert getattr(resumed, f"ensure_{name}")() == model, name
         assert not list(out.rglob("similarity.coo"))
+        assert json.loads((out / "cf_model/model.json").read_text())["kind"] == kind
+        assert json.loads((out / "cbf_all/model.json").read_text())["kind"] == "item_knn_cbf"
 
 
 class TestSelectionResume:
@@ -980,7 +984,7 @@ def test_resume_beside_stored_final_model_and_row_copies(tmp_path):
                                  "n_selected": len(selection.selected()),
                                  "energy": selection.energy, "solver": selection.solver})
     winner = json.loads((out / "reports/report.json").read_text())["winner"]
-    pipeline.save_model(run.ensure_final(), out / "final/model.json",
+    pipeline.save_model(run.ensure_final(), "item_knn_cbf", out / "final/model.json",
                         grid_index=winner["grid_index"], n_selected=winner["n_selected"])
     before = tree_hashes(out)
     shutil.rmtree(out / "reports")

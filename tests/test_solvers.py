@@ -788,7 +788,7 @@ class TestRankKernelBuild:
         s = rng.integers(-1, 3, size=(10, 10)) * (rng.random((10, 10)) < 0.5)
         np.fill_diagonal(s, 0)
         profiles = rng.integers(0, 3, size=(6, 10)) * (rng.random((6, 10)) < 0.3)
-        model = models.SimilarityModel(SparseMatrix.from_dense(s), models.ModelKind.ITEM_KNN_CF, {})
+        model = models.SimilarityModel(SparseMatrix.from_dense(s), {})
         ranked = models.score_and_rank(model, SparseMatrix.from_dense(profiles), cutoff=4)
         scores = profiles @ s
         for user, got in enumerate(ranked):
