@@ -79,7 +79,6 @@ from .models import (
     score_and_rank,
 )
 from .qubo import (
-    PenalizationMatrices,
     QuboProblem,
     assemble_qubo,
     build_fpm,
@@ -532,30 +531,35 @@ class Pipeline:
     # -- stage: QUBO grid ----------------------------------------------------
 
     def _build_qubos(self, points: list[dict | None]) -> None:
-        """The QUBO of every grid point that is None, and the pair matrices
-        unless both are on disk already (each is written atomically)."""
+        """The QUBO of every grid point that is None, and the pair matrix
+        unless it is on disk already (each file is written atomically). A
+        stored pair matrix that is not symmetric over the warm items or holds
+        a value other than -1 and +1 is a ``ParseError`` naming it."""
         ds = self.ensure_dataset()
         cold = self.ensure_splits()
         warm = cold.warm_items()
         icm_warm = ds.icm.submatrix(rows=warm)
-        pair_files = self._files("qubos")
-        if all(path.exists() for path in pair_files):
-            pm = PenalizationMatrices(*(SparseMatrix.load_coo(path) for path in pair_files))
+        (pair_file,) = self._files("qubos")
+        if pair_file.exists():
+            pairs = SparseMatrix.load_coo(pair_file)
+            if (pairs.shape != (warm.size, warm.size) or pairs != pairs.transpose()
+                    or not np.all(np.abs(pairs.data) == 1.0)):
+                raise ParseError(f"{pair_file}: not a symmetric {warm.size}x{warm.size} matrix "
+                                 "of -1 and +1 over the warm items")
         else:
             cf_model = self.ensure_cf_model()
             cbf_params = self.ensure_cbf_all().hyperparams
             cf_warm = cf_model.s.submatrix(rows=warm, cols=warm)
             cbf_warm = fit_cbf(icm_warm, cbf_params)
-            pm = build_penalization(cf_warm, cbf_warm.s)
-            pm.keep.save_coo(pair_files[0])
-            pm.eliminate.save_coo(pair_files[1])
+            pairs = build_penalization(cf_warm, cbf_warm.s)
+            pairs.save_coo(pair_file)
         fpm_cache: dict[tuple[float, float], SparseMatrix] = {}
         for index, point in enumerate(self.cfg.qubo.points()):
             if points[index] is not None:
                 continue
             key = (point["alpha"], point["beta"])
             if key not in fpm_cache:
-                ipm = build_ipm(pm, point["alpha"], point["beta"])
+                ipm = build_ipm(pairs, point["alpha"], point["beta"])
                 fpm_cache[key] = build_fpm(icm_warm, ipm)
             problem = assemble_qubo(fpm_cache[key], point["p"], point["s"])
             save_qubo(problem, *self._files("qubos", index))
@@ -573,6 +577,7 @@ class Pipeline:
         descent reads that restart alone, so a point's selection still
         depends only on its QUBO and its seed."""
         points = self.ensure_qubos()
+        n_features = self.ensure_dataset().n_features
         annealed: list[tuple[int, QuboProblem, AnnealSchedule]] = []
 
         def store(index: int, result: SelectionResult) -> None:
@@ -582,7 +587,7 @@ class Pipeline:
         for index, point in enumerate(points):
             if results[index] is not None:
                 continue
-            problem = load_qubo(*self._files("qubos", index))
+            problem = load_qubo(*self._files("qubos", index), n_features)
             if point["s"] == 0.0 and np.all(problem.q <= 0.0):
                 # every coefficient pushes toward inclusion; all-ones is optimal
                 x = np.ones(problem.n, dtype=np.int8)
@@ -759,7 +764,9 @@ class Pipeline:
 # paths from Pipeline._files, so these rows are the only place a stage file is
 # named. For a grid stage, the load function loads point i, and the build
 # function fills the None entries of the list of points and writes the stage's
-# shared files. A stage may declare no files (final): it is then always
+# shared files; the qubos stage's one shared file is the item-pair
+# classification, -1 on kept and +1 on eliminated pairs, that every point's
+# QUBO is built from. A stage may declare no files (final): it is then always
 # complete, has no build function, and its load computes it. The loop below
 # derives Pipeline.ensure_<name> from each row; it returns the synthetic TSVs
 # as a FilesSpec (synth, which only a synthetic dataset reaches), a Dataset, a
@@ -777,8 +784,7 @@ STAGES = {
     "cbf_all": (("cbf_all/model.json",), Pipeline._build_cbf_all,
                 lambda p: load_model(*p._files("cbf_all"), "item_knn_cbf",
                                      partial(fit_cbf, p.ensure_dataset().icm))),
-    "qubos": (("qubo/keep.coo", "qubo/eliminate.coo", "qubo/grid_{i:03d}/qubo.coo",
-               "qubo/grid_{i:03d}/qubo.json"),
+    "qubos": (("qubo/pairs.coo", "qubo/grid_{i:03d}/qubo.coo", "qubo/grid_{i:03d}/qubo.json"),
               Pipeline._build_qubos, lambda p, i: p.cfg.qubo.points()[i]),
     "selections": (("selections/grid_{i:03d}/selection.json",), Pipeline._build_selections,
                    lambda p, i: load_selection(p._files("selections", i)[0], p.ensure_dataset().n_features)),

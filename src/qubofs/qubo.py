@@ -3,10 +3,11 @@
 For every item pair the collaborative and content similarities either agree
 (both present: the shared features should be kept) or the content model claims
 a similarity the collaborative one does not support (the responsible features
-should be dropped). Those two cases become a -1 "keep" matrix and a +1
-"eliminate" matrix over item pairs; their weighted sum is projected into
-feature space through the item-feature matrix, and a squared-count penalty
-steers the optimizer toward a target number of selected features.
+should be dropped). One symmetric item-pair matrix holds that classification:
+-1 on kept pairs and +1 on eliminated ones. Weighting them by alpha and beta
+gives the item penalization, which is projected into feature space through the
+item-feature matrix, and a squared-count penalty steers the optimizer toward a
+target number of selected features.
 
 Energy convention: Q is stored symmetric and the energy of a binary vector x
 is literally x^T Q x + offset, so each off-diagonal pair is counted twice.
@@ -21,22 +22,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite, ParseError
 from .fileio import is_finite_number, read_json, write_json
 from .sparse import ZERO_EPSILON, SparseMatrix
-
-
-@dataclass(frozen=True)
-class PenalizationMatrices:
-    """Disjoint symmetric item-pair matrices: keep holds -1, eliminate +1."""
-
-    keep: SparseMatrix
-    eliminate: SparseMatrix
-
-    def __post_init__(self):
-        if self.keep.shape != self.eliminate.shape:
-            raise DimensionMismatch("keep/eliminate shape mismatch")
-        if not np.all(self.keep.entries()[2] == -1.0):
-            raise ValueError("keep matrix values must all be -1")
-        if not np.all(self.eliminate.entries()[2] == 1.0):
-            raise ValueError("eliminate matrix values must all be +1")
 
 
 @dataclass(frozen=True)
@@ -68,8 +53,8 @@ def _positive_support(m: SparseMatrix) -> SparseMatrix:
     return both.binarize().zero_diagonal()
 
 
-def build_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> PenalizationMatrices:
-    """Classify item pairs by similarity agreement.
+def build_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> SparseMatrix:
+    """Classify item pairs by similarity agreement, in one symmetric matrix.
 
     Pairs positive in both similarities get -1 (keep); pairs positive only in
     the content similarity get +1 (eliminate); pairs positive only in the
@@ -92,9 +77,7 @@ def build_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> PenalizationM
     rows, cols, _ = cbf.entries()
     cols = cols.astype(np.int64)
     agree = _found(cf_keys, rows * n + cols) | _found(cf_keys, cols * n + rows)
-    ones = np.ones(cbf.nnz)
-    return PenalizationMatrices(keep=cbf.with_entries(agree, -ones),
-                                eliminate=cbf.with_entries(~agree, ones))
+    return cbf.with_entries(values=np.where(agree, -1.0, 1.0))
 
 
 def _found(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -105,9 +88,11 @@ def _found(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return keys[at] == queries
 
 
-def build_ipm(pm: PenalizationMatrices, alpha: float, beta: float) -> SparseMatrix:
-    """Weighted sum of the keep and eliminate matrices (disjoint supports)."""
-    return pm.keep.scale(alpha) + pm.eliminate.scale(beta)
+def build_ipm(pairs: SparseMatrix, alpha: float, beta: float) -> SparseMatrix:
+    """The item penalization: -alpha on the kept pairs of ``build_penalization``'s
+    matrix and beta on its eliminated ones; a weight below ``ZERO_EPSILON``
+    drops its pairs."""
+    return pairs.with_entries(values=np.where(pairs.data < 0.0, -alpha, beta))
 
 
 def build_fpm(icm: SparseMatrix, ipm: SparseMatrix) -> SparseMatrix:
@@ -155,15 +140,18 @@ def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
     write_json(sidecar_path, {"n": problem.n, "offset": problem.offset, "convention": "symmetric"})
 
 
-def load_qubo(coo_path, sidecar_path) -> QuboProblem:
+def load_qubo(coo_path, sidecar_path, n: int | None = None) -> QuboProblem:
     """The problem ``save_qubo`` stored. A sidecar whose ``offset`` is not a
-    finite number or whose ``n`` is not the matrix's size is a ``ParseError``
-    naming the sidecar; a matrix that is not square, symmetric and finite is
-    one naming the matrix."""
+    finite number, whose ``n`` is not the matrix's size, or, when ``n`` is
+    given, whose ``n`` is not that size, is a ``ParseError`` naming the
+    sidecar; a matrix that is not square, symmetric and finite is one naming
+    the matrix."""
     sidecar = read_json(sidecar_path, "n", "offset")
     offset = sidecar["offset"]
     if not is_finite_number(offset):
         raise ParseError(f"{sidecar_path}: offset {offset!r} is not a finite number")
+    if n is not None and sidecar["n"] != n:
+        raise ParseError(f"{sidecar_path}: n {sidecar['n']!r} is not the expected {n}")
     q = SparseMatrix.load_coo(coo_path).to_dense()
     if q.shape[0] != sidecar["n"]:
         raise ParseError(f"{sidecar_path}: n {sidecar['n']!r} is not the size of {coo_path}")

@@ -266,9 +266,6 @@ class SparseMatrix:
         product = _load_kernel()
         return product(self, other) if product else _product_numpy(self, other)
 
-    def scale(self, factor: float) -> "SparseMatrix":
-        return self.with_entries(values=self._data * float(factor))
-
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         """The merged entries; a coordinate stored in both sums once, so
         ``a + b`` equals ``b + a`` exactly."""

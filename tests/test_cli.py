@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from qubofs import cli, errors, pipeline
 from qubofs.cli import COMMANDS, build_parser, main
 from qubofs.config import ExperimentConfig
+from qubofs.qubo import QuboProblem, save_qubo
 from qubofs.sparse import SparseMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -451,7 +453,7 @@ class TestExitCodes:
         ("cbf_all/model.json", edited("topK", lambda v: 0), ()),
         ("cbf_all/model.json", edited("weighting", lambda v: "zzz"), ()),
         ("cbf_all/model.json", edited("kind", lambda v: "item_knn_cf"), ()),
-        ("cf_model/model.json", edited("num_factors", lambda v: 31), ("qubo/keep.coo", "qubo/grid_000")),
+        ("cf_model/model.json", edited("num_factors", lambda v: 31), ("qubo/pairs.coo", "qubo/grid_000")),
         ("selections/grid_000/selection.json", edited("x", lambda v: [300] + v["x"][1:]), ("cbf_sel",)),
         ("selections/grid_000/selection.json", edited("x", lambda v: ["a"] + v["x"][1:]), ("cbf_sel",)),
         ("selections/grid_000/selection.json", edited("x", lambda v: [2] + v["x"][1:]), ("cbf_sel",)),
@@ -515,6 +517,48 @@ class TestExitCodes:
         assert main(["evaluate", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out / name) in err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m.with_entries(values=np.full(m.nnz, 2.0)),
+        lambda m: m.submatrix(rows=np.arange(m.n_rows - 1), cols=np.arange(m.n_cols - 1)),
+        lambda m: m.with_entries(m.entries()[0] < m.entries()[1]),
+    ], ids=["value 2", "another shape", "one direction"])
+    def test_corrupt_pair_matrix_is_data_error(self, tmp_path, capsys, corrupt):
+        """A stored pair matrix that holds a value other than -1 and +1, or
+        that is not symmetric over the warm items, exits 3 naming it when a
+        grid point is rebuilt from it."""
+        config = write_config(tmp_path, qubo={"alpha": [1.0], "beta": [0.001], "s": [50.0], "p": [0.25, 0.5]})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        pairs = out / "qubo/pairs.coo"
+        stored = SparseMatrix.load_coo(pairs)
+        assert stored.nnz
+        corrupt(stored).save_coo(pairs)
+        for stage in ("qubo/grid_001", "selections/grid_001", "reports"):
+            shutil.rmtree(out / stage)
+        (out / "manifest.json").unlink()
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(pairs) in err
+        assert not (out / "qubo/grid_001").exists()
+
+    def test_qubo_of_another_size_is_data_error(self, tmp_path, capsys):
+        """A stored QUBO whose size is not the feature count exits 3 naming
+        its sidecar, and no selection is written for it."""
+        config = write_config(tmp_path, qubo={"alpha": [1.0], "beta": [0.001], "s": [50.0], "p": [0.25, 0.5]})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        point = out / "qubo/grid_001"
+        save_qubo(QuboProblem(q=np.eye(5)), point / "qubo.coo", point / "qubo.json")
+        for stage in ("selections/grid_001", "cbf_sel/grid_001", "reports"):
+            shutil.rmtree(out / stage)
+        (out / "manifest.json").unlink()
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(point / "qubo.json") in err
+        assert not (out / "selections/grid_001/selection.json").exists()
 
     def test_infeasible_error(self, tmp_path, capsys):
         # item a holds 10 of 11 interactions, more than the 70% train share

@@ -462,14 +462,14 @@ class TestDescentInPipeline:
 
 class TestGridResume:
     """Deleting grid points' files rebuilds those points alone, from the pair
-    matrices on disk, and deleting a grid stage's shared file rewrites it
+    matrix on disk, and deleting a grid stage's shared file rewrites it
     without redoing any point."""
 
     @pytest.mark.parametrize("deleted, rebuilt, searches", [
         (("qubo/grid_000/qubo.coo", "qubo/grid_002/qubo.coo", "cbf_sel/grid_001/result.json"),
          ("qubo/grid_000/", "qubo/grid_002/", "cbf_sel/grid_001/result.json"), 1),
-        (("qubo/keep.coo",), ("qubo/keep.coo", "qubo/eliminate.coo"), 0),
-    ], ids=["points", "keep"])
+        (("qubo/pairs.coo",), ("qubo/pairs.coo",), 0),
+    ], ids=["points", "pairs"])
     def test_rebuilds_only_what_is_missing(self, tmp_path, monkeypatch, deleted, rebuilt, searches):
         cfg = tiny_config(qubo={"alpha": [1.0], "beta": [0.001], "s": [100.0], "p": [0.25, 0.5, 0.75]})
         out = tmp_path / "run"
@@ -534,20 +534,52 @@ class TestGridResume:
         out = tmp_path / "run"
         Pipeline(tiny_config(), out).ensure_qubos()
         before = tree_hashes(out)
-        pair_files = ("qubo/keep.coo", "qubo/eliminate.coo")
-        inodes = [os.stat(out / name).st_ino for name in pair_files]
+        inode = os.stat(out / "qubo/pairs.coo").st_ino
         (out / "qubo/grid_001/qubo.coo").unlink()
 
         def refuse(*args):
-            raise AssertionError("the pair matrices were recomputed")
+            raise AssertionError("the pair matrix was recomputed")
 
         monkeypatch.setattr(pipeline, "build_penalization", refuse)
         monkeypatch.setattr(pipeline, "fit_cbf", refuse)
         resumed = Pipeline(tiny_config(), out)
         resumed.ensure_qubos()
         assert tree_hashes(out) == before
-        assert [os.stat(out / name).st_ino for name in pair_files] == inodes
+        assert os.stat(out / "qubo/pairs.coo").st_ino == inode
         assert "cf_model" not in resumed.run_info.timings
+
+    def test_old_pair_archives_are_left_alone(self, tmp_path, monkeypatch):
+        """A directory that holds the classification as its kept (-1) and
+        eliminated (+1) halves, in ``qubo/keep.coo`` and
+        ``qubo/eliminate.coo``, resumes to the reports of a fresh run: its
+        first resume rebuilds ``qubo/pairs.coo`` once and loads the grid
+        points, and neither old file is opened or changed."""
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        Pipeline(cfg, out).run()
+        before = tree_hashes(out)
+        pairs = SparseMatrix.load_coo(out / "qubo/pairs.coo")
+        pairs.with_entries(pairs.data < 0.0).save_coo(out / "qubo/keep.coo")
+        pairs.with_entries(pairs.data > 0.0).save_coo(out / "qubo/eliminate.coo")
+        (out / "qubo/pairs.coo").unlink()
+        shutil.rmtree(out / "reports")
+        (out / "manifest.json").unlink()
+        old = {name: digest for name, digest in tree_hashes(out).items()
+               if name in ("qubo/keep.coo", "qubo/eliminate.coo")}
+        inodes = {name: os.stat(out / name).st_ino for name in before if name.startswith("qubo/grid_")}
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        for module in (fileio, data, sparse, pipeline):
+            monkeypatch.setattr(module, "open", recording_open, raising=False)
+        Pipeline(cfg, out).run()
+        assert tree_hashes(out) == {**before, **old}
+        assert {name: os.stat(out / name).st_ino for name in inodes} == inodes
+        assert "pairs.coo.tmp" in opened
+        assert not {"keep.coo", "eliminate.coo"} & set(opened)
 
 
 def assert_stages_name_exactly_the_files_written(cfg: ExperimentConfig, out: Path) -> None:
@@ -748,7 +780,7 @@ class TestSigkilledRunResumes:
         Pipeline(tiny_config(), out).run()
         return {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
 
-    @pytest.mark.parametrize("trigger", ["qubo/keep.coo", "selections/grid_000/selection.json"])
+    @pytest.mark.parametrize("trigger", ["qubo/pairs.coo", "selections/grid_000/selection.json"])
     def test_resume_matches_uninterrupted_run(self, tmp_path, trigger, reference_reports):
         cfg = tiny_config()
         config = tmp_path / "config.json"

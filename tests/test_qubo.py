@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch, ParseError
 from qubofs.qubo import (
-    PenalizationMatrices,
     QuboProblem,
     _positive_support,
     assemble_qubo,
@@ -48,14 +47,14 @@ def fpm_oracle(icm: np.ndarray, ipm: np.ndarray) -> np.ndarray:
     return out
 
 
-def composed_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> PenalizationMatrices:
+def composed_penalization(s_cf: SparseMatrix, s_cbf: SparseMatrix) -> SparseMatrix:
     """The classification as once composed: both symmetrised positive
-    supports in full, summed as cf + 2 * cbf, where 3 codes keep and 2
-    eliminate."""
-    code = _positive_support(s_cf) + _positive_support(s_cbf).scale(2.0)
-    values, ones = code.entries()[2], np.ones(code.nnz)
-    return PenalizationMatrices(keep=code.with_entries(values == 3.0, -ones),
-                                eliminate=code.with_entries(values == 2.0, ones))
+    supports in full, summed as cf + 2 * cbf, where 3 codes keep (-1), 2
+    eliminate (+1) and 1 no signal."""
+    cbf = _positive_support(s_cbf)
+    code = _positive_support(s_cf) + cbf.with_entries(values=cbf.data * 2.0)
+    values = code.entries()[2]
+    return code.with_entries(values != 1.0, np.where(values == 3.0, -1.0, 1.0))
 
 
 def random_similarity(rng, n, density) -> SparseMatrix:
@@ -72,11 +71,11 @@ class TestBuildPenalization:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
         s_cf, s_cbf = (random_similarity(rng, n, rng.choice([0.0, 0.05, 0.3, 0.9])) for _ in range(2))
-        pm, want = build_penalization(s_cf, s_cbf), composed_penalization(s_cf, s_cbf)
-        for got, expected in ((pm.keep, want.keep), (pm.eliminate, want.eliminate)):
-            assert got == expected
-            assert [a.dtype for a in (got.indptr, got.indices, got.data)] == \
-                   [a.dtype for a in (expected.indptr, expected.indices, expected.data)]
+        got, expected = build_penalization(s_cf, s_cbf), composed_penalization(s_cf, s_cbf)
+        assert got == expected
+        assert [a.dtype for a in (got.indptr, got.indices, got.data)] == \
+               [a.dtype for a in (expected.indptr, expected.indices, expected.data)]
+        assert got == got.transpose() and np.all(np.abs(got.data) == 1.0)
 
     def test_peak_follows_the_content_support(self):
         """The collaborative entries cost their sorted keys (8 bytes each
@@ -95,55 +94,52 @@ class TestBuildPenalization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pm.keep.nnz + pm.eliminate.nnz == 2 * n
+        assert pm.nnz == 2 * n
         assert peak < 18 * s_cf.nnz + 200 * 2 * n
 
     def test_both_positive_goes_to_keep(self):
         s_cf = sym_pair(2, {(0, 1): 0.7})
         s_cbf = sym_pair(2, {(0, 1): 0.7})
         pm = build_penalization(s_cf, s_cbf)
-        assert np.array_equal(pm.keep.to_dense(), [[0, -1], [-1, 0]])
-        assert pm.eliminate.nnz == 0
+        assert np.array_equal(pm.to_dense(), [[0, -1], [-1, 0]])
 
     def test_content_only_goes_to_eliminate(self):
         s_cf = SparseMatrix.from_triplets(2, 2, [])
         s_cbf = sym_pair(2, {(0, 1): 0.7})
         pm = build_penalization(s_cf, s_cbf)
-        assert pm.keep.nnz == 0
-        assert np.array_equal(pm.eliminate.to_dense(), [[0, 1], [1, 0]])
+        assert np.array_equal(pm.to_dense(), [[0, 1], [1, 0]])
 
     def test_collaborative_only_is_silent(self):
         s_cf = sym_pair(2, {(0, 1): 0.5})
         s_cbf = SparseMatrix.from_triplets(2, 2, [])
         pm = build_penalization(s_cf, s_cbf)
-        assert pm.keep.nnz == 0 and pm.eliminate.nnz == 0
+        assert pm.nnz == 0 and pm.shape == (2, 2)
 
     def test_both_empty(self):
         pm = build_penalization(SparseMatrix.from_triplets(3, 3, []), SparseMatrix.from_triplets(3, 3, []))
-        assert pm.keep.nnz == 0 and pm.eliminate.nnz == 0
+        assert pm.nnz == 0 and pm.shape == (3, 3)
 
     def test_asymmetric_input_symmetrized(self):
         s_cf = SparseMatrix.from_triplets(3, 3, [(0, 1, 0.9)])  # one direction only
         s_cbf = SparseMatrix.from_triplets(3, 3, [(1, 0, 0.4)])  # other direction
         pm = build_penalization(s_cf, s_cbf)
         assert np.array_equal(
-            pm.keep.to_dense(), [[0, -1, 0], [-1, 0, 0], [0, 0, 0]]
+            pm.to_dense(), [[0, -1, 0], [-1, 0, 0], [0, 0, 0]]
         )
 
     def test_negative_similarity_counts_as_absent(self):
         s_cf = sym_pair(2, {(0, 1): -0.8})
         s_cbf = sym_pair(2, {(0, 1): 0.8})
         pm = build_penalization(s_cf, s_cbf)
-        assert pm.keep.nnz == 0
-        assert pm.eliminate.nnz == 2
+        assert np.array_equal(pm.to_dense(), [[0, 1], [1, 0]])
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(0)
         a = SparseMatrix.from_dense((rng.random((6, 6)) < 0.3) * rng.random((6, 6)))
         b = SparseMatrix.from_dense((rng.random((6, 6)) < 0.3) * rng.random((6, 6)))
         pm1 = build_penalization(a, b)
-        pm2 = build_penalization(a.scale(7.0), b.scale(0.003))
-        assert pm1.keep == pm2.keep and pm1.eliminate == pm2.eliminate
+        pm2 = build_penalization(a.with_entries(values=a.data * 7.0), b.with_entries(values=b.data * 0.003))
+        assert pm1 == pm2
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -152,28 +148,43 @@ class TestBuildPenalization:
 
 class TestBuildIpm:
     def test_keep_only(self):
-        pm = PenalizationMatrices(sym_pair(2, {(0, 1): -1.0}), SparseMatrix.from_triplets(2, 2, []))
-        ipm = build_ipm(pm, alpha=1.0, beta=0.1)
+        ipm = build_ipm(sym_pair(2, {(0, 1): -1.0}), alpha=1.0, beta=0.1)
         assert np.array_equal(ipm.to_dense(), [[0, -1], [-1, 0]])
 
     def test_eliminate_only(self):
-        pm = PenalizationMatrices(SparseMatrix.from_triplets(2, 2, []), sym_pair(2, {(0, 1): 1.0}))
-        ipm = build_ipm(pm, alpha=1.0, beta=0.1)
+        ipm = build_ipm(sym_pair(2, {(0, 1): 1.0}), alpha=1.0, beta=0.1)
         assert np.allclose(ipm.to_dense(), [[0, 0.1], [0.1, 0]])
 
     def test_beta_zero_support_equals_keep(self):
-        pm = PenalizationMatrices(
-            sym_pair(3, {(0, 1): -1.0}), sym_pair(3, {(1, 2): 1.0})
-        )
-        ipm = build_ipm(pm, alpha=2.0, beta=0.0)
-        assert np.array_equal(ipm.to_dense(), 2.0 * pm.keep.to_dense())
+        pairs = sym_pair(3, {(0, 1): -1.0, (1, 2): 1.0})
+        ipm = build_ipm(pairs, alpha=2.0, beta=0.0)
+        assert np.array_equal(ipm.to_dense(), 2.0 * np.minimum(pairs.to_dense(), 0.0))
 
     def test_supports_disjoint_union(self):
-        pm = PenalizationMatrices(
-            sym_pair(4, {(0, 1): -1.0, (2, 3): -1.0}), sym_pair(4, {(1, 2): 1.0})
-        )
-        ipm = build_ipm(pm, alpha=1.0, beta=0.5)
-        assert ipm.nnz == pm.keep.nnz + pm.eliminate.nnz
+        pairs = sym_pair(4, {(0, 1): -1.0, (2, 3): -1.0, (1, 2): 1.0})
+        ipm = build_ipm(pairs, alpha=1.0, beta=0.5)
+        assert ipm.nnz == pairs.nnz
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        *(st.one_of(st.sampled_from([0.0, ZERO_EPSILON / 2, ZERO_EPSILON, 1.0, 0.1, 1 / 3, 2.7]),
+                    st.floats(0.0, 100.0)) for _ in range(2)),
+    )
+    def test_equals_the_weighted_sum_of_the_halves(self, seed, alpha, beta):
+        """Bit for bit, the sum of the kept half scaled by alpha and the
+        eliminated half scaled by beta, as the classification was once
+        weighted: the same values, order and ``ZERO_EPSILON`` drop."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        s_cf, s_cbf = (random_similarity(rng, n, rng.choice([0.0, 0.1, 0.5])) for _ in range(2))
+        pairs = build_penalization(s_cf, s_cbf)
+        keep, eliminate = pairs.with_entries(pairs.data < 0.0), pairs.with_entries(pairs.data > 0.0)
+        want = keep.with_entries(values=keep.data * alpha) + eliminate.with_entries(values=eliminate.data * beta)
+        got = build_ipm(pairs, alpha, beta)
+        assert got.shape == want.shape
+        for a, b in zip((got.indptr, got.indices, got.data), (want.indptr, want.indices, want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestBuildFpm:
@@ -333,6 +344,14 @@ class TestConversionAndPersistence:
         (tmp_path / "q.json").write_text(json.dumps({**sidecar, **edit}))
         with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.json"))):
             load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
+
+    def test_size_other_than_n_is_parse_error(self, tmp_path):
+        """Given ``n``, a stored problem of another size is a ParseError
+        naming the sidecar; one of that size loads."""
+        save_qubo(QuboProblem(q=np.eye(4)), tmp_path / "q.coo", tmp_path / "q.json")
+        assert load_qubo(tmp_path / "q.coo", tmp_path / "q.json", 4).n == 4
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.json"))):
+            load_qubo(tmp_path / "q.coo", tmp_path / "q.json", 5)
 
     def test_int_offset_loads_as_float(self, tmp_path):
         """An offset stored as a JSON integer is a finite number: it loads as
