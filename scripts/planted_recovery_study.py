@@ -22,7 +22,7 @@ from qubofs.data import cold_item_split, synth_planted, user_holdout_split
 from qubofs.metrics import accuracy_metrics
 from qubofs.models import cosine_knn, score_and_rank, tfidf_feature_scores
 from qubofs.qubo import assemble_qubo, build_fpm, build_ipm, build_penalization
-from qubofs.solvers import default_schedule, solve_sa_many
+from qubofs.solvers import schedule_for, solve_sa_many
 
 
 def baseline_tfidf_selection(icm, quota: float) -> list[int]:
@@ -62,11 +62,7 @@ def qubo_selection(ds, cold, p, seed):
     fpm = build_fpm(icm_warm, build_ipm(pm, alpha=1.0, beta=1.0))
     strength = 1.5 * float(np.abs(fpm.to_dense()).sum(axis=1).mean())
     problem = assemble_qubo(fpm, p, strength)
-    mags = np.abs(problem.q[problem.q != 0.0])
-    schedule = default_schedule(
-        problem.n, scale=float(mags.max()), cold_scale=float(mags.min())
-    )
-    return set(solve_sa_many([problem], [schedule], 100, [seed])[0][0].selected())
+    return set(solve_sa_many([problem], [schedule_for(problem)], 100, [seed])[0][0].selected())
 
 
 def cold_ndcg(ds, cold, selected, cutoff=10):

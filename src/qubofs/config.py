@@ -247,8 +247,7 @@ class QuboGridSpec:
             values = getattr(self, name)
             _check(len(values) > 0, f"qubo.{name} grid is empty")
             for v in values:
-                _check(isinstance(v, (int, float)) and not isinstance(v, bool),
-                       f"qubo.{name} values must be numbers, not {v!r}")
+                _check(is_finite_number(v), f"qubo.{name} values must be finite numbers, not {v!r}")
         _check(all(v > 0 for v in self.alpha), "qubo.alpha values must be > 0")
         _check(all(v >= 0 for v in self.beta), "qubo.beta values must be >= 0")
         _check(all(v >= 0 for v in self.s), "qubo.s values must be >= 0")

@@ -84,6 +84,7 @@ from .qubo import (
     build_fpm,
     build_ipm,
     build_penalization,
+    load_pairs,
     load_qubo,
     save_qubo,
 )
@@ -91,11 +92,11 @@ from .sparse import SparseMatrix
 from .solvers import (
     SelectionResult,
     AnnealSchedule,
-    default_schedule,
     descend,
     energy,
     load_selection,
     save_selection,
+    schedule_for,
     solve_exhaustive,
     solve_sa_many,
 )
@@ -416,14 +417,20 @@ class Pipeline:
         return ds
 
     def _load_dataset(self) -> Dataset:
-        """The stored dataset; labels that do not fit the matrices are a
-        ``ParseError`` naming the labels file."""
+        """The stored dataset. An interaction archive holding a value that is
+        not positive or a feature archive holding one other than 1, which the
+        parse never stores, is a ``ParseError`` naming the archive; labels
+        that do not fit the matrices are one naming the labels file."""
         urm, icm, labels = self._files("dataset")
-        matrices = SparseMatrix.load_coo(urm), SparseMatrix.load_coo(icm)
+        interactions, features = SparseMatrix.load_coo(urm), SparseMatrix.load_coo(icm)
+        if not np.all(interactions.data > 0.0):
+            raise ParseError(f"{urm}: an interaction value that is not positive")
+        if not np.all(features.data == 1.0):
+            raise ParseError(f"{icm}: a feature value other than 1")
         keys = ("users", "items", "features")
         names = read_json(labels, *keys)
         try:
-            return Dataset(*matrices, *(tuple(names[key]) for key in keys))
+            return Dataset(interactions, features, *(tuple(names[key]) for key in keys))
         except (TypeError, DimensionMismatch) as exc:
             raise ParseError(f"{labels}: labels that do not fit {urm.name} and {icm.name} ({exc})") from exc
 
@@ -532,20 +539,15 @@ class Pipeline:
 
     def _build_qubos(self, points: list[dict | None]) -> None:
         """The QUBO of every grid point that is None, and the pair matrix
-        unless it is on disk already (each file is written atomically). A
-        stored pair matrix that is not symmetric over the warm items or holds
-        a value other than -1 and +1 is a ``ParseError`` naming it."""
+        unless it is on disk already (each file is written atomically); a
+        stored pair matrix is loaded as one over the warm items."""
         ds = self.ensure_dataset()
         cold = self.ensure_splits()
         warm = cold.warm_items()
         icm_warm = ds.icm.submatrix(rows=warm)
         (pair_file,) = self._files("qubos")
         if pair_file.exists():
-            pairs = SparseMatrix.load_coo(pair_file)
-            if (pairs.shape != (warm.size, warm.size) or pairs != pairs.transpose()
-                    or not np.all(np.abs(pairs.data) == 1.0)):
-                raise ParseError(f"{pair_file}: not a symmetric {warm.size}x{warm.size} matrix "
-                                 "of -1 and +1 over the warm items")
+            pairs = load_pairs(pair_file, warm.size)
         else:
             cf_model = self.ensure_cf_model()
             cbf_params = self.ensure_cbf_all().hyperparams
@@ -614,10 +616,7 @@ class Pipeline:
     def _schedule(self, problem: QuboProblem, index: int) -> AnnealSchedule:
         """The default ramp for the problem's coefficient range, with the
         configured overrides."""
-        magnitudes = np.abs(problem.q[problem.q != 0.0])
-        scale = float(magnitudes.max()) if magnitudes.size else 1.0
-        cold_scale = float(magnitudes.min()) if magnitudes.size else 1.0
-        default = default_schedule(problem.n, scale=scale, cold_scale=cold_scale)
+        default = schedule_for(problem)
         solver = self.cfg.solver
         sweeps = solver.sweeps if solver.sweeps is not None else default.sweeps
         beta_start = solver.beta_start if solver.beta_start is not None else default.beta_start

@@ -6,8 +6,10 @@ a similarity the collaborative one does not support (the responsible features
 should be dropped). One symmetric item-pair matrix holds that classification:
 -1 on kept pairs and +1 on eliminated ones. Weighting them by alpha and beta
 gives the item penalization, which is projected into feature space through the
-item-feature matrix, and a squared-count penalty steers the optimizer toward a
-target number of selected features.
+item-feature matrix, and a squared-count penalty s * (sum(x) - k)^2 steers the
+optimizer toward k = p * n of the n features. ``assemble_qubo`` writes that
+penalty into Q's one buffer expanded with x_f^2 = x_f: s on every off-diagonal
+entry, s * (1 - 2k) on the diagonal and s * k^2 in the offset.
 
 Energy convention: Q is stored symmetric and the energy of a binary vector x
 is literally x^T Q x + offset, so each off-diagonal pair is counted twice.
@@ -96,29 +98,9 @@ def build_ipm(pairs: SparseMatrix, alpha: float, beta: float) -> SparseMatrix:
 
 
 def build_fpm(icm: SparseMatrix, ipm: SparseMatrix) -> SparseMatrix:
-    """Project the item-pair penalization into feature space."""
-    if ipm.n_rows != ipm.n_cols:
-        raise DimensionMismatch("item penalization matrix must be square")
-    if icm.n_rows != ipm.n_rows:
-        raise DimensionMismatch(
-            f"feature matrix has {icm.n_rows} items, penalization {ipm.n_rows}"
-        )
+    """Project the item-pair penalization into feature space; shapes that do
+    not chain are the product's ``DimensionMismatch``."""
     return icm.transpose() @ ipm @ icm
-
-
-def combination_penalty(n: int, k_target: float, s: float) -> QuboProblem:
-    """Quadratic penalty s * (sum(x) - k_target)^2 in QUBO form.
-
-    Using x_f^2 = x_f the expansion puts s*(1 - 2*k_target) on the diagonal,
-    s on every off-diagonal entry, and s*k_target^2 into the offset.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    q = np.full((n, n), float(s))
-    np.fill_diagonal(q, s * (1.0 - 2.0 * k_target))
-    return QuboProblem(q=q, offset=s * k_target**2)
 
 
 def assemble_qubo(fpm: SparseMatrix, p: float, s: float) -> QuboProblem:
@@ -128,11 +110,15 @@ def assemble_qubo(fpm: SparseMatrix, p: float, s: float) -> QuboProblem:
         raise DimensionMismatch("feature penalization matrix must be square")
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    n = fpm.n_rows
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    k = p * fpm.n_rows
     dense = fpm.to_dense()
-    sym = (dense + dense.T) / 2.0
-    penalty = combination_penalty(n, p * n, s)
-    return QuboProblem(q=sym + penalty.q, offset=penalty.offset)
+    q = (dense + dense.T) / 2.0
+    diagonal = q.diagonal() + s * (1.0 - 2.0 * k)
+    q += float(s)
+    np.fill_diagonal(q, diagonal)
+    return QuboProblem(q=q, offset=s * k**2)
 
 
 def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
@@ -159,3 +145,12 @@ def load_qubo(coo_path, sidecar_path, n: int | None = None) -> QuboProblem:
         return QuboProblem(q=q, offset=float(offset))
     except ValueError as exc:
         raise ParseError(f"{coo_path}: {exc}") from exc
+
+
+def load_pairs(path, n: int) -> SparseMatrix:
+    """The pair matrix ``build_penalization`` stored; one that is not a
+    symmetric n x n matrix of -1 and +1 is a ``ParseError`` naming the file."""
+    pairs = SparseMatrix.load_coo(path)
+    if pairs.shape != (n, n) or pairs != pairs.transpose() or not np.all(np.abs(pairs.data) == 1.0):
+        raise ParseError(f"{path}: not a symmetric {n}x{n} matrix of -1 and +1")
+    return pairs

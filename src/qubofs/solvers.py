@@ -195,6 +195,16 @@ def default_schedule(n: int, scale: float = 1.0, cold_scale: float | None = None
     )
 
 
+def schedule_for(problem: QuboProblem) -> AnnealSchedule:
+    """``default_schedule`` with the largest and the smallest nonzero
+    coefficient magnitude of ``problem`` as its scale and cold scale; an
+    all-zero Q takes 1.0 for both."""
+    magnitudes = np.abs(problem.q[problem.q != 0.0])
+    if not magnitudes.size:
+        return default_schedule(problem.n)
+    return default_schedule(problem.n, float(magnitudes.max()), float(magnitudes.min()))
+
+
 def solve_sa_many(
     problems: Sequence[QuboProblem],
     schedules: Sequence[AnnealSchedule],

@@ -66,6 +66,10 @@ INVALID_VALUES = {
     "qubo.alpha string": ("qubo.alpha", {"qubo": {"alpha": ["1"], "beta": [0.001], "s": [50.0], "p": [0.5]}}, ()),
     "qubo.p bool": ("qubo.p", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [50.0], "p": [True]}}, ()),
     "qubo.s": ("qubo.s", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [-1], "p": [0.5]}}, ()),
+    "qubo.s infinite": ("qubo.s", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [float("inf")], "p": [0.5]}}, ()),
+    "qubo.alpha infinite": (
+        "qubo.alpha", {"qubo": {"alpha": [float("inf")], "beta": [0.001], "s": [50.0], "p": [0.5]}}, ()),
+    "qubo.s beyond float range": ("qubo.s", {"qubo": {"alpha": [1.0], "beta": [0.001], "s": [10**400], "p": [0.5]}}, ()),
     "split.test_quota": ("split.test_quota", {"split": {"test_quota": 0.95}}, ()),
     "split.holdout_quota": ("split.holdout_quota", {"split": {"holdout_quota": 1.5}}, ()),
     "preprocess.min_user_interactions": (
@@ -414,16 +418,25 @@ class TestExitCodes:
 
     def test_corrupt_artifact_is_data_error(self, tmp_path, capsys):
         """A stage file that is not a sparse archive, such as a text COO file
-        of an older run, or that cannot be read, such as a directory, exits 3
-        naming the file instead of a traceback."""
+        of an older run, that cannot be read, such as a directory, or that
+        holds values the parse refuses exits 3 naming the file instead of a
+        traceback or other reports."""
         config = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         urm, icm = out / "dataset/urm.coo", out / "dataset/icm.coo"
-        saved = urm.read_bytes()
+        saved = {path: path.read_bytes() for path in (urm, icm)}
+
+        def rescaled(path, factor):
+            matrix = SparseMatrix.load_coo(path)
+            matrix.with_entries(values=matrix.data * factor).save_coo(path)
+
         for path, corrupt in ((urm, lambda: urm.write_text("40\t30\t1\n0\t0\t1\n")),
+                              (icm, lambda: rescaled(icm, 2.0)),
+                              (urm, lambda: rescaled(urm, -1.0)),
                               (icm, lambda: (icm.unlink(), icm.mkdir()))):
-            urm.write_bytes(saved)
+            for original, data in saved.items():
+                original.write_bytes(data)
             corrupt()
             shutil.rmtree(out / "reports", ignore_errors=True)
             capsys.readouterr()

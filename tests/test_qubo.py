@@ -16,12 +16,12 @@ from qubofs.qubo import (
     build_fpm,
     build_ipm,
     build_penalization,
-    combination_penalty,
     load_qubo,
     save_qubo,
 )
 from qubofs.solvers import energy, solve_exhaustive
 from qubofs.sparse import ZERO_EPSILON, SparseMatrix
+from test_solvers import combination_penalty
 
 
 def sym_pair(n, entries):
@@ -214,6 +214,8 @@ class TestBuildFpm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_fpm(SparseMatrix.from_triplets(3, 2, []), SparseMatrix.from_triplets(2, 2, []))
+        with pytest.raises(DimensionMismatch):
+            build_fpm(SparseMatrix.from_triplets(3, 2, []), SparseMatrix.from_triplets(3, 4, []))
 
 
 class TestCombinationPenalty:
@@ -256,7 +258,26 @@ class TestAssemble:
         fpm = SparseMatrix.from_triplets(3, 3, [])
         problem = assemble_qubo(fpm, 2 / 3, 5.0)
         penalty = combination_penalty(3, 2.0, 5.0)
-        assert np.allclose(problem.q, penalty.q)
+        assert np.array_equal(problem.q, penalty.q)
+        assert problem.offset == penalty.offset
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 59),
+        st.one_of(st.sampled_from([0.2, 1 / 3, 0.95, 1.0]), st.floats(1e-6, 1.0)),
+        st.one_of(st.sampled_from([0.0, 0.1, 1.0, 10.0, 1e4]), st.floats(0.0, 1e6), st.integers(0, 100)),
+        st.sampled_from([1e-3, 1 / 3, 3.7]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_symmetrised_fpm_plus_the_penalty(self, n, p, s, scale, seed):
+        """Q and the offset are bit for bit the symmetrised F plus the
+        penalty built as its own problem."""
+        rng = np.random.default_rng(seed)
+        fpm = SparseMatrix.from_dense(rng.integers(-3, 4, size=(n, n)) * scale)
+        problem = assemble_qubo(fpm, p, s)
+        dense = fpm.to_dense()
+        penalty = combination_penalty(n, p * n, s)
+        assert problem.q.tobytes() == ((dense + dense.T) / 2.0 + penalty.q).tobytes()
         assert problem.offset == penalty.offset
 
     def test_exhaustive_four_assignments(self):

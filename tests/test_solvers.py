@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qubofs.errors import DimensionMismatch, TooLarge
 from qubofs import _native, models, solvers, sparse
-from qubofs.qubo import QuboProblem, combination_penalty
+from qubofs.qubo import QuboProblem
 from qubofs.sparse import ZERO_EPSILON, SparseMatrix
 from qubofs.solvers import (
     AnnealSchedule,
@@ -26,9 +26,26 @@ from qubofs.solvers import (
     energy,
     load_selection,
     save_selection,
+    schedule_for,
     solve_exhaustive,
     solve_sa_many,
 )
+
+
+def combination_penalty(n: int, k_target: float, s: float) -> QuboProblem:
+    """Quadratic penalty s * (sum(x) - k_target)^2 in QUBO form, as its own
+    dense problem: the oracle for the penalty ``assemble_qubo`` writes into Q.
+
+    Using x_f^2 = x_f the expansion puts s*(1 - 2*k_target) on the diagonal,
+    s on every off-diagonal entry, and s*k_target^2 into the offset.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    q = np.full((n, n), float(s))
+    np.fill_diagonal(q, s * (1.0 - 2.0 * k_target))
+    return QuboProblem(q=q, offset=s * k_target**2)
 
 
 def random_problem(rng, n, scale=1.0, with_offset=False):
@@ -211,6 +228,21 @@ class TestDefaultSchedule:
     def test_beta_order(self):
         sch = default_schedule(10, scale=3.0)
         assert sch.beta_end >= sch.beta_start
+
+    @pytest.mark.parametrize("q, beta_start, beta_end", [
+        (np.zeros((3, 3)), 0.1, 50.0),
+        ([[-4.0, 0.5, 0.0], [0.5, 0.0, -2.0], [0.0, -2.0, 3.0]], 0.025, 100.0),
+    ], ids=["all-zero", "mixed"])
+    def test_schedule_for_reads_the_coefficient_range(self, q, beta_start, beta_end):
+        """The ramp runs from 0.1 over the largest to 50 over the smallest
+        nonzero |coefficient|; an all-zero Q takes 1.0 for both."""
+        problem = QuboProblem(q=np.array(q))
+        magnitudes = np.abs(problem.q[problem.q != 0.0])
+        scale = float(magnitudes.max()) if magnitudes.size else 1.0
+        cold_scale = float(magnitudes.min()) if magnitudes.size else 1.0
+        expected = default_schedule(3, scale=scale, cold_scale=cold_scale)
+        assert schedule_for(problem) == expected
+        assert (expected.sweeps, expected.beta_start, expected.beta_end) == (1000, beta_start, beta_end)
 
     def test_one_sweep_ramp_is_beta_start(self):
         assert list(AnnealSchedule(sweeps=1, beta_start=0.3, beta_end=7.0).betas()) == [0.3]
