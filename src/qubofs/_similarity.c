@@ -1,26 +1,27 @@
-/* Sparse products of SparseMatrix, one output row at a time.
+/* Sparse products of SparseMatrix, cosine top k and rankings, one row at a
+ * time.
  *
  * Row i of A @ B is summed into a dense accumulator in the order of scipy's
  * csr_matmat, the reference the tests compare with: A's row i entries in
- * order, each times its B row's entries in order, starting from 0; build with
- * -ffp-contract=off so that no multiply-add is fused. Each column's sum must
- * be finite (else the call returns -1) and is kept when its magnitude is at
- * least zero_epsilon, so a column that no term lands in, or whose terms
- * cancel, drops out. A row with few terms lists the columns they land in; a
- * row with many scans its dense sums.
+ * order, each times its B row's entries in order, starting from 0 (add_row);
+ * build with -ffp-contract=off so that no multiply-add is fused.
  *
+ * product_rows: each column's sum must be finite (else the call returns -1)
+ * and is kept when its magnitude is at least zero_epsilon, so a column that
+ * no term lands in, or whose terms cancel, drops out. A row with few terms
+ * lists the columns they land in; a row with many scans its dense sums.
  * Plain mode (top_k == 0) writes the kept columns: the canonical product.
  * Cosine mode (top_k >= 1) divides each kept sum g of column j by
  * (norms[i] * norms[j] + shrink) when normalize is set and applies the same
  * finiteness and zero rules again, drops the diagonal, and keeps the best
  * top_k by value descending, then column ascending. The item x item product
- * never exists: the scratch is a few arrays of n_cols entries.
+ * never exists: the scratch is a few arrays of n_cols entries. Each row is
+ * written in ascending column order. A call writes the rows from first_row
+ * on into an output buffer of a given capacity and stops before the first
+ * row whose bound (the most entries it can keep) no longer fits, so the
+ * caller copies out each block and goes on from the row returned.
  *
- * Each row is written in ascending column order. The 32-bit index arrays are
- * read in place, as SparseMatrix stores them. A call writes the rows from
- * first_row on into an output buffer of a given capacity and stops before
- * the first row whose bound (the most entries it can keep) no longer fits,
- * so the caller copies out each block and goes on from the row returned.
+ * The 32-bit index arrays are read in place, as SparseMatrix stores them.
  */
 #include <math.h>
 #include <stdint.h>
@@ -62,6 +63,19 @@ static double kth_largest(double *x, int64_t n, int64_t k)
     return x[lo];
 }
 
+/* Add row i of A @ B into acc, in csr_matmat's order. */
+static inline void add_row(int64_t i, const int32_t *a_indptr, const int32_t *a_indices,
+                           const double *a_data, const int32_t *b_indptr,
+                           const int32_t *b_indices, const double *b_data, double *acc)
+{
+    for (int64_t jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++) {
+        const int64_t j = a_indices[jj];
+        const double v = a_data[jj];
+        for (int64_t kk = b_indptr[j]; kk < b_indptr[j + 1]; kk++)
+            acc[b_indices[kk]] += v * b_data[kk];
+    }
+}
+
 /* norms (n_rows, read only when normalize is set) are A's row norms, and
  * B's column norms too as cosine mode runs on A @ A^T. acc (n_cols, zeros),
  * touched_by (n_cols, negative), cols, vals and sel (n_cols) are scratch,
@@ -93,12 +107,7 @@ int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t norm
         int64_t n = 0;
         if (terms > n_cols / 32) {
             /* many terms: sum them, then find the nonzero sums by a scan */
-            for (int64_t jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++) {
-                const int64_t j = a_indices[jj];
-                const double v = a_data[jj];
-                for (int64_t kk = b_indptr[j]; kk < b_indptr[j + 1]; kk++)
-                    acc[b_indices[kk]] += v * b_data[kk];
-            }
+            add_row(i, a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, acc);
             for (int32_t c = 0; c < n_cols; c++) {
                 cols[n] = c;
                 n += acc[c] != 0.0;
@@ -165,4 +174,56 @@ int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t norm
         out_indptr[i + 1] = base + nnz;
     }
     return n_rows;
+}
+
+/* The ranking of models.score_and_rank: a user's scores are their profile
+ * row times the similarity, which holds the candidate columns only. One pass
+ * over them checks each score, applies the zero rule (|s| < zero_epsilon
+ * counts as 0), skips the items the user has seen (profile value > 0) and
+ * keeps the best k by score descending, then column ascending. Returns 0, or
+ * 1 when a score is not finite. position[item] is the item's candidate
+ * column, -1 for the others, and candidates[column] the item. out holds
+ * n_users rows of k items, of which the first lengths[u] are user u's list;
+ * acc (n_cand, zeros), seen_by (n_cand, negative), best_score and best_col
+ * (k) are scratch. */
+int64_t rank_users(int64_t n_users, int64_t n_cand, int64_t k, double zero_epsilon,
+                   const int32_t *p_indptr, const int32_t *p_indices, const double *p_data,
+                   const int32_t *s_indptr, const int32_t *s_indices, const double *s_data,
+                   const int64_t *position, const int64_t *candidates,
+                   double *acc, int64_t *seen_by, double *best_score, int64_t *best_col,
+                   int64_t *out, int64_t *lengths)
+{
+    for (int64_t u = 0; u < n_users; u++) {
+        add_row(u, p_indptr, p_indices, p_data, s_indptr, s_indices, s_data, acc);
+        for (int64_t jj = p_indptr[u]; jj < p_indptr[u + 1]; jj++)
+            if (p_data[jj] > 0 && position[p_indices[jj]] >= 0)
+                seen_by[position[p_indices[jj]]] = u;
+        /* a score must beat kth, the k-th best score so far, to enter: a later
+         * column ties below an earlier one */
+        int64_t m = 0;
+        double kth = -INFINITY;
+        for (int64_t c = 0; c < n_cand; c++) {
+            double s = acc[c];
+            acc[c] = 0.0;
+            if (!isfinite(s))
+                return 1;
+            if (fabs(s) < zero_epsilon)
+                s = 0.0;
+            if (!(s > kth) || seen_by[c] == u)
+                continue;
+            int64_t i = m < k ? m++ : k - 1;
+            for (; i > 0 && s > best_score[i - 1]; i--) {
+                best_score[i] = best_score[i - 1];
+                best_col[i] = best_col[i - 1];
+            }
+            best_score[i] = s;
+            best_col[i] = c;
+            if (m == k)
+                kth = best_score[k - 1];
+        }
+        for (int64_t i = 0; i < m; i++)
+            out[u * k + i] = candidates[best_col[i]];
+        lengths[u] = m;
+    }
+    return 0;
 }

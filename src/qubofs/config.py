@@ -62,10 +62,6 @@ def _check(ok: bool, message: str) -> None:
         raise ConfigInvalid(message)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _check_value(path: str, name: str, value) -> None:
     """``value``, a choice or the low end of parameter ``name``, is one that
     the model can take."""
@@ -73,8 +69,9 @@ def _check_value(path: str, name: str, value) -> None:
         allowed = CHOICES[name]
         _check(value in allowed and isinstance(value, type(allowed[0])),
                f"{path} must be among {list(allowed)}, not {value!r}")
-    elif name in LEAST_VALUE and _is_number(value):
-        _check(value >= LEAST_VALUE[name], f"{path} must be >= {LEAST_VALUE[name]}, not {value!r}")
+    elif name in LEAST_VALUE:
+        _check(is_finite_number(value) and value >= LEAST_VALUE[name],
+               f"{path} must be a finite number >= {LEAST_VALUE[name]}, not {value!r}")
 
 
 def _check_space(space: dict | None, defaults: dict, where: str) -> None:

@@ -188,9 +188,10 @@ def score_and_rank(
     sparse product, and those below ``ZERO_EPSILON`` in magnitude count as
     zero.
 
-    The ranking runs in the compiled kernel (``_rank.c``) when this machine
-    can build it and it passes its self-check: one user at a time, over one
-    dense row of candidate scores, reading the sparse arrays in place. Otherwise
+    The ranking runs in the compiled kernel (``rank_users`` in
+    ``_similarity.c``, the product's library) when this machine can build it
+    and it passes its self-check: one user at a time, over one dense row of
+    candidate scores, reading the sparse arrays in place. Otherwise
     numpy scores users in chunks of at most ``RANK_CHUNK_ENTRIES`` dense
     scores (one user per chunk if a single row exceeds it). Either way the
     scores held do not grow with the number of users, and both paths return
@@ -259,15 +260,15 @@ _CHECK_RANKING = [[1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, 4, 5, 6, 7, 8, 9],
 @functools.cache
 def _load_kernel():
     """The compiled ranking as a drop-in for ``_rank_numpy``, or None when
-    ``_rank.c`` cannot be built or loaded here, or when it ranks
+    ``_similarity.c`` cannot be built or loaded here, or when it ranks
     ``_check_case()`` otherwise than ``_CHECK_RANKING``: the kernel sums each
-    score in the order of ``SparseMatrix``'s product (``_similarity.c``), and
-    the check sees a build that sums otherwise."""
+    score with the routine of ``SparseMatrix``'s product, and the check sees
+    a build that sums otherwise."""
     import ctypes
 
     from . import _native
 
-    lib = _native.load_library("_rank")
+    lib = _native.load_library("_similarity")
     if lib is None:
         return None
     kernel = lib.rank_users

@@ -501,9 +501,14 @@ class Pipeline:
         fit, holdout = self._cf_fit()
         space = dict(self.cfg.collaborative.resolved_space())
         if kind == "pure_svd":
+            # a choice or the high end above the rank is lowered to it
+            limit = min(ds.n_users, ds.n_items)
             spec = dict(space["num_factors"])
-            spec["high"] = min(spec["high"], ds.n_users, ds.n_items)
-            spec["low"] = min(spec["low"], spec["high"])
+            if spec["type"] == "categorical":
+                spec["choices"] = [min(choice, limit) for choice in spec["choices"]]
+            else:
+                spec["high"] = min(spec["high"], limit)
+                spec["low"] = min(spec["low"], spec["high"])
             space["num_factors"] = spec
         best, best_score, cases = self._search("cf-search", space, self.cfg.collaborative.n_cases,
                                                fit, holdout.train, holdout.validation, None,

@@ -17,7 +17,9 @@ that of scipy's ``csr_matmat``, and the row sums, the transpose and the
 product with a dense array are summed or ordered as scipy's are: the tests
 hold every operation to scipy byte for byte, and the package does not import
 it. The kernel also fuses ``models.cosine_knn``'s normalisation, diagonal
-drop and per-row top k into the product (``_load_kernel``).
+drop and per-row top k into the product (``_load_kernel``), and its library
+holds ``models.score_and_rank``'s ranking, which sums each user's scores
+with the product's own row routine.
 
 Construction copies its input and never modifies it. Other modules read the
 canonical arrays through the read-only ``indptr``, ``indices`` and ``data``,
@@ -508,7 +510,8 @@ def _load_kernel():
         n_rows, n_cols = a.n_rows, b.n_cols
         if top_k and (n_rows != n_cols or (norms is not None and np.shape(norms) != (n_rows,))):
             raise DimensionMismatch("cosine mode needs a square product and one norm per row")
-        bound = np.minimum(_row_terms(a, b), min(top_k, n_cols) if top_k else n_cols)
+        top_k = min(top_k, max(n_cols, 1))  # keeps as many; a larger int would wrap in int64
+        bound = np.minimum(_row_terms(a, b), top_k or n_cols)
         capacity = int(min(bound.sum(), bound.max(initial=0) + PRODUCT_BUFFER_ENTRIES))
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         arrays = (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data,

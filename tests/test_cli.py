@@ -103,6 +103,13 @@ INVALID_VALUES = {
     "collaborative.space topK choice 0": ("collaborative.space.topK.choices", {"collaborative": {"space": {
         "topK": {"type": "categorical", "choices": [5, 0]}, "shrink": {"type": "float", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    **{f"final_cbf.space topK choice {name}": ("final_cbf.space.topK.choices", {"final_cbf": {"space": {
+        "topK": {"type": "categorical", "choices": [5, choice]}, "shrink": {"type": "float", "low": 0, "high": 10},
+        "normalize": {"type": "categorical", "choices": [True]}}}}, ())
+       for name, choice in (("infinite", float("inf")), ("string", "abc"), ("null", None))},
+    "pure_svd space num_factors choice true": ("collaborative.space.num_factors.choices", {"collaborative": {
+        "kind": "pure_svd", "n_cases": 3, "space": {
+            "num_factors": {"type": "categorical", "choices": [2, True]}}}}, ()),
     "rp3beta space alpha low": ("collaborative.space.alpha.low", {"collaborative": {
         "kind": "rp3beta", "n_cases": 3, "space": {
             "topK": {"type": "int", "low": 5, "high": 20}, "alpha": {"type": "float", "low": -0.5, "high": 1},

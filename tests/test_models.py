@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubofs import models
+from qubofs import models, sparse
 from qubofs.errors import DimensionMismatch, NonFinite, RankTooLarge
 from qubofs.models import (
     SimilarityModel,
@@ -114,6 +114,18 @@ class TestCosineKnn:
         b = cosine_knn(vectors, top_k=5, shrink=99.0, normalize=False)
         assert a.s == b.s
         assert a.s.to_dense()[0, 1] == 1.0
+
+    @pytest.mark.parametrize("top_k", [3, 2**63, 10**19, 2**64 + 3, 10**30])
+    def test_top_k_beyond_int64(self, top_k):
+        """A topK beyond the kernel's 64-bit argument keeps every neighbour,
+        as a topK of the number of vectors does, with the kernel and without
+        it; the hyperparameters keep the value given."""
+        vectors = SparseMatrix.from_dense([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+        for product in (sparse._load_kernel(), None):
+            with mock.patch.object(sparse, "_load_kernel", lambda: product):
+                model = cosine_knn(vectors, top_k=top_k)
+                assert model.s == cosine_knn(vectors, top_k=3).s and model.s.nnz == 6
+                assert model.hyperparams["topK"] == top_k
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(0)

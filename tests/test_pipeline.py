@@ -198,6 +198,22 @@ class TestPipeline:
         assert (tmp_path / "run/reports/grid_validation.tsv").exists()
         assert (tmp_path / "run/reports/feature_stats.tsv").exists()
 
+    def test_pure_svd_factor_choices_above_the_rank(self, tmp_path):
+        """A categorical ``num_factors`` choice above min(n_users, n_items)
+        is lowered to it, as an int or float space's high end is, and the
+        run goes on."""
+        # case 4 of 6 draws the large choice
+        cfg = tiny_config(collaborative={"kind": "pure_svd", "n_cases": 6, "space": {
+            "num_factors": {"type": "categorical", "choices": [2, 10**6]}}})
+        run = Pipeline(cfg, tmp_path / "run")
+        run.run()
+        ds = run.ensure_dataset()
+        limit = min(ds.n_users, ds.n_items)
+        rows = (tmp_path / "run/cf_model/search.tsv").read_text().splitlines()[1:]
+        tried = sorted({json.loads(row.split("\t")[1])["num_factors"] for row in rows})
+        stored = json.loads((tmp_path / "run/cf_model/model.json").read_text())["num_factors"]
+        assert tried == [2, limit] and stored in tried
+
     def test_degenerate_grid_equals_all_features_baseline(self, tmp_path):
         cfg = tiny_config(
             qubo={"alpha": [1.0], "beta": [0.0], "s": [0.0], "p": [1.0]},

@@ -1,3 +1,4 @@
+import fnmatch
 import importlib.util
 import itertools
 import json
@@ -736,7 +737,7 @@ class TestKernelBuild:
         tomllib = pytest.importorskip("tomllib")
         with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
             package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
-        assert "_anneal.c" in package_data["qubofs"]
+        assert any(fnmatch.fnmatch("_anneal.c", pattern) for pattern in package_data["qubofs"])
         assert b"void anneal_rows(" in _native.source("_anneal")
 
     def test_builds_once_then_loads_from_the_cache(self, cache):
@@ -829,7 +830,7 @@ class TestRankKernelBuild:
             assert got.tolist() == unseen[order[:4]].tolist()
 
     def test_source_ships_with_the_package(self):
-        assert b"int64_t rank_users(" in _native.source("_rank")
+        assert b"int64_t rank_users(" in _native.source("_similarity")
 
     def test_builds_once_then_loads_from_the_cache(self, cache):
         TestKernelBuild.require_compiler()
@@ -844,6 +845,16 @@ class TestRankKernelBuild:
     def test_no_compiler(self, cache, monkeypatch):
         monkeypatch.setattr(_native, "COMPILE", ("/nonexistent/cc",) + _native.COMPILE[1:])
         assert models._load_kernel() is None
+        self.check_reference()
+
+    def test_shares_one_build_with_the_product(self, cache):
+        """The ranking and the product are one library: loading both from an
+        empty cache compiles once."""
+        TestKernelBuild.require_compiler()
+        assert sparse._load_kernel() is not None
+        assert models._load_kernel() is not None
+        assert len(cache.compiles) == 1
+        assert len(list(cache.dir.glob("*.so"))) == 1
         self.check_reference()
 
     def test_self_check_case_has_sub_epsilon_scores(self):
@@ -867,12 +878,13 @@ class TestRankKernelBuild:
     def test_self_check_mismatch_falls_back(self, cache, monkeypatch):
         # a kernel that ranks a tied later column above an earlier one
         TestKernelBuild.require_compiler()
-        code = _native.source("_rank")
+        code = _native.source("_similarity")
         wrong = code.replace(b"s > best_score[i - 1]", b"s >= best_score[i - 1]")
         assert wrong != code
-        # the numpy ranking multiplies, which loads the product kernel
+        # the numpy ranking multiplies, which loads the product kernel from
+        # the same wrong library: its products pass their own self-check
         source = _native.source
-        monkeypatch.setattr(_native, "source", lambda name: wrong if name == "_rank" else source(name))
+        monkeypatch.setattr(_native, "source", lambda name: wrong if name == "_similarity" else source(name))
         assert models._load_kernel() is None
         assert len(cache.compiles) == 1
         self.check_reference()
@@ -880,11 +892,11 @@ class TestRankKernelBuild:
     def test_self_check_sees_a_missing_zero_rule(self, cache, monkeypatch):
         # only the self-check's sub-ZERO_EPSILON scores tell this kernel apart
         TestKernelBuild.require_compiler()
-        code = _native.source("_rank")
+        code = _native.source("_similarity")
         wrong = code.replace(b"fabs(s) < zero_epsilon", b"fabs(s) < 0.0")
         assert wrong != code
         source = _native.source
-        monkeypatch.setattr(_native, "source", lambda name: wrong if name == "_rank" else source(name))
+        monkeypatch.setattr(_native, "source", lambda name: wrong if name == "_similarity" else source(name))
         assert models._load_kernel() is None
         assert len(cache.compiles) == 1
         self.check_reference()
@@ -959,13 +971,15 @@ class TestProductKernelBuild:
 
 
 def test_package_data_names_every_kernel_source():
-    """A kernel never ships without its C source, nor names one that is gone."""
+    """A kernel never ships without its C source, nor names one that is gone:
+    the package data's patterns match every source and each matches one."""
     tomllib = pytest.importorskip("tomllib")
-    root = Path(__file__).parents[1]
-    with open(root / "pyproject.toml", "rb") as fh:
-        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
-    shipped = sorted(p.name for p in (root / "src" / "qubofs").glob("*.c"))
-    assert shipped and sorted(package_data["qubofs"]) == shipped
+    package = Path(__file__).parents[1] / "src" / "qubofs"
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["qubofs"]
+    matched = [sorted(p.name for p in package.glob(pattern)) for pattern in patterns]
+    sources = sorted(p.name for p in package.glob("*.c"))
+    assert sources and all(matched) and sorted({n for names in matched for n in names}) == sources
 
 
 @pytest.mark.parametrize(
