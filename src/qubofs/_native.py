@@ -40,8 +40,11 @@ def _cache_dir() -> Path:
 
 def load_library(name: str) -> ctypes.CDLL | None:
     """The library built from ``name``.c, or None if it cannot be built or
-    loaded here."""
-    code = source(name)
+    loaded here, such as in a package that lacks the source."""
+    try:
+        code = source(name)
+    except OSError:
+        return None
     key = hashlib.sha256(b"\0".join(
         [code, " ".join(COMPILE).encode(), platform.machine().encode()])).hexdigest()[:16]
     filename = f"{name}-{key}.so"

@@ -57,25 +57,29 @@ def accuracy_metrics(
     """(precision, recall, ndcg, map): macro averages over users with a
     non-empty row of ``holdings``. Rankings wider than the cutoff are cut.
 
-    Computed from a users x cutoff hit matrix; DCG and the AP sum are
-    sequential cumulative sums, so every value equals the one a per-user loop
-    adding hit by hit gives."""
+    Computed from a users x width hit matrix, where the width is the cut
+    ranking's, never the cutoff's; DCG and the AP sum are sequential
+    cumulative sums, so every value equals the one a per-user loop adding hit
+    by hit up to the cutoff gives (the ranks past the width add exact zeros).
+    The ideal DCG is summed once per ideal length that occurs."""
     if len(ranked) != holdings.n_rows:
         raise ValueError("ranked and holdings must align per user")
-    discounts = 1.0 / np.log2(np.arange(2, cutoff + 2))
     n_rel = holdings.row_nnz()
-    hit = _hit_matrix(ranked[:, :cutoff], holdings, cutoff)
     kept = n_rel > 0
     if not kept.any():
         return 0.0, 0.0, 0.0, 0.0
-    hit, n_rel = hit[kept], n_rel[kept]
+    # one column at least, so that every row has a last cumulative sum
+    width = max(1, min(cutoff, ranked.shape[1]))
+    hit, n_rel = _hit_matrix(ranked[:, :width], holdings, width)[kept], n_rel[kept]
+    ideal = np.minimum(n_rel, min(cutoff, holdings.n_cols))
+    discounts = 1.0 / np.log2(np.arange(2, max(width, ideal.max()) + 2))
     hits_so_far = np.cumsum(hit, axis=1)
     hits = hits_so_far[:, -1]
-    dcg = np.cumsum(np.where(hit, discounts, 0.0), axis=1)[:, -1]
-    precision_at = hits_so_far / np.arange(1, cutoff + 1)
+    dcg = np.cumsum(np.where(hit, discounts[:width], 0.0), axis=1)[:, -1]
+    precision_at = hits_so_far / np.arange(1, width + 1)
     ap_sum = np.cumsum(np.where(hit, precision_at, 0.0), axis=1)[:, -1]
-    ideal = np.minimum(cutoff, n_rel)
-    idcg = np.array([discounts[:k].sum() for k in range(cutoff + 1)])[ideal]
+    lengths, at = np.unique(ideal, return_inverse=True)
+    idcg = np.array([discounts[:k].sum() for k in lengths.tolist()])[at]
     return (
         float(np.mean(hits / cutoff)),
         float(np.mean(hits / n_rel)),
@@ -84,11 +88,11 @@ def accuracy_metrics(
     )
 
 
-def _hit_matrix(ranked: np.ndarray, holdings: SparseMatrix, cutoff: int) -> np.ndarray:
-    """Bool users x cutoff: whether the item at each rank is in the user's
-    row of ``holdings``."""
+def _hit_matrix(ranked: np.ndarray, holdings: SparseMatrix, width: int) -> np.ndarray:
+    """Bool users x width: whether the item at each rank is in the user's
+    row of ``holdings``; ranks past the ranking's own width are misses."""
     n_items = holdings.n_cols
-    hit = np.zeros((len(ranked), cutoff), dtype=bool)
+    hit = np.zeros((len(ranked), width), dtype=bool)
     users, ranks = np.nonzero((ranked >= 0) & (ranked < n_items))
     if users.size and holdings.nnz:
         # one integer key per (user, item) pair, which CSR order sorts; a hit

@@ -80,7 +80,7 @@ from .models import (
 )
 from .qubo import (
     QuboProblem,
-    assemble_qubo,
+    assemble_qubo,  # unused here: perfbench/tracer.py times it under this module's name
     build_fpm,
     build_ipm,
     build_penalization,
@@ -543,9 +543,10 @@ class Pipeline:
     # -- stage: QUBO grid ----------------------------------------------------
 
     def _build_qubos(self, points: list[dict | None]) -> None:
-        """The QUBO of every grid point that is None, and the pair matrix
-        unless it is on disk already (each file is written atomically); a
-        stored pair matrix is loaded as one over the warm items."""
+        """What builds the QUBO of every grid point that is None (its pair's
+        penalization, its p and s), and the pair matrix unless it is on disk
+        already (each file is written atomically); a stored pair matrix is
+        loaded as one over the warm items."""
         ds = self.ensure_dataset()
         cold = self.ensure_splits()
         warm = cold.warm_items()
@@ -566,10 +567,8 @@ class Pipeline:
                 continue
             key = (point["alpha"], point["beta"])
             if key not in fpm_cache:
-                ipm = build_ipm(pairs, point["alpha"], point["beta"])
-                fpm_cache[key] = build_fpm(icm_warm, ipm)
-            problem = assemble_qubo(fpm_cache[key], point["p"], point["s"])
-            save_qubo(problem, *self._files("qubos", index))
+                fpm_cache[key] = build_fpm(icm_warm, build_ipm(pairs, *key))
+            save_qubo(fpm_cache[key], point["p"], point["s"], *self._files("qubos", index))
             points[index] = point
 
     # -- stage: selection ------------------------------------------------------
@@ -770,12 +769,14 @@ class Pipeline:
 # function fills the None entries of the list of points and writes the stage's
 # shared files; the qubos stage's one shared file is the item-pair
 # classification, -1 on kept and +1 on eliminated pairs, that every point's
-# QUBO is built from. A stage may declare no files (final): it is then always
-# complete, has no build function, and its load computes it. The loop below
-# derives Pipeline.ensure_<name> from each row; it returns the synthetic TSVs
-# as a FilesSpec (synth, which only a synthetic dataset reaches), a Dataset, a
-# ColdSplit, a SimilarityModel (cf_model, cbf_all, final), one grid dict,
-# SelectionResult or score dict per grid point, or the report.
+# QUBO is built from; each point stores its pair's feature penalization and
+# its p and s, which the selections stage assembles. A stage may declare no
+# files (final): it is then always complete, has no build function, and its
+# load computes it. The loop below derives Pipeline.ensure_<name> from each
+# row; it returns the synthetic TSVs as a FilesSpec (synth, which only a
+# synthetic dataset reaches), a Dataset, a ColdSplit, a SimilarityModel
+# (cf_model, cbf_all, final), one grid dict, SelectionResult or score dict per
+# grid point, or the report.
 STAGES = {
     "synth": (("dataset/interactions.tsv", "dataset/features.tsv", "dataset/planted.json"),
               Pipeline._build_synth, Pipeline._synth_files),

@@ -118,33 +118,31 @@ def assemble_qubo(fpm: SparseMatrix, p: float, s: float) -> QuboProblem:
     diagonal = q.diagonal() + s * (1.0 - 2.0 * k)
     q += float(s)
     np.fill_diagonal(q, diagonal)
-    return QuboProblem(q=q, offset=s * k**2)
+    return QuboProblem(q=q, offset=float(s * k**2))
 
 
-def save_qubo(problem: QuboProblem, coo_path, sidecar_path) -> None:
-    SparseMatrix.from_dense(problem.q).save_coo(coo_path)
-    write_json(sidecar_path, {"n": problem.n, "offset": problem.offset, "convention": "symmetric"})
+def save_qubo(fpm: SparseMatrix, p: float, s: float, coo_path, sidecar_path) -> None:
+    """Store what builds a grid point's QUBO: the feature penalization of its
+    (alpha, beta) pair and its ``p`` and ``s``."""
+    fpm.save_coo(coo_path)
+    write_json(sidecar_path, {"p": p, "s": s})
 
 
 def load_qubo(coo_path, sidecar_path, n: int | None = None) -> QuboProblem:
-    """The problem ``save_qubo`` stored. A sidecar whose ``offset`` is not a
-    finite number, whose ``n`` is not the matrix's size, or, when ``n`` is
-    given, whose ``n`` is not that size, is a ``ParseError`` naming the
-    sidecar; a matrix that is not square, symmetric and finite is one naming
-    the matrix."""
-    sidecar = read_json(sidecar_path, "n", "offset")
-    offset = sidecar["offset"]
-    if not is_finite_number(offset):
-        raise ParseError(f"{sidecar_path}: offset {offset!r} is not a finite number")
-    if n is not None and sidecar["n"] != n:
-        raise ParseError(f"{sidecar_path}: n {sidecar['n']!r} is not the expected {n}")
-    q = SparseMatrix.load_coo(coo_path).to_dense()
-    if q.shape[0] != sidecar["n"]:
-        raise ParseError(f"{sidecar_path}: n {sidecar['n']!r} is not the size of {coo_path}")
-    try:
-        return QuboProblem(q=q, offset=float(offset))
-    except ValueError as exc:
-        raise ParseError(f"{coo_path}: {exc}") from exc
+    """``assemble_qubo`` of what ``save_qubo`` stored. A sidecar whose ``p``
+    or ``s`` is missing, as in an older run's, or not a finite number in
+    ``assemble_qubo``'s range is a ``ParseError`` naming it; a penalization
+    that is not n x n (square, when ``n`` is None) is one naming the matrix."""
+    sidecar = read_json(sidecar_path)
+    p, s = sidecar.get("p"), sidecar.get("s")
+    if not (is_finite_number(p) and is_finite_number(s) and 0 < p <= 1 and s >= 0):
+        raise ParseError(f"{sidecar_path}: p {p!r} and s {s!r} are not finite numbers with 0 < p <= 1 "
+                         "and s >= 0; an older run stored neither, so delete qubo/grid_* to rebuild")
+    fpm = SparseMatrix.load_coo(coo_path)
+    if fpm.n_cols != fpm.n_rows or n not in (None, fpm.n_rows):
+        raise ParseError(f"{coo_path}: a {fpm.n_rows}x{fpm.n_cols} feature penalization, not "
+                         + ("square" if n is None else f"{n}x{n}"))
+    return assemble_qubo(fpm, p, s)
 
 
 def load_pairs(path, n: int) -> SparseMatrix:

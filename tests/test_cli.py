@@ -13,7 +13,7 @@ import pytest
 from qubofs import cli, errors, pipeline
 from qubofs.cli import COMMANDS, build_parser, main
 from qubofs.config import ExperimentConfig
-from qubofs.qubo import QuboProblem, save_qubo
+from qubofs.qubo import save_qubo
 from qubofs.sparse import SparseMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -416,12 +416,22 @@ class TestExitCodes:
 
     def test_overflowing_qubo_is_data_error(self, tmp_path, capsys):
         """A finite grid value whose QUBO coefficients overflow stops the
-        qubos stage with exit 3 instead of a traceback."""
+        run with exit 3 instead of a traceback. The qubos stage stores only
+        what builds Q, so ``build-qubo`` passes and the selections stage,
+        which assembles Q, stops before it writes a selection."""
         config = write_config(tmp_path, qubo={"alpha": [1.0], "beta": [0.001], "s": [1e308], "p": [0.5]})
         out = tmp_path / "o"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("data error:")
         assert not (out / "selections").exists()
+
+    def test_cutoff_beyond_every_ranking_exits_0(self, tmp_path, capsys):
+        """A cutoff far beyond the catalog passes validation and the run:
+        the metrics are as wide as the rankings, not the cutoff."""
+        config = write_config(tmp_path, cutoff=10**20)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "reports/report.json").read_text())["cutoff"] == 10**20
 
     def test_corrupt_artifact_is_data_error(self, tmp_path, capsys):
         """A stage file that is not a sparse archive, such as a text COO file
@@ -491,10 +501,10 @@ class TestExitCodes:
         ("cbf_sel/grid_000/result.json", edited("cbf_params", lambda v: {**v["cbf_params"], "shrink": "x"}), ()),
         ("cbf_sel/grid_000/result.json",
          edited("cbf_params", lambda v: {k: p for k, p in v["cbf_params"].items() if k != "topK"}), ()),
-        ("qubo/grid_000/qubo.json", edited("offset", lambda v: "abc"), ("selections", "cbf_sel")),
-        ("qubo/grid_000/qubo.json", edited("offset", lambda v: None), ("selections", "cbf_sel")),
-        ("qubo/grid_000/qubo.json", edited("offset", lambda v: [1]), ("selections", "cbf_sel")),
-        ("qubo/grid_000/qubo.json", edited("offset", lambda v: float("nan")), ("selections", "cbf_sel")),
+        ("qubo/grid_000/qubo.json", edited("s", lambda v: "abc"), ("selections", "cbf_sel")),
+        ("qubo/grid_000/qubo.json", edited("s", lambda v: None), ("selections", "cbf_sel")),
+        ("qubo/grid_000/qubo.json", edited("s", lambda v: [1]), ("selections", "cbf_sel")),
+        ("qubo/grid_000/qubo.json", edited("s", lambda v: float("nan")), ("selections", "cbf_sel")),
     ], ids=["labels not JSON", "split not JSON", "labels short of a user", "split not an object",
             "split without its items", "selection not an object", "split item beyond the items",
             "split item negative", "split item not an integer", "split item repeated",
@@ -519,7 +529,8 @@ class TestExitCodes:
         finite number; a content-search row whose score is not a finite
         number or whose hyperparameters fit no model (the one grid point is
         the winner, so the final fit reads them); or a QUBO
-        sidecar whose offset is not a finite number: each exits 3 naming the
+        sidecar whose s, from which the QUBO's offset is built, is not a
+        finite number: each exits 3 naming the
         file instead of a traceback. The collaborative model is ``pure_svd``,
         whose rank the matrix bounds. The files and stages in ``deleted`` are
         deleted too, so that the evaluation reaches the file: a partial QUBO
@@ -564,20 +575,20 @@ class TestExitCodes:
         assert not (out / "qubo/grid_001").exists()
 
     def test_qubo_of_another_size_is_data_error(self, tmp_path, capsys):
-        """A stored QUBO whose size is not the feature count exits 3 naming
-        its sidecar, and no selection is written for it."""
+        """A stored feature penalization whose size is not the feature count
+        exits 3 naming it, and no selection is written for it."""
         config = write_config(tmp_path, qubo={"alpha": [1.0], "beta": [0.001], "s": [50.0], "p": [0.25, 0.5]})
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         point = out / "qubo/grid_001"
-        save_qubo(QuboProblem(q=np.eye(5)), point / "qubo.coo", point / "qubo.json")
+        save_qubo(SparseMatrix.from_dense(np.eye(5)), 0.5, 50.0, point / "qubo.coo", point / "qubo.json")
         for stage in ("selections/grid_001", "cbf_sel/grid_001", "reports"):
             shutil.rmtree(out / stage)
         (out / "manifest.json").unlink()
         capsys.readouterr()
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(point / "qubo.json") in err
+        assert err.startswith("data error:") and str(point / "qubo.coo") in err
         assert not (out / "selections/grid_001/selection.json").exists()
 
     def test_infeasible_error(self, tmp_path, capsys):

@@ -144,6 +144,21 @@ class TestAccuracy:
             reference_accuracy_metrics(*lists_and_sets(ranked, held), cutoff)
 
 
+    def test_cutoff_beyond_the_catalog(self):
+        """The arrays are as wide as the ranking, not the cutoff: at a cutoff
+        of 10**20, recall, NDCG and MAP are their values at the catalog size
+        and precision is each user's hits over 10**20."""
+        rng = np.random.default_rng(3)
+        n_items = 40
+        ranked = np.argsort(rng.random((25, n_items)), axis=1)[:, :15]
+        held = SparseMatrix.from_dense(rng.random((25, n_items)) < 0.2)
+        huge = accuracy_metrics(ranked, held, 10**20)
+        assert huge[1:] == accuracy_metrics(ranked, held, n_items)[1:]
+        lists, sets = lists_and_sets(ranked, held)
+        hits = np.array([len(set(items.tolist()) & rel) for items, rel in zip(lists, sets) if rel])
+        assert huge[0] == float(np.mean(hits / 10**20))
+
+
 class TestItemCoverage:
     def test_full(self):
         assert item_coverage(ranking([[0, 1], [2]]), 3) == 1.0

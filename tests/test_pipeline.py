@@ -27,7 +27,7 @@ from qubofs.pipeline import (
     feature_selection_stats,
     random_search,
 )
-from qubofs.qubo import load_qubo
+from qubofs.qubo import assemble_qubo, build_fpm, build_ipm, load_qubo
 from qubofs.solvers import SelectionResult
 from qubofs.sparse import SparseMatrix
 from test_solvers import localopt
@@ -563,6 +563,79 @@ class TestGridResume:
         assert tree_hashes(out) == before
         assert os.stat(out / "qubo/pairs.coo").st_ino == inode
         assert "cf_model" not in resumed.run_info.timings
+
+    def test_point_files_hold_what_builds_the_qubo(self, tmp_path):
+        """Each point stores its pair's feature penalization, as sparse as
+        ``build_fpm`` gives it, and exactly its p and s; a load is
+        ``assemble_qubo`` of them, bit for bit."""
+        cfg = tiny_config(qubo={"alpha": [1.0, 2.0], "beta": [0.001], "s": [100.0], "p": [0.25, 0.5]})
+        run = Pipeline(cfg, tmp_path / "run")
+        points = run.ensure_qubos()
+        ds, warm = run.ensure_dataset(), run.ensure_splits().warm_items()
+        icm_warm = ds.icm.submatrix(rows=warm)
+        pairs = SparseMatrix.load_coo(tmp_path / "run/qubo/pairs.coo")
+        for index, point in enumerate(points):
+            coo, sidecar = run._files("qubos", index)
+            fpm = build_fpm(icm_warm, build_ipm(pairs, point["alpha"], point["beta"]))
+            stored = SparseMatrix.load_coo(coo)
+            assert stored == fpm and stored.nnz < ds.n_features ** 2
+            assert json.loads(sidecar.read_text()) == {"p": point["p"], "s": point["s"]}
+            loaded, built = load_qubo(coo, sidecar, ds.n_features), assemble_qubo(fpm, point["p"], point["s"])
+            assert np.array_equal(loaded.q, built.q)
+            assert loaded.offset == built.offset
+
+    def test_qubo_stage_assembles_nothing(self, tmp_path, monkeypatch):
+        """A fresh qubos stage stores what builds each QUBO and assembles none."""
+
+        def refuse(*args):
+            raise AssertionError("the qubos stage assembled a QUBO")
+
+        monkeypatch.setattr("qubofs.qubo.assemble_qubo", refuse)
+        monkeypatch.setattr(pipeline, "assemble_qubo", refuse)
+        run = Pipeline(tiny_config(), tmp_path / "run")
+        assert len(run.ensure_qubos()) == 2
+        assert all(f.exists() for i in range(2) for f in run._files("qubos", i))
+
+    def test_directories_of_assembled_qubos(self, tmp_path, capsys, monkeypatch):
+        """A directory whose points hold the assembled Q and a sidecar of its
+        n and offset, as older runs stored them, resumes to the same reports
+        without opening them; a point that must still be solved exits 3
+        naming its sidecar, which lacks p and s, so the dense Q is never read
+        as a penalization, and the message says to delete qubo/grid_*."""
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        run = Pipeline(cfg, out)
+        run.run()
+        for index in range(2):
+            coo, sidecar = run._files("qubos", index)
+            problem = load_qubo(coo, sidecar)
+            SparseMatrix.from_dense(problem.q).save_coo(coo)
+            fileio.write_json(sidecar, {"n": problem.n, "offset": problem.offset, "convention": "symmetric"})
+        before = tree_hashes(out)
+        shutil.rmtree(out / "reports")
+        (out / "manifest.json").unlink()
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        for module in (fileio, data, sparse, pipeline):
+            monkeypatch.setattr(module, "open", recording_open, raising=False)
+        Pipeline(cfg, out).run()
+        assert tree_hashes(out) == before
+        assert opened and not [path for path in opened if "qubo/grid_" in path]
+
+        (out / "selections/grid_001/selection.json").unlink()
+        shutil.rmtree(out / "reports")
+        config = tmp_path / "config.json"
+        config.write_text(cfg.canonical_json())
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out / "qubo/grid_001/qubo.json") in err
+        assert "delete qubo/grid_*" in err
+        assert not (out / "selections/grid_001/selection.json").exists()
 
     def test_old_pair_archives_are_left_alone(self, tmp_path, monkeypatch):
         """A directory that holds the classification as its kept (-1) and

@@ -341,53 +341,80 @@ class TestConfigValidation:
 
 class TestConversionAndPersistence:
     def test_round_trip(self, tmp_path):
+        """The files hold the penalization and exactly p and s, and a load
+        is ``assemble_qubo`` of them, bit for bit; the penalization need not
+        be symmetric, as ``assemble_qubo`` symmetrises it."""
         rng = np.random.default_rng(5)
-        q = rng.uniform(-1, 1, size=(4, 4))
-        q = (q + q.T) / 2
-        problem = QuboProblem(q=q, offset=1.25)
-        save_qubo(problem, tmp_path / "q.coo", tmp_path / "q.json")
+        fpm = SparseMatrix.from_dense(rng.uniform(-1, 1, size=(4, 4)) * (rng.random((4, 4)) < 0.6))
+        assert fpm != fpm.transpose()
+        save_qubo(fpm, 0.5, 1.25, tmp_path / "q.coo", tmp_path / "q.json")
+        assert SparseMatrix.load_coo(tmp_path / "q.coo") == fpm
+        assert json.loads((tmp_path / "q.json").read_text()) == {"p": 0.5, "s": 1.25}
+        loaded, built = load_qubo(tmp_path / "q.coo", tmp_path / "q.json"), assemble_qubo(fpm, 0.5, 1.25)
+        assert np.array_equal(loaded.q, built.q)
+        assert loaded.offset == built.offset
+
+    def test_tiny_strength_loads_as_built(self, tmp_path):
+        """A count penalty of s = 1e-13 puts coefficients below
+        ``ZERO_EPSILON`` on entries that the penalization leaves zero; the
+        loaded problem keeps them, and with them the energies."""
+        fpm = SparseMatrix.from_dense([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        built = assemble_qubo(fpm, 0.5, 1e-13)
+        assert built.q[0, 2] == built.q[1, 2] == 1e-13
+        assert np.all(built.q.diagonal() == -2e-13)
+        save_qubo(fpm, 0.5, 1e-13, tmp_path / "q.coo", tmp_path / "q.json")
         loaded = load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
-        assert np.array_equal(loaded.q, problem.q)
-        assert loaded.offset == problem.offset
+        assert np.array_equal(loaded.q, built.q)
+        assert loaded.offset == built.offset == 1e-13 * 1.5**2
+        x = np.array([0, 0, 1])
+        assert energy(loaded, x) == energy(built, x) == pytest.approx(2.5e-14, rel=1e-9)
 
     @pytest.mark.parametrize("edit", [
-        {"offset": "abc"}, {"offset": None}, {"offset": [1]}, {"offset": True},
-        {"offset": float("nan")}, {"offset": float("inf")}, {"offset": 10 ** 400},
-        {"n": 3}, {"n": "4"},
+        {"s": "abc"}, {"s": None}, {"s": [1]}, {"s": True},
+        {"s": float("nan")}, {"s": float("inf")}, {"s": 10 ** 400}, {"s": -0.5},
+        {"p": "0.5"}, {"p": float("nan")}, {"p": 0}, {"p": 1.5}, {"p": None},
     ], ids=["offset a string", "offset null", "offset a list", "offset a bool", "offset NaN",
-            "offset infinite", "offset beyond float range", "n short of the matrix", "n a string"])
+            "offset infinite", "offset beyond float range", "s negative",
+            "p a string", "p NaN", "p zero", "p above one", "p null"])
     def test_bad_sidecar_is_parse_error(self, tmp_path, edit):
-        """A sidecar whose offset is not a finite number or whose n is not
-        the matrix's size is a ParseError naming it, not a TypeError,
-        ValueError or unnamed NonFinite."""
-        save_qubo(QuboProblem(q=np.eye(4), offset=2.0), tmp_path / "q.coo", tmp_path / "q.json")
+        """A sidecar whose p or s is not a finite number in ``assemble_qubo``'s
+        range is a ParseError naming it, not a TypeError, ValueError or
+        unnamed NonFinite. The cases named after the offset put their value
+        in s, from which the offset s * k^2 is built."""
+        save_qubo(SparseMatrix.from_dense(np.eye(4)), 0.5, 2.0, tmp_path / "q.coo", tmp_path / "q.json")
         sidecar = json.loads((tmp_path / "q.json").read_text())
         (tmp_path / "q.json").write_text(json.dumps({**sidecar, **edit}))
         with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.json"))):
             load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
 
+    def test_older_assembled_qubo_is_parse_error(self, tmp_path):
+        """An older run's files, the assembled Q and a sidecar of its n and
+        offset, are a ParseError naming the sidecar that says to delete the
+        grid points, so that a dense Q is never read as a penalization."""
+        problem = assemble_qubo(SparseMatrix.from_dense(np.eye(4)), 0.5, 2.0)
+        SparseMatrix.from_dense(problem.q).save_coo(tmp_path / "q.coo")
+        (tmp_path / "q.json").write_text(json.dumps(
+            {"n": 4, "offset": problem.offset, "convention": "symmetric"}))
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.json")) + ".*delete qubo/grid_"):
+            load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
+
     def test_size_other_than_n_is_parse_error(self, tmp_path):
-        """Given ``n``, a stored problem of another size is a ParseError
-        naming the sidecar; one of that size loads."""
-        save_qubo(QuboProblem(q=np.eye(4)), tmp_path / "q.coo", tmp_path / "q.json")
+        """A penalization that is not n x n, given ``n``, or not square is a
+        ParseError naming it; one of that size loads."""
+        save_qubo(SparseMatrix.from_dense(np.eye(4)), 0.5, 1.0, tmp_path / "q.coo", tmp_path / "q.json")
         assert load_qubo(tmp_path / "q.coo", tmp_path / "q.json", 4).n == 4
-        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.json"))):
+        with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.coo"))):
             load_qubo(tmp_path / "q.coo", tmp_path / "q.json", 5)
-
-    def test_int_offset_loads_as_float(self, tmp_path):
-        """An offset stored as a JSON integer is a finite number: it loads as
-        that float."""
-        save_qubo(QuboProblem(q=np.eye(2), offset=2.0), tmp_path / "q.coo", tmp_path / "q.json")
-        (tmp_path / "q.json").write_text(json.dumps({"n": 2, "offset": 3, "convention": "symmetric"}))
-        loaded = load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
-        assert type(loaded.offset) is float and loaded.offset == 3.0
-
-    def test_asymmetric_matrix_is_parse_error(self, tmp_path):
-        """A stored matrix that is not symmetric is a ParseError naming it."""
-        SparseMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]])).save_coo(tmp_path / "q.coo")
-        (tmp_path / "q.json").write_text(json.dumps({"n": 2, "offset": 0.0}))
+        SparseMatrix.from_dense(np.ones((4, 3))).save_coo(tmp_path / "q.coo")
         with pytest.raises(ParseError, match=re.escape(str(tmp_path / "q.coo"))):
             load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
+
+    def test_int_offset_loads_as_float(self, tmp_path):
+        """A p and an s stored as JSON integers are finite numbers: the
+        problem's offset s * k^2 is a float all the same."""
+        save_qubo(SparseMatrix.from_dense(np.eye(2)), 1, 3, tmp_path / "q.coo", tmp_path / "q.json")
+        loaded = load_qubo(tmp_path / "q.coo", tmp_path / "q.json")
+        assert type(loaded.offset) is float and loaded.offset == 12.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -757,6 +757,21 @@ class TestKernelBuild:
         assert solvers._load_kernel() is None
         self.check_reference()
 
+    def test_missing_source_falls_back(self, cache, monkeypatch):
+        """A package that lacks a kernel's source loads no library, and the
+        product, the ranking and the annealer run on numpy."""
+
+        def missing(name):
+            raise FileNotFoundError(f"{name}.c")
+
+        monkeypatch.setattr(_native, "source", missing)
+        assert [m._load_kernel() for m in (sparse, models, solvers)] == [None, None, None]
+        m = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+        assert np.array_equal((m @ m).to_dense(), m.to_dense() @ m.to_dense())
+        TestRankKernelBuild.check_reference()
+        self.check_reference()
+        assert cache.compiles == []
+
     def test_unwritable_cache(self, cache, tmp_path, monkeypatch):
         # a file where the cache directory should be: no permission bits
         # stop the superuser, this does
