@@ -6,10 +6,10 @@
  * order, each times its B row's entries in order, starting from 0 (add_row);
  * build with -ffp-contract=off so that no multiply-add is fused.
  *
- * product_rows: each column's sum must be finite (else the call returns -1)
- * and is kept when its magnitude is at least zero_epsilon, so a column that
- * no term lands in, or whose terms cancel, drops out. A row with few terms
- * lists the columns they land in; a row with many scans its dense sums.
+ * product_rows: each row is summed by add_row and read by one scan of its
+ * dense sums, as in rank_users. Each column's sum must be finite (else the
+ * call returns -1) and is kept when its magnitude is at least zero_epsilon,
+ * so a column that no term lands in, or whose terms cancel, drops out.
  * Plain mode (top_k == 0) writes the kept columns: the canonical product.
  * Cosine mode (top_k >= 1) divides each kept sum g of column j by
  * (norms[i] * norms[j] + shrink) when normalize is set and applies the same
@@ -25,13 +25,6 @@
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
-
-static int by_column(const void *a, const void *b)
-{
-    const int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
-}
 
 /* The k-th largest of x[0..n), 1 <= k <= n, none of them NaN; x is
  * reordered. */
@@ -78,19 +71,19 @@ static inline void add_row(int64_t i, const int32_t *a_indptr, const int32_t *a_
 
 /* norms (n_rows, read only when normalize is set) are A's row norms, and
  * B's column norms too as cosine mode runs on A @ A^T. acc (n_cols, zeros),
- * touched_by (n_cols, negative), cols, vals and sel (n_cols) are scratch,
- * kept from one call to the next. out_indptr (n_rows + 1, with
- * out_indptr[first_row] set) receives the row pointers of the rows written;
- * their entries fill out_indices and out_data from 0 on, capacity entries at
- * most. A row's bound is min(n_cols, the row's terms), and at most top_k in
- * cosine mode. Returns the first row not written (n_rows when all are), or -1
- * when a sum or a normalised value is not finite. */
+ * cols, vals and sel (n_cols) are scratch, kept from one call to the next.
+ * out_indptr (n_rows + 1, with out_indptr[first_row] set) receives the row
+ * pointers of the rows written; their entries fill out_indices and out_data
+ * from 0 on, capacity entries at most. A row's bound is min(n_cols, the
+ * row's terms), and at most top_k in cosine mode. Returns the first row not
+ * written (n_rows when all are), or -1 when a sum or a normalised value is
+ * not finite. */
 int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t normalize,
                      double shrink, double zero_epsilon, int64_t first_row, int64_t capacity,
                      const int32_t *a_indptr, const int32_t *a_indices, const double *a_data,
                      const int32_t *b_indptr, const int32_t *b_indices, const double *b_data,
                      const double *norms,
-                     double *acc, int64_t *touched_by, int32_t *cols, double *vals, double *sel,
+                     double *acc, int32_t *cols, double *vals, double *sel,
                      int64_t *out_indptr, int32_t *out_indices, double *out_data)
 {
     const int64_t base = out_indptr[first_row];
@@ -104,28 +97,12 @@ int64_t product_rows(int64_t n_rows, int64_t n_cols, int64_t top_k, int64_t norm
             bound = top_k;
         if (nnz + bound > capacity)
             return i;
+        /* sum the row, then find the nonzero sums by a scan */
+        add_row(i, a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, acc);
         int64_t n = 0;
-        if (terms > n_cols / 32) {
-            /* many terms: sum them, then find the nonzero sums by a scan */
-            add_row(i, a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, acc);
-            for (int32_t c = 0; c < n_cols; c++) {
-                cols[n] = c;
-                n += acc[c] != 0.0;
-            }
-        } else {
-            for (int64_t jj = a_indptr[i]; jj < a_indptr[i + 1]; jj++) {
-                const int64_t j = a_indices[jj];
-                const double v = a_data[jj];
-                for (int64_t kk = b_indptr[j]; kk < b_indptr[j + 1]; kk++) {
-                    const int32_t c = b_indices[kk];
-                    acc[c] += v * b_data[kk];
-                    if (touched_by[c] != i) {
-                        touched_by[c] = i;
-                        cols[n++] = c;
-                    }
-                }
-            }
-            qsort(cols, (size_t)n, sizeof *cols, by_column);
+        for (int32_t c = 0; c < n_cols; c++) {
+            cols[n] = c;
+            n += acc[c] != 0.0;
         }
         /* keep cols[0..m) with their values, in place */
         int64_t m = 0;

@@ -52,8 +52,10 @@ DEFAULT_SPACES = {
 
 
 # the values a search space may give each model parameter: models.py raises
-# outside them, and the pipeline reads normalize with bool(), so "no" is true
+# outside them and reads the INTEGERS with int(), and the pipeline reads
+# normalize with bool(), so "no" is true
 LEAST_VALUE = {"topK": 1, "num_factors": 1, "shrink": 0, "alpha": 0, "beta": 0}
+INTEGERS = ("topK", "num_factors")
 CHOICES = {"normalize": (True, False), "weighting": ("none", "tfidf", "bm25")}
 
 
@@ -63,8 +65,8 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _check_value(path: str, name: str, value) -> None:
-    """``value``, a choice or the low end of parameter ``name``, is one that
-    the model can take."""
+    """``value``, a choice or a stored value of parameter ``name``, is one
+    that the model can take."""
     if name in CHOICES:
         allowed = CHOICES[name]
         _check(value in allowed and isinstance(value, type(allowed[0])),
@@ -72,23 +74,28 @@ def _check_value(path: str, name: str, value) -> None:
     elif name in LEAST_VALUE:
         _check(is_finite_number(value) and value >= LEAST_VALUE[name],
                f"{path} must be a finite number >= {LEAST_VALUE[name]}, not {value!r}")
+        _check(name not in INTEGERS or type(value) is int, f"{path} must be an integer, not {value!r}")
 
 
 def _check_space(space: dict | None, defaults: dict, where: str) -> None:
     """The rules by which ``pipeline.sample_point`` reads a search space; it
-    must name every parameter of ``defaults`` but the optional weighting."""
+    names the parameters of ``defaults``, every one but the optional
+    weighting."""
     if space is None:
         return
     for name in defaults:
         _check(name in space or name == "weighting", f"{where}.{name} is missing")
     for name, spec in space.items():
         path = f"{where}.{name}"
+        _check(name in defaults, f"{path} is not a parameter of the model")
         _check(isinstance(spec, dict), f"{path} must be a JSON object, not {spec!r}")
         kind = spec.get("type")
         _check(kind in ("int", "float", "categorical"),
                f"{path}.type must be int, float or categorical, not {kind!r}")
         _check(kind == "categorical" or name not in CHOICES,
                f"{path}.type must be categorical, not {kind!r}")
+        _check(kind != "float" or name not in INTEGERS,
+               f"{path}.type must be int or categorical, not {kind!r}")
         if kind == "categorical":
             choices = spec.get("choices")
             _check(isinstance(choices, (list, tuple)) and len(choices) > 0,
@@ -100,8 +107,8 @@ def _check_space(space: dict | None, defaults: dict, where: str) -> None:
         _check(all(is_finite_number(v) for v in (low, high)),
                f"{path}.low and .high must be finite numbers")
         _check(low <= high, f"{path}.low must be <= its high")
-        if name in LEAST_VALUE:
-            _check_value(f"{path}.low", name, low)
+        if name in LEAST_VALUE:  # a bound need not be an integer: sample_point rounds
+            _check(low >= LEAST_VALUE[name], f"{path}.low must be >= {LEAST_VALUE[name]}, not {low!r}")
         dist = spec.get("dist", "uniform")
         _check(dist in ("uniform", "log-uniform"),
                f"{path}.dist must be uniform or log-uniform, not {dist!r}")

@@ -661,8 +661,9 @@ class Pipeline:
         """Grid point ``index``'s row: the best content-model case's
         hyperparameters and validation score. A score that is not a finite
         number, or hyperparameters that are not an object of values a search
-        space may give, is a ``ParseError`` naming the file; keys an earlier
-        version stored beside those two are not read."""
+        space may give to the names of ``final_cbf``'s space, is a
+        ``ParseError`` naming the file; keys an earlier version stored beside
+        those two are not read."""
         path = self._files("grid_scores", index)[0]
         row = read_json(path, "cbf_params", "validation_score")
         params, score = row["cbf_params"], row["validation_score"]
@@ -670,6 +671,9 @@ class Pipeline:
             raise ParseError(f"{path}: validation_score {score!r} is not a finite number")
         if not isinstance(params, dict):
             raise ParseError(f"{path}: cbf_params is not an object")
+        names = sorted(self.cfg.final_cbf.resolved_space())
+        if sorted(params) != names:
+            raise ParseError(f"{path}: cbf_params holds {sorted(params)}, not the search space's {names}")
         try:
             for name, value in params.items():
                 _check_value(f"cbf_params.{name}", name, value)

@@ -499,7 +499,7 @@ def _load_kernel():
                                for t in (np.int32, np.int64, np.float64))
     kernel.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_double] * 2 + [ctypes.c_int64] * 2 + [
         int32s, int32s, doubles] * 2 + [
-        doubles, doubles, int64s, int32s, doubles, doubles, int64s, int32s, doubles]
+        doubles, doubles, int32s, doubles, doubles, int64s, int32s, doubles]
     kernel.restype = ctypes.c_int64
 
     def product(a: SparseMatrix, b: SparseMatrix, top_k: int = 0,
@@ -516,8 +516,8 @@ def _load_kernel():
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         arrays = (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data,
                   np.zeros(0) if norms is None else np.ascontiguousarray(norms, dtype=np.float64),
-                  np.zeros(n_cols), np.full(n_cols, -1, dtype=np.int64),
-                  np.empty(n_cols, dtype=np.int32), np.empty(n_cols), np.empty(n_cols), indptr)
+                  np.zeros(n_cols), np.empty(n_cols, dtype=np.int32), np.empty(n_cols), np.empty(n_cols),
+                  indptr)
         buffer = (np.empty(capacity, dtype=np.int32), np.empty(capacity))
         blocks = []
         row = 0
@@ -545,8 +545,8 @@ def _check_case() -> list[tuple]:
     ``product``: a plain product whose row 0 sums 2**14 + 2**-39 + 2**-39,
     which only the left-to-right order rounds to 2**14, and cancels to 2**-42
     (below ``ZERO_EPSILON``), and which has an empty row; the same product
-    into 512 columns, where each row has few enough terms to list the columns
-    they land in instead of scanning its sums; then cosine top 2 of five
+    into 512 columns, where each row's scan finds its few nonzero sums
+    among many columns, up to the last; then cosine top 2 of five
     vectors with tied, cancelling and negative dot products, normalised with
     shrink 4 (where 2**-38 falls below ``ZERO_EPSILON``) and raw."""
     a = SparseMatrix.from_dense([[1, 1, 1], [0, 2, 0], [0, 0, 0], [-1, 0, 1]])

@@ -12,7 +12,7 @@ import pytest
 
 from qubofs import cli, errors, pipeline
 from qubofs.cli import COMMANDS, build_parser, main
-from qubofs.config import ExperimentConfig
+from qubofs.config import ITEM_KNN_CBF_SPACE, ITEM_KNN_CF_SPACE, ExperimentConfig
 from qubofs.qubo import save_qubo
 from qubofs.sparse import SparseMatrix
 
@@ -138,6 +138,19 @@ INVALID_VALUES = {
     "collaborative.space topK missing": ("collaborative.space.topK", {"collaborative": {"space": {
         "shrink": {"type": "float", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
+    "final_cbf.space name of no parameter": ("final_cbf.space.tpoK", {"final_cbf": {"space": {
+        **ITEM_KNN_CBF_SPACE, "tpoK": {"type": "int", "low": 100, "high": 200}}}}, ()),
+    "collaborative.space weighting": ("collaborative.space.weighting", {"collaborative": {"space": {
+        **ITEM_KNN_CF_SPACE, "weighting": {"type": "categorical", "choices": ["none"]}}}}, ()),
+    "final_cbf.space topK float": ("final_cbf.space.topK.type", {"final_cbf": {"space": {
+        **ITEM_KNN_CBF_SPACE, "topK": {"type": "float", "low": 2.0, "high": 9.0}}}}, ()),
+    "final_cbf.space topK choice fractional": ("final_cbf.space.topK.choices", {"final_cbf": {"space": {
+        **ITEM_KNN_CBF_SPACE, "topK": {"type": "categorical", "choices": [3.5, 7.25]}}}}, ()),
+    "pure_svd space num_factors float": ("collaborative.space.num_factors.type", {"collaborative": {
+        "kind": "pure_svd", "n_cases": 3, "space": {
+            "num_factors": {"type": "float", "low": 1, "high": 5}}}}, ()),
+    "collaborative.space topK choice fractional": ("collaborative.space.topK.choices", {"collaborative": {"space": {
+        **ITEM_KNN_CF_SPACE, "topK": {"type": "categorical", "choices": [5, 7.25]}}}}, ()),
     "final_cbf.space topK high beyond float range": ("final_cbf.space.topK", {"final_cbf": {"space": {
         "topK": {"type": "int", "low": 5, "high": 10**400}, "shrink": {"type": "float", "low": 0, "high": 10},
         "normalize": {"type": "categorical", "choices": [True]}}}}, ()),
@@ -501,6 +514,10 @@ class TestExitCodes:
         ("cbf_sel/grid_000/result.json", edited("cbf_params", lambda v: {**v["cbf_params"], "shrink": "x"}), ()),
         ("cbf_sel/grid_000/result.json",
          edited("cbf_params", lambda v: {k: p for k, p in v["cbf_params"].items() if k != "topK"}), ()),
+        ("cbf_sel/grid_000/result.json", edited("cbf_params", lambda v: {**v["cbf_params"], "foo": 1}), ()),
+        ("cbf_sel/grid_000/result.json", edited("cbf_params", lambda v: {**v["cbf_params"], "topK": 7.5}), ()),
+        ("cbf_sel/grid_000/result.json",
+         edited("cbf_params", lambda v: {k: p for k, p in v["cbf_params"].items() if k != "weighting"}), ()),
         ("qubo/grid_000/qubo.json", edited("s", lambda v: "abc"), ("selections", "cbf_sel")),
         ("qubo/grid_000/qubo.json", edited("s", lambda v: None), ("selections", "cbf_sel")),
         ("qubo/grid_000/qubo.json", edited("s", lambda v: [1]), ("selections", "cbf_sel")),
@@ -518,6 +535,7 @@ class TestExitCodes:
             "row score a string", "row score a bool", "row score not finite",
             "row score beyond float range", "row params not an object",
             "row topK below one", "row params that fit no model", "row params without topK",
+            "row params with another key", "row topK fractional", "row params without weighting",
             "qubo offset a string", "qubo offset null", "qubo offset a list", "qubo offset NaN"])
     def test_corrupt_sidecar_is_data_error(self, tmp_path, capsys, name, edit, deleted):
         """A JSON sidecar that does not parse, is not an object or lacks a key
@@ -527,8 +545,9 @@ class TestExitCodes:
         no model or another kind of model than the one named; a selection
         that is not one 0/1 integer per feature or whose energy is not a
         finite number; a content-search row whose score is not a finite
-        number or whose hyperparameters fit no model (the one grid point is
-        the winner, so the final fit reads them); or a QUBO
+        number or whose hyperparameters fit no model, are not named as the
+        content search space's parameters or give topK a fraction (the one
+        grid point is the winner, so the final fit reads them); or a QUBO
         sidecar whose s, from which the QUBO's offset is built, is not a
         finite number: each exits 3 naming the
         file instead of a traceback. The collaborative model is ``pure_svd``,

@@ -1194,6 +1194,12 @@ class TestConfigParsing:
         space = {k: v for k, v in ITEM_KNN_CBF_SPACE.items() if k != "weighting"}
         assert tiny_config(final_cbf={"n_cases": 4, "space": space}).final_cbf.space == space
 
+    def test_integer_parameter_takes_whole_number_float_bounds(self):
+        space = {**ITEM_KNN_CBF_SPACE, "topK": {"type": "int", "low": 5.0, "high": 20.0}}
+        cfg = tiny_config(final_cbf={"n_cases": 4, "space": space})
+        assert all(type(pipeline.sample_point(space, np.random.default_rng(seed))["topK"]) is int for seed in range(5))
+        assert cfg.final_cbf.space == space
+
     def test_checked_in_config_loads(self):
         assert ExperimentConfig.from_json_file(Path(__file__).parents[1] / "configs" / "synthetic.json")
 

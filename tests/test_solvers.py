@@ -970,9 +970,9 @@ class TestProductKernelBuild:
         (b"                    if (fabs(g) < zero_epsilon)", b"                    if (fabs(g) < 0.0)"),
         (b"ties -= vals[t] > kth", b"ties -= vals[t] >= kth"),
         (b"if (c == i)", b"if (c == i + n_rows)"),
-        (b"if (touched_by[c] != i)", b"if (touched_by[c] < 0)"),
+        (b"n += acc[c] != 0.0;", b"n += acc[c] > 0.0;"),
     ], ids=["summation order", "zero rule after normalising", "tie rule", "diagonal",
-            "columns listed once in all rows"])
+            "negative sums kept"])
     def test_self_check_mismatch_falls_back(self, cache, monkeypatch, right, wrong):
         TestKernelBuild.require_compiler()
         source = _native.source

@@ -695,8 +695,9 @@ class TestScipyEquivalence:
     @given(triplet_lists(), st.data(), st.integers(1, 40))
     def test_matmul(self, case, data, block):
         """Products of up to 8 terms an entry, also into 60 to 200 columns,
-        where a row touches few of them: scipy's ``csr_matmat`` arrays, on
-        both paths and over blocks of any size."""
+        where the scan of a row's sums finds the few columns its terms land
+        in: scipy's ``csr_matmat`` arrays, on both paths and over blocks of
+        any size."""
         n_rows, inner, _ = case
         n_cols = data.draw(st.integers(1, 8) | st.integers(60, 200))
         other = data.draw(triplet_lists(shape=(inner, n_cols)))
